@@ -6,6 +6,13 @@ form of the perturbed operator is the Hermitian matrix
     H = diag(Lambda_j) + sign * B,
     B_(k,j),(k',j') = sum_nodes v phi_{k,j} conj(phi_{k',j'}) ds.
 
+B is assembled by the same kernels as the single-level matrices of
+toeplitz, with rows (k, j) stacked level-major; its diagonal blocks are
+those matrices.  On an origin-centred circle B_(k,j),(k',j') is
+D_(k,j) S_(k,j) conj(D_(k',j') S_(k',j')) v_hat[(k'-j') - (k-j)], a
+diagonally scaled block-Toeplitz matrix built from one FFT of the weight;
+other curves use the quadrature over basis samples.
+
 The truncation is an uncontrolled approximation of the continuous
 operator, so only statements that are exact in finite sections are
 asserted: nodal-vector persistence of Landau levels at resonant radii,
@@ -28,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import multiplicity as _census_multiplicity
-from .basis import MagneticField, basis_matrix
-from .curves import WeightedCurve, arclength_rule, default_quadrature_size, load_weight, make_circle
-from .toeplitz import RESOLUTION_DELTA_TOL, default_truncation, spectrum
+from .basis import MagneticField
+from .curves import WeightedCurve, default_quadrature_size, load_weight, make_circle
+from .toeplitz import _compress, _provenance, default_truncation, spectrum
 
 __all__ = [
     "GalerkinModel",
@@ -74,13 +81,10 @@ class GalerkinModel:
         return np.array([self.field.landau_level(j) for j in range(self.Q + 1)])
 
 
-def _coupling_matrix(field: MagneticField, Q: int, K: int, wc: WeightedCurve, n: int) -> np.ndarray:
-    wcn = wc.resample(n)
-    points, ds = arclength_rule(wcn.curve, n)
-    blocks = [basis_matrix(field, j, range(K + 1), points) for j in range(Q + 1)]
-    phi = np.vstack(blocks)
-    b = (phi * (wcn.values * ds)) @ phi.conj().T
-    return 0.5 * (b + b.conj().T)
+def _hamiltonian(field: MagneticField, Q: int, K: int, coupling: np.ndarray, sign: int) -> np.ndarray:
+    lam = np.repeat([field.landau_level(j) for j in range(Q + 1)], K + 1)
+    h = np.diag(lam).astype(complex) + sign * coupling
+    return 0.5 * (h + h.conj().T)
 
 
 def model_truncation(field: MagneticField, Q: int, curve_or_radius) -> int:
@@ -106,22 +110,9 @@ def assemble_model(
     if sign not in (+1, -1):
         raise ValueError(f"coupling sign must be +1 or -1, got {sign}")
     n = default_quadrature_size() if N is None else N
-    coupling = _coupling_matrix(field, Q, K, weighted_curve, n)
-    lam = np.repeat([field.landau_level(j) for j in range(Q + 1)], K + 1)
-    h = np.diag(lam).astype(complex) + sign * coupling
-    h = 0.5 * (h + h.conj().T)
-    underresolved = None
-    delta = None
-    if check_resolution:
-        refined = _coupling_matrix(field, Q, K, weighted_curve, 2 * n)
-        delta = float(np.max(np.abs(refined - coupling)))
-        underresolved = delta > RESOLUTION_DELTA_TOL
-    provenance = {
-        "curve": weighted_curve.curve.describe(),
-        "weight": weighted_curve.describe(),
-        "sign_class": weighted_curve.sign_class,
-        "N": n,
-    }
+    coupling, underresolved, delta = _compress(field, range(Q + 1), K, weighted_curve, n, check_resolution)
+    h = _hamiltonian(field, Q, K, coupling, sign)
+    provenance = _provenance(weighted_curve, n)
     return GalerkinModel(field, Q, K, sign, h, coupling, provenance, underresolved, delta)
 
 
@@ -239,9 +230,11 @@ def persistence_check(
     lam_q = field.landau_level(q)
     details: dict = {"Lambda_q": lam_q, "Q": Q, "K": K}
     ok = bool(witness_ks) and len(witness_ks) == len(witnesses)
+    # One coupling serves both signs.
+    plus = assemble_model(field, Q, K, wc, +1, N=N, check_resolution=False)
     for sign in (+1, -1):
-        model = assemble_model(field, Q, K, wc, sign, N=N, check_resolution=False)
-        result = spectrum(model.matrix)
+        matrix = plus.matrix if sign > 0 else _hamiltonian(field, Q, K, plus.coupling, sign)
+        result = spectrum(matrix)
         near = np.abs(result.eigenvalues - lam_q) < EXACT_HIT_TOL
         v = result.eigenvectors[:, near]
         offsets = np.abs(result.eigenvalues - lam_q)
@@ -251,7 +244,7 @@ def persistence_check(
             "support_residuals": [],
         }
         for k in witness_ks:
-            e = np.zeros(model.matrix.shape[0], dtype=complex)
+            e = np.zeros(matrix.shape[0], dtype=complex)
             e[flat_index(q, k, K)] = 1.0
             resid = float(np.linalg.norm(e - v @ (v.conj().T @ e))) if v.size else 1.0
             sign_detail["support_residuals"].append(resid)

@@ -22,6 +22,7 @@ from scipy.linalg import eigh_tridiagonal
 __all__ = [
     "LaguerreSpec",
     "laguerre_eval",
+    "laguerre_eval_batch",
     "laguerre_derivative",
     "laguerre_zeros",
     "positive_zeros",
@@ -66,6 +67,23 @@ def laguerre_eval(spec: LaguerreSpec, t):
             prev, cur = cur, ((2 * n + 1 + a - t_arr) * cur - (n + a) * prev) / (n + 1)
         out = cur
     return out if isinstance(t, np.ndarray) else float(out)
+
+
+def laguerre_eval_batch(degrees, alphas, t: float) -> np.ndarray:
+    """Evaluate L_{n_i}^(alpha_i)(t) for arrays of degrees and parameters.
+
+    One broadcast run of the laguerre_eval recurrence; each entry is taken
+    once its own degree is reached, so it equals laguerre_eval bit for bit.
+    """
+    deg = np.asarray(degrees)
+    a = np.asarray(alphas, dtype=float)
+    prev = np.ones_like(a)
+    out = prev.copy()
+    cur = 1.0 + a - t
+    for n in range(1, int(deg.max(initial=0)) + 1):
+        np.copyto(out, cur, where=deg == n)
+        prev, cur = cur, ((2 * n + 1 + a - t) * cur - (n + a) * prev) / (n + 1)
+    return out
 
 
 def magnitude_envelope(spec: LaguerreSpec, t):

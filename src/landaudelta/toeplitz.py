@@ -5,15 +5,24 @@ eigenspace has entries
 
     M_kl = sum_j v(t_j) phi_{k,q}(gamma(t_j)) conj(phi_{l,q}(gamma(t_j))) ds_j,
 
-assembled over the arclength rule and Hermitian-symmetrized.  On circles
-the matrix is exactly diagonal with entries
+summed by the periodic trapezoid rule over the arclength nodes and
+Hermitian-symmetrized.  On an origin-centred circle of radius r,
+phi_{k,q}(r e^{i theta}) = A_{k,q}(r) e^{i(k-q) theta}, so the same sum is
+
+    M = S D T(v_hat) D S*,    D_k = sqrt(lambda_{k,q}(r)),
+
+with T(v_hat)_kl = v_hat[l - k] the Toeplitz matrix of the weight's
+discrete Fourier coefficients v_hat = FFT(v)/N, S the diagonal of the
+phases of A_{k,q}(r) (signs, up to the common factor (-i)^q) and
 
     lambda_{k,q}(r) = b r (q!/k!) t^{k-q} L_q^(k-q)(t)^2 e^{-t},  t = b r^2/2,
 
-(the reflected form for k < q), which serves as the analytic oracle for
-the assembly.  Kernel counting for circles defers to the analytic
-census: truncation produces spuriously small tail entries, so the
-matrix-based estimate is a cross-check, not the authority.
+(the reflected form for k < q).  Circles are assembled this way, from one
+FFT and no basis evaluation; the matrix is diagonal, with the closed-form
+lambda_{k,q}(r) as its entries, only for constant weights.  Other curves
+use the quadrature over basis samples.  Kernel counting for circles defers
+to the analytic census: truncation produces spuriously small tail entries,
+so the matrix-based estimate is a cross-check, not the authority.
 """
 
 from __future__ import annotations
@@ -21,13 +30,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .census import multiplicity as _census_multiplicity
 from .basis import MagneticField, basis_matrix
 from .curves import WeightedCurve, arclength_rule, default_quadrature_size
-from .laguerre import LaguerreSpec, laguerre_eval
+from .laguerre import laguerre_eval_batch
 
 __all__ = [
     "ToeplitzMatrix",
@@ -66,26 +76,43 @@ class ToeplitzMatrix:
         self.entries.setflags(write=False)
 
 
-def circle_diagonal_log(field: MagneticField, q: int, k: int, r: float) -> float:
-    """log lambda_{k,q}(r); finite iff the entry is nonzero."""
+@lru_cache(maxsize=None)
+def _log_factorials(size: int) -> np.ndarray:
+    """log k! for k < size."""
+    table = np.array([math.lgamma(k + 1) for k in range(size)])
+    table.setflags(write=False)
+    return table
+
+
+def _circle_amplitudes(field: MagneticField, levels, ks, r: float):
+    """log lambda_{k,j}(r), unit phases and harmonics k - j on a circle.
+
+    Rows run level-major over j in levels and k in ks.  On the circle
+    phi_{k,j}(r e^{i theta}) = A_{k,j}(r) e^{i(k-j) theta} with
+    2 pi r |A_{k,j}(r)|^2 = lambda_{k,j}(r); the phase is that of A_{k,j}(r).
+    """
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
-    t = 0.5 * field.b * r * r
-    lo, hi = (q, k) if k >= q else (k, q)
+    levels = np.asarray(levels, dtype=int)
+    ks = np.asarray(ks, dtype=int)
+    j = np.repeat(levels, ks.size)
+    k = np.tile(ks, levels.size)
+    lo, hi = np.minimum(j, k), np.maximum(j, k)
     n = hi - lo
-    poly = laguerre_eval(LaguerreSpec(lo, float(n)), t)
-    if poly == 0.0:
-        return -math.inf
-    out = (
-        math.log(field.b * r)
-        + math.lgamma(lo + 1)
-        - math.lgamma(hi + 1)
-        + 2.0 * math.log(abs(poly))
-        - t
-    )
-    if n > 0:
-        out += n * math.log(t)
-    return out
+    t = 0.5 * field.b * r * r
+    poly = laguerre_eval_batch(lo, n, t)
+    lgam = _log_factorials(max(2 * MAX_TRUNCATION, int(hi.max(initial=0)) + 1))
+    with np.errstate(divide="ignore"):
+        log_lam = math.log(field.b * r) + lgam[lo] - lgam[hi] + 2.0 * np.log(np.abs(poly)) - t + n * math.log(t)
+    # arg A_{k,j} = -pi j/2, plus pi for odd reflected powers and negative L.
+    flip = ((k < j) & ((j - k) % 2 == 1)) ^ (poly < 0.0)
+    phase = np.array([1.0, -1j, -1.0, 1j])[j % 4] * np.where(flip, -1.0, 1.0)
+    return log_lam, phase, k - j
+
+
+def circle_diagonal_log(field: MagneticField, q: int, k: int, r: float) -> float:
+    """log lambda_{k,q}(r); finite iff the entry is nonzero."""
+    return float(_circle_amplitudes(field, [q], [k], r)[0][0])
 
 
 def circle_diagonal(field: MagneticField, q: int, k: int, r: float) -> float:
@@ -121,15 +148,14 @@ def default_truncation(field: MagneticField, q: int, curve_or_radius, tail_rel: 
     else:
         r = float(curve_or_radius)
     t = 0.5 * field.b * r * r
+    log_lam = _circle_amplitudes(field, [q], np.arange(MAX_TRUNCATION), r)[0].tolist()
     best = -math.inf
-    k = 0
     below = 0
     log_cut = math.log(tail_rel)
     # At most q diagonals vanish at any radius, so q+1 consecutive
     # sub-threshold entries certify the tail (a lone resonant zero must
     # not truncate the sweep).
-    while k < MAX_TRUNCATION:
-        val = circle_diagonal_log(field, q, k, r)
+    for k, val in enumerate(log_lam):
         best = max(best, val)
         if k > q + t and val < best + log_cut:
             below += 1
@@ -137,16 +163,56 @@ def default_truncation(field: MagneticField, q: int, curve_or_radius, tail_rel: 
                 return k - (q + 1)
         else:
             below = 0
-        k += 1
     return MAX_TRUNCATION
 
 
-def _assemble_entries(field: MagneticField, q: int, wc: WeightedCurve, K: int, n: int) -> np.ndarray:
-    wcn = wc.resample(n)
-    points, ds = arclength_rule(wcn.curve, n)
-    phi = basis_matrix(field, q, range(K + 1), points)
-    m = (phi * (wcn.values * ds)) @ phi.conj().T
-    return 0.5 * (m + m.conj().T)
+def _quadrature_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, sizes) -> list[np.ndarray]:
+    """Interaction matrices on levels x 0..K over basis samples, one per node count."""
+    out = []
+    for n in sizes:
+        wcn = wc.resample(n)
+        points, ds = arclength_rule(wcn.curve, n)
+        phi = np.vstack([basis_matrix(field, j, range(K + 1), points) for j in levels])
+        m = (phi * (wcn.values * ds)) @ phi.conj().T
+        out.append(0.5 * (m + m.conj().T))
+    return out
+
+
+def _circle_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, sizes) -> list[np.ndarray]:
+    """The same trapezoid sums on an origin-centred circle, one per node count.
+
+    M_kl = D_k S_k conj(D_l S_l) v_hat[(m_l - m_k) mod n] with harmonics
+    m = k - j and v_hat = FFT(weight samples)/n; the amplitudes do not
+    depend on n, so each further node count costs one FFT.
+    """
+    log_lam, phase, m = _circle_amplitudes(field, levels, np.arange(K + 1), dict(wc.curve.meta)["r"])
+    d = np.exp(0.5 * log_lam) * phase
+    scaled = d[:, None] * d.conj()[None, :]
+    shift = m[None, :] - m[:, None]
+    out = []
+    for n in sizes:
+        vhat = np.fft.fft(wc.resample(n).values) / n
+        mat = scaled * vhat[shift % n]
+        out.append(0.5 * (mat + mat.conj().T))
+    return out
+
+
+def _compress(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int, check_resolution: bool):
+    """Interaction matrix on levels x 0..K at n nodes: (entries, underresolved, delta).
+
+    With check_resolution the matrix is rebuilt on 2n nodes and flagged
+    underresolved when any entry moves by more than RESOLUTION_DELTA_TOL.
+    """
+    kernel = _circle_kernel if wc.curve.kind == "circle" else _quadrature_kernel
+    if not check_resolution:
+        return kernel(field, levels, K, wc, (n,))[0], None, None
+    coarse, fine = kernel(field, levels, K, wc, (n, 2 * n))
+    delta = float(np.max(np.abs(fine - coarse)))
+    return coarse, delta > RESOLUTION_DELTA_TOL, delta
+
+
+def _provenance(wc: WeightedCurve, n: int) -> dict:
+    return {"curve": wc.curve.describe(), "weight": wc.describe(), "sign_class": wc.sign_class, "N": n}
 
 
 def assemble(
@@ -159,9 +225,10 @@ def assemble(
 ) -> ToeplitzMatrix:
     """Assemble the (K+1)x(K+1) level-q matrix over the arclength rule.
 
-    With check_resolution the assembly is repeated at twice the node
-    count and the matrix is flagged underresolved when any entry moves
-    by more than 1e-7.
+    Circles take the scaled Toeplitz route, other curves the quadrature
+    over basis samples.  With check_resolution the assembly is repeated
+    at twice the node count and the matrix is flagged underresolved when
+    any entry moves by more than 1e-7.
     """
     if q < 0:
         raise ValueError("level index must be >= 0")
@@ -170,19 +237,8 @@ def assemble(
         K = default_truncation(field, q, weighted_curve.curve)
     if K < 0:
         raise ValueError("truncation K must be >= 0")
-    entries = _assemble_entries(field, q, weighted_curve, K, n)
-    underresolved = None
-    delta = None
-    if check_resolution:
-        refined = _assemble_entries(field, q, weighted_curve, K, 2 * n)
-        delta = float(np.max(np.abs(refined - entries)))
-        underresolved = delta > RESOLUTION_DELTA_TOL
-    provenance = {
-        "curve": weighted_curve.curve.describe(),
-        "weight": weighted_curve.describe(),
-        "sign_class": weighted_curve.sign_class,
-        "N": n,
-    }
+    entries, underresolved, delta = _compress(field, [q], K, weighted_curve, n, check_resolution)
+    provenance = _provenance(weighted_curve, n)
     if weighted_curve.curve.kind == "circle":
         provenance["r"] = dict(weighted_curve.curve.meta)["r"]
     return ToeplitzMatrix(entries, q, K, field.b, provenance, underresolved, delta)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -19,9 +20,9 @@ from .basis import (
     MagneticField,
     annihilation_residual,
     basis_eval,
+    basis_eval_parts,
     basis_matrix,
-    basis_inner_product,
-    plane_inner_product,
+    plane_gram,
     translated_parts,
 )
 from .census import (
@@ -32,7 +33,15 @@ from .census import (
     gap_constants,
     multiplicity as census_multiplicity,
 )
-from .curves import SIGN_NONNEGATIVE, SIGN_NONPOSITIVE, arclength_rule, load_weight, make_circle, make_ellipse
+from .curves import (
+    SIGN_INDEFINITE,
+    SIGN_NONNEGATIVE,
+    SIGN_NONPOSITIVE,
+    arclength_rule,
+    load_weight,
+    make_circle,
+    make_ellipse,
+)
 from .galerkin import assemble_model, cluster_report, flat_index, persistence_check
 from .laguerre import (
     LaguerreSpec,
@@ -43,7 +52,7 @@ from .laguerre import (
     orthogonality_defect,
     positive_zeros,
 )
-from .toeplitz import assemble, circle_diagonal, spectrum
+from .toeplitz import _circle_kernel, _quadrature_kernel, assemble, circle_diagonal, spectrum
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
 
@@ -156,12 +165,7 @@ def check_basis_gram() -> tuple[bool, str]:
     for b in (0.5, 2.0):
         field = MagneticField(b)
         for q in range(0, 5):
-            gram = np.array(
-                [
-                    [basis_inner_product(field, BasisIndex(k1, q), BasisIndex(k2, q)) for k2 in range(13)]
-                    for k1 in range(13)
-                ]
-            )
+            gram = plane_gram(field, [partial(basis_eval_parts, field, BasisIndex(k, q)) for k in range(13)])
             worst = max(worst, float(np.max(np.abs(gram - np.eye(13)))))
     return worst < 1e-8, f"max Gram deviation {worst:.2e} (K=12, q<=4)"
 
@@ -211,10 +215,7 @@ def check_basis_annihilation() -> tuple[bool, str]:
 
 
 def translated_gram(field: MagneticField, q: int, kmax: int, y) -> np.ndarray:
-    parts = [translated_parts(field, BasisIndex(k, q), y) for k in range(kmax + 1)]
-    return np.array(
-        [[plane_inner_product(field, parts[i], parts[j]) for j in range(kmax + 1)] for i in range(kmax + 1)]
-    )
+    return plane_gram(field, [translated_parts(field, BasisIndex(k, q), y) for k in range(kmax + 1)])
 
 
 def check_basis_translation() -> tuple[bool, str]:
@@ -277,6 +278,23 @@ def check_toeplitz_diagonality() -> tuple[bool, str]:
                 worst_rel = max(worst_rel, float(np.max(np.abs(diag - oracle) / scale)))
     ok = worst_off < 1e-11 and worst_rel < 1e-8
     return ok, f"off-diagonal {worst_off:.2e} x diag, oracle deviation {worst_rel:.2e}"
+
+
+def check_toeplitz_circle_structure() -> tuple[bool, str]:
+    # The scaled Toeplitz circle kernel against the quadrature over basis
+    # samples, for an indefinite three-harmonic weight.
+    field = MagneticField(2.0)
+    weight = lambda t: 0.3 + np.cos(t) - 0.6 * np.sin(2 * t) + 0.4 * np.cos(3 * t)
+    worst = 0.0
+    for r in (1.0, 1.37):  # resonant for q = 1 (t = 1), generic
+        wc = load_weight(make_circle(r, n=512), weight)
+        if wc.sign_class != SIGN_INDEFINITE:
+            return False, f"weight sign class {wc.sign_class}, expected indefinite"
+        for levels in ([0], [1], [2], [3], [4], [0, 1, 2, 3]):
+            fast = _circle_kernel(field, levels, 12, wc, (512,))[0]
+            slow = _quadrature_kernel(field, levels, 12, wc, (512,))[0]
+            worst = max(worst, float(np.max(np.abs(fast - slow))) / float(np.max(np.abs(slow))))
+    return worst <= 1e-12, f"circle kernel deviates from quadrature by {worst:.2e} x max|M| (q <= 4, Q = 3)"
 
 
 def check_toeplitz_definiteness() -> tuple[bool, str]:
@@ -519,6 +537,7 @@ CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("curve-exactness", check_curve_exactness),
     ("curve-reparametrization", check_curve_reparametrization),
     ("toeplitz-diagonality", check_toeplitz_diagonality),
+    ("toeplitz-circle-structure", check_toeplitz_circle_structure),
     ("toeplitz-definiteness", check_toeplitz_definiteness),
     ("toeplitz-nodal-characterization", check_toeplitz_nodal_characterization),
     ("toeplitz-recentering", check_toeplitz_recentering),

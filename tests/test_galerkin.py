@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from landaudelta.basis import BasisIndex, MagneticField, translated_parts
-from landaudelta.curves import arclength_rule, load_weight, make_circle
+from landaudelta import galerkin
+from landaudelta.curves import arclength_rule, load_weight, make_circle, save_weight
 from landaudelta.galerkin import (
     assemble_model,
     cluster_report,
@@ -12,7 +13,8 @@ from landaudelta.galerkin import (
     model_truncation,
     persistence_check,
 )
-from landaudelta.toeplitz import assemble, spectrum
+from landaudelta.laguerre import positive_zeros
+from landaudelta.toeplitz import _circle_kernel, _quadrature_kernel, assemble, spectrum
 
 F2 = MagneticField(2.0)
 
@@ -111,6 +113,33 @@ class TestWeightedCouplingOracle:
         assert worst < 1e-13
 
 
+class TestCircleCoupling:
+    """The scaled block-Toeplitz circle coupling against the quadrature."""
+
+    @pytest.mark.parametrize("b", [0.5, 2.0, 4.0])
+    def test_matches_quadrature(self, b, tmp_path):
+        field = MagneticField(b)
+        path = tmp_path / "weight.txt"
+        grid = np.linspace(0.0, 2 * math.pi, 97, endpoint=False)
+        save_weight(grid, 1.5 + np.sin(grid) * np.cos(3 * grid), path)
+        weights = (1.0, lambda t: 0.3 + np.cos(t) - 0.6 * np.sin(2 * t) + 0.4 * np.cos(3 * t), str(path))
+        resonant = math.sqrt(2.0 * positive_zeros(2, 1.0)[0] / b)  # witness k = 3 at level 2
+        for weight in weights:
+            for r in (1.37, resonant):
+                wc = load_weight(make_circle(r, n=256), weight)
+                for Q in range(5):
+                    K = model_truncation(field, Q, r)
+                    fast = _circle_kernel(field, range(Q + 1), K, wc, (256,))[0]
+                    slow = _quadrature_kernel(field, range(Q + 1), K, wc, (256,))[0]
+                    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+    def test_model_refinement_delta_matches_quadrature(self):
+        wc = load_weight(make_circle(1.1, n=32), lambda t: 1.0 + np.cos(16.0 * t) + 0.2 * np.sin(3 * t))
+        model = assemble_model(F2, 3, 10, wc, -1, N=32)
+        coarse, fine = _quadrature_kernel(F2, range(4), 10, wc, (32, 64))
+        assert abs(model.refinement_delta - np.max(np.abs(fine - coarse))) <= 1e-12
+
+
 class TestClusterReport:
     def test_unperturbed_offsets_zero(self):
         wc = load_weight(make_circle(1.0, n=256), 0.0)
@@ -160,6 +189,25 @@ class TestPersistence:
         res = persistence_check(F2, 2, math.sqrt(2.0), weight=lambda t: 2.0 + np.sin(t))
         assert res.persists
         assert res.witnesses == (1, 4)
+
+    def test_one_coupling_for_both_signs(self, monkeypatch):
+        calls = []
+        original = galerkin.assemble_model
+
+        def counting(*args, **kwargs):
+            calls.append(args[4])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(galerkin, "assemble_model", counting)
+        weight = lambda t: 2.0 + np.sin(t)
+        res = persistence_check(F2, 1, 1.3, weight=weight)
+        assert calls == [+1]
+        K, Q = res.details["K"], res.details["Q"]
+        wc = load_weight(make_circle(1.3), weight)
+        for sign in (+1, -1):
+            vals = spectrum(original(F2, Q, K, wc, sign, check_resolution=False).matrix).eigenvalues
+            offset = float(np.min(np.abs(vals - F2.landau_level(1))))
+            assert res.details[f"sign_{'+' if sign > 0 else '-'}"]["min_offset"] == offset
 
     def test_requires_positive_level(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Angular-momentum eigenbasis of the Landau Hamiltonian.
 
-For field strength b > 0 the level Lambda_q = b(2q+1) eigenspace has the
-orthonormal basis
+This module is the one home of the basis convention (normalisation,
+reflection for k < q, phase i^{-q}); every other module reads phi_{k,q}
+from here.  For field strength b > 0 the level Lambda_q = b(2q+1)
+eigenspace has the orthonormal basis
 
     phi_{k,q}(x) = i^{-q} sqrt(b/2pi) sqrt(q!/k!) (sqrt(b/2) z)^{k-q}
                    L_q^(k-q)(b|x|^2/2) exp(-b|x|^2/4),    z = x1 + i x2.
@@ -12,19 +14,23 @@ identity, which turns the prefactor into a finite conjugate-power form
     i^{-q} sqrt(b/2pi) sqrt(k!/q!) (-1)^{q-k} (sqrt(b/2) zbar)^{q-k}
     L_k^(q-k)(b|x|^2/2) exp(-b|x|^2/4).
 
+As phi_{k,q}(r e^{i theta}) = phi_{k,q}(r, 0) e^{i(k-q) theta}, the circle
+diagonal of toeplitz is lambda_{k,q}(r) = 2 pi r |phi_{k,q}(r, 0)|^2.
 Magnitudes are computed in log space so that k! never overflows and
-far-field evaluation degrades gracefully to zero.
+far-field evaluation degrades gracefully to zero; k and q broadcast
+against the points, so a matrix of rows takes one Laguerre recurrence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
-from .laguerre import LaguerreSpec, gauss_laguerre_log_rule, laguerre_eval
+from .laguerre import gauss_laguerre_log_rule, laguerre_eval_batch
 
 __all__ = [
     "MagneticField",
@@ -47,6 +53,8 @@ DEFAULT_FD_STEP = 1e-4
 # Radial nodes per block of the Gram quadrature: 13 functions on 16 x 256
 # nodes take under 1 MiB of complex samples.
 GRAM_RADIAL_BLOCK = 16
+# log k! table size; larger k (past twice the largest truncation) build another.
+LOG_FACTORIAL_TABLE = 1024
 
 
 @dataclass(frozen=True)
@@ -92,31 +100,44 @@ def magnetic_phase(field: MagneticField, x):
     return float(out) if out.ndim == 0 else out
 
 
-def _parts_arrays(field: MagneticField, k: int, q: int, pts: np.ndarray):
-    """log|phi_{k,q}| and arg phi_{k,q} at an array of points."""
-    b = field.b
-    z_re = pts[..., 0]
-    z_im = pts[..., 1]
-    rsq = z_re * z_re + z_im * z_im
-    t = 0.5 * b * rsq
-    lo, hi = (q, k) if k >= q else (k, q)
+@lru_cache(maxsize=None)
+def _log_factorials(size: int) -> np.ndarray:
+    """log k! for k < size."""
+    return np.array([math.lgamma(k + 1) for k in range(size)])
+
+
+def _log_factorial(n):
+    """log n! for an integer or an integer array."""
+    try:
+        return _log_factorials(LOG_FACTORIAL_TABLE)[n]
+    except IndexError:
+        return _log_factorials(int(np.max(n)) + 1)[n]
+
+
+def _parts_arrays(field: MagneticField, k, q, pts: np.ndarray):
+    """log|phi_{k,q}| and arg phi_{k,q} at an array of points.
+
+    k and q broadcast against pts.shape[:-1]: a column of angular indices
+    against N points gives one row per index, all from one recurrence.
+    """
+    k = np.asarray(k)
+    q = np.asarray(q)
+    x, y = pts[..., 0], pts[..., 1]
+    t = 0.5 * field.b * (x * x + y * y)
+    lo, hi = np.minimum(k, q), np.maximum(k, q)
     n = hi - lo
-    poly = laguerre_eval(LaguerreSpec(lo, float(n)), np.asarray(t, dtype=float))
-    poly = np.asarray(poly, dtype=float)
-    with np.errstate(divide="ignore"):
-        logabs = (
-            0.5 * math.log(b / (2.0 * math.pi))
-            + 0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1))
-            - 0.5 * t
-            + np.log(np.abs(poly))
-        )
-        if n > 0:
-            logabs = logabs + 0.5 * n * np.log(0.5 * b * rsq)
-    theta = np.arctan2(z_im, z_re)
-    phase = (k - q) * theta - 0.5 * math.pi * q
-    if k < q and (q - k) % 2 == 1:
-        phase = phase + math.pi
-    phase = phase + np.where(poly < 0.0, math.pi, 0.0)
+    poly = laguerre_eval_batch(lo, n, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_norm = 0.5 * (math.log(field.b / (2.0 * math.pi)) + _log_factorial(lo) - _log_factorial(hi))
+        logabs = log_norm - 0.5 * t + np.log(np.abs(poly))
+        if n.any():  # times t^{n/2}
+            power = 0.5 * n * np.log(t)
+            if not t.all():  # 0 log 0 = 0: phi(0) is nonzero for n = 0
+                power = np.where(n > 0, power, 0.0)
+            logabs = logabs + power
+    # arg = (k - q) theta - pi q / 2, plus pi for odd reflected powers and negative L.
+    reflected = (k < q) & (n % 2 == 1)
+    phase = (k - q) * np.arctan2(y, x) + math.pi * (reflected - 0.5 * q) + math.pi * (poly < 0.0)
     return logabs, phase
 
 
@@ -131,10 +152,9 @@ def basis_eval_parts(field: MagneticField, idx: BasisIndex, x):
 
 def basis_eval(field: MagneticField, idx: BasisIndex, x):
     """Evaluate phi_{k,q} at one point or an array of points."""
-    pts = _as_points(x)
-    logabs, phase = _parts_arrays(field, idx.k, idx.q, pts)
+    logabs, phase = basis_eval_parts(field, idx, x)
     val = np.exp(logabs) * np.exp(1j * phase)
-    return complex(val) if pts.ndim == 1 else val
+    return complex(val) if np.ndim(val) == 0 else val
 
 
 def basis_matrix(field: MagneticField, q: int, ks, points) -> np.ndarray:
@@ -142,12 +162,8 @@ def basis_matrix(field: MagneticField, q: int, ks, points) -> np.ndarray:
     pts = _as_points(points)
     if pts.ndim != 2:
         raise ValueError("basis_matrix expects an (N, 2) array of points")
-    ks = list(ks)
-    out = np.empty((len(ks), pts.shape[0]), dtype=complex)
-    for row, k in enumerate(ks):
-        logabs, phase = _parts_arrays(field, int(k), q, pts)
-        out[row] = np.exp(logabs) * np.exp(1j * phase)
-    return out
+    logabs, phase = _parts_arrays(field, np.array(list(ks), dtype=int)[:, None], q, pts)
+    return np.exp(logabs) * np.exp(1j * phase)
 
 
 def translated_parts(field: MagneticField, idx: BasisIndex, y) -> Callable:
@@ -162,13 +178,6 @@ def translated_parts(field: MagneticField, idx: BasisIndex, y) -> Callable:
         logabs, phase = _parts_arrays(field, idx.k, idx.q, pts - y)
         wedge = pts[..., 0] * y[1] - pts[..., 1] * y[0]
         return logabs, phase - 0.5 * field.b * wedge
-
-    return parts
-
-
-def _index_parts(field: MagneticField, idx: BasisIndex) -> Callable:
-    def parts(pts: np.ndarray):
-        return _parts_arrays(field, idx.k, idx.q, pts)
 
     return parts
 
@@ -232,13 +241,8 @@ def basis_inner_product(
         raise ValueError(
             f"cross-level inner products are exact by construction; got q={idx1.q} and q={idx2.q}"
         )
-    return plane_inner_product(
-        field,
-        _index_parts(field, idx1),
-        _index_parts(field, idx2),
-        radial_nodes=radial_nodes,
-        angular_nodes=angular_nodes,
-    )
+    parts = [partial(basis_eval_parts, field, idx) for idx in (idx1, idx2)]
+    return plane_inner_product(field, *parts, radial_nodes, angular_nodes)
 
 
 def annihilation_residual(field: MagneticField, idx: BasisIndex, x, h: float = DEFAULT_FD_STEP) -> float:

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import MagneticField
-from .laguerre import ZERO_MEMBERSHIP_RTOL, LaguerreSpec, laguerre_zeros, positive_zeros
+from .laguerre import ZERO_MEMBERSHIP_RTOL, positive_zeros
 
 __all__ = [
     "CensusEntry",
@@ -192,7 +192,7 @@ def explicit_D12(field: MagneticField, n_max: int) -> dict[str, list[float]]:
 @lru_cache(maxsize=None)
 def _zeros_desc_at_negative(q: int, n: int) -> tuple[float, ...]:
     """Positive zeros of L_q^(-n), descending, via the reflection reduction."""
-    return tuple(sorted((z for z, _ in laguerre_zeros(LaguerreSpec(q, float(-n))) if z > 0), reverse=True))
+    return tuple(_positive_zero_set(q, q - n)[::-1].tolist())
 
 
 def _zeta(q: int, ell: int, alpha: float) -> float:

@@ -69,20 +69,27 @@ def laguerre_eval(spec: LaguerreSpec, t):
     return out if isinstance(t, np.ndarray) else float(out)
 
 
-def laguerre_eval_batch(degrees, alphas, t: float) -> np.ndarray:
-    """Evaluate L_{n_i}^(alpha_i)(t) for arrays of degrees and parameters.
+def laguerre_eval_batch(degrees, alphas, t) -> np.ndarray:
+    """Evaluate L_n^(alpha)(t) with degrees, parameters and t broadcast together.
 
     One broadcast run of the laguerre_eval recurrence; each entry is taken
     once its own degree is reached, so it equals laguerre_eval bit for bit.
+    A scalar degree runs the plain recurrence, without masks.
     """
     deg = np.asarray(degrees)
     a = np.asarray(alphas, dtype=float)
-    prev = np.ones_like(a)
-    out = prev.copy()
-    cur = 1.0 + a - t
-    for n in range(1, int(deg.max(initial=0)) + 1):
-        np.copyto(out, cur, where=deg == n)
+    top = int(deg.max(initial=0)) if deg.ndim else int(deg)
+    if top == 0:
+        return np.ones(np.broadcast(deg, a, t).shape)
+    out = np.ones(np.broadcast(deg, a, t).shape) if deg.ndim else None
+    prev, cur = 1.0, 1.0 + a - t
+    for n in range(1, top):
+        if out is not None:
+            np.copyto(out, cur, where=deg == n)
         prev, cur = cur, ((2 * n + 1 + a - t) * cur - (n + a) * prev) / (n + 1)
+    if out is None:
+        return np.asarray(cur)
+    np.copyto(out, cur, where=deg == top)
     return out
 
 

@@ -7,7 +7,8 @@ eigenspace has entries
 
 summed by the periodic trapezoid rule over the arclength nodes and
 Hermitian-symmetrized.  On an origin-centred circle of radius r,
-phi_{k,q}(r e^{i theta}) = A_{k,q}(r) e^{i(k-q) theta}, so the same sum is
+phi_{k,q}(r e^{i theta}) = A_{k,q}(r) e^{i(k-q) theta} with
+A_{k,q}(r) = phi_{k,q}(r, 0), so the same sum is
 
     M = S D T(v_hat) D S*,    D_k = sqrt(lambda_{k,q}(r)),
 
@@ -15,10 +16,11 @@ with T(v_hat)_kl = v_hat[l - k] the Toeplitz matrix of the weight's
 discrete Fourier coefficients v_hat = FFT(v)/N, S the diagonal of the
 phases of A_{k,q}(r) (signs, up to the common factor (-i)^q) and
 
-    lambda_{k,q}(r) = b r (q!/k!) t^{k-q} L_q^(k-q)(t)^2 e^{-t},  t = b r^2/2,
+    lambda_{k,q}(r) = 2 pi r |phi_{k,q}(r, 0)|^2
+                    = b r (q!/k!) t^{k-q} L_q^(k-q)(t)^2 e^{-t},  t = b r^2/2,
 
 (the reflected form for k < q).  Circles are assembled this way, from one
-FFT and no basis evaluation; the matrix is diagonal, with the closed-form
+basis value per row and one FFT; the matrix is diagonal, with
 lambda_{k,q}(r) as its entries, only for constant weights.  Other curves
 use the quadrature over basis samples.  Kernel counting for circles defers
 to the analytic census: truncation produces spuriously small tail entries,
@@ -30,14 +32,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .census import multiplicity as _census_multiplicity
-from .basis import MagneticField, basis_matrix
+from .basis import MagneticField, _parts_arrays, basis_matrix
 from .curves import WeightedCurve, arclength_rule, default_quadrature_size
-from .laguerre import laguerre_eval_batch
 
 __all__ = [
     "ToeplitzMatrix",
@@ -58,6 +58,8 @@ RESOLUTION_DELTA_TOL = 1e-7
 TAIL_RELATIVE_CUTOFF = 1e-16
 CURVE_AMPLITUDE_CUTOFF = 1e-12
 MAX_TRUNCATION = 512
+# Angular indices per basis evaluation in the general-curve truncation sweep.
+TRUNCATION_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -76,38 +78,19 @@ class ToeplitzMatrix:
         self.entries.setflags(write=False)
 
 
-@lru_cache(maxsize=None)
-def _log_factorials(size: int) -> np.ndarray:
-    """log k! for k < size."""
-    table = np.array([math.lgamma(k + 1) for k in range(size)])
-    table.setflags(write=False)
-    return table
-
-
 def _circle_amplitudes(field: MagneticField, levels, ks, r: float):
     """log lambda_{k,j}(r), unit phases and harmonics k - j on a circle.
 
     Rows run level-major over j in levels and k in ks.  On the circle
     phi_{k,j}(r e^{i theta}) = A_{k,j}(r) e^{i(k-j) theta} with
-    2 pi r |A_{k,j}(r)|^2 = lambda_{k,j}(r); the phase is that of A_{k,j}(r).
+    A_{k,j}(r) = phi_{k,j}(r, 0), so every row is one basis value:
+    lambda_{k,j}(r) = 2 pi r |A_{k,j}(r)|^2 and the phase is that of A.
     """
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
-    levels = np.asarray(levels, dtype=int)
-    ks = np.asarray(ks, dtype=int)
-    j = np.repeat(levels, ks.size)
-    k = np.tile(ks, levels.size)
-    lo, hi = np.minimum(j, k), np.maximum(j, k)
-    n = hi - lo
-    t = 0.5 * field.b * r * r
-    poly = laguerre_eval_batch(lo, n, t)
-    lgam = _log_factorials(max(2 * MAX_TRUNCATION, int(hi.max(initial=0)) + 1))
-    with np.errstate(divide="ignore"):
-        log_lam = math.log(field.b * r) + lgam[lo] - lgam[hi] + 2.0 * np.log(np.abs(poly)) - t + n * math.log(t)
-    # arg A_{k,j} = -pi j/2, plus pi for odd reflected powers and negative L.
-    flip = ((k < j) & ((j - k) % 2 == 1)) ^ (poly < 0.0)
-    phase = np.array([1.0, -1j, -1.0, 1j])[j % 4] * np.where(flip, -1.0, 1.0)
-    return log_lam, phase, k - j
+    k, j = (grid.ravel() for grid in np.meshgrid(ks, levels))
+    logabs, arg = _parts_arrays(field, k, j, np.array([r, 0.0]))
+    return math.log(2.0 * math.pi * r) + 2.0 * logabs, np.exp(1j * arg), k - j
 
 
 def circle_diagonal_log(field: MagneticField, q: int, k: int, r: float) -> float:
@@ -124,24 +107,25 @@ def default_truncation(field: MagneticField, q: int, curve_or_radius, tail_rel: 
     """Smallest K beyond which entries are negligible.
 
     Circles: sweep lambda_{k,q}(r) until the Poisson-type tail drops
-    below tail_rel of the running maximum.  General curves: stop once
+    below tail_rel of the running maximum.  General curves (read
+    TRUNCATION_BLOCK angular indices per evaluation): stop once
     the amplitude of phi_{K,q} at every node falls below 1e-12 of the
     largest amplitude seen on the curve.
     """
     if hasattr(curve_or_radius, "kind") and curve_or_radius.kind != "circle":
         curve = curve_or_radius
         points, _ = arclength_rule(curve, curve.n_nodes)
-        best = -math.inf
         t_peak = 0.5 * field.b * float(np.max(np.sum(points * points, axis=1)))
-        k = 0
-        while k < MAX_TRUNCATION:
-            amp = basis_matrix(field, q, [k], points)[0]
-            level = float(np.max(np.abs(amp)))
-            log_level = math.log(level) if level > 0 else -math.inf
-            best = max(best, log_level)
-            if k > q + t_peak and log_level < best + math.log(CURVE_AMPLITUDE_CUTOFF):
-                return k
-            k += 1
+        log_cut = math.log(CURVE_AMPLITUDE_CUTOFF)
+        best = -math.inf
+        for start in range(0, MAX_TRUNCATION, TRUNCATION_BLOCK):
+            ks = np.arange(start, min(start + TRUNCATION_BLOCK, MAX_TRUNCATION))
+            log_level = _parts_arrays(field, ks[:, None], q, points)[0].max(axis=1)
+            running = np.maximum(np.maximum.accumulate(log_level), best)
+            stop = (ks > q + t_peak) & (log_level < running + log_cut)
+            if stop.any():
+                return int(ks[np.argmax(stop)])
+            best = float(running[-1])
         return MAX_TRUNCATION
     if hasattr(curve_or_radius, "kind"):
         r = dict(curve_or_radius.meta)["r"]

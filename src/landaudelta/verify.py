@@ -14,6 +14,7 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
+from scipy.special import eval_genlaguerre
 
 from .basis import (
     BasisIndex,
@@ -26,6 +27,7 @@ from .basis import (
     translated_parts,
 )
 from .census import (
+    _positive_zero_set,
     census as census_sweep,
     coupling_lower_bounds,
     eta_curve,
@@ -47,7 +49,6 @@ from .laguerre import (
     LaguerreSpec,
     laguerre_derivative,
     laguerre_eval,
-    laguerre_zeros,
     magnitude_envelope,
     orthogonality_defect,
     positive_zeros,
@@ -66,8 +67,7 @@ class CheckResult:
 
 def _zeros_desc(q: int, k: int) -> np.ndarray:
     """Positive zeros of L_q^(k-q), descending."""
-    zs = [z for z, _ in laguerre_zeros(LaguerreSpec(q, float(k - q))) if z > 0]
-    return np.array(sorted(zs, reverse=True))
+    return _positive_zero_set(q, k)[::-1]
 
 
 def check_laguerre_examples() -> tuple[bool, str]:
@@ -160,12 +160,16 @@ def check_laguerre_zero_quality() -> tuple[bool, str]:
     return ok, f"max zero residual {worst:.2e}, {sign_bad} sign-alternation failures"
 
 
+def basis_gram(field: MagneticField, q: int, kmax: int) -> np.ndarray:
+    return plane_gram(field, [partial(basis_eval_parts, field, BasisIndex(k, q)) for k in range(kmax + 1)])
+
+
 def check_basis_gram() -> tuple[bool, str]:
     worst = 0.0
     for b in (0.5, 2.0):
         field = MagneticField(b)
         for q in range(0, 5):
-            gram = plane_gram(field, [partial(basis_eval_parts, field, BasisIndex(k, q)) for k in range(13)])
+            gram = basis_gram(field, q, 12)
             worst = max(worst, float(np.max(np.abs(gram - np.eye(13)))))
     return worst < 1e-8, f"max Gram deviation {worst:.2e} (K=12, q<=4)"
 
@@ -175,7 +179,7 @@ def check_basis_nodal_radii() -> tuple[bool, str]:
     worst = 0.0
     theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     for q, k in ((1, 3), (2, 5), (3, 4), (2, 2)):
-        zeros = positive_zeros(q, float(k - q)) if k >= q else positive_zeros(k, float(q - k))
+        zeros = _positive_zero_set(q, k)
         rprobe = np.linspace(1e-3, 8.0, 400)
         scale = float(
             np.max(np.abs(basis_eval(field, BasisIndex(k, q), np.column_stack([rprobe, np.zeros_like(rprobe)]))))
@@ -261,6 +265,17 @@ def check_curve_reparametrization() -> tuple[bool, str]:
     return abs(i1 - i2) < 1e-9, f"line integrals differ by {abs(i1 - i2):.2e}"
 
 
+def closed_form_diagonal(field: MagneticField, q: int, k: int, r: float) -> float:
+    """lambda_{k,q}(r) = b r (lo!/hi!) t^(hi-lo) L_lo^(hi-lo)(t)^2 e^-t, lo/hi = min/max(k, q).
+
+    Built from scipy's Laguerre polynomials, apart from the basis evaluator.
+    """
+    t = 0.5 * field.b * r * r
+    lo, hi = min(k, q), max(k, q)
+    ratio = math.exp(math.lgamma(lo + 1) - math.lgamma(hi + 1))
+    return field.b * r * ratio * t ** (hi - lo) * float(eval_genlaguerre(lo, hi - lo, t)) ** 2 * math.exp(-t)
+
+
 def check_toeplitz_diagonality() -> tuple[bool, str]:
     worst_off = 0.0
     worst_rel = 0.0
@@ -273,7 +288,7 @@ def check_toeplitz_diagonality() -> tuple[bool, str]:
                 diag = np.real(np.diag(m.entries)).copy()
                 off = m.entries - np.diag(np.diag(m.entries))
                 worst_off = max(worst_off, float(np.max(np.abs(off))) / float(np.max(diag)))
-                oracle = np.array([circle_diagonal(field, q, k, r) for k in range(13)])
+                oracle = np.array([closed_form_diagonal(field, q, k, r) for k in range(13)])
                 scale = np.maximum(oracle, 1e-300)
                 worst_rel = max(worst_rel, float(np.max(np.abs(diag - oracle) / scale)))
     ok = worst_off < 1e-11 and worst_rel < 1e-8
@@ -332,15 +347,12 @@ def check_toeplitz_nodal_characterization() -> tuple[bool, str]:
     return worst < 1e-8, f"kernel combination reaches {worst:.2e} x basis scale on the curve"
 
 
-def _translated_assembly(field: MagneticField, q: int, K: int, r: float, y, values, n: int) -> np.ndarray:
-    centered = make_circle(r, n=n)
-    pts, ds = arclength_rule(centered, n)
+def _translated_assembly(field: MagneticField, levels, K: int, r: float, y, values, n: int) -> np.ndarray:
+    """Interaction matrix on levels x 0..K of the circle of radius r moved to y, over translated basis rows."""
+    pts, ds = arclength_rule(make_circle(r, n=n), n)
     shifted = pts + np.asarray(y)[None, :]
-    rows = []
-    for k in range(K + 1):
-        la, ph = translated_parts(field, BasisIndex(k, q), y)(shifted)
-        rows.append(np.exp(la) * np.exp(1j * ph))
-    phi = np.array(rows)
+    parts = [translated_parts(field, BasisIndex(k, j), y)(shifted) for j in levels for k in range(K + 1)]
+    phi = np.array([np.exp(la) * np.exp(1j * ph) for la, ph in parts])
     m = (phi * (values * ds)) @ phi.conj().T
     return 0.5 * (m + m.conj().T)
 
@@ -351,7 +363,7 @@ def check_toeplitz_recentering() -> tuple[bool, str]:
     wc = load_weight(make_circle(r, n=n), lambda t: 1.0 + 0.5 * np.cos(t))
     m0 = assemble(field, q, wc, K=K, N=n, check_resolution=False)
     e0 = spectrum(m0).eigenvalues
-    m1 = _translated_assembly(field, q, K, r, (0.7, -0.4), wc.values, n)
+    m1 = _translated_assembly(field, [q], K, r, (0.7, -0.4), wc.values, n)
     e1 = spectrum(m1).eigenvalues
     worst = float(np.max(np.abs(e0 - e1)))
     return worst < 1e-8, f"translated spectrum deviates by {worst:.2e}"
@@ -493,17 +505,7 @@ def check_galerkin_recentering() -> tuple[bool, str]:
     base = assemble_model(field, Q, K, wc, +1, N=n, check_resolution=False)
     e0 = spectrum(base.matrix).eigenvalues
 
-    y = np.array([0.6, 0.35])
-    pts, ds = arclength_rule(wc.curve, n)
-    shifted = pts + y[None, :]
-    rows = []
-    for j in range(Q + 1):
-        for k in range(K + 1):
-            la, ph = translated_parts(field, BasisIndex(k, j), y)(shifted)
-            rows.append(np.exp(la) * np.exp(1j * ph))
-    phi = np.array(rows)
-    b = (phi * (wc.values * ds)) @ phi.conj().T
-    b = 0.5 * (b + b.conj().T)
+    b = _translated_assembly(field, range(Q + 1), K, r, (0.6, 0.35), wc.values, n)
     lam = np.repeat([field.landau_level(j) for j in range(Q + 1)], K + 1)
     h = np.diag(lam).astype(complex) + b
     e1 = spectrum(0.5 * (h + h.conj().T)).eigenvalues

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from landaudelta.basis import BasisIndex, MagneticField, annihilation_residual, basis_inner_product
+from landaudelta.basis import BasisIndex, MagneticField, annihilation_residual
 from landaudelta.census import (
     census,
     coupling_lower_bounds,
@@ -21,7 +21,7 @@ from landaudelta.curves import load_weight, make_circle
 from landaudelta.galerkin import assemble_model, cluster_report, persistence_check
 from landaudelta.laguerre import LaguerreSpec, laguerre_zeros, orthogonality_defect
 from landaudelta.toeplitz import assemble, circle_diagonal, circle_diagonal_log, spectrum
-from landaudelta.verify import reflection_defect, translated_gram
+from landaudelta.verify import basis_gram, reflection_defect, translated_gram
 
 F2 = MagneticField(2.0)
 
@@ -235,12 +235,7 @@ def test_criterion_10_basis_suite():
     for b in (0.5, 2.0):
         field = MagneticField(b)
         for q in range(5):
-            gram = np.array(
-                [
-                    [basis_inner_product(field, BasisIndex(i, q), BasisIndex(j, q)) for j in range(13)]
-                    for i in range(13)
-                ]
-            )
+            gram = basis_gram(field, q, 12)
             worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(13)))))
     gram_ok = worst_gram < 1e-8
 

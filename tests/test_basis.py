@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import eval_genlaguerre
 
 from landaudelta.basis import (
     BasisIndex,
@@ -18,7 +19,18 @@ from landaudelta.basis import (
     translated_parts,
 )
 from landaudelta.laguerre import positive_zeros
-from landaudelta.verify import translated_gram
+from landaudelta.verify import basis_gram, translated_gram
+
+
+def closed_form_phi(field, k, q, pts):
+    """phi_{k,q} from scipy's Laguerre polynomials, in both prefactor forms."""
+    b = field.b
+    z = pts[:, 0] + 1j * pts[:, 1]
+    t = 0.5 * b * np.abs(z) ** 2
+    lo, hi = min(k, q), max(k, q)
+    scale = math.sqrt(b / (2 * math.pi)) * math.exp(0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1)))
+    power = (math.sqrt(b / 2) * z) ** (k - q) if k >= q else (-math.sqrt(b / 2) * np.conj(z)) ** (q - k)
+    return (-1j) ** q * scale * power * eval_genlaguerre(lo, hi - lo, t) * np.exp(-0.5 * t)
 
 
 def hand_built(field, k, q):
@@ -109,6 +121,17 @@ class TestEval:
             vals = basis_eval(field, BasisIndex(k, 1), pts)
             assert np.array_equal(mat[k], vals)
 
+    @pytest.mark.parametrize("b", [0.5, 2.0])
+    def test_matrix_rows_match_scipy_closed_form(self, b):
+        # Rows k < q (reflected form) and k >= q up to k = 60, the origin included.
+        field = MagneticField(b)
+        pts = np.vstack([[0.0, 0.0], np.random.default_rng(8).uniform(-3.0, 3.0, size=(40, 2))])
+        for q in (0, 1, 3, 6):
+            mat = basis_matrix(field, q, range(61), pts)
+            for k in range(61):
+                ref = closed_form_phi(field, k, q, pts)
+                assert np.max(np.abs(mat[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_nodal_circles(self):
         field = MagneticField(2.0)
         theta = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
@@ -146,12 +169,7 @@ class TestInnerProduct:
     def test_gram_identity(self, b):
         field = MagneticField(b)
         for q in range(5):
-            gram = np.array(
-                [
-                    [basis_inner_product(field, BasisIndex(i, q), BasisIndex(j, q)) for j in range(13)]
-                    for i in range(13)
-                ]
-            )
+            gram = basis_gram(field, q, 12)
             assert np.max(np.abs(gram - np.eye(13))) < 1e-8
 
 

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from landaudelta.basis import BasisIndex, MagneticField, translated_parts
+from landaudelta.basis import BasisIndex, MagneticField, basis_eval, translated_parts
 from landaudelta.census import census
 from landaudelta.curves import arclength_rule, load_weight, make_circle, make_ellipse, save_weight
 from landaudelta.laguerre import LaguerreSpec, laguerre_eval, positive_zeros
 from landaudelta.toeplitz import (
+    CURVE_AMPLITUDE_CUTOFF,
     MAX_TRUNCATION,
     ToeplitzMatrix,
     _circle_kernel,
@@ -22,14 +23,13 @@ from landaudelta.toeplitz import (
     spectrum,
     spectrum_to_csv,
 )
+from landaudelta.verify import closed_form_diagonal
 
 F2 = MagneticField(2.0)
 
 
 def direct_circle_diagonal(field, q, k, r):
-    """Independent oracle: 2 pi r |phi_{k,q}(r)|^2 from a basis sample."""
-    from landaudelta.basis import basis_eval
-
+    """2 pi r |phi_{k,q}(r)|^2 from a basis sample."""
     val = abs(basis_eval(field, BasisIndex(k, q), (r, 0.0))) ** 2
     return 2 * math.pi * r * val
 
@@ -50,6 +50,18 @@ class TestCircleDiagonal:
                     for r in (0.7, 1.3, 2.4):
                         assert circle_diagonal(field, q, k, r) == pytest.approx(
                             direct_circle_diagonal(field, q, k, r), rel=1e-12, abs=1e-300
+                        )
+
+    def test_matches_scipy_closed_form(self):
+        # The closed form b r (lo!/hi!) t^(hi-lo) L_lo^(hi-lo)(t)^2 e^-t through
+        # scipy, apart from the basis evaluator that circle_diagonal reads.
+        for b in (0.5, 2.0):
+            field = MagneticField(b)
+            for q in range(7):
+                for k in range(41):
+                    for r in (0.7, 0.8, 1.3, 1.7, 2.4):
+                        assert circle_diagonal(field, q, k, r) == pytest.approx(
+                            closed_form_diagonal(field, q, k, r), rel=1e-12, abs=1e-300
                         )
 
     def test_lowest_level_strictly_positive(self):
@@ -181,6 +193,31 @@ class TestTruncation:
                         assert default_truncation(field, q, float(r), tail_rel) == scalar_sweep(
                             field, q, float(r), tail_rel
                         )
+
+    def test_curve_rule_matches_scalar_sweep(self):
+        # Reference: the per-k sweep over single basis rows.  The curve rule
+        # reads CURVE_AMPLITUDE_CUTOFF, so both tail cutoffs give the same K.
+        def scalar_sweep(field, q, curve):
+            points, _ = arclength_rule(curve, curve.n_nodes)
+            t_peak = 0.5 * field.b * float(np.max(np.sum(points * points, axis=1)))
+            best = -math.inf
+            for k in range(MAX_TRUNCATION):
+                level = float(np.max(np.abs(basis_eval(field, BasisIndex(k, q), points))))
+                log_level = math.log(level) if level > 0 else -math.inf
+                best = max(best, log_level)
+                if k > q + t_peak and log_level < best + math.log(CURVE_AMPLITUDE_CUTOFF):
+                    return k
+            return MAX_TRUNCATION
+
+        for b in (0.5, 1.0, 2.0, 4.0):
+            field = MagneticField(b)
+            for a in (1.0, 1.4, 2.0):
+                for ratio in (0.5, 0.7, 0.9):
+                    curve = make_ellipse(a, ratio * a, n=256)
+                    for q in range(6):
+                        expected = scalar_sweep(field, q, curve)
+                        for tail_rel in (1e-16, 1e-4):
+                            assert default_truncation(field, q, curve, tail_rel) == expected
 
     def test_curve_rule_bounded(self):
         curve = make_ellipse(1.5, 1.0, n=256)

@@ -44,6 +44,6 @@ for k in range(q, 0, -1):
 alphas = np.arange(0.0, 6.0, 1.0)
 print("\nzero curves of L_3^(alpha) on an integer grid:")
 print("   alpha " + " ".join(f"{a:8.1f}" for a in alphas))
-table = np.array([positive_zeros(3, float(a)) for a in alphas]).T
+table = positive_zeros(3, alphas).T  # one row per parameter, in one stacked solve
 for row, label in zip(table[::-1], ("largest", "middle", "smallest")):
     print(f"   {label:>8s} " + " ".join(f"{z:8.4f}" for z in row))

@@ -5,14 +5,17 @@ positive zero of some L_q^(k-q), k = 0, 1, 2, ...; the number of such k
 is the kernel dimension m_q(r) of the level-q interaction operator.  The
 census enumerates all resonant radii up to a bound by sweeping k,
 working throughout in the scale-free variable t and converting to r at
-the end.  Termination uses the strict growth of every zero in the
+the end.  The zero table behind it solves the parameters k - q >= 0 in
+blocks of ZERO_TABLE_BLOCK = 64, one stacked Jacobi eigensolve per
+block.  Termination uses the strict growth of every zero in the
 parameter: once the smallest zero of L_q^(k-q) exceeds the target no
 larger k can contribute.
 
 Also provided: the closed-form sets for q = 1, 2, the zero-curve
 functions eta_l(alpha) = sqrt(2 zeta_l(alpha) / b) with their linear
-interpolation at negative parameters, and the scalar spectral-gap and
-coupling-threshold constants.
+interpolation at negative parameters (one zeta row per alpha; a table
+solves all its alpha >= 0 in one stacked call), and the scalar
+spectral-gap and coupling-threshold constants.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ import numpy as np
 
 from .basis import MagneticField
 from .laguerre import ZERO_MEMBERSHIP_RTOL, positive_zeros
+
+# Parameters k - q solved per stacked eigensolve when building a zero table.
+ZERO_TABLE_BLOCK = 64
 
 __all__ = [
     "CensusEntry",
@@ -68,21 +74,28 @@ def _positive_zero_set(q: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _zero_table(q: int, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """All (t, k) with t a positive zero of L_q^(k-q), t <= t_cap, sorted by t."""
-    ts: list[float] = []
-    ks: list[int] = []
-    k = 0
+    """All (t, k) with t a positive zero of L_q^(k-q), t <= t_cap, sorted by t.
+
+    k < q takes one solve per degree; k >= q is solved ZERO_TABLE_BLOCK
+    parameters at a time, up to the first k whose smallest zero passes
+    the cap.
+    """
+    cap = t_cap * (1.0 + ZERO_MEMBERSHIP_RTOL)
+    ts = [_positive_zero_set(q, k) for k in range(q)]
+    ks = [np.full(z.size, k) for k, z in enumerate(ts)]
+    start = q
     while True:
-        zeros = _positive_zero_set(q, k)
-        if k >= q and zeros.size and zeros[0] > t_cap * (1.0 + ZERO_MEMBERSHIP_RTOL):
+        rows = positive_zeros(q, np.arange(start - q, start - q + ZERO_TABLE_BLOCK, dtype=float))
+        ts.append(rows.ravel())
+        ks.append(np.repeat(np.arange(start, start + ZERO_TABLE_BLOCK), q))
+        if rows[-1, 0] > cap:  # every later k has only larger zeros
             break
-        for z in zeros:
-            if z <= t_cap * (1.0 + ZERO_MEMBERSHIP_RTOL):
-                ts.append(float(z))
-                ks.append(k)
-        k += 1
+        start += ZERO_TABLE_BLOCK
+    ts, ks = np.concatenate(ts), np.concatenate(ks)
+    kept = ts <= cap
+    ts, ks = ts[kept], ks[kept]
     order = np.argsort(ts)
-    return np.asarray(ts)[order], np.asarray(ks, dtype=int)[order]
+    return ts[order], ks[order]
 
 
 def _table_bucket(t_max: float) -> float:
@@ -130,25 +143,17 @@ def census(field: MagneticField, q: int, r_max: float) -> list[CensusEntry]:
     ts, ks = _zero_table(q, _table_bucket(t_max))
     keep = ts <= t_max * (1.0 + ZERO_MEMBERSHIP_RTOL)
     ts, ks = ts[keep], ks[keep]
+    if not ts.size:
+        return []
+    # A new group starts wherever consecutive zeros differ by more than the tolerance.
+    gaps = np.abs(np.diff(ts)) > ZERO_MEMBERSHIP_RTOL * np.maximum(ts[1:], ts[:-1])
+    edges = [0, *(np.flatnonzero(gaps) + 1).tolist(), ts.size]
     entries: list[CensusEntry] = []
-    group_t: list[float] = []
-    group_w: list[tuple[int, float]] = []
-
-    def flush():
-        if not group_t:
-            return
-        t_mean = float(np.mean(group_t))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        t_mean = float(np.mean(ts[lo:hi]))
         r = math.sqrt(2.0 * t_mean / field.b)
-        witnesses = tuple(sorted(group_w))
+        witnesses = tuple(sorted(zip(ks[lo:hi].tolist(), ts[lo:hi].tolist())))
         entries.append(CensusEntry(r, t_mean, len(witnesses), witnesses))
-
-    for t, k in zip(ts, ks):
-        if group_t and abs(t - group_t[-1]) > ZERO_MEMBERSHIP_RTOL * max(t, group_t[-1]):
-            flush()
-            group_t, group_w = [], []
-        group_t.append(float(t))
-        group_w.append((int(k), float(t)))
-    flush()
     return entries
 
 
@@ -195,18 +200,29 @@ def _zeros_desc_at_negative(q: int, n: int) -> tuple[float, ...]:
     return tuple(_positive_zero_set(q, q - n)[::-1].tolist())
 
 
-def _zeta(q: int, ell: int, alpha: float) -> float:
-    """ell-th largest zero of L_q^(alpha), extended below 0 at integer steps."""
-    if alpha >= 0:
-        zeros = positive_zeros(q, alpha)
-        return float(zeros[q - ell])
-    if abs(alpha - round(alpha)) <= 1e-12:
-        return _zeros_desc_at_negative(q, -round(alpha))[ell - 1]
-    n_hi = math.floor(alpha)  # interval (n_hi, n_hi + 1)
-    z_lo = _zeta(q, ell, float(n_hi))
-    z_hi = _zeta(q, ell, float(n_hi + 1)) if n_hi + 1 < 0 else float(positive_zeros(q, 0.0)[q - ell])
-    frac = alpha - n_hi
-    return z_lo + frac * (z_hi - z_lo)
+def _zeta_rows(q: int, alphas: np.ndarray) -> np.ndarray:
+    """zeta_1..zeta_q(alpha), the zeros of L_q^(alpha) in descending order, one row per alpha.
+
+    Every alpha >= 0 is solved in one stacked call.  A negative alpha
+    within 1e-12 of an integer -n reads the positive zeros of L_q^(-n);
+    in between, rows are interpolated linearly.  Cells past the end of a
+    shorter row are nan.
+    """
+    rows = np.full((alphas.size, q), np.nan)
+    nonneg = alphas >= 0
+    if nonneg.any():
+        rows[nonneg] = positive_zeros(q, alphas[nonneg])[:, ::-1]
+    for i in np.flatnonzero(~nonneg).tolist():
+        alpha = float(alphas[i])
+        if abs(alpha - round(alpha)) <= 1e-12:
+            row = np.array(_zeros_desc_at_negative(q, -round(alpha)))
+        else:
+            n_hi = math.floor(alpha)  # interval (n_hi, n_hi + 1)
+            lo = np.array(_zeros_desc_at_negative(q, -n_hi))
+            hi = np.array(_zeros_desc_at_negative(q, -n_hi - 1)[: lo.size])
+            row = lo + (alpha - n_hi) * (hi - lo)
+        rows[i, : row.size] = row
+    return rows
 
 
 def eta_curve(field: MagneticField, q: int, ell: int, alpha: float) -> float:
@@ -223,7 +239,7 @@ def eta_curve(field: MagneticField, q: int, ell: int, alpha: float) -> float:
         raise ValueError(f"curve index must satisfy 1 <= ell <= q, got {ell}")
     if alpha < (ell - q) - 1e-12:
         raise ValueError(f"alpha={alpha} below the domain edge {ell - q} of curve {ell}")
-    zeta = _zeta(q, ell, max(alpha, float(ell - q)))
+    zeta = _zeta_rows(q, np.array([max(alpha, float(ell - q))]))[0, ell - 1]
     return math.sqrt(2.0 * zeta / field.b)
 
 
@@ -276,15 +292,21 @@ def census_to_csv(entries: list[CensusEntry]) -> str:
 
 
 def eta_table_to_csv(field: MagneticField, q: int, alphas) -> str:
-    """CSV table alpha,eta_1..eta_q; out-of-domain cells print as nan."""
+    """CSV table alpha,eta_1..eta_q; out-of-domain cells print as nan.
+
+    Each cell is eta_curve's value: the zeta row at alpha, or at the
+    domain edge ell - q for alpha within 1e-12 below it.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    edges = np.arange(1 - q, 1)
+    defined = ~(alphas[:, None] < edges - 1e-12)
+    cells = np.maximum(alphas[:, None], edges)[defined]
+    at, row = np.unique(cells, return_inverse=True)
+    zeta = np.full(defined.shape, np.nan)
+    zeta[defined] = _zeta_rows(q, at)[row, np.nonzero(defined)[1]]
+    eta = np.sqrt(2.0 * zeta / field.b)
     header = "alpha," + ",".join(f"eta_{ell}" for ell in range(1, q + 1))
     lines = [header]
-    for a in alphas:
-        cells = [f"{a:.17g}"]
-        for ell in range(1, q + 1):
-            if a < (ell - q) - 1e-12:
-                cells.append("nan")
-            else:
-                cells.append(f"{eta_curve(field, q, ell, float(a)):.17g}")
-        lines.append(",".join(cells))
+    for a, etas in zip(alphas.tolist(), eta.tolist()):
+        lines.append(",".join(f"{x:.17g}" for x in (a, *etas)))
     return "\n".join(lines) + "\n"

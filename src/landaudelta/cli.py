@@ -20,7 +20,6 @@ from .census import (
     eta_table_to_csv,
     explicit_D12,
 )
-from . import verify as verify_mod
 from .basis import MagneticField
 from .curves import load_curve, load_weight, make_circle, make_ellipse
 from .galerkin import assemble_model, cluster_report, model_truncation, persistence_check
@@ -177,7 +176,10 @@ def _cmd_galerkin(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_mod.run_all()
+    # verify needs scipy; the other subcommands do not load it.
+    from .verify import run_all
+
+    results = run_all()
     failures = 0
     for res in results:
         tag = "PASS" if res.passed else "FAIL"

@@ -1,8 +1,9 @@
 """Generalized Laguerre polynomials.
 
-Evaluation by the three-term recurrence in the degree, zeros via the
-symmetric tridiagonal Jacobi matrix of the Laguerre weight (with one
-Newton polish step), multiplicity-aware zeros at negative integer
+Evaluation by the three-term recurrence in the degree, zeros as the
+eigenvalues of the Jacobi matrix of the Laguerre weight (Golub & Welsch,
+Math. Comp. 23, 1969) with one Newton polish step, many parameters in
+one stacked eigvalsh call, multiplicity-aware zeros at negative integer
 parameters through the reflection identity
 
     L_q^(k-q)(t) = (k!/q!) (-t)^(q-k) L_k^(q-k)(t),   0 <= k < q,
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "LaguerreSpec",
@@ -56,37 +56,36 @@ def laguerre_eval(spec: LaguerreSpec, t):
         (n+1) L_{n+1} = (2n+1+alpha-t) L_n - (n+alpha) L_{n-1},
     valid for every real alpha and t.
     """
-    q, a = spec.degree, spec.alpha
-    t_arr = np.asarray(t, dtype=float)
-    if q == 0:
-        out = np.ones_like(t_arr)
-    else:
-        prev = np.ones_like(t_arr)
-        cur = 1.0 + a - t_arr
-        for n in range(1, q):
-            prev, cur = cur, ((2 * n + 1 + a - t_arr) * cur - (n + a) * prev) / (n + 1)
-        out = cur
+    out = laguerre_eval_batch(spec.degree, spec.alpha, np.asarray(t, dtype=float))
     return out if isinstance(t, np.ndarray) else float(out)
 
 
 def laguerre_eval_batch(degrees, alphas, t) -> np.ndarray:
     """Evaluate L_n^(alpha)(t) with degrees, parameters and t broadcast together.
 
-    One broadcast run of the laguerre_eval recurrence; each entry is taken
-    once its own degree is reached, so it equals laguerre_eval bit for bit.
-    A scalar degree runs the plain recurrence, without masks.
+    One broadcast run of the degree recurrence; each entry is taken once
+    its own degree is reached, so it equals its own scalar run bit for bit.
+    A scalar degree runs the plain recurrence, without masks, and a scalar
+    parameter stays a Python float.
     """
     deg = np.asarray(degrees)
-    a = np.asarray(alphas, dtype=float)
-    top = int(deg.max(initial=0)) if deg.ndim else int(deg)
+    a = float(alphas) if np.ndim(alphas) == 0 else np.asarray(alphas, dtype=float)
+    taken = set(deg.ravel().tolist())
+    top = max(taken, default=0)
     if top == 0:
         return np.ones(np.broadcast(deg, a, t).shape)
     out = np.ones(np.broadcast(deg, a, t).shape) if deg.ndim else None
     prev, cur = 1.0, 1.0 + a - t
     for n in range(1, top):
-        if out is not None:
+        if n in taken:
             np.copyto(out, cur, where=deg == n)
-        prev, cur = cur, ((2 * n + 1 + a - t) * cur - (n + a) * prev) / (n + 1)
+        # ((2n+1+a-t) L_n - (n+a) L_{n-1}) / (n+1), in place: the same roundings.
+        nxt = (2 * n + 1 + a) - t
+        nxt *= cur
+        prev *= n + a
+        nxt -= prev
+        nxt /= n + 1.0
+        prev, cur = cur, nxt
     if out is None:
         return np.asarray(cur)
     np.copyto(out, cur, where=deg == top)
@@ -127,25 +126,43 @@ def _admissible_negative_k(q: int, alpha: float) -> int | None:
     return None
 
 
-def positive_zeros(q: int, alpha: float) -> np.ndarray:
+def _newton_step(q: int, alpha, z: np.ndarray) -> np.ndarray:
+    """One Newton step for L_q^(alpha) from z.
+
+    alpha is a scalar or a column against the rows of z.  One recurrence
+    gives L_{q-1} and L_q; the slope is t L_q' = q L_q - (q+alpha) L_{q-1}.
+    Where the step is not finite (the recurrence overflows at high degree)
+    z is kept.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lower, resid = laguerre_eval_batch(np.array([q - 1, q]).reshape((2,) + (1,) * z.ndim), alpha, z)
+        step = resid / ((q * resid - (q + alpha) * lower) / z)
+    return z - np.where(np.isfinite(step), step, 0.0)
+
+
+def positive_zeros(q: int, alpha) -> np.ndarray:
     """Strictly positive zeros of L_q^(alpha), ascending, for alpha > -1.
 
-    Eigenvalues of the q x q Jacobi matrix (diagonal 2i+alpha+1,
-    off-diagonal sqrt(i(i+alpha))) followed by one Newton step.
+    A scalar alpha gives shape (q,); an array of m parameters gives (m, q),
+    one ascending row per parameter, each equal to its scalar call bit for
+    bit.  Eigenvalues of the q x q Jacobi matrices (diagonal 2i+alpha+1,
+    off-diagonal sqrt(i(i+alpha))), all from one stacked eigvalsh call,
+    followed by one Newton step.
     """
-    if alpha <= -1:
+    a = np.asarray(alpha, dtype=float)
+    if (a <= -1).any():
         raise ValueError(f"positive_zeros requires alpha > -1, got {alpha}")
+    batch = a.shape
+    a = a[:, None] if batch else float(a)
     if q == 0:
-        return np.empty(0)
-    diag = 2.0 * np.arange(q) + alpha + 1.0
-    i = np.arange(1, q, dtype=float)
-    off = np.sqrt(i * (i + alpha))
-    z = eigh_tridiagonal(diag, off, eigvals_only=True)
-    spec = LaguerreSpec(q, alpha)
-    resid = laguerre_eval(spec, z)
-    slope = laguerre_derivative(spec, z)
-    z = z - np.where(slope != 0.0, resid / slope, 0.0)
-    return np.sort(z)
+        return np.empty(batch + (0,))
+    i = np.arange(q)
+    jacobi = np.zeros(batch + (q * q,))
+    jacobi[..., :: q + 1] = 2.0 * i + a + 1.0
+    # eigvalsh reads the lower triangle: entry (i, i-1) sits at flat index q + (i-1)(q+1).
+    jacobi[..., q :: q + 1] = np.sqrt(i[1:] * (i[1:] + a))
+    z = np.linalg.eigvalsh(jacobi.reshape(batch + (q, q)))
+    return np.sort(_newton_step(q, a, z))
 
 
 def laguerre_zeros(spec: LaguerreSpec) -> list[tuple[float, int]]:
@@ -183,12 +200,8 @@ def gauss_laguerre_log_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarra
         raise ValueError("rule needs at least one node")
     if alpha <= -1:
         raise ValueError(f"Gauss-Laguerre rule requires alpha > -1, got {alpha}")
-    t = positive_zeros(n, alpha)
-    spec = LaguerreSpec(n, alpha)
-    resid = laguerre_eval(spec, t)
-    slope = laguerre_derivative(spec, t)
-    t = t - np.where(slope != 0.0, resid / slope, 0.0)
-    lnext = laguerre_eval(LaguerreSpec(n + 1, alpha), t)
+    t = _newton_step(n, alpha, positive_zeros(n, alpha))
+    lnext = laguerre_eval_batch(n + 1, alpha, t)
     logw = (
         math.lgamma(n + alpha + 1)
         - math.lgamma(n + 1)

@@ -14,7 +14,7 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, gammaln
 
 from .basis import (
     BasisIndex,
@@ -98,7 +98,7 @@ def check_laguerre_zero_monotonicity() -> tuple[bool, str]:
     grid = np.arange(-0.5, 20.0 + 0.25, 0.5)
     bad = 0
     for q in range(1, 9):
-        table = np.array([positive_zeros(q, a) for a in grid])
+        table = positive_zeros(q, grid)
         if not np.all(np.diff(table, axis=0) > 0):
             bad += 1
     return bad == 0, f"{bad} levels with non-monotone zero curves"
@@ -172,6 +172,36 @@ def check_basis_gram() -> tuple[bool, str]:
             gram = basis_gram(field, q, 12)
             worst = max(worst, float(np.max(np.abs(gram - np.eye(13)))))
     return worst < 1e-8, f"max Gram deviation {worst:.2e} (K=12, q<=4)"
+
+
+def closed_form_basis(field: MagneticField, ks: np.ndarray, q: int, pts: np.ndarray) -> np.ndarray:
+    """phi_{k,q} at the points, phase included, from scipy's Laguerre polynomials; one row per k.
+
+    i^-q sqrt(b/2pi) sqrt(lo!/hi!) w^(hi-lo) L_lo^(hi-lo)(t) e^(-t/2), t = b|x|^2/2,
+    with w = sqrt(b/2) z for k >= q and w = -sqrt(b/2) conj(z) for k < q.
+    """
+    b = field.b
+    z = pts[:, 0] + 1j * pts[:, 1]
+    t = 0.5 * b * np.abs(z) ** 2
+    ks = ks[:, None]
+    lo, hi = np.minimum(ks, q), np.maximum(ks, q)
+    scale = math.sqrt(b / (2.0 * math.pi)) * np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)))
+    w = np.where(ks >= q, math.sqrt(b / 2.0) * z, -math.sqrt(b / 2.0) * np.conj(z))
+    return (-1j) ** q * scale * w ** (hi - lo) * eval_genlaguerre(lo, hi - lo, t) * np.exp(-0.5 * t)
+
+
+def check_basis_phase() -> tuple[bool, str]:
+    # Complex values, not moduli: pins the reflection sign and the i^-q phase.
+    field = MagneticField(2.0)
+    pts = np.random.default_rng(17).uniform(-2.0, 2.0, size=(6, 2))
+    ks = np.arange(21)
+    worst = 0.0
+    for q in range(0, 7):
+        got = basis_matrix(field, q, ks, pts)
+        ref = closed_form_basis(field, ks, q, pts)
+        scale = np.max(np.abs(ref), axis=1)
+        worst = max(worst, float(np.max(np.max(np.abs(got - ref), axis=1) / scale)))
+    return worst <= 1e-12, f"max deviation {worst:.2e} x row scale (q <= 6, k <= 20)"
 
 
 def check_basis_nodal_radii() -> tuple[bool, str]:
@@ -532,6 +562,7 @@ CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("laguerre-orthogonality", check_laguerre_orthogonality),
     ("laguerre-zero-quality", check_laguerre_zero_quality),
     ("basis-gram", check_basis_gram),
+    ("basis-phase", check_basis_phase),
     ("basis-nodal-radii", check_basis_nodal_radii),
     ("basis-rotation", check_basis_rotation),
     ("basis-annihilation", check_basis_annihilation),

@@ -1,4 +1,6 @@
+import importlib
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -17,7 +19,50 @@ from landaudelta.census import (
     multiplicity,
 )
 
+from landaudelta.laguerre import ZERO_MEMBERSHIP_RTOL, positive_zeros
+
+census_mod = importlib.import_module("landaudelta.census")
+
 F2 = MagneticField(2.0)
+
+
+@lru_cache(maxsize=None)
+def scalar_zeros(q: int, k: int) -> np.ndarray:
+    """Positive zeros of L_q^(k-q), ascending, one scalar solve per k."""
+    if k >= q:
+        return positive_zeros(q, float(k - q))
+    if k == 0:
+        return np.empty(0)
+    return positive_zeros(k, float(q - k))
+
+
+def per_k_zero_table(q: int, t_cap: float):
+    """Reference: sweep k one solve at a time, up to the first k >= q whose smallest zero passes the cap."""
+    ts, ks = [], []
+    k = 0
+    while True:
+        zeros = scalar_zeros(q, k)
+        if k >= q and zeros.size and zeros[0] > t_cap * (1.0 + ZERO_MEMBERSHIP_RTOL):
+            break
+        for z in zeros:
+            if z <= t_cap * (1.0 + ZERO_MEMBERSHIP_RTOL):
+                ts.append(float(z))
+                ks.append(k)
+        k += 1
+    order = np.argsort(ts)
+    return np.asarray(ts)[order], np.asarray(ks, dtype=int)[order]
+
+
+def recursive_zeta(q: int, ell: int, alpha: float) -> float:
+    """Reference: ell-th largest zero of L_q^(alpha), interpolated below 0 one curve cell at a time."""
+    if alpha >= 0:
+        return float(positive_zeros(q, alpha)[q - ell])
+    if abs(alpha - round(alpha)) <= 1e-12:
+        return float(scalar_zeros(q, q + round(alpha))[::-1][ell - 1])
+    n_hi = math.floor(alpha)
+    z_lo = recursive_zeta(q, ell, float(n_hi))
+    z_hi = recursive_zeta(q, ell, float(n_hi + 1)) if n_hi + 1 < 0 else float(positive_zeros(q, 0.0)[q - ell])
+    return z_lo + (alpha - n_hi) * (z_hi - z_lo)
 
 
 class TestMultiplicity:
@@ -167,6 +212,69 @@ class TestEtaCurves:
         lines = text.strip().splitlines()
         assert lines[0] == "alpha,eta_1,eta_2"
         assert lines[1].split(",")[2] == "nan"  # eta_2 undefined at alpha = -1
+
+
+class TestZeroTable:
+    @pytest.mark.parametrize("q", range(1, 17))
+    def test_matches_per_k_sweep(self, q):
+        for e in range(10):
+            cap = 2.0**e
+            ts, ks = census_mod._zero_table.__wrapped__(q, cap)
+            ref_ts, ref_ks = per_k_zero_table(q, cap)
+            assert np.array_equal(ts, ref_ts) and np.array_equal(ks, ref_ks)
+
+    @pytest.mark.parametrize("q", (1, 2, 5, 16))
+    def test_last_k_on_a_block_edge(self, q):
+        block = census_mod.ZERO_TABLE_BLOCK
+        for edge in (block - 1, block, 2 * block - 1, 2 * block):
+            cap = float(positive_zeros(q, float(edge))[0])
+            ts, ks = census_mod._zero_table.__wrapped__(q, cap)
+            ref_ts, ref_ks = per_k_zero_table(q, cap)
+            assert int(ks.max()) - q == edge
+            assert np.array_equal(ts, ref_ts) and np.array_equal(ks, ref_ks)
+
+    def test_one_solve_per_block(self, monkeypatch):
+        calls = []
+
+        def counted(q, alpha):
+            calls.append(np.ndim(alpha))
+            return positive_zeros(q, alpha)
+
+        monkeypatch.setattr(census_mod, "positive_zeros", counted)
+        ts, ks = census_mod._zero_table.__wrapped__(16, 512.0)
+        blocks = (int(ks.max()) - 16) // census_mod.ZERO_TABLE_BLOCK + 1
+        assert calls.count(1) == blocks and calls.count(0) == 15
+
+
+class TestEtaTable:
+    ALPHAS_NEAR_EDGES = [d + s for d in range(-7, 1) for s in (-1e-12, -5e-13, 0.0, 1e-13, 0.25, 0.5)]
+
+    def test_curve_matches_recursive_reference(self):
+        for b in (0.5, 2.0):
+            field = MagneticField(b)
+            for q in range(1, 7):
+                for ell in range(1, q + 1):
+                    for a in self.ALPHAS_NEAR_EDGES + [3.0, 7.5]:
+                        if a < (ell - q) - 1e-12:
+                            continue
+                        zeta = recursive_zeta(q, ell, max(a, float(ell - q)))
+                        assert eta_curve(field, q, ell, a) == math.sqrt(2.0 * zeta / b)
+
+    def test_table_matches_per_cell_curves(self):
+        for b in (0.5, 1.3, 4.0):
+            field = MagneticField(b)
+            for q in range(1, 9):
+                alphas = sorted(set(np.arange(1.0 - q, 10.25, 0.5).tolist() + self.ALPHAS_NEAR_EDGES))
+                lines = ["alpha," + ",".join(f"eta_{ell}" for ell in range(1, q + 1))]
+                for a in alphas:
+                    cells = [f"{a:.17g}"]
+                    for ell in range(1, q + 1):
+                        if a < (ell - q) - 1e-12:
+                            cells.append("nan")
+                        else:
+                            cells.append(f"{eta_curve(field, q, ell, a):.17g}")
+                    lines.append(",".join(cells))
+                assert eta_table_to_csv(field, q, alphas) == "\n".join(lines) + "\n"
 
 
 class TestScalarConstants:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,3 +158,14 @@ class TestVerify:
         assert code == 0, "\n".join(l for l in lines if l.startswith("FAIL"))
         assert all(l.startswith("PASS") for l in lines[:-1])
         assert lines[-1].endswith("checks passed")
+
+
+def test_import_leaves_scipy_unloaded():
+    # Only the verify subcommand needs scipy; importing the package or the CLI must not load it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for module in ("landaudelta", "landaudelta.cli"):
+        code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", f"import {module} loaded {proc.stdout.strip()}"

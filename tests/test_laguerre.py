@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import roots_genlaguerre
 
 from landaudelta.laguerre import (
     LaguerreSpec,
@@ -163,8 +164,52 @@ class TestInterlacing:
     def test_zeros_increase_with_parameter(self):
         grid = np.arange(-0.5, 20.5, 0.5)
         for q in range(1, 9):
-            table = np.array([positive_zeros(q, float(a)) for a in grid])
+            table = positive_zeros(q, grid)
             assert np.all(np.diff(table, axis=0) > 0)
+
+
+STACK_ALPHAS = np.concatenate([np.linspace(-0.5, 12.0, 26), [0.0, 1e-9, 63.0, 64.0, 150.5, 333.0, 700.0]])
+
+
+class TestStackedZeros:
+    def test_rows_equal_scalar_calls(self):
+        for q in range(0, 17):
+            rows = positive_zeros(q, STACK_ALPHAS)
+            assert rows.shape == (STACK_ALPHAS.size, q)
+            for a, row in zip(STACK_ALPHAS, rows):
+                assert np.array_equal(row, positive_zeros(q, float(a)))
+
+    def test_rows_match_scipy(self):
+        for q in range(1, 17):
+            rows = positive_zeros(q, STACK_ALPHAS)
+            for a, row in zip(STACK_ALPHAS, rows):
+                ref = roots_genlaguerre(q, a)[0]
+                assert np.max(np.abs(row - ref) / ref) <= 1e-12
+
+    def test_shapes_and_validation(self):
+        assert positive_zeros(3, 1.0).shape == (3,)
+        assert positive_zeros(3, np.float64(1.0)).shape == (3,)
+        assert positive_zeros(3, [1.0]).shape == (1, 3)
+        assert positive_zeros(0, [0.5, 2.0]).shape == (2, 0)
+        with pytest.raises(ValueError):
+            positive_zeros(3, [0.5, -1.0])
+
+    def test_degree_400_stays_finite(self):
+        # The recurrence overflows here, so the Newton step is not finite for
+        # some zeros; those keep their Jacobi eigenvalue.  scipy's
+        # roots_genlaguerre(400, 0) returns NaNs and cannot be the reference.
+        q = 400
+        i = np.arange(q)
+        jacobi = np.diag(2.0 * i + 1.0) + np.diag(np.sqrt(i[1:] * i[1:].astype(float)), -1)
+        eig = np.linalg.eigvalsh(jacobi)
+        z = positive_zeros(q, 0.0)
+        assert np.all(np.isfinite(z))
+        assert np.all(np.diff(z) > 0)
+        # Absolute floor 1e-14: the smallest eigenvalue (3.6e-3) is itself off
+        # by 1.05e-12 relative, and the Newton step moves it to the root.
+        np.testing.assert_allclose(z, eig, rtol=1e-12, atol=1e-14)
+        # That root to 20 digits, from 40-digit mpmath root finding.
+        assert abs(z[0] - 0.0036099805272481904860) <= 1e-13 * z[0]
 
 
 class TestReflection:

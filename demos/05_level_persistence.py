@@ -53,4 +53,6 @@ print(f"\nnon-resonant r = {r_off}: persists = {res.persists}, closest eigenvalu
 r2 = math.sqrt(2.0)
 res2 = persistence_check(field, 2, r2, weight=lambda t: 2.0 + np.sin(t))
 print(f"\ndouble resonance at r = sqrt(2) for level 2: persists = {res2.persists}, witnesses {list(res2.witnesses)}")
-print(f"   support residuals: {['%.1e' % x for x in res2.details['sign_+']['support_residuals']]}")
+# ||B e_w|| / max|B| for each witness column of the coupling B: zero up to
+# rounding, so each witness vector is an eigenvector at Lambda_2 for both signs.
+print(f"   witness column norms of the coupling: {['%.1e' % x for x in res2.details['sign_+']['support_residuals']]}")

@@ -134,7 +134,6 @@ def _cmd_toeplitz(args) -> int:
     if args.export is not None:
         with open(args.export, "w") as fh:
             fh.write(matrix_to_json(matrix))
-    result = spectrum(matrix)
     if args.kernel:
         est = kernel_dim_estimate(matrix, rel_tol=args.kernel_tol)
         print(
@@ -149,7 +148,7 @@ def _cmd_toeplitz(args) -> int:
             )
         )
         return 0
-    sys.stdout.write(spectrum_to_csv(result))
+    sys.stdout.write(spectrum_to_csv(spectrum(matrix)))
     return 0
 
 

@@ -524,8 +524,16 @@ def check_galerkin_persistence_sample() -> tuple[bool, str]:
     field = MagneticField(2.0)
     good = persistence_check(field, 1, 1.0, weight=lambda t: 5.0 + np.cos(t))
     off = persistence_check(field, 1, 1.3, weight=1.0)
-    ok = good.persists and not off.persists
-    return ok, f"resonant r=1: {good.persists}, non-resonant r=1.3: {off.persists}"
+    # b = 4, q = 6, witness k = 7, indefinite weight, K = 22: modes blind to the curve
+    # crowd Lambda_6, so the witness's projection onto eigh's eigenspace misses by 1.4e-7.
+    c = np.array([[0.03893440762218692, -0.0572471710254685, 0.431017315981155],
+                  [-0.45948928881156537, 0.23200619565656078, 0.11437324694899664]])
+    h = np.arange(1, 4)[:, None]
+    weight = lambda t: -0.3772325178534954 + c[0] @ np.cos(h * t) + c[1] @ np.sin(h * t)
+    deep = persistence_check(MagneticField(4.0), 6, 2.3700854867581373, K=22, weight=weight)
+    ok = good.persists and deep.persists and not off.persists
+    return ok, (f"resonant r=1: {good.persists}, b=4 q=6 indefinite: {deep.persists} (witness residual "
+                f"{max(deep.details['sign_+']['support_residuals']):.1e}), non-resonant r=1.3: {off.persists}")
 
 
 def check_galerkin_recentering() -> tuple[bool, str]:

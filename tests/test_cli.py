@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from landaudelta import cli, toeplitz
 from landaudelta.cli import main
 
 
@@ -96,7 +97,16 @@ class TestToeplitz:
         assert code == 0
         assert out1 == out2
 
-    def test_kernel_estimate(self, capsys):
+    def test_kernel_estimate(self, capsys, monkeypatch):
+        calls = []
+        original = toeplitz.spectrum
+
+        def counting(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(cli, "spectrum", counting)
+        monkeypatch.setattr(toeplitz, "spectrum", counting)
         code, out, _ = run_cli(
             capsys, "toeplitz", "--b", "2", "--q", "1", "--r", "1", "--K", "6",
             "--N", "256", "--kernel", "--no-resolution-check",
@@ -105,6 +115,7 @@ class TestToeplitz:
         payload = json.loads(out)
         assert payload["count"] == 1
         assert payload["census_multiplicity"] == 1
+        assert len(calls) == 1
 
     def test_weight_file(self, capsys, tmp_path):
         path = tmp_path / "w.txt"
@@ -149,6 +160,14 @@ class TestGalerkin:
         payload = json.loads(out)
         assert payload["persists"] is True
         assert payload["witnesses"] == [1]
+
+    def test_persistence_rejects_K_below_a_witness(self, capsys):
+        code, out, err = run_cli(
+            capsys, "galerkin", "--b", "2", "--q", "2", "--r", repr(math.sqrt(2.0)), "--K", "3", "--persistence",
+        )
+        assert code == 2
+        assert out == ""
+        assert "k = 4" in err and "K = 3" in err
 
 
 class TestVerify:

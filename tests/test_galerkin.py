@@ -5,6 +5,7 @@ import pytest
 
 from landaudelta.basis import BasisIndex, MagneticField, translated_parts
 from landaudelta import galerkin
+from landaudelta.census import census
 from landaudelta.curves import arclength_rule, load_weight, make_circle, save_weight
 from landaudelta.galerkin import (
     assemble_model,
@@ -17,6 +18,22 @@ from landaudelta.laguerre import positive_zeros
 from landaudelta.toeplitz import _circle_kernel, _quadrature_kernel, assemble, spectrum
 
 F2 = MagneticField(2.0)
+
+
+def trig_weight(c0, cos, sin):
+    """v(t) = c0 + sum_h cos[h-1] cos(h t) + sin[h-1] sin(h t)."""
+    h = np.arange(1, len(cos) + 1)[:, None]
+    return lambda t: c0 + np.asarray(cos) @ np.cos(h * t) + np.asarray(sin) @ np.sin(h * t)
+
+
+def indefinite_weight(rng):
+    """A random three-harmonic weight that takes both signs."""
+    t = np.linspace(0.0, 2 * math.pi, 1024, endpoint=False)
+    while True:
+        cos, sin = rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3)
+        w = trig_weight(rng.uniform(-0.3, 0.3) * np.sum(np.abs(cos) + np.abs(sin)), cos, sin)
+        if w(t).min() < -1e-3 and w(t).max() > 1e-3:
+            return w
 
 
 class TestAssembleModel:
@@ -182,8 +199,8 @@ class TestPersistence:
         assert res.details["sign_-"]["min_offset"] > 1e-6
 
     def test_weight_independence(self):
-        res = persistence_check(F2, 1, 1.0, weight=lambda t: 5.0 + np.cos(t))
-        assert res.persists
+        for weight in (lambda t: 5.0 + np.cos(t), 0.0):
+            assert persistence_check(F2, 1, 1.0, weight=weight).persists
 
     def test_double_witness_radius(self):
         res = persistence_check(F2, 2, math.sqrt(2.0), weight=lambda t: 2.0 + np.sin(t))
@@ -205,13 +222,83 @@ class TestPersistence:
         K, Q = res.details["K"], res.details["Q"]
         wc = load_weight(make_circle(1.3), weight)
         for sign in (+1, -1):
-            vals = spectrum(original(F2, Q, K, wc, sign, check_resolution=False).matrix).eigenvalues
+            vals = np.linalg.eigvalsh(original(F2, Q, K, wc, sign, check_resolution=False).matrix)
             offset = float(np.min(np.abs(vals - F2.landau_level(1))))
             assert res.details[f"sign_{'+' if sign > 0 else '-'}"]["min_offset"] == offset
 
     def test_requires_positive_level(self):
         with pytest.raises(ValueError):
             persistence_check(F2, 0, 1.0)
+
+    def test_K_below_a_witness_rejected(self):
+        # sqrt(2) is a double resonance of level 2 with witnesses k = 1, 4.
+        with pytest.raises(ValueError, match=r"k = 4 .* K = 3"):
+            persistence_check(F2, 2, math.sqrt(2.0), K=3, weight=1.0)
+        assert persistence_check(F2, 2, math.sqrt(2.0), K=4, weight=1.0).persists
+
+    @pytest.mark.parametrize(
+        "b, q, r",
+        [
+            (4.0, 6, 2.3700854867581373),
+            (2.0, 4, 2.838651208432977),
+            (2.0, 4, 2.786137744106588),
+            (2.0, 4, 2.995997657309424),
+            (4.0, 2, 1.4755081648258355),
+        ],
+    )
+    def test_crowded_census_cells_persist(self, b, q, r):
+        # Census cells whose eigenspace at Lambda_q is crowded by modes
+        # blind to the circle; the witness columns still vanish.
+        weight = trig_weight(
+            -0.3772325178534954,
+            (0.03893440762218692, -0.0572471710254685, 0.431017315981155),
+            (-0.45948928881156537, 0.23200619565656078, 0.11437324694899664),
+        )
+        res = persistence_check(MagneticField(b), q, r, weight=weight)
+        assert res.persists and res.witnesses
+        for s in "+-":
+            assert max(res.details[f"sign_{s}"]["support_residuals"]) <= galerkin.SUPPORT_TOL
+            assert res.details[f"sign_{s}"]["near_count"] >= len(res.witnesses)
+
+    def test_census_sample_persists_and_midpoints_do_not(self):
+        # A seeded sample of the census cells b in {0.5, 2, 4}, q <= 6,
+        # r <= 3, each under its own indefinite three-harmonic weight; the
+        # radius halfway (in t) to the next census radius gives False.
+        rng = np.random.default_rng(2021)
+        cells = [
+            (b, q, i, entries)
+            for b in (0.5, 2.0, 4.0)
+            for q in range(1, 7)
+            for entries in [census(MagneticField(b), q, 3.0)]
+            for i in range(len(entries))
+        ]
+        for n, pick in enumerate(rng.choice(len(cells), size=18, replace=False)):
+            b, q, i, entries = cells[pick]
+            field = MagneticField(b)
+            weight = indefinite_weight(rng)
+            res = persistence_check(field, q, entries[i].r, weight=weight)
+            assert res.persists, (b, q, entries[i].r)
+            assert res.witnesses == tuple(k for k, _ in entries[i].witnesses)
+            if n % 3 == 0 and i + 1 < len(entries):
+                r_mid = math.sqrt((entries[i].t + entries[i + 1].t) / b)
+                mid = persistence_check(field, q, r_mid, weight=weight)
+                assert not mid.persists and mid.witnesses == ()
+
+    def test_radius_off_census_by_1e_10_does_not_persist(self):
+        # Inside the census's 1e-9 membership tolerance, so k = 1 is still
+        # named, but its coupling column is 2.6e-10 max|B|, above SUPPORT_TOL.
+        res = persistence_check(F2, 1, 1.0 + 1e-10, weight=1.0)
+        assert res.witnesses == (1,) and not res.persists
+        assert res.details["sign_+"]["support_residuals"][0] > galerkin.SUPPORT_TOL
+
+    def test_makes_no_eigenvector_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigenvector solver called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(galerkin, "spectrum", refuse)
+        assert persistence_check(F2, 2, math.sqrt(2.0), weight=lambda t: 2.0 + np.sin(t)).persists
+        assert not persistence_check(F2, 1, 1.3, weight=1.0).persists
 
     def test_truncation_covers_witnesses(self):
         for q in (1, 2):

@@ -141,6 +141,19 @@ def _parts_arrays(field: MagneticField, k, q, pts: np.ndarray):
     return logabs, phase
 
 
+def _from_parts(logabs, phase) -> np.ndarray:
+    """exp(logabs + i phase), as exp(logabs) cos(phase) + i exp(logabs) sin(phase).
+
+    Equal to np.exp(logabs) * np.exp(1j * phase) in every value (only the
+    sign of a zero may differ), without the complex temporaries.
+    """
+    mag = np.exp(logabs)
+    out = np.empty(np.broadcast_shapes(np.shape(mag), np.shape(phase)), dtype=complex)
+    np.multiply(mag, np.cos(phase), out=out.real)
+    np.multiply(mag, np.sin(phase), out=out.imag)
+    return out
+
+
 def basis_eval_parts(field: MagneticField, idx: BasisIndex, x):
     """Return (log|phi|, arg phi); log is -inf exactly on the nodal set."""
     pts = _as_points(x)
@@ -152,9 +165,8 @@ def basis_eval_parts(field: MagneticField, idx: BasisIndex, x):
 
 def basis_eval(field: MagneticField, idx: BasisIndex, x):
     """Evaluate phi_{k,q} at one point or an array of points."""
-    logabs, phase = basis_eval_parts(field, idx, x)
-    val = np.exp(logabs) * np.exp(1j * phase)
-    return complex(val) if np.ndim(val) == 0 else val
+    val = _from_parts(*basis_eval_parts(field, idx, x))
+    return complex(val) if val.ndim == 0 else val
 
 
 def basis_matrix(field: MagneticField, q: int, ks, points) -> np.ndarray:
@@ -162,8 +174,7 @@ def basis_matrix(field: MagneticField, q: int, ks, points) -> np.ndarray:
     pts = _as_points(points)
     if pts.ndim != 2:
         raise ValueError("basis_matrix expects an (N, 2) array of points")
-    logabs, phase = _parts_arrays(field, np.array(list(ks), dtype=int)[:, None], q, pts)
-    return np.exp(logabs) * np.exp(1j * phase)
+    return _from_parts(*_parts_arrays(field, np.array(list(ks), dtype=int)[:, None], q, pts))
 
 
 def translated_parts(field: MagneticField, idx: BasisIndex, y) -> Callable:
@@ -213,7 +224,7 @@ def plane_gram(
         phi = np.empty((len(parts), pts.shape[0] * angular_nodes), dtype=complex)
         for i, f in enumerate(parts):
             la, ph = f(pts)
-            phi[i] = (np.exp(la + half_logw[rows, None]) * np.exp(1j * ph)).ravel()
+            phi[i] = _from_parts(la + half_logw[rows, None], ph).ravel()
         gram += phi @ phi.conj().T
     return gram * (2.0 * math.pi / angular_nodes) / field.b
 

@@ -117,7 +117,11 @@ def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tupl
     """m_q(r) together with the witnessing (k, zero) pairs.
 
     q = 0 is rejected: the lowest-level operator has trivial kernel for
-    every curve and weight, so there is nothing to enumerate.
+    every curve and weight, so there is nothing to enumerate.  Witnesses
+    are zeros within a relative 1e-9 of t; galerkin.persistence_check
+    asks more, each witness column of the coupling at <= 1e-12 * max|B|.
+    So r = 1 + 1e-10 at b = 2, q = 1 has witness k = 1 here but does not
+    persist there (its support_residuals show the 2.6e-10 column).
     """
     if q < 1:
         raise ValueError("multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")

@@ -215,6 +215,11 @@ def persistence_check(
     holds these norms per sign ("support_residuals") and, as diagnostics
     from one eigvalsh per sign, "near_count" and "min_offset".  Raises
     ValueError when K cuts off a census witness.
+
+    The census names witnesses within a relative 1e-9 in t, but the
+    verdict needs each witness column at <= SUPPORT_TOL = 1e-12 * max|B|.
+    So r = 1 + 1e-10 at b = 2, q = 1 names k = 1 yet does not persist:
+    its support_residuals read 2.6e-10.
     """
     if q < 1:
         raise ValueError("persistence_check requires q >= 1")

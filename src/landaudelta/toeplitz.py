@@ -22,9 +22,13 @@ phases of A_{k,q}(r) (signs, up to the common factor (-i)^q) and
 (the reflected form for k < q).  Circles are assembled this way, from one
 basis value per row and one FFT; the matrix is diagonal, with
 lambda_{k,q}(r) as its entries, only for constant weights.  Other curves
-use the quadrature over basis samples.  Kernel counting for circles defers
-to the analytic census: truncation produces spuriously small tail entries,
-so the matrix-based estimate is a cross-check, not the authority.
+use the quadrature over basis samples.  Their N -> 2N resolution check
+reuses the N-node sum, since the uniform 2N rule holds the N rule at its
+even nodes: M_2N = (M_N + M_odd)/2, with M_odd the N-node sum over the
+odd nodes, so the check costs N further basis samples, not 2N.  Kernel
+counting for circles defers to the analytic census: truncation produces
+spuriously small tail entries, so the matrix-based estimate is a
+cross-check, not the authority.
 """
 
 from __future__ import annotations
@@ -150,47 +154,62 @@ def default_truncation(field: MagneticField, q: int, curve_or_radius, tail_rel: 
     return MAX_TRUNCATION
 
 
-def _quadrature_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, sizes) -> list[np.ndarray]:
-    """Interaction matrices on levels x 0..K over basis samples, one per node count."""
-    out = []
-    for n in sizes:
-        wcn = wc.resample(n)
-        points, ds = arclength_rule(wcn.curve, n)
+def _quadrature_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int, refine: bool = False):
+    """Interaction matrices on levels x 0..K over basis samples: (n-node, 2n-node or None).
+
+    The uniform 2n rule holds the n rule at its even nodes, so the 2n sum
+    is half the n sum plus half the n-node sum over the odd nodes (weights
+    2 v ds of the 2n rule): refining costs n further basis samples.
+    """
+
+    def weighted_sum(points, w):
         phi = np.vstack([basis_matrix(field, j, range(K + 1), points) for j in levels])
-        m = (phi * (wcn.values * ds)) @ phi.conj().T
-        out.append(0.5 * (m + m.conj().T))
-    return out
+        return (phi * w) @ phi.conj().T
+
+    wcn = wc.resample(n)
+    points, ds = arclength_rule(wcn.curve, n)
+    m = weighted_sum(points, wcn.values * ds)
+    coarse = 0.5 * (m + m.conj().T)
+    if not refine:
+        return coarse, None
+    fine_wc = wc.resample(2 * n)
+    fine_points, fine_ds = arclength_rule(fine_wc.curve, 2 * n)
+    m_fine = 0.5 * (m + weighted_sum(fine_points[1::2], 2.0 * (fine_wc.values * fine_ds)[1::2]))
+    return coarse, 0.5 * (m_fine + m_fine.conj().T)
 
 
-def _circle_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, sizes) -> list[np.ndarray]:
-    """The same trapezoid sums on an origin-centred circle, one per node count.
+def _circle_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int, refine: bool = False):
+    """The same trapezoid sums on an origin-centred circle: (n-node, 2n-node or None).
 
     M_kl = D_k S_k conj(D_l S_l) v_hat[(m_l - m_k) mod n] with harmonics
     m = k - j and v_hat = FFT(weight samples)/n; the amplitudes do not
-    depend on n, so each further node count costs one FFT.
+    depend on n, so the 2n matrix costs one further FFT.
     """
     log_lam, phase, m = _circle_amplitudes(field, levels, np.arange(K + 1), dict(wc.curve.meta)["r"])
     d = np.exp(0.5 * log_lam) * phase
     scaled = d[:, None] * d.conj()[None, :]
     shift = m[None, :] - m[:, None]
-    out = []
-    for n in sizes:
-        vhat = np.fft.fft(wc.resample(n).values) / n
-        mat = scaled * vhat[shift % n]
-        out.append(0.5 * (mat + mat.conj().T))
-    return out
+
+    def at(size):
+        vhat = np.fft.fft(wc.resample(size).values) / size
+        mat = scaled * vhat[shift % size]
+        return 0.5 * (mat + mat.conj().T)
+
+    return at(n), at(2 * n) if refine else None
 
 
 def _compress(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int, check_resolution: bool):
     """Interaction matrix on levels x 0..K at n nodes: (entries, underresolved, delta).
 
-    With check_resolution the matrix is rebuilt on 2n nodes and flagged
-    underresolved when any entry moves by more than RESOLUTION_DELTA_TOL.
+    With check_resolution the matrix is also formed on 2n nodes, reusing
+    the n-node sum (n further samples on general curves, one further FFT
+    on circles), and flagged underresolved when any entry moves by more
+    than RESOLUTION_DELTA_TOL.
     """
     kernel = _circle_kernel if wc.curve.kind == "circle" else _quadrature_kernel
-    if not check_resolution:
-        return kernel(field, levels, K, wc, (n,))[0], None, None
-    coarse, fine = kernel(field, levels, K, wc, (n, 2 * n))
+    coarse, fine = kernel(field, levels, K, wc, n, check_resolution)
+    if fine is None:
+        return coarse, None, None
     delta = float(np.max(np.abs(fine - coarse)))
     return coarse, delta > RESOLUTION_DELTA_TOL, delta
 
@@ -210,9 +229,10 @@ def assemble(
     """Assemble the (K+1)x(K+1) level-q matrix over the arclength rule.
 
     Circles take the scaled Toeplitz route, other curves the quadrature
-    over basis samples.  With check_resolution the assembly is repeated
-    at twice the node count and the matrix is flagged underresolved when
-    any entry moves by more than 1e-7.
+    over basis samples.  With check_resolution the matrix is also formed
+    at twice the node count and flagged underresolved when any entry
+    moves by more than 1e-7; the 2N rule reuses the N rule's sums, so on
+    general curves the check costs N further basis samples.
     """
     if q < 0:
         raise ValueError("level index must be >= 0")

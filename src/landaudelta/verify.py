@@ -336,8 +336,8 @@ def check_toeplitz_circle_structure() -> tuple[bool, str]:
         if wc.sign_class != SIGN_INDEFINITE:
             return False, f"weight sign class {wc.sign_class}, expected indefinite"
         for levels in ([0], [1], [2], [3], [4], [0, 1, 2, 3]):
-            fast = _circle_kernel(field, levels, 12, wc, (512,))[0]
-            slow = _quadrature_kernel(field, levels, 12, wc, (512,))[0]
+            fast = _circle_kernel(field, levels, 12, wc, 512)[0]
+            slow = _quadrature_kernel(field, levels, 12, wc, 512)[0]
             worst = max(worst, float(np.max(np.abs(fast - slow))) / float(np.max(np.abs(slow))))
     return worst <= 1e-12, f"circle kernel deviates from quadrature by {worst:.2e} x max|M| (q <= 4, Q = 3)"
 

@@ -8,6 +8,7 @@ from scipy.special import eval_genlaguerre
 from landaudelta.basis import (
     BasisIndex,
     MagneticField,
+    _parts_arrays,
     annihilation_residual,
     basis_eval,
     basis_eval_parts,
@@ -143,6 +144,31 @@ class TestEval:
                 r = math.sqrt(2 * t / field.b)
                 pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
                 assert np.max(np.abs(basis_eval(field, BasisIndex(k, q), pts))) < 1e-10 * scale
+
+
+class TestComplexValues:
+    """Values built as exp(logabs) cos(phase) + i exp(logabs) sin(phase)."""
+
+    def test_equal_to_complex_exponential(self):
+        # Reference np.exp(logabs) * np.exp(1j * phase): every value equal and
+        # every nonzero one bitwise; only the sign of a zero may differ.
+        field = MagneticField(2.0)
+        far = math.sqrt(2.0 * 1600.0 / field.b)  # t = 1600: low rows underflow to 0
+        pts = np.vstack([[0.0, 0.0], [far, 0.0], np.random.default_rng(3).uniform(-3.0, 3.0, size=(200, 2))])
+        for q in (0, 1, 3, 7):
+            logabs, phase = _parts_arrays(field, np.arange(201)[:, None], q, pts)
+            assert np.sum(np.isneginf(logabs[:, 0])) == 200  # the origin: nodal for every k != q
+            ref = np.exp(logabs) * np.exp(1j * phase)
+            assert np.isfinite(logabs[0, 1]) and ref[0, 1] == 0
+            got = basis_matrix(field, q, range(201), pts)
+            assert np.array_equal(got, ref)
+            nonzero = ref != 0
+            assert got[nonzero].tobytes() == ref[nonzero].tobytes()
+        for idx, x in ((BasisIndex(3, 1), (0.4, -0.7)), (BasisIndex(200, 2), (9.0, 4.0)), (BasisIndex(2, 0), (0.0, 0.0))):
+            val = basis_eval(field, idx, x)
+            assert type(val) is complex
+            logabs, phase = basis_eval_parts(field, idx, x)
+            assert val == np.exp(logabs) * np.exp(1j * phase)
 
 
 class TestInnerProduct:

@@ -186,3 +186,36 @@ class TestCurveFiles:
         p1, w1 = arclength_rule(make_ellipse(2.0, 1.0, n=n), n)
         p2, w2 = arclength_rule(reparam, n)
         assert np.sum(f(p1) * w1) == pytest.approx(np.sum(f(p2) * w2), abs=1e-9)
+
+
+class TestNestedRules:
+    """The even nodes of the 2n rule are the n rule.
+
+    The N -> 2N resolution check of toeplitz reuses the n-node sum on this
+    invariant, so any resampling scheme has to keep it to rounding.
+    """
+
+    def test_even_nodes_of_2n_rule_are_the_n_rule(self, tmp_path):
+        ellipse = make_ellipse(1.4, 0.9, n=1024)
+        native = make_ellipse(1.4, 0.9, n=97)  # 97 nodes: n = 97 keeps the native samples, other n interpolate
+        sampled = JordanCurve("sampled", native.params, native.points, native.derivs, ())
+        path = tmp_path / "weight.txt"
+        grid = np.linspace(0.0, 2 * math.pi, 61, endpoint=False)
+        save_weight(grid, 1.5 + np.sin(grid) * np.cos(3 * grid), path)
+        cases = (
+            (ellipse, lambda t: 1.0 + 0.4 * np.cos(2 * t)),
+            (sampled, 1.0),
+            (ellipse, str(path)),
+            (sampled, str(path)),
+            (sampled, 2.0 + np.cos(native.params) - 0.5 * np.sin(3 * native.params)),
+        )
+        tol = 1e-14
+        for curve, weight in cases:
+            wc = load_weight(curve, weight)
+            for n in (64, 97, 256, 1000):
+                coarse, fine = wc.resample(n), wc.resample(2 * n)
+                points, ds = arclength_rule(coarse.curve, n)
+                fine_points, fine_ds = arclength_rule(fine.curve, 2 * n)
+                assert np.max(np.abs(fine_points[::2] - points)) <= tol * np.max(np.abs(points))
+                assert np.max(np.abs(2.0 * fine_ds[::2] - ds)) <= tol * np.max(ds)
+                assert np.max(np.abs(fine.values[::2] - coarse.values)) <= tol * np.max(np.abs(coarse.values))

@@ -146,14 +146,14 @@ class TestCircleCoupling:
                 wc = load_weight(make_circle(r, n=256), weight)
                 for Q in range(5):
                     K = model_truncation(field, Q, r)
-                    fast = _circle_kernel(field, range(Q + 1), K, wc, (256,))[0]
-                    slow = _quadrature_kernel(field, range(Q + 1), K, wc, (256,))[0]
+                    fast = _circle_kernel(field, range(Q + 1), K, wc, 256)[0]
+                    slow = _quadrature_kernel(field, range(Q + 1), K, wc, 256)[0]
                     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
     def test_model_refinement_delta_matches_quadrature(self):
         wc = load_weight(make_circle(1.1, n=32), lambda t: 1.0 + np.cos(16.0 * t) + 0.2 * np.sin(3 * t))
         model = assemble_model(F2, 3, 10, wc, -1, N=32)
-        coarse, fine = _quadrature_kernel(F2, range(4), 10, wc, (32, 64))
+        coarse, fine = _quadrature_kernel(F2, range(4), 10, wc, 32, refine=True)
         assert abs(model.refinement_delta - np.max(np.abs(fine - coarse))) <= 1e-12
 
 

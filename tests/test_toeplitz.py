@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from landaudelta.basis import BasisIndex, MagneticField, basis_eval, translated_parts
+import landaudelta.toeplitz as toeplitz
+from landaudelta.basis import BasisIndex, MagneticField, basis_eval, basis_matrix, translated_parts
 from landaudelta.census import census
-from landaudelta.curves import arclength_rule, load_weight, make_circle, make_ellipse, save_weight
+from landaudelta.curves import JordanCurve, arclength_rule, load_weight, make_circle, make_ellipse, save_weight
+from landaudelta.galerkin import assemble_model
 from landaudelta.laguerre import LaguerreSpec, laguerre_eval, positive_zeros
 from landaudelta.toeplitz import (
     CURVE_AMPLITUDE_CUTOFF,
     MAX_TRUNCATION,
+    RESOLUTION_DELTA_TOL,
     ToeplitzMatrix,
     _circle_kernel,
     _quadrature_kernel,
@@ -256,8 +259,8 @@ class TestCircleKernel:
                 for r in sample_radii(field, q):
                     wc = load_weight(make_circle(r, n=256), weight)
                     K = default_truncation(field, q, r)
-                    fast = _circle_kernel(field, [q], K, wc, (256,))[0]
-                    slow = _quadrature_kernel(field, [q], K, wc, (256,))[0]
+                    fast = _circle_kernel(field, [q], K, wc, 256)[0]
+                    slow = _quadrature_kernel(field, [q], K, wc, 256)[0]
                     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
                     assert np.array_equal(fast, fast.conj().T)
 
@@ -266,7 +269,7 @@ class TestCircleKernel:
             for q in (0, 2, 5):
                 wc = load_weight(make_circle(1.1, n=16), weight)
                 m = assemble(F2, q, wc, K=12, N=16)
-                coarse, fine = _quadrature_kernel(F2, [q], 12, wc, (16, 32))
+                coarse, fine = _quadrature_kernel(F2, [q], 12, wc, 16, refine=True)
                 assert abs(m.refinement_delta - np.max(np.abs(fine - coarse))) <= 1e-12
 
     def test_witness_rows_vanish_at_census_radii(self):
@@ -281,6 +284,74 @@ class TestCircleKernel:
                     m = assemble(field, q, wc, check_resolution=False).entries
                     for k, _ in entry.witnesses:
                         assert np.max(np.abs(m[k])) <= 1e-14 * np.max(np.abs(m))
+
+
+def direct_quadrature(field, levels, K, wc, n):
+    """The trapezoid sum over basis samples at all n nodes of wc.resample(n)."""
+    wcn = wc.resample(n)
+    points, ds = arclength_rule(wcn.curve, n)
+    phi = np.vstack([basis_matrix(field, j, range(K + 1), points) for j in levels])
+    m = (phi * (wcn.values * ds)) @ phi.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+def sampled_ellipse(a, c, nodes):
+    """An ellipse known only through its samples (resampled linearly)."""
+    ell = make_ellipse(a, c, n=nodes)
+    return JordanCurve("sampled", ell.params, ell.points, ell.derivs, ())
+
+
+class TestNestedResolution:
+    """The 2N matrix as half the N-rule sum plus half the odd-node sum."""
+
+    def test_matches_direct_quadrature(self, tmp_path):
+        # Reference: the direct 2N quadrature, every basis row evaluated at all 2N nodes.
+        K = 12
+        flags = set()
+        for curve in (make_ellipse(1.4, 0.9), sampled_ellipse(1.4, 0.9, 97)):
+            for weight in (three_harmonic, sample_weights(tmp_path)[2]):
+                wc = load_weight(curve, weight)
+                for n in (32, 64, 128):
+                    single = [assemble(F2, q, wc, K=K, N=n) for q in (0, 2, 5)]
+                    model = assemble_model(F2, 3, K, wc, +1, N=n)
+                    runs = [([m.q], m.entries, m.refinement_delta, m.underresolved) for m in single]
+                    runs.append((range(4), model.coupling, model.refinement_delta, model.underresolved))
+                    for levels, entries, got_delta, flag in runs:
+                        coarse = direct_quadrature(F2, levels, K, wc, n)
+                        fine = direct_quadrature(F2, levels, K, wc, 2 * n)
+                        scale = np.max(np.abs(fine))
+                        assert entries.tobytes() == coarse.tobytes()
+                        nested = _quadrature_kernel(F2, levels, K, wc, n, refine=True)[1]
+                        assert np.max(np.abs(nested - fine)) <= 1e-14 * scale
+                        delta = float(np.max(np.abs(fine - coarse)))
+                        assert abs(got_delta - delta) <= 1e-15 * scale
+                        assert flag == (delta > RESOLUTION_DELTA_TOL)
+                        flags.add(flag)
+        assert flags == {True, False}
+
+    def test_check_costs_n_further_samples(self, monkeypatch):
+        # A checked assembly evaluates 2N points per level, an unchecked one N.
+        points = []
+
+        def counting(field, q, ks, pts):
+            points.append((q, len(pts)))
+            return basis_matrix(field, q, ks, pts)
+
+        monkeypatch.setattr(toeplitz, "basis_matrix", counting)
+        wc = load_weight(make_ellipse(1.4, 0.9), three_harmonic)
+        n = 64
+        for check in (True, False):
+            per_level = 2 * n if check else n
+            points.clear()
+            m = assemble(F2, 2, wc, K=8, N=n, check_resolution=check)
+            assert {q for q, _ in points} == {2}
+            assert sum(p for _, p in points) == per_level
+            assert (m.refinement_delta is not None) == check
+            points.clear()
+            model = assemble_model(F2, 3, 8, wc, -1, N=n, check_resolution=check)
+            assert {q for q, _ in points} == {0, 1, 2, 3}
+            assert all(sum(p for q, p in points if q == j) == per_level for j in range(4))
+            assert (model.refinement_delta is not None) == check
 
 
 class TestSpectrum:

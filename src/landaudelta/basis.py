@@ -47,9 +47,9 @@ __all__ = [
     "translated_parts",
 ]
 
-DEFAULT_RADIAL_NODES = 128
-DEFAULT_ANGULAR_NODES = 256
-DEFAULT_FD_STEP = 1e-4
+RADIAL_NODES = 128
+ANGULAR_NODES = 256
+FD_STEP = 1e-4
 # Radial nodes per block of the Gram quadrature: 13 functions on 16 x 256
 # nodes take under 1 MiB of complex samples.
 GRAM_RADIAL_BLOCK = 16
@@ -193,87 +193,65 @@ def translated_parts(field: MagneticField, idx: BasisIndex, y) -> Callable:
     return parts
 
 
-def plane_gram(
-    field: MagneticField,
-    parts: list[Callable],
-    radial_nodes: int = DEFAULT_RADIAL_NODES,
-    angular_nodes: int = DEFAULT_ANGULAR_NODES,
-) -> np.ndarray:
+def plane_gram(field: MagneticField, parts: list[Callable]) -> np.ndarray:
     """L^2(R^2) Gram matrix G_ij = <f_i, f_j> of functions given by parts callables.
 
-    Polar quadrature: Gauss nodes in t = b r^2 / 2 against the weight
-    e^{-t} (the Gaussian decay of the integrands pays for the e^{+t}
-    compensation, half of it taken into each factor in log space), uniform
-    nodes in the angle.  Every function is evaluated once per block of
-    radial nodes, and each block adds one weighted matrix product.
+    Polar quadrature: RADIAL_NODES Gauss nodes in t = b r^2 / 2 against
+    the weight e^{-t} (the Gaussian decay of the integrands pays for the
+    e^{+t} compensation, half of it taken into each factor in log space),
+    ANGULAR_NODES uniform nodes in the angle.  Every function is evaluated
+    once per block of radial nodes, and each block adds one weighted
+    matrix product.
     """
-    if radial_nodes < DEFAULT_RADIAL_NODES:
-        raise ValueError(f"radial_nodes must be >= {DEFAULT_RADIAL_NODES}")
-    if angular_nodes < DEFAULT_ANGULAR_NODES:
-        raise ValueError(f"angular_nodes must be >= {DEFAULT_ANGULAR_NODES}")
-    t, logw = gauss_laguerre_log_rule(radial_nodes, 0.0)
+    t, logw = gauss_laguerre_log_rule(RADIAL_NODES, 0.0)
     half_logw = 0.5 * (logw + t)
     r = np.sqrt(2.0 * t / field.b)
-    theta = np.linspace(0.0, 2.0 * math.pi, angular_nodes, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, ANGULAR_NODES, endpoint=False)
     gram = np.zeros((len(parts), len(parts)), dtype=complex)
-    for lo in range(0, radial_nodes, GRAM_RADIAL_BLOCK):
+    for lo in range(0, RADIAL_NODES, GRAM_RADIAL_BLOCK):
         rows = slice(lo, lo + GRAM_RADIAL_BLOCK)
-        pts = np.empty((r[rows].size, angular_nodes, 2))
+        pts = np.empty((r[rows].size, ANGULAR_NODES, 2))
         pts[..., 0] = r[rows, None] * np.cos(theta)[None, :]
         pts[..., 1] = r[rows, None] * np.sin(theta)[None, :]
-        phi = np.empty((len(parts), pts.shape[0] * angular_nodes), dtype=complex)
+        phi = np.empty((len(parts), pts.shape[0] * ANGULAR_NODES), dtype=complex)
         for i, f in enumerate(parts):
             la, ph = f(pts)
             phi[i] = _from_parts(la + half_logw[rows, None], ph).ravel()
         gram += phi @ phi.conj().T
-    return gram * (2.0 * math.pi / angular_nodes) / field.b
+    return gram * (2.0 * math.pi / ANGULAR_NODES) / field.b
 
 
-def plane_inner_product(
-    field: MagneticField,
-    parts1: Callable,
-    parts2: Callable,
-    radial_nodes: int = DEFAULT_RADIAL_NODES,
-    angular_nodes: int = DEFAULT_ANGULAR_NODES,
-) -> complex:
+def plane_inner_product(field: MagneticField, parts1: Callable, parts2: Callable) -> complex:
     """L^2(R^2) inner product of two functions given by parts callables (see plane_gram)."""
-    return complex(plane_gram(field, [parts1, parts2], radial_nodes, angular_nodes)[0, 1])
+    return complex(plane_gram(field, [parts1, parts2])[0, 1])
 
 
-def basis_inner_product(
-    field: MagneticField,
-    idx1: BasisIndex,
-    idx2: BasisIndex,
-    radial_nodes: int = DEFAULT_RADIAL_NODES,
-    angular_nodes: int = DEFAULT_ANGULAR_NODES,
-) -> complex:
+def basis_inner_product(field: MagneticField, idx1: BasisIndex, idx2: BasisIndex) -> complex:
     """<phi_{k1,q}, phi_{k2,q}> by polar quadrature; requires equal q."""
     if idx1.q != idx2.q:
         raise ValueError(
             f"cross-level inner products are exact by construction; got q={idx1.q} and q={idx2.q}"
         )
     parts = [partial(basis_eval_parts, field, idx) for idx in (idx1, idx2)]
-    return plane_inner_product(field, *parts, radial_nodes, angular_nodes)
+    return plane_inner_product(field, *parts)
 
 
-def annihilation_residual(field: MagneticField, idx: BasisIndex, x, h: float = DEFAULT_FD_STEP) -> float:
+def annihilation_residual(field: MagneticField, idx: BasisIndex, x) -> float:
     """|a phi_{k,0}(x)| with the annihilation operator applied by central differences.
 
     a = Pi_1(A) + i Pi_2(A) acts as a u = -i du/dx1 + du/dx2 - i(b/2) z u.
     Lowest-level basis functions lie in ker(a), so the residual is pure
-    discretization error, O(h^2) + roundoff.
+    discretization error, O(h^2) + roundoff, at step h = FD_STEP.
     """
     if idx.q != 0:
         raise ValueError("annihilation residual is defined for lowest-level indices (q = 0)")
-    if not h > 0:
-        raise ValueError("step h must be positive")
     pt = _as_points(x)
     if pt.ndim != 1:
         raise ValueError("annihilation_residual expects a single point")
-    e1 = np.array([h, 0.0])
-    e2 = np.array([0.0, h])
-    du1 = (basis_eval(field, idx, pt + e1) - basis_eval(field, idx, pt - e1)) / (2 * h)
-    du2 = (basis_eval(field, idx, pt + e2) - basis_eval(field, idx, pt - e2)) / (2 * h)
+    e1 = np.array([FD_STEP, 0.0])
+    e2 = np.array([0.0, FD_STEP])
+    du1 = (basis_eval(field, idx, pt + e1) - basis_eval(field, idx, pt - e1)) / (2 * FD_STEP)
+    du2 = (basis_eval(field, idx, pt + e2) - basis_eval(field, idx, pt - e2)) / (2 * FD_STEP)
     z = pt[0] + 1j * pt[1]
     u = basis_eval(field, idx, pt)
     return abs(-1j * du1 + du2 - 0.5j * field.b * z * u)

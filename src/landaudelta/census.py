@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import MagneticField
-from .laguerre import ZERO_MEMBERSHIP_RTOL, positive_zeros
+from .laguerre import ZERO_MEMBERSHIP_RTOL, nodal_zeros, positive_zeros
 
 # Parameters k - q solved per stacked eigensolve when building a zero table.
 ZERO_TABLE_BLOCK = 64
@@ -63,15 +63,6 @@ class CensusEntry:
             raise ValueError("multiplicity must equal the number of witnesses")
 
 
-def _positive_zero_set(q: int, k: int) -> np.ndarray:
-    """Positive zeros of L_q^(k-q), ascending (empty for k = 0)."""
-    if k >= q:
-        return positive_zeros(q, float(k - q))
-    if k == 0:
-        return np.empty(0)
-    return positive_zeros(k, float(q - k))
-
-
 @lru_cache(maxsize=None)
 def _zero_table(q: int, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
     """All (t, k) with t a positive zero of L_q^(k-q), t <= t_cap, sorted by t.
@@ -81,13 +72,14 @@ def _zero_table(q: int, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
     the cap.
     """
     cap = t_cap * (1.0 + ZERO_MEMBERSHIP_RTOL)
-    ts = [_positive_zero_set(q, k) for k in range(q)]
+    ts = [nodal_zeros(q, k) for k in range(q)]
     ks = [np.full(z.size, k) for k, z in enumerate(ts)]
     start = q
     while True:
-        rows = positive_zeros(q, np.arange(start - q, start - q + ZERO_TABLE_BLOCK, dtype=float))
+        block = np.arange(start, start + ZERO_TABLE_BLOCK)
+        rows = nodal_zeros(q, block)
         ts.append(rows.ravel())
-        ks.append(np.repeat(np.arange(start, start + ZERO_TABLE_BLOCK), q))
+        ks.append(np.repeat(block, q))
         if rows[-1, 0] > cap:  # every later k has only larger zeros
             break
         start += ZERO_TABLE_BLOCK
@@ -201,7 +193,7 @@ def explicit_D12(field: MagneticField, n_max: int) -> dict[str, list[float]]:
 @lru_cache(maxsize=None)
 def _zeros_desc_at_negative(q: int, n: int) -> tuple[float, ...]:
     """Positive zeros of L_q^(-n), descending, via the reflection reduction."""
-    return tuple(_positive_zero_set(q, q - n)[::-1].tolist())
+    return tuple(nodal_zeros(q, q - n)[::-1].tolist())
 
 
 def _zeta_rows(q: int, alphas: np.ndarray) -> np.ndarray:

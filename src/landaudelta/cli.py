@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .galerkin import assemble_model, cluster_report, model_truncation, persiste
 from .laguerre import LaguerreSpec, laguerre_eval, laguerre_zeros
 from .toeplitz import (
     assemble,
-    default_truncation,
     kernel_dim_estimate,
     matrix_from_json,
     matrix_to_json,
@@ -37,24 +37,25 @@ from .toeplitz import (
 G = "%.17g"
 
 
-def _field(args) -> MagneticField:
-    return MagneticField(args.b)
-
-
-def _curve(args):
-    if args.curve_file is not None:
-        return load_curve(args.curve_file)
-    if args.ellipse is not None:
-        a, b = (float(v) for v in args.ellipse.split(","))
-        return make_ellipse(a, b, n=args.N) if args.N else make_ellipse(a, b)
-    r = args.r if args.r is not None else 1.0
-    return make_circle(r, n=args.N) if args.N else make_circle(r)
+def _weight(args):
+    return args.weight_file if args.weight_file is not None else args.weight
 
 
 def _weighted_curve(args):
-    curve = _curve(args)
-    source = args.weight_file if args.weight_file is not None else args.weight
-    return load_weight(curve, source)
+    if args.curve_file is not None:
+        curve = load_curve(args.curve_file)
+    elif args.ellipse is not None:
+        a, b = (float(v) for v in args.ellipse.split(","))
+        curve = make_ellipse(a, b, n=args.N)
+    else:
+        curve = make_circle(args.r if args.r is not None else 1.0, n=args.N)
+    return load_weight(curve, _weight(args))
+
+
+def _warn_if_underresolved(result) -> None:
+    if result.underresolved:
+        delta = result.refinement_delta
+        print(f"warning: quadrature underresolved (doubling N moves entries by {delta:.3e})", file=sys.stderr)
 
 
 def _add_curve_options(p: argparse.ArgumentParser) -> None:
@@ -85,7 +86,7 @@ def _cmd_laguerre(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    field = _field(args)
+    field = MagneticField(args.b)
     if args.eta:
         alphas = np.arange(args.alpha_min, args.alpha_max + 0.5 * args.alpha_step, args.alpha_step)
         sys.stdout.write(eta_table_to_csv(field, args.q, alphas))
@@ -118,46 +119,28 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_toeplitz(args) -> int:
-    field = _field(args)
     if args.import_path is not None:
         with open(args.import_path) as fh:
             matrix = matrix_from_json(fh.read())
     else:
-        wc = _weighted_curve(args)
-        K = args.K if args.K is not None else default_truncation(field, args.q, wc.curve)
-        matrix = assemble(field, args.q, wc, K=K, N=args.N, check_resolution=not args.no_resolution_check)
-        if matrix.underresolved:
-            print(
-                f"warning: quadrature underresolved (doubling N moves entries by {matrix.refinement_delta:.3e})",
-                file=sys.stderr,
-            )
+        matrix = assemble(MagneticField(args.b), args.q, _weighted_curve(args), K=args.K, N=args.N,
+                          check_resolution=not args.no_resolution_check)
+        _warn_if_underresolved(matrix)
     if args.export is not None:
         with open(args.export, "w") as fh:
             fh.write(matrix_to_json(matrix))
     if args.kernel:
-        est = kernel_dim_estimate(matrix, rel_tol=args.kernel_tol)
-        print(
-            json.dumps(
-                {
-                    "count": est.count,
-                    "threshold": est.threshold,
-                    "census_multiplicity": est.census_multiplicity,
-                    "note": est.note,
-                },
-                indent=1,
-            )
-        )
+        print(json.dumps(asdict(kernel_dim_estimate(matrix, rel_tol=args.kernel_tol)), indent=1))
         return 0
     sys.stdout.write(spectrum_to_csv(spectrum(matrix)))
     return 0
 
 
 def _cmd_galerkin(args) -> int:
-    field = _field(args)
+    field = MagneticField(args.b)
     if args.persistence:
-        source = args.weight_file if args.weight_file is not None else args.weight
         result = persistence_check(field, args.q, args.r if args.r is not None else 1.0,
-                                   K=args.K, Q=args.Q, weight=source, N=args.N)
+                                   K=args.K, Q=args.Q, weight=_weight(args), N=args.N)
         print(result.to_json())
         return 0
     wc = _weighted_curve(args)
@@ -165,11 +148,7 @@ def _cmd_galerkin(args) -> int:
     K = args.K if args.K is not None else model_truncation(field, Q, wc.curve)
     model = assemble_model(field, Q, K, wc, args.sign, N=args.N,
                            check_resolution=not args.no_resolution_check)
-    if model.underresolved:
-        print(
-            f"warning: quadrature underresolved (doubling N moves entries by {model.refinement_delta:.3e})",
-            file=sys.stderr,
-        )
+    _warn_if_underresolved(model)
     print(cluster_report(model).to_json())
     return 0
 

@@ -34,6 +34,7 @@ __all__ = [
     "save_curve",
     "save_weight",
     "default_quadrature_size",
+    "quadrature_size",
 ]
 
 DEFAULT_NODES = 1024
@@ -59,6 +60,14 @@ def default_quadrature_size() -> int:
     n = int(raw)
     if n < MIN_NODES:
         raise ValueError(f"{QUAD_ENV_VAR}={n} is below the minimum of {MIN_NODES}")
+    return n
+
+
+def quadrature_size(n: int | None = None) -> int:
+    """n, or default_quadrature_size() for None; fewer than MIN_NODES nodes are rejected."""
+    n = default_quadrature_size() if n is None else n
+    if n < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} nodes, got {n}")
     return n
 
 
@@ -115,8 +124,7 @@ def make_circle(r: float, n: int | None = None) -> JordanCurve:
     """Origin-centered circle of radius r (recentering is a gauge motion)."""
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
-    n = default_quadrature_size() if n is None else n
-    t = _uniform_params(n)
+    t = _uniform_params(quadrature_size(n))
     pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
     der = np.column_stack([-r * np.sin(t), r * np.cos(t)])
     return JordanCurve("circle", t, pts, der, (("r", float(r)),))
@@ -126,8 +134,7 @@ def make_ellipse(a: float, b: float, n: int | None = None) -> JordanCurve:
     """Axis-aligned ellipse with semi-axes a, b."""
     if not (a > 0 and b > 0):
         raise ValueError(f"semi-axes must be positive, got a={a}, b={b}")
-    n = default_quadrature_size() if n is None else n
-    t = _uniform_params(n)
+    t = _uniform_params(quadrature_size(n))
     pts = np.column_stack([a * np.cos(t), b * np.sin(t)])
     der = np.column_stack([-a * np.sin(t), b * np.cos(t)])
     return JordanCurve("ellipse", t, pts, der, (("a", float(a)), ("b", float(b))))
@@ -135,9 +142,7 @@ def make_ellipse(a: float, b: float, n: int | None = None) -> JordanCurve:
 
 def arclength_rule(curve: JordanCurve, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes on the curve and arclength weights ds_j."""
-    n = default_quadrature_size() if n is None else n
-    if n < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} nodes, got {n}")
+    n = quadrature_size(n)
     c = curve.resample(n)
     speeds = np.hypot(c.derivs[:, 0], c.derivs[:, 1])
     weights = (2.0 * math.pi / n) * speeds
@@ -237,19 +242,18 @@ def save_weight(params: np.ndarray, values: np.ndarray, path) -> None:
 def load_weight(curve: JordanCurve, source) -> WeightedCurve:
     """Attach a weight to a curve.
 
-    source may be a constant, a weight file path (rows t v, resampled to
-    the curve nodes by periodic linear interpolation), an array of values
-    at the curve nodes, or a callable of the parameter.
+    source may be a constant, a weight file path (rows t v), a (t, v)
+    table, an array of values at the curve nodes, or a callable of the
+    parameter.  Files and arrays are kept as (t, v) tables, and every
+    table reaches the nodes by periodic linear interpolation.
     """
+    if isinstance(source, (str, Path)):
+        table = _read_table(source, WEIGHT_HEADER, 2)
+        if np.any(np.diff(table[:, 0]) <= 0):
+            raise ValueError(f"{source}: parameter column must be strictly increasing")
+        source = (table[:, 0], table[:, 1])
     if isinstance(source, (int, float)):
         values = np.full(curve.n_nodes, float(source))
-    elif isinstance(source, (str, Path)):
-        table = _read_table(source, WEIGHT_HEADER, 2)
-        t = table[:, 0]
-        if np.any(np.diff(t) <= 0):
-            raise ValueError(f"{source}: parameter column must be strictly increasing")
-        values = np.interp(curve.params, t, table[:, 1], period=2.0 * math.pi)
-        source = (t, table[:, 1])
     elif isinstance(source, tuple) and len(source) == 2 and not np.isscalar(source[0]):
         t, v = (np.asarray(a, dtype=float) for a in source)
         values = np.interp(curve.params, t, v, period=2.0 * math.pi)

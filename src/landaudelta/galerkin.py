@@ -20,11 +20,12 @@ read off the vanishing witness columns of B with no eigensolver, and
 Weyl monotonicity under sign-definite weights.  Eigenvalue positions
 between levels are reported, never certified.
 
-The default angular cutoff keeps only modes whose circle diagonal stays
-above 1e-4 of the peak: beyond that, modes are numerically blind to the
-curve and would pile spurious eigenvalues onto the bare Landau levels,
-masking the resonant/non-resonant dichotomy.  All census witnesses sit
-well inside this cutoff.
+On circles the default angular cutoff keeps only modes whose diagonal
+stays above 1e-4 of the peak: beyond that, modes are numerically blind
+to the curve and would pile spurious eigenvalues onto the bare Landau
+levels, masking the resonant/non-resonant dichotomy.  All census
+witnesses sit well inside this cutoff.  Other curves take
+default_truncation's amplitude rule instead (see model_truncation).
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import numpy as np
 
 from .census import multiplicity as _census_multiplicity
 from .basis import MagneticField
-from .curves import WeightedCurve, default_quadrature_size, load_weight, make_circle
-from .toeplitz import _compress, _provenance, default_truncation, spectrum
+from .curves import WeightedCurve, load_weight, make_circle
+from .toeplitz import _compress, default_truncation, spectrum
 
 __all__ = [
     "GalerkinModel",
@@ -84,12 +85,13 @@ class GalerkinModel:
 
 def _hamiltonian(field: MagneticField, Q: int, K: int, coupling: np.ndarray, sign: int) -> np.ndarray:
     lam = np.repeat([field.landau_level(j) for j in range(Q + 1)], K + 1)
-    h = np.diag(lam).astype(complex) + sign * coupling
-    return 0.5 * (h + h.conj().T)
+    # Exactly Hermitian: the coupling is, and the diagonal is real.
+    return np.diag(lam).astype(complex) + sign * coupling
 
 
 def model_truncation(field: MagneticField, Q: int, curve_or_radius) -> int:
-    """Default angular cutoff: the 1e-4 tail rule, worst level included."""
+    """Default angular cutoff, worst level included: the 1e-4 tail rule on
+    circles, default_truncation's 1e-12 amplitude rule on other curves."""
     return max(
         default_truncation(field, j, curve_or_radius, tail_rel=MODEL_TAIL_CUTOFF)
         for j in range(Q + 1)
@@ -105,15 +107,16 @@ def assemble_model(
     N: int | None = None,
     check_resolution: bool = True,
 ) -> GalerkinModel:
-    """Assemble H = diag(Lambda_j) + sign * B on levels 0..Q, indices 0..K."""
+    """Assemble H = diag(Lambda_j) + sign * B on levels 0..Q, indices 0..K.
+
+    N (at least 16) and the N -> 2N check are as in toeplitz.assemble.
+    """
     if Q < 0 or K < 0:
         raise ValueError("cutoffs must be >= 0")
     if sign not in (+1, -1):
         raise ValueError(f"coupling sign must be +1 or -1, got {sign}")
-    n = default_quadrature_size() if N is None else N
-    coupling, underresolved, delta = _compress(field, range(Q + 1), K, weighted_curve, n, check_resolution)
+    coupling, provenance, underresolved, delta = _compress(field, range(Q + 1), K, weighted_curve, N, check_resolution)
     h = _hamiltonian(field, Q, K, coupling, sign)
-    provenance = _provenance(weighted_curve, n)
     return GalerkinModel(field, Q, K, sign, h, coupling, provenance, underresolved, delta)
 
 

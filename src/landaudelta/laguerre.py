@@ -26,6 +26,7 @@ __all__ = [
     "laguerre_derivative",
     "laguerre_zeros",
     "positive_zeros",
+    "nodal_zeros",
     "gauss_laguerre_rule",
     "gauss_laguerre_log_rule",
     "orthogonality_defect",
@@ -165,12 +166,25 @@ def positive_zeros(q: int, alpha) -> np.ndarray:
     return np.sort(_newton_step(q, a, z))
 
 
+def nodal_zeros(q: int, k) -> np.ndarray:
+    """Positive zeros of L_q^(k-q) for angular index k >= 0, ascending.
+
+    By the reflection identity they are the zeros of L_min(k,q)^(|k-q|):
+    for 0 < k < q the k zeros of L_k^(q-k), none at k = 0 (no eigensolve).
+    An array of indices k >= q gives one row per index from one stacked
+    solve, as positive_zeros does for its parameters.
+    """
+    if np.ndim(k) == 0 and k < q:
+        return positive_zeros(k, float(q - k)) if k > 0 else np.empty(0)
+    return positive_zeros(q, np.asarray(k, dtype=float) - q)
+
+
 def laguerre_zeros(spec: LaguerreSpec) -> list[tuple[float, int]]:
     """Zeros of L_q^(alpha) with multiplicities, ascending.
 
     alpha > -1: q simple positive zeros.  alpha = k - q with 0 <= k < q:
-    a null root of order q - k plus the k simple positive zeros of
-    L_k^(q-k).  Other alpha <= -1 are rejected.
+    a null root of order q - k plus the nodal_zeros(q, k).  Other
+    alpha <= -1 are rejected.
     """
     q, a = spec.degree, spec.alpha
     if q == 0:
@@ -182,10 +196,7 @@ def laguerre_zeros(spec: LaguerreSpec) -> list[tuple[float, int]]:
         raise ValueError(
             f"alpha={a} not admissible: need alpha > -1 or alpha = k - q with 0 <= k < q"
         )
-    out: list[tuple[float, int]] = [(0.0, q - k)]
-    if k >= 1:
-        out.extend((float(z), 1) for z in positive_zeros(k, q - k))
-    return out
+    return [(0.0, q - k)] + [(float(z), 1) for z in nodal_zeros(q, k)]
 
 
 def gauss_laguerre_log_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -217,19 +228,15 @@ def gauss_laguerre_rule(n: int, alpha: float = 0.0) -> tuple[np.ndarray, np.ndar
     return t, np.exp(logw)
 
 
-def orthogonality_defect(q: int, p: int, alpha: float, nodes: int | None = None) -> float:
+def orthogonality_defect(q: int, p: int, alpha: float) -> float:
     """|quadrature of e^{-t} t^alpha L_q L_p  -  Gamma(alpha+1) C(q+alpha,q) delta_qp|.
 
-    The rule must integrate degree q+p exactly; fewer nodes than
-    ceil((q+p)/2)+1 are rejected.
+    The quadrature is the ceil((q+p)/2)+1-node Gauss rule, which
+    integrates degree q+p exactly.
     """
     if alpha <= -1:
         raise ValueError(f"orthogonality requires alpha > -1, got {alpha}")
-    min_nodes = math.ceil((q + p) / 2) + 1
-    if nodes is None:
-        nodes = min_nodes
-    if nodes < min_nodes:
-        raise ValueError(f"nodes={nodes} too small, need >= {min_nodes} for degrees {q},{p}")
+    nodes = math.ceil((q + p) / 2) + 1
     t, w = gauss_laguerre_rule(nodes, alpha)
     integral = float(np.sum(w * laguerre_eval(LaguerreSpec(q, alpha), t)
                             * laguerre_eval(LaguerreSpec(p, alpha), t)))

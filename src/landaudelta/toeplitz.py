@@ -41,7 +41,7 @@ import numpy as np
 
 from .census import multiplicity as _census_multiplicity
 from .basis import MagneticField, _parts_arrays, basis_matrix
-from .curves import WeightedCurve, arclength_rule, default_quadrature_size
+from .curves import WeightedCurve, arclength_rule, quadrature_size
 
 __all__ = [
     "ToeplitzMatrix",
@@ -111,10 +111,11 @@ def default_truncation(field: MagneticField, q: int, curve_or_radius, tail_rel: 
     """Smallest K beyond which entries are negligible.
 
     Circles: sweep lambda_{k,q}(r) until the Poisson-type tail drops
-    below tail_rel of the running maximum.  General curves (read
-    TRUNCATION_BLOCK angular indices per evaluation): stop once
-    the amplitude of phi_{K,q} at every node falls below 1e-12 of the
-    largest amplitude seen on the curve.
+    below tail_rel of the running maximum.  General curves ignore
+    tail_rel (read TRUNCATION_BLOCK angular indices per evaluation): stop
+    once the amplitude of phi_{K,q} at every node falls below
+    CURVE_AMPLITUDE_CUTOFF = 1e-12 of the largest amplitude seen on the
+    curve.
     """
     if hasattr(curve_or_radius, "kind") and curve_or_radius.kind != "circle":
         curve = curve_or_radius
@@ -183,39 +184,43 @@ def _circle_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, n: i
 
     M_kl = D_k S_k conj(D_l S_l) v_hat[(m_l - m_k) mod n] with harmonics
     m = k - j and v_hat = FFT(weight samples)/n; the amplitudes do not
-    depend on n, so the 2n matrix costs one further FFT.
+    depend on n, so the 2n matrix costs one further FFT.  At most three
+    dense complex arrays are alive per size.  Keep the product as written:
+    numpy may evaluate it in place with the operands swapped, and
+    hand-written in-place forms round differently at some sizes.
     """
     log_lam, phase, m = _circle_amplitudes(field, levels, np.arange(K + 1), dict(wc.curve.meta)["r"])
     d = np.exp(0.5 * log_lam) * phase
     scaled = d[:, None] * d.conj()[None, :]
-    shift = m[None, :] - m[:, None]
 
     def at(size):
         vhat = np.fft.fft(wc.resample(size).values) / size
-        mat = scaled * vhat[shift % size]
-        return 0.5 * (mat + mat.conj().T)
+        mat = scaled * vhat[(m[None, :] - m[:, None]) % size]
+        mat += mat.conj().T
+        mat *= 0.5
+        return mat
 
     return at(n), at(2 * n) if refine else None
 
 
-def _compress(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int, check_resolution: bool):
-    """Interaction matrix on levels x 0..K at n nodes: (entries, underresolved, delta).
+def _compress(field: MagneticField, levels, K: int, wc: WeightedCurve, N: int | None, check_resolution: bool):
+    """Interaction matrix on levels x 0..K: (entries, provenance, underresolved, delta).
 
-    With check_resolution the matrix is also formed on 2n nodes, reusing
-    the n-node sum (n further samples on general curves, one further FFT
-    on circles), and flagged underresolved when any entry moves by more
-    than RESOLUTION_DELTA_TOL.
+    The one front door of assemble and galerkin.assemble_model.  N defaults
+    to default_quadrature_size(), and fewer than MIN_NODES nodes are
+    rejected on every curve.  With check_resolution the matrix is also
+    formed on 2N nodes, reusing the N-node sum (N further samples on
+    general curves, one further FFT on circles), and flagged underresolved
+    when any entry moves by more than RESOLUTION_DELTA_TOL.
     """
+    n = quadrature_size(N)
     kernel = _circle_kernel if wc.curve.kind == "circle" else _quadrature_kernel
     coarse, fine = kernel(field, levels, K, wc, n, check_resolution)
+    provenance = {"curve": wc.curve.describe(), "weight": wc.describe(), "sign_class": wc.sign_class, "N": n}
     if fine is None:
-        return coarse, None, None
+        return coarse, provenance, None, None
     delta = float(np.max(np.abs(fine - coarse)))
-    return coarse, delta > RESOLUTION_DELTA_TOL, delta
-
-
-def _provenance(wc: WeightedCurve, n: int) -> dict:
-    return {"curve": wc.curve.describe(), "weight": wc.describe(), "sign_class": wc.sign_class, "N": n}
+    return coarse, provenance, delta > RESOLUTION_DELTA_TOL, delta
 
 
 def assemble(
@@ -229,20 +234,17 @@ def assemble(
     """Assemble the (K+1)x(K+1) level-q matrix over the arclength rule.
 
     Circles take the scaled Toeplitz route, other curves the quadrature
-    over basis samples.  With check_resolution the matrix is also formed
-    at twice the node count and flagged underresolved when any entry
-    moves by more than 1e-7; the 2N rule reuses the N rule's sums, so on
-    general curves the check costs N further basis samples.
+    over basis samples.  K defaults to default_truncation, N to
+    default_quadrature_size() (at least 16); check_resolution flags the
+    matrix underresolved when doubling N moves an entry by more than 1e-7.
     """
     if q < 0:
         raise ValueError("level index must be >= 0")
-    n = default_quadrature_size() if N is None else N
     if K is None:
         K = default_truncation(field, q, weighted_curve.curve)
     if K < 0:
         raise ValueError("truncation K must be >= 0")
-    entries, underresolved, delta = _compress(field, [q], K, weighted_curve, n, check_resolution)
-    provenance = _provenance(weighted_curve, n)
+    entries, provenance, underresolved, delta = _compress(field, [q], K, weighted_curve, N, check_resolution)
     if weighted_curve.curve.kind == "circle":
         provenance["r"] = dict(weighted_curve.curve.meta)["r"]
     return ToeplitzMatrix(entries, q, K, field.b, provenance, underresolved, delta)

@@ -187,10 +187,6 @@ class TestInnerProduct:
         with pytest.raises(ValueError):
             basis_inner_product(MagneticField(1.0), BasisIndex(0, 0), BasisIndex(0, 1))
 
-    def test_undersized_quadrature_rejected(self):
-        with pytest.raises(ValueError):
-            basis_inner_product(MagneticField(1.0), BasisIndex(0, 0), BasisIndex(0, 0), radial_nodes=32)
-
     @pytest.mark.parametrize("b", [0.5, 2.0])
     def test_gram_identity(self, b):
         field = MagneticField(b)

@@ -22,6 +22,7 @@ from landaudelta.census import (
 from landaudelta.laguerre import ZERO_MEMBERSHIP_RTOL, positive_zeros
 
 census_mod = importlib.import_module("landaudelta.census")
+laguerre_mod = importlib.import_module("landaudelta.laguerre")
 
 F2 = MagneticField(2.0)
 
@@ -234,13 +235,15 @@ class TestZeroTable:
             assert np.array_equal(ts, ref_ts) and np.array_equal(ks, ref_ks)
 
     def test_one_solve_per_block(self, monkeypatch):
+        # Every zero-table solve goes through laguerre.nodal_zeros, which calls
+        # laguerre.positive_zeros; k = 0 solves nothing.
         calls = []
 
         def counted(q, alpha):
             calls.append(np.ndim(alpha))
             return positive_zeros(q, alpha)
 
-        monkeypatch.setattr(census_mod, "positive_zeros", counted)
+        monkeypatch.setattr(laguerre_mod, "positive_zeros", counted)
         ts, ks = census_mod._zero_table.__wrapped__(16, 512.0)
         blocks = (int(ks.max()) - 16) // census_mod.ZERO_TABLE_BLOCK + 1
         assert calls.count(1) == blocks and calls.count(0) == 15

@@ -133,6 +133,13 @@ class TestToeplitz:
             main(["toeplitz", "--q", "not-an-int"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    @pytest.mark.parametrize("curve", [("--r", "1"), ("--ellipse", "1,0.7")])
+    def test_too_few_nodes_exit_2(self, capsys, n, curve):
+        code, out, err = run_cli(capsys, "toeplitz", *curve, "--N", n, "--K", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: need at least 16 nodes, got {n}\n"
+
     def test_invalid_value_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "toeplitz", "--b", "-1", "--q", "0", "--r", "1")
         assert code == 2
@@ -160,6 +167,13 @@ class TestGalerkin:
         payload = json.loads(out)
         assert payload["persists"] is True
         assert payload["witnesses"] == [1]
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    @pytest.mark.parametrize("mode", [(), ("--persistence",)])
+    def test_too_few_nodes_exit_2(self, capsys, n, mode):
+        code, out, err = run_cli(capsys, "galerkin", "--b", "2", "--q", "1", "--r", "1", "--N", n, *mode)
+        assert code == 2 and out == ""
+        assert err == f"error: need at least 16 nodes, got {n}\n"
 
     def test_persistence_rejects_K_below_a_witness(self, capsys):
         code, out, err = run_cli(

@@ -121,6 +121,19 @@ class TestWeights:
         assert wc.sign_class == SIGN_NONNEGATIVE
         assert np.allclose(wc.values, 1.0 + 0.5 * np.sin(curve.params), atol=2e-3)
 
+    def test_file_is_its_table(self, tmp_path):
+        # A weight file reaches the nodes through the (t, v) table path.
+        t = np.linspace(0.0, 2 * math.pi, 37, endpoint=False)
+        v = 1.0 + 0.5 * np.sin(t) - 0.2 * np.cos(3 * t)
+        path = tmp_path / "w.txt"
+        save_weight(t, v, path)
+        for n in (64, 97):
+            from_file = load_weight(make_ellipse(1.3, 0.8, n=n), path)
+            from_table = load_weight(make_ellipse(1.3, 0.8, n=n), (t, v))
+            assert from_file.values.tobytes() == from_table.values.tobytes()
+            assert from_file.describe() == from_table.describe() == "sampled"
+            assert from_file.resample(2 * n).values.tobytes() == from_table.resample(2 * n).values.tobytes()
+
     def test_non_monotone_parameter_rejected(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("# weight v1\n0.0 1.0\n2.0 1.0\n1.0 1.0\n")

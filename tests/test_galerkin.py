@@ -6,7 +6,7 @@ import pytest
 from landaudelta.basis import BasisIndex, MagneticField, translated_parts
 from landaudelta import galerkin
 from landaudelta.census import census
-from landaudelta.curves import arclength_rule, load_weight, make_circle, save_weight
+from landaudelta.curves import arclength_rule, load_weight, make_circle, make_ellipse, save_weight
 from landaudelta.galerkin import (
     assemble_model,
     cluster_report,
@@ -59,6 +59,24 @@ class TestAssembleModel:
         model = assemble_model(F2, 2, 6, wc, +1, N=512, check_resolution=False)
         vals = spectrum(model.matrix).eigenvalues
         assert np.min(np.abs(vals - 6.0)) < 1e-9
+
+    @pytest.mark.parametrize("curve", [make_circle(1.2, n=256), make_ellipse(1.3, 0.9, n=256)])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_matrix_exactly_hermitian(self, curve, sign):
+        # H = diag(Lambda) + sign * B is Hermitian with no symmetrization:
+        # the coupling is exactly Hermitian and the diagonal is real.
+        for weight in (1.0, lambda t: 0.3 + np.cos(t) - 0.6 * np.sin(2 * t)):
+            model = assemble_model(F2, 2, 9, load_weight(curve, weight), sign, N=256)
+            assert np.array_equal(model.coupling, model.coupling.conj().T)
+            assert np.array_equal(model.matrix, model.matrix.conj().T)
+            assert np.all(np.diag(model.matrix).imag == 0)
+
+    def test_node_minimum_on_circles(self):
+        wc = load_weight(make_circle(1.0), 1.0)
+        with pytest.raises(ValueError, match="at least 16 nodes, got 8"):
+            assemble_model(F2, 2, 4, wc, +1, N=8)
+        with pytest.raises(ValueError, match="at least 16 nodes, got 8"):
+            persistence_check(F2, 1, 1.0, weight=1.0, N=8)
 
     def test_bad_sign_rejected(self):
         wc = load_weight(make_circle(1.0, n=256), 1.0)

@@ -12,9 +12,11 @@ from landaudelta.laguerre import (
     laguerre_eval,
     laguerre_zeros,
     magnitude_envelope,
+    nodal_zeros,
     orthogonality_defect,
     positive_zeros,
 )
+import landaudelta.laguerre as laguerre_mod
 from landaudelta.verify import reflection_defect
 
 
@@ -229,6 +231,45 @@ class TestReflection:
         assert np.all(magnitude_envelope(spec, t) >= np.abs(laguerre_eval(spec, t)))
 
 
+class TestNodalZeros:
+    """The one reflection: zeros of L_q^(k-q) are those of L_min(k,q)^(|k-q|)."""
+
+    def test_matches_positive_zeros_bitwise(self):
+        for q in range(9):
+            for k in range(13):
+                got = nodal_zeros(q, k)
+                if k >= q:
+                    ref = positive_zeros(q, float(k - q))
+                elif k > 0:
+                    ref = positive_zeros(k, float(q - k))
+                else:
+                    ref = np.empty(0)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (q, k)
+
+    def test_index_zero_makes_no_solve(self, monkeypatch):
+        def refuse(q, alpha):
+            raise AssertionError("k = 0 must not solve")
+
+        monkeypatch.setattr(laguerre_mod, "positive_zeros", refuse)
+        for q in range(1, 9):
+            assert nodal_zeros(q, 0).shape == (0,)
+
+    def test_index_array_stacks_rows(self):
+        for q in (1, 3, 8):
+            ks = np.arange(q, q + 20)
+            rows = nodal_zeros(q, ks)
+            assert rows.shape == (20, q)
+            for k, row in zip(ks.tolist(), rows):
+                assert row.tobytes() == nodal_zeros(q, k).tobytes()
+
+    def test_laguerre_zeros_reads_the_reflection(self):
+        for q in range(1, 9):
+            for k in range(q):
+                zeros = laguerre_zeros(LaguerreSpec(q, float(k - q)))
+                assert zeros[0] == (0.0, q - k)
+                assert [z for z, _ in zeros[1:]] == nodal_zeros(q, k).tolist()
+
+
 class TestOrthogonality:
     def test_frozen_examples(self):
         assert orthogonality_defect(1, 1, 0.0) < 1e-10
@@ -238,10 +279,6 @@ class TestOrthogonality:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             orthogonality_defect(1, 1, -1.0)
-
-    def test_rejects_underresolved_rule(self):
-        with pytest.raises(ValueError):
-            orthogonality_defect(6, 6, 0.0, nodes=3)
 
     def test_rule_integrates_monomials(self):
         t, w = gauss_laguerre_rule(8, 0.0)

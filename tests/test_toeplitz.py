@@ -137,6 +137,18 @@ class TestAssemble:
         assert m.underresolved is True
         assert m.refinement_delta > 1e-2
 
+    @pytest.mark.parametrize("curve", [make_circle(1.0), make_ellipse(1.0, 0.7)])
+    @pytest.mark.parametrize("N", [0, 1, 8, 15])
+    def test_node_minimum_on_every_curve(self, curve, N):
+        wc = load_weight(curve, 1.0)
+        for check in (True, False):
+            with pytest.raises(ValueError, match="at least 16 nodes"):
+                assemble(F2, 1, wc, K=3, N=N, check_resolution=check)
+        with pytest.raises(ValueError, match="at least 16 nodes"):
+            make_circle(1.0, n=N)
+        with pytest.raises(ValueError, match="at least 16 nodes"):
+            make_ellipse(1.0, 0.7, n=N)
+
     def test_recentering_invariance(self):
         q, K, r, n = 1, 8, 1.1, 512
         wc = load_weight(make_circle(r, n=n), lambda t: 1.0 + 0.5 * np.cos(t))
@@ -271,6 +283,32 @@ class TestCircleKernel:
                 m = assemble(F2, q, wc, K=12, N=16)
                 coarse, fine = _quadrature_kernel(F2, [q], 12, wc, 16, refine=True)
                 assert abs(m.refinement_delta - np.max(np.abs(fine - coarse))) <= 1e-12
+
+    def test_entries_bitwise_as_out_of_place_symmetrization(self):
+        # The kernel symmetrizes in place and keeps no shift table; its
+        # entries must be those of the plain expression form below bit for
+        # bit.  numpy may evaluate a product of temporaries in place with
+        # the operands swapped, which rounds differently, and only above a
+        # size threshold: several sizes (31, 84, 315 among them) and a zero
+        # weight are covered.
+        def reference(field, levels, K, wc, size):
+            log_lam, phase, m = toeplitz._circle_amplitudes(field, levels, np.arange(K + 1), dict(wc.curve.meta)["r"])
+            d = np.exp(0.5 * log_lam) * phase
+            scaled = d[:, None] * d.conj()[None, :]
+            shift = m[None, :] - m[:, None]
+            vhat = np.fft.fft(wc.resample(size).values) / size
+            mat = scaled * vhat[shift % size]
+            return 0.5 * (mat + mat.conj().T)
+
+        weights = (1.0, 0.0, -0.7, three_harmonic)
+        for b, r in ((0.5, 0.7), (2.0, 1.0), (4.0, 2.37)):
+            field = MagneticField(b)
+            for levels, K in (([0], 30), ([3], 83), ([1], 9), ([0, 1, 2], 104), ([0, 1], 41), (range(9), 44)):
+                for weight in weights:
+                    wc = load_weight(make_circle(r, n=128), weight)
+                    coarse, fine = _circle_kernel(field, levels, K, wc, 128, refine=True)
+                    assert coarse.tobytes() == reference(field, levels, K, wc, 128).tobytes()
+                    assert fine.tobytes() == reference(field, levels, K, wc, 256).tobytes()
 
     def test_witness_rows_vanish_at_census_radii(self):
         # The rows vanish up to the rounding of t = b r^2 / 2 at the census

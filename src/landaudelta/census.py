@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import MagneticField
-from .laguerre import ZERO_MEMBERSHIP_RTOL, nodal_zeros, positive_zeros
+from .laguerre import _INT_TOL, ZERO_MEMBERSHIP_RTOL, nodal_zeros, positive_zeros
 
 # Parameters k - q solved per stacked eigensolve when building a zero table.
 ZERO_TABLE_BLOCK = 64
@@ -95,14 +95,15 @@ def _table_bucket(t_max: float) -> float:
     return float(2.0 ** math.ceil(math.log2(max(t_max, 1.0))))
 
 
-def _witnesses_at(q: int, t: float, ts: np.ndarray, ks: np.ndarray) -> list[tuple[int, float]]:
+def _close(a, b):
+    """The membership rule: |a - b| <= ZERO_MEMBERSHIP_RTOL * max(a, b), for scalars or arrays."""
+    return abs(a - b) <= ZERO_MEMBERSHIP_RTOL * np.maximum(a, b)
+
+
+def _witnesses_at(t: float, ts: np.ndarray, ks: np.ndarray) -> list[tuple[int, float]]:
     lo = np.searchsorted(ts, t * (1.0 - 2.0 * ZERO_MEMBERSHIP_RTOL))
     hi = np.searchsorted(ts, t * (1.0 + 2.0 * ZERO_MEMBERSHIP_RTOL))
-    out = []
-    for idx in range(lo, hi):
-        if abs(ts[idx] - t) <= ZERO_MEMBERSHIP_RTOL * max(t, ts[idx]):
-            out.append((int(ks[idx]), float(ts[idx])))
-    return out
+    return [(int(ks[idx]), float(ts[idx])) for idx in range(lo, hi) if _close(ts[idx], t)]
 
 
 def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tuple[int, float]]]:
@@ -110,8 +111,8 @@ def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tupl
 
     q = 0 is rejected: the lowest-level operator has trivial kernel for
     every curve and weight, so there is nothing to enumerate.  Witnesses
-    are zeros within a relative 1e-9 of t; galerkin.persistence_check
-    asks more, each witness column of the coupling at <= 1e-12 * max|B|.
+    are zeros within a relative 1e-9 of t (_close); persistence_check asks
+    more, each witness column of the coupling at <= SUPPORT_TOL * max|B|.
     So r = 1 + 1e-10 at b = 2, q = 1 has witness k = 1 here but does not
     persist there (its support_residuals show the 2.6e-10 column).
     """
@@ -121,7 +122,7 @@ def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tupl
         raise ValueError(f"radius must be positive, got {r}")
     t = 0.5 * field.b * r * r
     ts, ks = _zero_table(q, _table_bucket(t))
-    witnesses = _witnesses_at(q, t, ts, ks)
+    witnesses = _witnesses_at(t, ts, ks)
     return len(witnesses), witnesses
 
 
@@ -142,8 +143,7 @@ def census(field: MagneticField, q: int, r_max: float) -> list[CensusEntry]:
     if not ts.size:
         return []
     # A new group starts wherever consecutive zeros differ by more than the tolerance.
-    gaps = np.abs(np.diff(ts)) > ZERO_MEMBERSHIP_RTOL * np.maximum(ts[1:], ts[:-1])
-    edges = [0, *(np.flatnonzero(gaps) + 1).tolist(), ts.size]
+    edges = [0, *(np.flatnonzero(~_close(ts[1:], ts[:-1])) + 1).tolist(), ts.size]
     entries: list[CensusEntry] = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         t_mean = float(np.mean(ts[lo:hi]))
@@ -173,15 +173,11 @@ def explicit_D12(field: MagneticField, n_max: int) -> dict[str, list[float]]:
     lower = radii((n + 1) - np.sqrt(n + 1))
     upper = radii(n + np.sqrt(n))
     d2 = np.unique(np.concatenate([lower, upper]))
-    merged = [d2[0]]
-    for r in d2[1:]:
-        if abs(r - merged[-1]) > ZERO_MEMBERSHIP_RTOL * max(r, merged[-1]):
-            merged.append(r)
-    d2 = np.asarray(merged)
+    # Close radii come in isolated pairs: comparing neighbours equals comparing with the last kept.
+    d2 = d2[np.concatenate([[True], ~_close(d2[1:], d2[:-1])])]
     d22 = radii(n * n + n)
-    is_double = np.array(
-        [np.any(np.abs(d22 - r) <= ZERO_MEMBERSHIP_RTOL * np.maximum(d22, r)) for r in d2]
-    )
+    # D22 lies inside D2 and the merge keeps the smaller radius: only the next D22 radius can be close.
+    is_double = _close(np.append(d22, np.nan)[np.searchsorted(d22, d2)], d2)
     return {
         "D1": [float(x) for x in d1],
         "D2": [float(x) for x in d2],
@@ -200,7 +196,7 @@ def _zeta_rows(q: int, alphas: np.ndarray) -> np.ndarray:
     """zeta_1..zeta_q(alpha), the zeros of L_q^(alpha) in descending order, one row per alpha.
 
     Every alpha >= 0 is solved in one stacked call.  A negative alpha
-    within 1e-12 of an integer -n reads the positive zeros of L_q^(-n);
+    within _INT_TOL of an integer -n reads the positive zeros of L_q^(-n);
     in between, rows are interpolated linearly.  Cells past the end of a
     shorter row are nan.
     """
@@ -210,7 +206,7 @@ def _zeta_rows(q: int, alphas: np.ndarray) -> np.ndarray:
         rows[nonneg] = positive_zeros(q, alphas[nonneg])[:, ::-1]
     for i in np.flatnonzero(~nonneg).tolist():
         alpha = float(alphas[i])
-        if abs(alpha - round(alpha)) <= 1e-12:
+        if abs(alpha - round(alpha)) <= _INT_TOL:
             row = np.array(_zeros_desc_at_negative(q, -round(alpha)))
         else:
             n_hi = math.floor(alpha)  # interval (n_hi, n_hi + 1)
@@ -233,7 +229,7 @@ def eta_curve(field: MagneticField, q: int, ell: int, alpha: float) -> float:
         raise ValueError("eta curves require q >= 1")
     if not 1 <= ell <= q:
         raise ValueError(f"curve index must satisfy 1 <= ell <= q, got {ell}")
-    if alpha < (ell - q) - 1e-12:
+    if alpha < (ell - q) - _INT_TOL:
         raise ValueError(f"alpha={alpha} below the domain edge {ell - q} of curve {ell}")
     zeta = _zeta_rows(q, np.array([max(alpha, float(ell - q))]))[0, ell - 1]
     return math.sqrt(2.0 * zeta / field.b)
@@ -291,11 +287,11 @@ def eta_table_to_csv(field: MagneticField, q: int, alphas) -> str:
     """CSV table alpha,eta_1..eta_q; out-of-domain cells print as nan.
 
     Each cell is eta_curve's value: the zeta row at alpha, or at the
-    domain edge ell - q for alpha within 1e-12 below it.
+    domain edge ell - q for alpha within _INT_TOL below it.
     """
     alphas = np.asarray(alphas, dtype=float)
     edges = np.arange(1 - q, 1)
-    defined = ~(alphas[:, None] < edges - 1e-12)
+    defined = ~(alphas[:, None] < edges - _INT_TOL)
     cells = np.maximum(alphas[:, None], edges)[defined]
     at, row = np.unique(cells, return_inverse=True)
     zeta = np.full(defined.shape, np.nan)

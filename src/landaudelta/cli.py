@@ -45,7 +45,10 @@ def _weighted_curve(args):
     if args.curve_file is not None:
         curve = load_curve(args.curve_file)
     elif args.ellipse is not None:
-        a, b = (float(v) for v in args.ellipse.split(","))
+        try:
+            a, b = (float(v) for v in args.ellipse.split(","))
+        except ValueError:
+            raise ValueError(f"--ellipse expects A,B, got {args.ellipse!r}") from None
         curve = make_ellipse(a, b, n=args.N)
     else:
         curve = make_circle(args.r if args.r is not None else 1.0, n=args.N)
@@ -64,7 +67,7 @@ def _add_curve_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--curve-file", type=str, default=None, help="sampled curve file (t x y dx dy)")
     p.add_argument("--weight", type=float, default=1.0, help="constant weight value")
     p.add_argument("--weight-file", type=str, default=None, help="weight file (t v)")
-    p.add_argument("--N", type=int, default=None, help="quadrature nodes (default 1024 or LANDAU_QUAD_N)")
+    p.add_argument("--N", type=int, default=None, help="quadrature nodes (default 1024)")
 
 
 def _cmd_laguerre(args) -> int:
@@ -88,6 +91,8 @@ def _cmd_laguerre(args) -> int:
 def _cmd_census(args) -> int:
     field = MagneticField(args.b)
     if args.eta:
+        if not args.alpha_step > 0:
+            raise ValueError(f"--alpha-step must be positive, got {args.alpha_step}")
         alphas = np.arange(args.alpha_min, args.alpha_max + 0.5 * args.alpha_step, args.alpha_step)
         sys.stdout.write(eta_table_to_csv(field, args.q, alphas))
         return 0

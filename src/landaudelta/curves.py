@@ -1,15 +1,14 @@
 """Jordan curves, arclength quadrature, and interaction weights.
 
 Curves are stored as parametrization samples gamma(t_j) with derivatives
-at N uniform parameters t_j in [0, 2pi).  Analytic circles and ellipses
-can be resampled exactly at any node count; sampled curves are resampled
-by periodic linear interpolation.  Line integrals use the periodic
-trapezoid rule, ds_j = (2pi/N) |gamma'(t_j)|, which is spectrally
-accurate for smooth closed curves and integrates circle harmonics
-exactly.  Simplicity (no self-intersection) and C^{1,1} regularity of
-sampled data are assumed, not verified.
+at N uniform parameters t_j in [0, 2pi), N = DEFAULT_NODES unless given.
+Circles and ellipses resample exactly; sampled curves and weight tables
+share one periodic linear interpolant.  Line integrals use the periodic
+trapezoid rule, ds_j = (2pi/N) |gamma'(t_j)|: spectral on smooth closed
+curves, exact on circle harmonics.  Simplicity (no self-intersection) and
+C^{1,1} regularity of sampled data are assumed, not verified.
 
-File formats (whitespace separated, parameters in radians):
+File formats (whitespace separated, %.17g, radians; '#' starts a comment):
 
     curve:   header "# jordan-curve v1", rows "t x y dx dy"
     weight:  header "# weight v1",       rows "t v"
@@ -18,7 +17,7 @@ File formats (whitespace separated, parameters in radians):
 from __future__ import annotations
 
 import math
-import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
@@ -33,13 +32,11 @@ __all__ = [
     "load_curve",
     "save_curve",
     "save_weight",
-    "default_quadrature_size",
     "quadrature_size",
 ]
 
 DEFAULT_NODES = 1024
 MIN_NODES = 16
-QUAD_ENV_VAR = "LANDAU_QUAD_N"
 
 SIGN_NONNEGATIVE = "nonnegative"
 SIGN_NONPOSITIVE = "nonpositive"
@@ -52,20 +49,9 @@ CURVE_HEADER = "# jordan-curve v1"
 WEIGHT_HEADER = "# weight v1"
 
 
-def default_quadrature_size() -> int:
-    """Default node count, overridable through LANDAU_QUAD_N."""
-    raw = os.environ.get(QUAD_ENV_VAR)
-    if raw is None:
-        return DEFAULT_NODES
-    n = int(raw)
-    if n < MIN_NODES:
-        raise ValueError(f"{QUAD_ENV_VAR}={n} is below the minimum of {MIN_NODES}")
-    return n
-
-
 def quadrature_size(n: int | None = None) -> int:
-    """n, or default_quadrature_size() for None; fewer than MIN_NODES nodes are rejected."""
-    n = default_quadrature_size() if n is None else n
+    """n, or DEFAULT_NODES for None; fewer than MIN_NODES nodes are rejected."""
+    n = DEFAULT_NODES if n is None else n
     if n < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} nodes, got {n}")
     return n
@@ -73,6 +59,11 @@ def quadrature_size(n: int | None = None) -> int:
 
 def _uniform_params(n: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+
+
+def _periodic_interp(x: np.ndarray, t: np.ndarray, columns) -> np.ndarray:
+    """Periodic (2pi) linear interpolation at x of each column sampled at t, stacked as columns."""
+    return np.column_stack([np.interp(x, t, col, period=2.0 * math.pi) for col in columns])
 
 
 @dataclass(frozen=True)
@@ -106,13 +97,8 @@ class JordanCurve:
             m = dict(self.meta)
             return make_ellipse(m["a"], m["b"], n=n)
         t = _uniform_params(n)
-        period = 2.0 * math.pi
-        pts = np.column_stack(
-            [np.interp(t, self.params, self.points[:, i], period=period) for i in range(2)]
-        )
-        der = np.column_stack(
-            [np.interp(t, self.params, self.derivs[:, i], period=period) for i in range(2)]
-        )
+        pts = _periodic_interp(t, self.params, self.points.T)
+        der = _periodic_interp(t, self.params, self.derivs.T)
         return JordanCurve("sampled", t, pts, der, self.meta)
 
     def describe(self) -> str:
@@ -183,24 +169,26 @@ def classify_sign(values: np.ndarray) -> str:
 
 
 def _read_table(path, header: str, columns: int) -> np.ndarray:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != header:
-        raise ValueError(f"{path}: expected header line {header!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != columns:
-            raise ValueError(f"{path}:{lineno}: expected {columns} columns, got {len(fields)}")
-        rows.append([float(f) for f in fields])
-    if not rows:
+    with open(path) as fh:
+        if fh.readline().strip() != header:
+            raise ValueError(f"{path}: expected header line {header!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty table is reported below
+            try:
+                table = np.loadtxt(fh, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+    if not table.size:
         raise ValueError(f"{path}: no data rows")
-    table = np.asarray(rows, dtype=float)
+    if table.shape[1] != columns:
+        raise ValueError(f"{path}: expected {columns} columns, got {table.shape[1]}")
     if not np.all(np.isfinite(table)):
         raise ValueError(f"{path}: non-finite values")
     return table
+
+
+def _write_table(path, header: str, columns) -> None:
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", header=header, comments="")
 
 
 def load_curve(path) -> JordanCurve:
@@ -226,17 +214,11 @@ def load_curve(path) -> JordanCurve:
 
 
 def save_curve(curve: JordanCurve, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(CURVE_HEADER + "\n")
-        for t, p, d in zip(curve.params, curve.points, curve.derivs):
-            fh.write(f"{t:.17g} {p[0]:.17g} {p[1]:.17g} {d[0]:.17g} {d[1]:.17g}\n")
+    _write_table(path, CURVE_HEADER, (curve.params, curve.points, curve.derivs))
 
 
 def save_weight(params: np.ndarray, values: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(WEIGHT_HEADER + "\n")
-        for t, v in zip(params, values):
-            fh.write(f"{t:.17g} {v:.17g}\n")
+    _write_table(path, WEIGHT_HEADER, (params, values))
 
 
 def load_weight(curve: JordanCurve, source) -> WeightedCurve:
@@ -244,19 +226,22 @@ def load_weight(curve: JordanCurve, source) -> WeightedCurve:
 
     source may be a constant, a weight file path (rows t v), a (t, v)
     table, an array of values at the curve nodes, or a callable of the
-    parameter.  Files and arrays are kept as (t, v) tables, and every
-    table reaches the nodes by periodic linear interpolation.
+    parameter.  Files and arrays are kept as (t, v) tables: 1-D columns of
+    equal length, t strictly increasing, interpolated by _periodic_interp.
     """
+    name = "weight table"
     if isinstance(source, (str, Path)):
         table = _read_table(source, WEIGHT_HEADER, 2)
-        if np.any(np.diff(table[:, 0]) <= 0):
-            raise ValueError(f"{source}: parameter column must be strictly increasing")
-        source = (table[:, 0], table[:, 1])
+        name, source = source, (table[:, 0], table[:, 1])
     if isinstance(source, (int, float)):
         values = np.full(curve.n_nodes, float(source))
     elif isinstance(source, tuple) and len(source) == 2 and not np.isscalar(source[0]):
         t, v = (np.asarray(a, dtype=float) for a in source)
-        values = np.interp(curve.params, t, v, period=2.0 * math.pi)
+        if t.ndim != 1 or t.shape != v.shape:
+            raise ValueError(f"{name}: t and v must be 1-D of equal length, got {t.shape} and {v.shape}")
+        if not np.all(np.diff(t) > 0):
+            raise ValueError(f"{name}: parameter column must be strictly increasing")
+        values = _periodic_interp(curve.params, t, (v,))[:, 0]
         source = (t, v)
     elif callable(source):
         values = np.asarray(source(curve.params), dtype=float)

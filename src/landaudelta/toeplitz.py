@@ -207,7 +207,7 @@ def _compress(field: MagneticField, levels, K: int, wc: WeightedCurve, N: int | 
     """Interaction matrix on levels x 0..K: (entries, provenance, underresolved, delta).
 
     The one front door of assemble and galerkin.assemble_model.  N defaults
-    to default_quadrature_size(), and fewer than MIN_NODES nodes are
+    to curves.DEFAULT_NODES, and fewer than MIN_NODES nodes are
     rejected on every curve.  With check_resolution the matrix is also
     formed on 2N nodes, reusing the N-node sum (N further samples on
     general curves, one further FFT on circles), and flagged underresolved
@@ -235,7 +235,7 @@ def assemble(
 
     Circles take the scaled Toeplitz route, other curves the quadrature
     over basis samples.  K defaults to default_truncation, N to
-    default_quadrature_size() (at least 16); check_resolution flags the
+    DEFAULT_NODES = 1024 (at least 16); check_resolution flags the
     matrix underresolved when doubling N moves an entry by more than 1e-7.
     """
     if q < 0:
@@ -344,18 +344,21 @@ def matrix_to_json(matrix: ToeplitzMatrix) -> str:
 
 
 def matrix_from_json(text: str) -> ToeplitzMatrix:
+    """Inverse of matrix_to_json; ValueError names a missing key or a bad re/im shape."""
     payload = json.loads(text)
-    meta = payload["meta"]
-    entries = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-    return ToeplitzMatrix(
-        entries,
-        int(meta["q"]),
-        int(meta["K"]),
-        float(meta["b"]),
-        dict(meta["provenance"]),
-        meta.get("underresolved"),
-        meta.get("refinement_delta"),
-    )
+    try:
+        meta, re, im = payload["meta"], payload["re"], payload["im"]
+        q, K, b, provenance = int(meta["q"]), int(meta["K"]), float(meta["b"]), dict(meta["provenance"])
+    except KeyError as exc:
+        raise ValueError(f"matrix JSON has no key {exc}") from None
+    try:
+        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"matrix JSON: re and im must be arrays of numbers ({exc})") from None
+    if not re.shape == im.shape == (K + 1, K + 1):
+        raise ValueError(f"matrix JSON: re {re.shape} and im {im.shape} must both be {(K + 1, K + 1)}")
+    flags = meta.get("underresolved"), meta.get("refinement_delta")
+    return ToeplitzMatrix(re + 1j * im, q, K, b, provenance, *flags)
 
 
 def spectrum_to_csv(result: SpectrumResult) -> str:

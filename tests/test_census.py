@@ -99,6 +99,15 @@ class TestMultiplicity:
 
 
 class TestCensus:
+    def test_membership_rule_groups_zeros_that_differ_in_the_last_bits(self):
+        # At b = 2, q = 18 the zeros for k = 515 and k = 629 agree to 3e-10 relative, not
+        # bitwise; every coincidence at smaller t is bitwise, so this pins the tolerance.
+        entries = [e for e in census(F2, 18, 22.05) if e.multiplicity > 1]
+        assert [[k for k, _ in e.witnesses] for e in entries] == [[515, 629]]
+        (_, t1), (_, t2) = entries[0].witnesses
+        assert t1 != t2 and abs(t1 - t2) <= ZERO_MEMBERSHIP_RTOL * max(t1, t2)
+        assert multiplicity(F2, 18, entries[0].r) == (2, list(entries[0].witnesses))
+
     def test_level_one_integers(self):
         entries = census(F2, 1, 3.0)
         assert [e.t for e in entries] == pytest.approx(list(range(1, 10)), rel=1e-14)
@@ -167,6 +176,33 @@ class TestExplicitSets:
         for e in census(F2, 2, 4.0):
             is_double = any(abs(e.r - d) <= 1e-9 * max(e.r, d) for d in sets["D22"])
             assert e.multiplicity == (2 if is_double else 1)
+
+    @pytest.mark.parametrize(
+        "b,n_max", [(0.5, 260000), (1.3, 3000), (2.0, 20000), (4.0, 300000), (4.0, 3), (4.0, 1)]
+    )
+    def test_sets_equal_loop_reference(self, b, n_max):
+        # explicit_D12 as it was written with loops: the D2 merge compares with the last kept
+        # radius, and D22 membership tests every double radius in range.  From n_max ~ 251,000
+        # on, distinct radii lie within the tolerance, so the merge has work to do.
+        n = np.arange(1, n_max + 1, dtype=float)
+        d2 = np.unique(np.sqrt(2.0 * np.concatenate([(n + 1) - np.sqrt(n + 1), n + np.sqrt(n)]) / b))
+        merged = [d2[0]]
+        for r in d2[1:].tolist():
+            if abs(r - merged[-1]) > ZERO_MEMBERSHIP_RTOL * max(r, merged[-1]):
+                merged.append(r)
+        merged = np.array(merged)
+        d22 = np.sqrt(2.0 * (n * n + n) / b)
+        is_double = np.zeros(merged.size, dtype=bool)
+        for d in d22[d22 <= 2.0 * merged[-1]]:  # a window 1000x the tolerance holds every close radius
+            lo, hi = np.searchsorted(merged, [d * (1 - 1e-6), d * (1 + 1e-6)])
+            window = merged[lo:hi]
+            is_double[lo:hi] |= np.abs(d - window) <= ZERO_MEMBERSHIP_RTOL * np.maximum(d, window)
+        sets = explicit_D12(MagneticField(b), n_max)
+        assert np.array(sets["D2"]).tobytes() == merged.tobytes()
+        assert np.array(sets["D22"]).tobytes() == d22.tobytes()
+        assert np.array(sets["D21"]).tobytes() == merged[~is_double].tobytes()
+        assert (d2.size > merged.size) == (n_max > 251000)
+        assert merged.size - np.count_nonzero(~is_double) == math.isqrt(n_max)  # one double per square
 
 
 class TestEtaCurves:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +74,12 @@ class TestCensus:
         assert lines[0] == "alpha,eta_1,eta_2"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("step", ["0", "-0.5", "nan"])
+    def test_eta_step_must_be_positive(self, capsys, step):
+        code, out, err = run_cli(capsys, "census", "--q", "2", "--eta", "--alpha-step", step)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --alpha-step must be positive")
+
 
 class TestToeplitz:
     def test_spectrum_csv(self, capsys):
@@ -139,6 +146,37 @@ class TestToeplitz:
         code, out, err = run_cli(capsys, "toeplitz", *curve, "--N", n, "--K", "3")
         assert code == 2 and out == ""
         assert err == f"error: need at least 16 nodes, got {n}\n"
+
+    @pytest.mark.parametrize("axes", ["1", "1,2,3", "x,1", ""])
+    def test_malformed_ellipse_exit_2(self, capsys, axes):
+        code, out, err = run_cli(capsys, "toeplitz", "--ellipse", axes, "--N", "64", "--K", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: --ellipse expects A,B, got {axes!r}\n"
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"re": [[1.0]], "im": [[0.0]]}, "no key 'meta'"),
+            ({"meta": {"q": 0, "K": 0, "b": 1.0, "provenance": {}}, "re": [[1.0]]}, "no key 'im'"),
+            ({"meta": {"q": 0, "K": 1, "b": 1.0}, "re": [[1.0]], "im": [[0.0]]}, "no key 'provenance'"),
+            ({"meta": {"q": 0, "K": 1, "b": 1.0, "provenance": {}}, "re": [[1.0, 0.0], [0.0]],
+              "im": [[0.0, 0.0], [0.0, 0.0]]}, "arrays of numbers"),
+            ({"meta": {"q": 0, "K": 1, "b": 1.0, "provenance": {}}, "re": [[1.0, 0.0]],
+              "im": [[0.0, 0.0]]}, "must both be (2, 2)"),
+            ({"meta": {"q": 0, "K": 1, "b": 1.0, "provenance": {}}, "re": [[1.0, 0.0], [0.0, 1.0]],
+              "im": [[0.0]]}, "must both be (2, 2)"),
+            ({"meta": {"q": 0, "K": 2, "b": 1.0, "provenance": {}}, "re": [[1.0, 0.0], [0.0, 1.0]],
+              "im": [[0.0, 0.0], [0.0, 0.0]]}, "must both be (3, 3)"),
+        ],
+    )
+    def test_malformed_import_exit_2(self, capsys, tmp_path, payload, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            toeplitz.matrix_from_json(path.read_text())
+        code, out, err = run_cli(capsys, "toeplitz", "--import", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: matrix JSON") and message in err
 
     def test_invalid_value_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "toeplitz", "--b", "-1", "--q", "0", "--r", "1")

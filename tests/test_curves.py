@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from landaudelta.curves import (
     SIGN_NONPOSITIVE,
     JordanCurve,
     arclength_rule,
-    default_quadrature_size,
     load_curve,
     load_weight,
     make_circle,
@@ -179,14 +180,6 @@ class TestCurveFiles:
         loaded = load_curve(path)
         assert loaded.n_nodes == n
 
-    def test_quadrature_env_override(self, monkeypatch):
-        monkeypatch.setenv("LANDAU_QUAD_N", "256")
-        assert default_quadrature_size() == 256
-        assert make_circle(1.0).n_nodes == 256
-        monkeypatch.setenv("LANDAU_QUAD_N", "4")
-        with pytest.raises(ValueError):
-            default_quadrature_size()
-
     def test_reparametrization_invariance(self):
         n = 2048
         t = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
@@ -232,3 +225,104 @@ class TestNestedRules:
                 assert np.max(np.abs(fine_points[::2] - points)) <= tol * np.max(np.abs(points))
                 assert np.max(np.abs(2.0 * fine_ds[::2] - ds)) <= tol * np.max(ds)
                 assert np.max(np.abs(fine.values[::2] - coarse.values)) <= tol * np.max(np.abs(coarse.values))
+
+
+class TestTableIO:
+    """One reader, one writer and one periodic interpolant for curve and weight tables."""
+
+    SAMPLES = [0.0, -0.0, 0.1, -math.pi, 1e-300, -2.5e300, 5e-324, 1.7976931348623157e308, 123456789.0]
+
+    def test_writers_emit_golden_lines(self, tmp_path):
+        v = np.array(self.SAMPLES)
+        t = np.linspace(0.0, 2 * math.pi, v.size, endpoint=False)
+        path = tmp_path / "w.txt"
+        save_weight(t, v, path)
+        golden = "# weight v1\n" + "".join(f"{a:.17g} {b:.17g}\n" for a, b in zip(t, v))
+        assert path.read_bytes() == golden.encode()
+        c = make_ellipse(1.3, 0.7, n=16)
+        save_curve(c, path)
+        rows = zip(c.params, c.points, c.derivs)
+        golden = "# jordan-curve v1\n" + "".join(
+            f"{a:.17g} {p[0]:.17g} {p[1]:.17g} {d[0]:.17g} {d[1]:.17g}\n" for a, p, d in rows
+        )
+        assert path.read_bytes() == golden.encode()
+
+    def test_reader_parses_like_float(self, tmp_path):
+        rng = np.random.default_rng(7)
+        n = 48
+        texts = [f"{m:.17g}e{e}" for m, e in zip(rng.uniform(-10, 10, 4 * n), rng.integers(-308, 300, 4 * n))]
+        texts[:6] = ["1E+300", "-2.5e-301", "4.9e-324", "0.30000000000000004", "  7 ", "-0"]
+        t = [f"{2 * math.pi * j / n!r}" for j in range(n)]
+        lines = ["# jordan-curve v1", "# a comment", ""]
+        for j in range(n):
+            lines.append(" ".join([t[j], *texts[4 * j: 4 * j + 4]]))
+            if j == n // 2:
+                lines += ["", "   # indented comment", "\t"]
+        lines.append(" ".join([repr(2 * math.pi), *texts[:4]]))  # duplicated closing row
+        path = tmp_path / "c.txt"
+        path.write_text("\n".join(lines) + "\n")
+        expected = np.array([float(x) for x in texts]).reshape(n, 4)
+        c = load_curve(path)
+        assert c.n_nodes == n
+        assert np.column_stack([c.points, c.derivs]).tobytes() == expected.tobytes()
+        wpath = tmp_path / "w.txt"
+        wpath.write_text("# weight v1\n\n" + "".join(f"{t[j]} {texts[j]}\n# c\n" for j in range(n)))
+        t_read, v_read = load_weight(make_circle(1.0, n=64), wpath).source
+        assert t_read.tobytes() == np.array([float(x) for x in t]).tobytes()
+        assert v_read.tobytes() == np.array([float(x) for x in texts[:n]]).tobytes()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("", "no data rows"),
+            ("# only a comment\n\n", "no data rows"),
+            ("0 1 2\n1 1 2\n", "expected 2 columns, got 3"),
+            ("0 1\n1 nan\n", "non-finite values"),
+            ("0 1\n1\n", "number of columns"),
+        ],
+    )
+    def test_reader_messages_name_the_path(self, tmp_path, body, message):
+        path = tmp_path / "w.txt"
+        path.write_text("# weight v1\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)) as err:
+                load_weight(make_circle(1.0, n=64), path)
+        assert str(err.value).startswith(f"{path}: ")
+        path.write_text(body)
+        with pytest.raises(ValueError, match="expected header line"):
+            load_weight(make_circle(1.0, n=64), path)
+
+    @pytest.mark.parametrize(
+        "t, v, body, message",
+        [
+            ([0.0, 1.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0], "0 1\n1 2\n1 3\n2 4\n", "strictly increasing"),
+            ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0], "0 1\n2 2\n1 3\n", "strictly increasing"),
+            ([0.0, 1.0, 2.0], [1.0, 2.0], "0 1\n1 2\n2\n", "equal length"),
+            ([[0.0, 1.0, 2.0]], [[1.0, 2.0, 3.0]], "0 1 5\n1 2 5\n2 3 5\n", "1-D"),
+        ],
+    )
+    def test_tables_checked_alike_from_tuples_and_files(self, tmp_path, t, v, body, message):
+        curve = make_circle(1.0, n=64)
+        with pytest.raises(ValueError, match=f"^weight table: .*{message}"):
+            load_weight(curve, (np.array(t), np.array(v)))
+        path = tmp_path / "w.txt"
+        path.write_text("# weight v1\n" + body)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_weight(curve, path)
+
+    def test_sampled_resampling_is_per_column_interp(self):
+        native = make_ellipse(1.4, 0.9, n=97)
+        sampled = JordanCurve("sampled", native.params, native.points, native.derivs, ())
+        for n in (64, 256, 1000):
+            t = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+            expected = [
+                np.column_stack([np.interp(t, native.params, arr[:, i], period=2 * math.pi) for i in range(2)])
+                for arr in (native.points, native.derivs)
+            ]
+            got = sampled.resample(n)
+            assert got.points.tobytes() == expected[0].tobytes()
+            assert got.derivs.tobytes() == expected[1].tobytes()
+            v = 1.0 + 0.3 * np.sin(3 * native.params)
+            values = load_weight(got, (native.params, v)).values
+            assert values.tobytes() == np.interp(t, native.params, v, period=2 * math.pi).tobytes()

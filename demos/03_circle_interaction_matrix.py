@@ -47,7 +47,7 @@ print("eigenvalues (descending):", " ".join(f"{v:.3e}" for v in vals))
 # ---------------------------------------------------------------------
 # The default truncation keeps every entry above the numerical floor.
 # ---------------------------------------------------------------------
-print(f"\ndefault truncation for level 2 at r = 2.5: K = {default_truncation(field, 2, 2.5)}")
+print(f"\ndefault truncation for level 2 at r = 2.5: K = {default_truncation(field, 2, make_circle(2.5))}")
 
 # ---------------------------------------------------------------------
 # General curves: no diagonality, but the sign structure survives (a

@@ -160,6 +160,11 @@ def explicit_D12(field: MagneticField, n_max: int) -> dict[str, list[float]]:
     D2  : r = sqrt((2/b)((n+1) - sqrt(n+1))) union sqrt((2/b)(n + sqrt(n)))
     D22 : r = sqrt((2/b)(n^2 + n)), the double-multiplicity radii
     D21 : D2 minus D22
+
+    Exact, with no tolerance: the D2 branches meet only at t = u^2 + u,
+    which both reach exactly (exact square roots, integer sums below
+    2^53), so np.unique drops every coincidence, the doubles of D2 are
+    bitwise D22 radii, and radii 9.9e-10 apart (t ~ 251000.5) stay apart.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -170,19 +175,13 @@ def explicit_D12(field: MagneticField, n_max: int) -> dict[str, list[float]]:
         return np.sqrt(2.0 * np.asarray(tvals) / b)
 
     d1 = radii(n)
-    lower = radii((n + 1) - np.sqrt(n + 1))
-    upper = radii(n + np.sqrt(n))
-    d2 = np.unique(np.concatenate([lower, upper]))
-    # Close radii come in isolated pairs: comparing neighbours equals comparing with the last kept.
-    d2 = d2[np.concatenate([[True], ~_close(d2[1:], d2[:-1])])]
+    d2 = np.unique(np.concatenate([radii((n + 1) - np.sqrt(n + 1)), radii(n + np.sqrt(n))]))
     d22 = radii(n * n + n)
-    # D22 lies inside D2 and the merge keeps the smaller radius: only the next D22 radius can be close.
-    is_double = _close(np.append(d22, np.nan)[np.searchsorted(d22, d2)], d2)
     return {
         "D1": [float(x) for x in d1],
         "D2": [float(x) for x in d2],
         "D22": [float(x) for x in d22],
-        "D21": [float(x) for x in d2[~is_double]],
+        "D21": [float(x) for x in d2[~np.isin(d2, d22)]],
     }
 
 

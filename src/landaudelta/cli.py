@@ -51,7 +51,7 @@ def _weighted_curve(args):
             raise ValueError(f"--ellipse expects A,B, got {args.ellipse!r}") from None
         curve = make_ellipse(a, b, n=args.N)
     else:
-        curve = make_circle(args.r if args.r is not None else 1.0, n=args.N)
+        curve = make_circle(args.r, n=args.N)
     return load_weight(curve, _weight(args))
 
 
@@ -62,7 +62,7 @@ def _warn_if_underresolved(result) -> None:
 
 
 def _add_curve_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r", type=float, default=None, help="circle radius (default curve, r=1)")
+    p.add_argument("--r", type=float, default=1.0, help="circle radius (default curve, r=1)")
     p.add_argument("--ellipse", type=str, default=None, metavar="A,B", help="ellipse semi-axes")
     p.add_argument("--curve-file", type=str, default=None, help="sampled curve file (t x y dx dy)")
     p.add_argument("--weight", type=float, default=1.0, help="constant weight value")
@@ -74,8 +74,7 @@ def _cmd_laguerre(args) -> int:
     spec = LaguerreSpec(args.q, args.alpha)
     if args.what == "eval":
         if args.t is None:
-            print("laguerre eval requires --t", file=sys.stderr)
-            return 2
+            raise ValueError("laguerre eval requires --t")
         print(G % laguerre_eval(spec, args.t))
         return 0
     zeros = laguerre_zeros(spec)
@@ -144,8 +143,9 @@ def _cmd_toeplitz(args) -> int:
 def _cmd_galerkin(args) -> int:
     field = MagneticField(args.b)
     if args.persistence:
-        result = persistence_check(field, args.q, args.r if args.r is not None else 1.0,
-                                   K=args.K, Q=args.Q, weight=_weight(args), N=args.N)
+        if args.ellipse is not None or args.curve_file is not None:
+            raise ValueError("--persistence runs on the circle of radius --r; drop --ellipse and --curve-file")
+        result = persistence_check(field, args.q, args.r, K=args.K, Q=args.Q, weight=_weight(args), N=args.N)
         print(result.to_json())
         return 0
     wc = _weighted_curve(args)
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign", type=int, choices=[1, -1], default=1)
     _add_curve_options(p)
     p.add_argument("--persistence", action="store_true",
-                   help="run the resonance persistence test at --r")
+                   help="run the resonance persistence test on the circle of radius --r")
     p.add_argument("--no-resolution-check", action="store_true")
     p.set_defaults(func=_cmd_galerkin)
 

@@ -192,7 +192,7 @@ def _write_table(path, header: str, columns) -> None:
 
 
 def load_curve(path) -> JordanCurve:
-    """Read a sampled curve file (rows t x y dx dy)."""
+    """Read a sampled curve file (rows t x y dx dy, at least MIN_NODES = 16 of them)."""
     table = _read_table(path, CURVE_HEADER, 5)
     t = table[:, 0]
     if np.any(np.diff(t) <= 0):
@@ -208,6 +208,8 @@ def load_curve(path) -> JordanCurve:
             raise ValueError(f"{path}: endpoint rows disagree by {gap:.3e}; curve is not closed")
         t, pts, der = t[:-1], pts[:-1], der[:-1]
     n = t.size
+    if n < MIN_NODES:
+        raise ValueError(f"{path}: need at least {MIN_NODES} samples, got {n}")
     if np.max(np.abs(t - _uniform_params(n))) > 1e-9:
         raise ValueError(f"{path}: samples must sit on the uniform grid 2*pi*j/N")
     return JordanCurve("sampled", _uniform_params(n), pts, der, (("path", str(path)),))

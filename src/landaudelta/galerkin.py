@@ -38,7 +38,7 @@ import numpy as np
 
 from .census import multiplicity as _census_multiplicity
 from .basis import MagneticField
-from .curves import WeightedCurve, load_weight, make_circle
+from .curves import JordanCurve, WeightedCurve, load_weight, make_circle
 from .toeplitz import _compress, default_truncation, spectrum
 
 __all__ = [
@@ -89,13 +89,10 @@ def _hamiltonian(field: MagneticField, Q: int, K: int, coupling: np.ndarray, sig
     return np.diag(lam).astype(complex) + sign * coupling
 
 
-def model_truncation(field: MagneticField, Q: int, curve_or_radius) -> int:
-    """Default angular cutoff, worst level included: the 1e-4 tail rule on
-    circles, default_truncation's 1e-12 amplitude rule on other curves."""
-    return max(
-        default_truncation(field, j, curve_or_radius, tail_rel=MODEL_TAIL_CUTOFF)
-        for j in range(Q + 1)
-    )
+def model_truncation(field: MagneticField, Q: int, curve: JordanCurve) -> int:
+    """Default angular cutoff on curve, worst level included: the 1e-4 tail
+    rule on circles, default_truncation's 1e-12 amplitude rule on other curves."""
+    return max(default_truncation(field, j, curve, tail_rel=MODEL_TAIL_CUTOFF) for j in range(Q + 1))
 
 
 def assemble_model(
@@ -216,8 +213,10 @@ def persistence_check(
     (H - Lambda_q) e_w = sign * B e_w, every witness basis vector is an
     eigenvector at Lambda_q for both signs, whatever the weight.  details
     holds these norms per sign ("support_residuals") and, as diagnostics
-    from one eigvalsh per sign, "near_count" and "min_offset".  Raises
-    ValueError when K cuts off a census witness.
+    from one eigvalsh per sign, "near_count" and "min_offset".  One
+    weighted circle, make_circle(r, n=N) with the weight, serves the
+    default K and the coupling, so a bad r, N or weight is reported
+    before a K that cuts off a census witness (also a ValueError).
 
     The census names witnesses within a relative 1e-9 in t, but the
     verdict needs each witness column at <= SUPPORT_TOL = 1e-12 * max|B|.
@@ -229,18 +228,19 @@ def persistence_check(
     Q = q + 2 if Q is None else Q
     if Q < q:
         raise ValueError("level cutoff Q must include the level under study")
+    wc = load_weight(make_circle(r, n=N), weight)
     if K is None:
         # Cut at the level under study: a wider cutoff (sized for higher
         # levels) would re-admit level-q modes numerically blind to the
         # curve, which crowd Lambda_q in the near_count and min_offset
         # diagnostics.
-        K = default_truncation(field, q, r, tail_rel=MODEL_TAIL_CUTOFF)
+        K = default_truncation(field, q, wc.curve, tail_rel=MODEL_TAIL_CUTOFF)
     _, witnesses = _census_multiplicity(field, q, r)
     witness_ks = tuple(k for k, _ in witnesses)
     if any(k > K for k in witness_ks):
         raise ValueError(f"census witness k = {max(witness_ks)} of level {q} lies beyond K = {K}")
     # One coupling serves both signs.
-    plus = assemble_model(field, Q, K, load_weight(make_circle(r, n=N), weight), +1, N=N, check_resolution=False)
+    plus = assemble_model(field, Q, K, wc, +1, N=N, check_resolution=False)
     columns = plus.coupling[:, [flat_index(q, k, K) for k in witness_ks]]
     residuals = np.linalg.norm(columns, axis=0) / (np.max(np.abs(plus.coupling)) or 1.0)
     lam_q = field.landau_level(q)

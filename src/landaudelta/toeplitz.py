@@ -41,7 +41,7 @@ import numpy as np
 
 from .census import multiplicity as _census_multiplicity
 from .basis import MagneticField, _parts_arrays, basis_matrix
-from .curves import WeightedCurve, arclength_rule, quadrature_size
+from .curves import JordanCurve, WeightedCurve, arclength_rule, quadrature_size
 
 __all__ = [
     "ToeplitzMatrix",
@@ -107,19 +107,17 @@ def circle_diagonal(field: MagneticField, q: int, k: int, r: float) -> float:
     return math.exp(circle_diagonal_log(field, q, k, r))
 
 
-def default_truncation(field: MagneticField, q: int, curve_or_radius, tail_rel: float = TAIL_RELATIVE_CUTOFF) -> int:
-    """Smallest K beyond which entries are negligible.
+def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_rel: float = TAIL_RELATIVE_CUTOFF) -> int:
+    """Smallest K beyond which entries of the level-q matrix on curve are negligible.
 
     Circles: sweep lambda_{k,q}(r) until the Poisson-type tail drops
     below tail_rel of the running maximum.  General curves ignore
-    tail_rel (read TRUNCATION_BLOCK angular indices per evaluation): stop
-    once the amplitude of phi_{K,q} at every node falls below
-    CURVE_AMPLITUDE_CUTOFF = 1e-12 of the largest amplitude seen on the
-    curve.
+    tail_rel and sweep curve.points, TRUNCATION_BLOCK angular indices per
+    evaluation: stop once the amplitude of phi_{K,q} at every node falls
+    below CURVE_AMPLITUDE_CUTOFF = 1e-12 of the largest amplitude seen.
     """
-    if hasattr(curve_or_radius, "kind") and curve_or_radius.kind != "circle":
-        curve = curve_or_radius
-        points, _ = arclength_rule(curve, curve.n_nodes)
+    if curve.kind != "circle":
+        points = curve.points
         t_peak = 0.5 * field.b * float(np.max(np.sum(points * points, axis=1)))
         log_cut = math.log(CURVE_AMPLITUDE_CUTOFF)
         best = -math.inf
@@ -132,10 +130,7 @@ def default_truncation(field: MagneticField, q: int, curve_or_radius, tail_rel: 
                 return int(ks[np.argmax(stop)])
             best = float(running[-1])
         return MAX_TRUNCATION
-    if hasattr(curve_or_radius, "kind"):
-        r = dict(curve_or_radius.meta)["r"]
-    else:
-        r = float(curve_or_radius)
+    r = dict(curve.meta)["r"]
     t = 0.5 * field.b * r * r
     log_lam = _circle_amplitudes(field, [q], np.arange(MAX_TRUNCATION), r)[0].tolist()
     best = -math.inf
@@ -206,17 +201,20 @@ def _circle_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, n: i
 def _compress(field: MagneticField, levels, K: int, wc: WeightedCurve, N: int | None, check_resolution: bool):
     """Interaction matrix on levels x 0..K: (entries, provenance, underresolved, delta).
 
-    The one front door of assemble and galerkin.assemble_model.  N defaults
-    to curves.DEFAULT_NODES, and fewer than MIN_NODES nodes are
-    rejected on every curve.  With check_resolution the matrix is also
-    formed on 2N nodes, reusing the N-node sum (N further samples on
-    general curves, one further FFT on circles), and flagged underresolved
-    when any entry moves by more than RESOLUTION_DELTA_TOL.
+    The one front door of assemble and galerkin.assemble_model, and the one
+    home of their provenance (r included on circles).  N defaults to
+    curves.DEFAULT_NODES; fewer than MIN_NODES nodes are rejected.  With
+    check_resolution the matrix is also formed on 2N nodes, reusing the
+    N-node sum (N further samples on general curves, one further FFT on
+    circles): underresolved when an entry moves by more than RESOLUTION_DELTA_TOL.
     """
     n = quadrature_size(N)
-    kernel = _circle_kernel if wc.curve.kind == "circle" else _quadrature_kernel
+    circle = wc.curve.kind == "circle"
+    kernel = _circle_kernel if circle else _quadrature_kernel
     coarse, fine = kernel(field, levels, K, wc, n, check_resolution)
     provenance = {"curve": wc.curve.describe(), "weight": wc.describe(), "sign_class": wc.sign_class, "N": n}
+    if circle:
+        provenance["r"] = dict(wc.curve.meta)["r"]
     if fine is None:
         return coarse, provenance, None, None
     delta = float(np.max(np.abs(fine - coarse)))
@@ -234,8 +232,8 @@ def assemble(
     """Assemble the (K+1)x(K+1) level-q matrix over the arclength rule.
 
     Circles take the scaled Toeplitz route, other curves the quadrature
-    over basis samples.  K defaults to default_truncation, N to
-    DEFAULT_NODES = 1024 (at least 16); check_resolution flags the
+    over basis samples.  K defaults to default_truncation on the curve, N
+    to DEFAULT_NODES = 1024 (at least 16); check_resolution flags the
     matrix underresolved when doubling N moves an entry by more than 1e-7.
     """
     if q < 0:
@@ -245,8 +243,6 @@ def assemble(
     if K < 0:
         raise ValueError("truncation K must be >= 0")
     entries, provenance, underresolved, delta = _compress(field, [q], K, weighted_curve, N, check_resolution)
-    if weighted_curve.curve.kind == "circle":
-        provenance["r"] = dict(weighted_curve.curve.meta)["r"]
     return ToeplitzMatrix(entries, q, K, field.b, provenance, underresolved, delta)
 
 
@@ -344,16 +340,18 @@ def matrix_to_json(matrix: ToeplitzMatrix) -> str:
 
 
 def matrix_from_json(text: str) -> ToeplitzMatrix:
-    """Inverse of matrix_to_json; ValueError names a missing key or a bad re/im shape."""
+    """Inverse of matrix_to_json; ValueError names a missing key, a non-object or bad field, or bad re/im."""
     payload = json.loads(text)
     try:
         meta, re, im = payload["meta"], payload["re"], payload["im"]
         q, K, b, provenance = int(meta["q"]), int(meta["K"]), float(meta["b"]), dict(meta["provenance"])
     except KeyError as exc:
         raise ValueError(f"matrix JSON has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"matrix JSON: payload, meta and provenance must be objects, q, K and b numbers ({exc})") from None
     try:
         re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"matrix JSON: re and im must be arrays of numbers ({exc})") from None
     if not re.shape == im.shape == (K + 1, K + 1):
         raise ValueError(f"matrix JSON: re {re.shape} and im {im.shape} must both be {(K + 1, K + 1)}")

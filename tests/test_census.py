@@ -178,31 +178,48 @@ class TestExplicitSets:
             assert e.multiplicity == (2 if is_double else 1)
 
     @pytest.mark.parametrize(
-        "b,n_max", [(0.5, 260000), (1.3, 3000), (2.0, 20000), (4.0, 300000), (4.0, 3), (4.0, 1)]
+        "b,n_max", [(0.5, 260000), (1.3, 3000), (2.0, 20000), (4.0, 300000), (4.0, 3), (4.0, 1), (0.5, 250000)]
     )
     def test_sets_equal_loop_reference(self, b, n_max):
-        # explicit_D12 as it was written with loops: the D2 merge compares with the last kept
-        # radius, and D22 membership tests every double radius in range.  From n_max ~ 251,000
-        # on, distinct radii lie within the tolerance, so the merge has work to do.
         n = np.arange(1, n_max + 1, dtype=float)
         d2 = np.unique(np.sqrt(2.0 * np.concatenate([(n + 1) - np.sqrt(n + 1), n + np.sqrt(n)]) / b))
+        d22 = np.sqrt(2.0 * (n * n + n) / b)
+        sets = explicit_D12(MagneticField(b), n_max)
+        assert np.array(sets["D2"]).tobytes() == d2.tobytes()
+        assert np.array(sets["D22"]).tobytes() == d22.tobytes()
+        d21 = np.array(sets["D21"])
+        assert d21.tobytes() == d2[~np.isin(d2, d22)].tobytes()
+        assert d2.size - d21.size == math.isqrt(n_max)  # one double per square
+        if n_max > 250000:
+            # Distinct radii lie within 1e-9 of each other from n_max ~ 251,000 on; all are kept.
+            assert np.min(np.diff(d2) / d2[1:]) < ZERO_MEMBERSHIP_RTOL
+            return
+        # Below that, explicit_D12 as it was written with loops and a tolerance: the D2 merge
+        # compares with the last kept radius, and D22 membership tests every double radius in
+        # range.  The tolerance changes nothing there.
         merged = [d2[0]]
         for r in d2[1:].tolist():
             if abs(r - merged[-1]) > ZERO_MEMBERSHIP_RTOL * max(r, merged[-1]):
                 merged.append(r)
         merged = np.array(merged)
-        d22 = np.sqrt(2.0 * (n * n + n) / b)
         is_double = np.zeros(merged.size, dtype=bool)
         for d in d22[d22 <= 2.0 * merged[-1]]:  # a window 1000x the tolerance holds every close radius
             lo, hi = np.searchsorted(merged, [d * (1 - 1e-6), d * (1 + 1e-6)])
             window = merged[lo:hi]
             is_double[lo:hi] |= np.abs(d - window) <= ZERO_MEMBERSHIP_RTOL * np.maximum(d, window)
-        sets = explicit_D12(MagneticField(b), n_max)
-        assert np.array(sets["D2"]).tobytes() == merged.tobytes()
-        assert np.array(sets["D22"]).tobytes() == d22.tobytes()
-        assert np.array(sets["D21"]).tobytes() == merged[~is_double].tobytes()
-        assert (d2.size > merged.size) == (n_max > 251000)
-        assert merged.size - np.count_nonzero(~is_double) == math.isqrt(n_max)  # one double per square
+        assert merged.tobytes() == d2.tobytes()
+        assert merged[~is_double].tobytes() == d21.tobytes()
+
+    def test_close_distinct_radii_both_kept(self):
+        # Upper n = 250,500 and lower n = 251,501: t = 251000.4998 and 251000.5002,
+        # radii a relative 9.9e-10 apart, inside the census tolerance yet distinct.
+        upper = math.sqrt(250500 + math.sqrt(250500))
+        lower = math.sqrt(251502 - math.sqrt(251502))
+        assert 0 < (lower - upper) / lower < ZERO_MEMBERSHIP_RTOL
+        sets = explicit_D12(F2, 260000)
+        for key in ("D2", "D21"):
+            i = np.searchsorted(sets[key], upper)
+            assert sets[key][i : i + 2] == [upper, lower]
 
 
 class TestEtaCurves:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from landaudelta import cli, toeplitz
+from landaudelta.curves import JordanCurve, make_ellipse, save_curve
 from landaudelta.cli import main
 
 
@@ -36,6 +37,7 @@ class TestLaguerre:
     def test_eval_requires_t(self, capsys):
         code, _, err = run_cli(capsys, "laguerre", "eval", "--q", "1", "--alpha", "2")
         assert code == 2
+        assert err == "error: laguerre eval requires --t\n"
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "laguerre", "zeros", "--q", "1", "--alpha", "0", "--format", "json")
@@ -167,6 +169,12 @@ class TestToeplitz:
               "im": [[0.0]]}, "must both be (2, 2)"),
             ({"meta": {"q": 0, "K": 2, "b": 1.0, "provenance": {}}, "re": [[1.0, 0.0], [0.0, 1.0]],
               "im": [[0.0, 0.0], [0.0, 0.0]]}, "must both be (3, 3)"),
+            ([1], "must be objects"),
+            ("x", "must be objects"),
+            ({"meta": [1], "re": [[1.0]], "im": [[0.0]]}, "must be objects"),
+            ({"meta": {"q": 0, "K": 0, "b": 1.0, "provenance": [1]}, "re": [[1.0]], "im": [[0.0]]}, "must be objects"),
+            ({"meta": {"q": None, "K": 0, "b": 1.0, "provenance": {}}, "re": [[1.0]], "im": [[0.0]]}, "q, K and b numbers"),
+            ({"meta": {"q": 0, "K": 0, "b": 1.0, "provenance": {}}, "re": {}, "im": [[0.0]]}, "arrays of numbers"),
         ],
     )
     def test_malformed_import_exit_2(self, capsys, tmp_path, payload, message):
@@ -177,6 +185,15 @@ class TestToeplitz:
         code, out, err = run_cli(capsys, "toeplitz", "--import", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: matrix JSON") and message in err
+
+    def test_short_curve_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "c.txt"
+        e = make_ellipse(1.4, 0.9, n=16)
+        save_curve(JordanCurve("sampled", e.params[::2], e.points[::2], e.derivs[::2], ()), path)
+        for k in ((), ("--K", "4")):
+            code, out, err = run_cli(capsys, "toeplitz", "--curve-file", str(path), *k)
+            assert code == 2 and out == ""
+            assert err == f"error: {path}: need at least 16 samples, got 8\n"
 
     def test_invalid_value_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "toeplitz", "--b", "-1", "--q", "0", "--r", "1")
@@ -212,6 +229,15 @@ class TestGalerkin:
         code, out, err = run_cli(capsys, "galerkin", "--b", "2", "--q", "1", "--r", "1", "--N", n, *mode)
         assert code == 2 and out == ""
         assert err == f"error: need at least 16 nodes, got {n}\n"
+
+    @pytest.mark.parametrize("curve", [("--ellipse", "1.4,0.9"), ("--curve-file", "missing.txt")])
+    def test_persistence_rejects_curve_options(self, capsys, tmp_path, curve):
+        # Persistence is decided on the circle of radius --r only; no other curve is read.
+        option, value = curve
+        value = str(tmp_path / value) if option == "--curve-file" else value
+        code, out, err = run_cli(capsys, "galerkin", "--b", "2", "--q", "1", "--persistence", option, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --persistence") and "--ellipse" in err and "--curve-file" in err
 
     def test_persistence_rejects_K_below_a_witness(self, capsys):
         code, out, err = run_cli(

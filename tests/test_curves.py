@@ -180,6 +180,15 @@ class TestCurveFiles:
         loaded = load_curve(path)
         assert loaded.n_nodes == n
 
+    def test_fewer_than_16_rows_rejected(self, tmp_path):
+        path = tmp_path / "c.txt"
+        c = make_circle(1.0, n=16)
+        save_curve(JordanCurve("sampled", c.params[::2], c.points[::2], c.derivs[::2], ()), path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: need at least 16 samples, got 8")):
+            load_curve(path)
+        save_curve(make_circle(1.0, n=16), path)
+        assert load_curve(path).n_nodes == 16
+
     def test_reparametrization_invariance(self):
         n = 2048
         t = np.linspace(0.0, 2 * math.pi, n, endpoint=False)

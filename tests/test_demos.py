@@ -1,11 +1,13 @@
-"""Each demo script runs to the end in-process and prints its walkthrough."""
+"""Each demo script, and the README's Python quick start, runs to the end in-process and prints."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_all_demos_found():
@@ -15,4 +17,11 @@ def test_all_demos_found():
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()
+
+
+def test_readme_quick_start_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out.strip()

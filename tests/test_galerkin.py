@@ -71,6 +71,14 @@ class TestAssembleModel:
             assert np.array_equal(model.matrix, model.matrix.conj().T)
             assert np.all(np.diag(model.matrix).imag == 0)
 
+    @pytest.mark.parametrize("curve", [make_circle(1.2, n=256), make_ellipse(1.3, 0.9, n=256)])
+    def test_provenance_as_single_level(self, curve):
+        # One provenance for both front doors: r on circles, none on other curves.
+        wc = load_weight(curve, lambda t: 1.0 + 0.3 * np.sin(t))
+        model = assemble_model(F2, 2, 6, wc, +1, N=256)
+        assert model.provenance == assemble(F2, 1, wc, K=6, N=256).provenance
+        assert model.provenance.get("r") == (1.2 if curve.kind == "circle" else None)
+
     def test_node_minimum_on_circles(self):
         wc = load_weight(make_circle(1.0), 1.0)
         with pytest.raises(ValueError, match="at least 16 nodes, got 8"):
@@ -163,7 +171,7 @@ class TestCircleCoupling:
             for r in (1.37, resonant):
                 wc = load_weight(make_circle(r, n=256), weight)
                 for Q in range(5):
-                    K = model_truncation(field, Q, r)
+                    K = model_truncation(field, Q, wc.curve)
                     fast = _circle_kernel(field, range(Q + 1), K, wc, 256)[0]
                     slow = _quadrature_kernel(field, range(Q + 1), K, wc, 256)[0]
                     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
@@ -254,6 +262,16 @@ class TestPersistence:
             persistence_check(F2, 2, math.sqrt(2.0), K=3, weight=1.0)
         assert persistence_check(F2, 2, math.sqrt(2.0), K=4, weight=1.0).persists
 
+    def test_bad_inputs_reported_before_a_witness_beyond_K(self):
+        # One weighted circle is built first; it rejects a bad weight, N or r.
+        r = math.sqrt(2.0)
+        with pytest.raises(ValueError, match="one value per curve node"):
+            persistence_check(F2, 2, r, K=3, weight=np.ones(5))
+        with pytest.raises(ValueError, match="at least 16 nodes, got 8"):
+            persistence_check(F2, 2, r, K=3, N=8)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            persistence_check(F2, 2, -r, K=3)
+
     @pytest.mark.parametrize(
         "b, q, r",
         [
@@ -321,7 +339,7 @@ class TestPersistence:
     def test_truncation_covers_witnesses(self):
         for q in (1, 2):
             for r in (1.0, 2.0, 2.9):
-                K = model_truncation(F2, q + 2, r)
+                K = model_truncation(F2, q + 2, make_circle(r))
                 from landaudelta.census import multiplicity
 
                 _, w = multiplicity(F2, q, r)

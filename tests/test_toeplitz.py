@@ -169,7 +169,7 @@ class TestAssemble:
 class TestTruncation:
     def test_circle_rule_passes_resonant_dips(self):
         # The resonant zero at k = 1 (t = 1) must not stop the sweep.
-        K = default_truncation(F2, 1, 1.0)
+        K = default_truncation(F2, 1, make_circle(1.0))
         assert K > 10
         tail = circle_diagonal(F2, K + 1, 1, 1.0)
         peak = max(circle_diagonal(F2, k, 1, 1.0) for k in range(K + 1))
@@ -200,14 +200,13 @@ class TestTruncation:
                     below = 0
             return MAX_TRUNCATION
 
-        for b in (0.5, 1.0, 2.0, 4.0):
-            field = MagneticField(b)
-            for q in range(7):
-                for r in np.linspace(0.3, 3.0, 50):
+        for r in np.linspace(0.3, 3.0, 50).tolist():
+            circle = make_circle(r)
+            for b in (0.5, 1.0, 2.0, 4.0):
+                field = MagneticField(b)
+                for q in range(7):
                     for tail_rel in (1e-16, 1e-4):
-                        assert default_truncation(field, q, float(r), tail_rel) == scalar_sweep(
-                            field, q, float(r), tail_rel
-                        )
+                        assert default_truncation(field, q, circle, tail_rel) == scalar_sweep(field, q, r, tail_rel)
 
     def test_curve_rule_matches_scalar_sweep(self):
         # Reference: the per-k sweep over single basis rows.  The curve rule
@@ -238,6 +237,21 @@ class TestTruncation:
         curve = make_ellipse(1.5, 1.0, n=256)
         K = default_truncation(F2, 1, curve)
         assert 0 < K < 200
+
+    @pytest.mark.parametrize(
+        "b, ellipse_ks, sampled_ks",
+        [(0.5, [20, 24, 28], [23, 27, 32]), (2.0, [30, 35, 40], [36, 41, 47]), (4.0, [39, 44, 50], [48, 53, 60])],
+    )
+    def test_curve_rule_pinned_on_ellipses(self, b, ellipse_ks, sampled_ks):
+        # Values of the sweep over arclength_rule(curve, curve.n_nodes), which
+        # the sweep over curve.points replaced: a curve resampled to its own
+        # node count is itself.
+        field = MagneticField(b)
+        e = make_ellipse(1.8, 1.1, n=200)
+        sampled = JordanCurve("sampled", e.params, e.points, e.derivs, ())
+        for curve, expected in ((make_ellipse(1.4, 0.9), ellipse_ks), (sampled, sampled_ks)):
+            assert [default_truncation(field, q, curve) for q in (0, 2, 5)] == expected
+            assert arclength_rule(curve, curve.n_nodes)[0] is curve.points
 
 
 def three_harmonic(t):
@@ -270,7 +284,7 @@ class TestCircleKernel:
             for q in range(7):
                 for r in sample_radii(field, q):
                     wc = load_weight(make_circle(r, n=256), weight)
-                    K = default_truncation(field, q, r)
+                    K = default_truncation(field, q, wc.curve)
                     fast = _circle_kernel(field, [q], K, wc, 256)[0]
                     slow = _quadrature_kernel(field, [q], K, wc, 256)[0]
                     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))

@@ -14,8 +14,8 @@ from landaudelta.toeplitz import (
     assemble,
     circle_diagonal,
     default_truncation,
+    eigenvalues,
     kernel_dim_estimate,
-    spectrum,
 )
 
 field = MagneticField(2.0)
@@ -41,7 +41,7 @@ print(f"   max off-diagonal: {off:.2e}   underresolved: {m.underresolved}")
 est = kernel_dim_estimate(m)
 print(f"\nkernel estimate at the resonant radius: count={est.count}, census={est.census_multiplicity}")
 
-vals = spectrum(m).eigenvalues
+vals = eigenvalues(m)
 print("eigenvalues (descending):", " ".join(f"{v:.3e}" for v in vals))
 
 # ---------------------------------------------------------------------
@@ -57,7 +57,7 @@ ellipse = make_ellipse(1.4, 0.9, n=1024)
 for label, weight in (("nonnegative", lambda t: 1.0 + np.sin(t)), ("indefinite", lambda t: np.cos(t))):
     wce = load_weight(ellipse, weight)
     me = assemble(field, 1, wce, K=10, check_resolution=False)
-    ev = spectrum(me).eigenvalues
+    ev = eigenvalues(me)
     print(f"\nellipse, {label} weight ({wce.sign_class}):")
     print(f"   eigenvalue range [{ev.min():+.3e}, {ev.max():+.3e}]")
     print(f"   max |off-diagonal| {np.max(np.abs(me.entries - np.diag(np.diag(me.entries)))):.3e}")

@@ -53,6 +53,7 @@ from .toeplitz import (
     assemble,
     circle_diagonal,
     default_truncation,
+    eigenvalues,
     kernel_dim_estimate,
     spectrum,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "cluster_report",
     "coupling_lower_bounds",
     "default_truncation",
+    "eigenvalues",
     "eta_curve",
     "explicit_D12",
     "gap_constants",

@@ -62,11 +62,14 @@ def _warn_if_underresolved(result) -> None:
 
 
 def _add_curve_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r", type=float, default=1.0, help="circle radius (default curve, r=1)")
-    p.add_argument("--ellipse", type=str, default=None, metavar="A,B", help="ellipse semi-axes")
-    p.add_argument("--curve-file", type=str, default=None, help="sampled curve file (t x y dx dy)")
-    p.add_argument("--weight", type=float, default=1.0, help="constant weight value")
-    p.add_argument("--weight-file", type=str, default=None, help="weight file (t v)")
+    # One curve and one weight per call: a mix exits 2, not silently overridden.
+    curve = p.add_mutually_exclusive_group()
+    curve.add_argument("--r", type=float, default=1.0, help="circle radius (default curve, r=1)")
+    curve.add_argument("--ellipse", type=str, default=None, metavar="A,B", help="ellipse semi-axes")
+    curve.add_argument("--curve-file", type=str, default=None, help="sampled curve file (t x y dx dy)")
+    weight = p.add_mutually_exclusive_group()
+    weight.add_argument("--weight", type=float, default=1.0, help="constant weight value")
+    weight.add_argument("--weight-file", type=str, default=None, help="weight file (t v)")
     p.add_argument("--N", type=int, default=None, help="quadrature nodes (default 1024)")
 
 
@@ -193,9 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--rmax", type=float, default=3.0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--explicit", type=int, default=None, metavar="NMAX",
-                   help="print the closed-form level-1/2 sets instead of sweeping")
-    p.add_argument("--eta", action="store_true", help="print the zero-curve table")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--explicit", type=int, default=None, metavar="NMAX",
+                      help="print the closed-form level-1/2 sets instead of sweeping")
+    mode.add_argument("--eta", action="store_true", help="print the zero-curve table")
     p.add_argument("--alpha-min", type=float, default=0.0)
     p.add_argument("--alpha-max", type=float, default=10.0)
     p.add_argument("--alpha-step", type=float, default=0.5)

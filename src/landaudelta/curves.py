@@ -126,13 +126,12 @@ def make_ellipse(a: float, b: float, n: int | None = None) -> JordanCurve:
     return JordanCurve("ellipse", t, pts, der, (("a", float(a)), ("b", float(b))))
 
 
-def arclength_rule(curve: JordanCurve, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes on the curve and arclength weights ds_j."""
-    n = quadrature_size(n)
-    c = curve.resample(n)
-    speeds = np.hypot(c.derivs[:, 0], c.derivs[:, 1])
+def arclength_rule(curve: JordanCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The curve's own nodes and arclength weights ds_j (resample first for another N; at least MIN_NODES)."""
+    n = quadrature_size(curve.n_nodes)
+    speeds = np.hypot(curve.derivs[:, 0], curve.derivs[:, 1])
     weights = (2.0 * math.pi / n) * speeds
-    return c.points, weights
+    return curve.points, weights
 
 
 @dataclass(frozen=True)

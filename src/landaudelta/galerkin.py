@@ -39,7 +39,7 @@ import numpy as np
 from .census import multiplicity as _census_multiplicity
 from .basis import MagneticField
 from .curves import JordanCurve, WeightedCurve, load_weight, make_circle
-from .toeplitz import _compress, default_truncation, spectrum
+from .toeplitz import _compress, default_truncation, eigenvalues
 
 __all__ = [
     "GalerkinModel",
@@ -164,8 +164,8 @@ class ClusterReport:
 
 
 def cluster_report(model: GalerkinModel) -> ClusterReport:
-    """Assign eigenvalues to the nearest Landau level and report offsets."""
-    vals = spectrum(model.matrix).eigenvalues[::-1]  # ascending
+    """Assign eigenvalues (toeplitz.eigenvalues, no eigenvectors) to the nearest Landau level and report offsets."""
+    vals = eigenvalues(model.matrix)[::-1]  # ascending
     levels = model.levels()
     nearest = np.argmin(np.abs(vals[:, None] - levels[None, :]), axis=1)
     clusters = []
@@ -213,10 +213,11 @@ def persistence_check(
     (H - Lambda_q) e_w = sign * B e_w, every witness basis vector is an
     eigenvector at Lambda_q for both signs, whatever the weight.  details
     holds these norms per sign ("support_residuals") and, as diagnostics
-    from one eigvalsh per sign, "near_count" and "min_offset".  One
-    weighted circle, make_circle(r, n=N) with the weight, serves the
-    default K and the coupling, so a bad r, N or weight is reported
-    before a K that cuts off a census witness (also a ValueError).
+    from one toeplitz.eigenvalues solve per sign (no eigenvectors),
+    "near_count" and "min_offset".  One weighted circle, make_circle(r,
+    n=N) with the weight, serves the default K and the coupling, so a bad
+    r, N or weight is reported before a K that cuts off a census witness
+    (also a ValueError).
 
     The census names witnesses within a relative 1e-9 in t, but the
     verdict needs each witness column at <= SUPPORT_TOL = 1e-12 * max|B|.
@@ -247,7 +248,7 @@ def persistence_check(
     details: dict = {"Lambda_q": lam_q, "Q": Q, "K": K}
     for sign in (+1, -1):
         matrix = plus.matrix if sign > 0 else _hamiltonian(field, Q, K, plus.coupling, sign)
-        offsets = np.abs(np.linalg.eigvalsh(matrix) - lam_q)
+        offsets = np.abs(eigenvalues(matrix) - lam_q)
         details[f"sign_{'+' if sign > 0 else '-'}"] = {
             "near_count": int(np.sum(offsets < EXACT_HIT_TOL)),
             "min_offset": float(np.min(offsets)),

@@ -51,6 +51,7 @@ __all__ = [
     "circle_diagonal",
     "circle_diagonal_log",
     "default_truncation",
+    "eigenvalues",
     "spectrum",
     "kernel_dim_estimate",
     "matrix_to_json",
@@ -163,13 +164,13 @@ def _quadrature_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, 
         return (phi * w) @ phi.conj().T
 
     wcn = wc.resample(n)
-    points, ds = arclength_rule(wcn.curve, n)
+    points, ds = arclength_rule(wcn.curve)
     m = weighted_sum(points, wcn.values * ds)
     coarse = 0.5 * (m + m.conj().T)
     if not refine:
         return coarse, None
     fine_wc = wc.resample(2 * n)
-    fine_points, fine_ds = arclength_rule(fine_wc.curve, 2 * n)
+    fine_points, fine_ds = arclength_rule(fine_wc.curve)
     m_fine = 0.5 * (m + weighted_sum(fine_points[1::2], 2.0 * (fine_wc.values * fine_ds)[1::2]))
     return coarse, 0.5 * (m_fine + m_fine.conj().T)
 
@@ -259,17 +260,27 @@ class SpectrumResult:
             arr.setflags(write=False)
 
 
-def spectrum(matrix: ToeplitzMatrix | np.ndarray) -> SpectrumResult:
-    """Hermitian eigendecomposition with per-pair residual checks."""
+def _hermitian_solve(matrix: ToeplitzMatrix | np.ndarray, solver):
+    """(entries, solver(entries)) for a nonempty matrix, Hermitian to 1e-12 * max|M|."""
     m = matrix.entries if isinstance(matrix, ToeplitzMatrix) else np.asarray(matrix)
     if m.size == 0:
         raise ValueError("empty matrix")
     if not np.allclose(m, m.conj().T, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(m))))):
         raise ValueError("matrix is not Hermitian")
     try:
-        vals, vecs = np.linalg.eigh(m)
+        return m, solver(m)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"eigensolve failed to converge: {exc}") from exc
+
+
+def eigenvalues(matrix: ToeplitzMatrix | np.ndarray) -> np.ndarray:
+    """Eigenvalues in descending order, for readers of eigenvalues only: no eigenvectors, no residuals."""
+    return _hermitian_solve(matrix, np.linalg.eigvalsh)[1][::-1]
+
+
+def spectrum(matrix: ToeplitzMatrix | np.ndarray) -> SpectrumResult:
+    """Hermitian eigendecomposition with per-pair residual checks: the one door to eigenvectors."""
+    m, (vals, vecs) = _hermitian_solve(matrix, np.linalg.eigh)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
@@ -297,10 +308,10 @@ class KernelEstimate:
 
 
 def kernel_dim_estimate(matrix: ToeplitzMatrix, rel_tol: float = 1e-10) -> KernelEstimate:
-    """Count eigenvalues with |lambda| <= rel_tol * max|lambda|."""
+    """Count eigenvalues with |lambda| <= rel_tol * max|lambda|, from eigenvalues() alone."""
     if not 0.0 < rel_tol <= 1e-3:
         raise ValueError(f"rel_tol must lie in (0, 1e-3], got {rel_tol}")
-    vals = spectrum(matrix).eigenvalues
+    vals = eigenvalues(matrix)
     scale = float(np.max(np.abs(vals)))
     threshold = rel_tol * max(scale, 1e-300)
     count = int(np.sum(np.abs(vals) <= threshold))
@@ -344,7 +355,10 @@ def matrix_from_json(text: str) -> ToeplitzMatrix:
     payload = json.loads(text)
     try:
         meta, re, im = payload["meta"], payload["re"], payload["im"]
-        q, K, b, provenance = int(meta["q"]), int(meta["K"]), float(meta["b"]), dict(meta["provenance"])
+        q, K, b, provenance = meta["q"], meta["K"], meta["b"], dict(meta["provenance"])
+        # JSON integers for q and K, a JSON number for b: no bool, string or 1.5 is coerced.
+        if not (type(q) is int and type(K) is int and type(b) in (int, float)):
+            raise TypeError(f"got q={q!r}, K={K!r}, b={b!r}")
     except KeyError as exc:
         raise ValueError(f"matrix JSON has no key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -356,7 +370,7 @@ def matrix_from_json(text: str) -> ToeplitzMatrix:
     if not re.shape == im.shape == (K + 1, K + 1):
         raise ValueError(f"matrix JSON: re {re.shape} and im {im.shape} must both be {(K + 1, K + 1)}")
     flags = meta.get("underresolved"), meta.get("refinement_delta")
-    return ToeplitzMatrix(re + 1j * im, q, K, b, provenance, *flags)
+    return ToeplitzMatrix(re + 1j * im, q, K, float(b), provenance, *flags)
 
 
 def spectrum_to_csv(result: SpectrumResult) -> str:

@@ -53,7 +53,7 @@ from .laguerre import (
     orthogonality_defect,
     positive_zeros,
 )
-from .toeplitz import _circle_kernel, _quadrature_kernel, assemble, circle_diagonal, spectrum
+from .toeplitz import _circle_kernel, _quadrature_kernel, assemble, circle_diagonal, eigenvalues, spectrum
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
 
@@ -259,7 +259,7 @@ def check_basis_translation() -> tuple[bool, str]:
 
 def check_curve_exactness() -> tuple[bool, str]:
     circle = make_circle(1.0, n=256)
-    points, ds = arclength_rule(circle, 256)
+    points, ds = arclength_rule(circle)
     theta = np.arctan2(points[:, 1], points[:, 0])
     worst = 0.0
     for m in (1, 2, 17, 100, 127):
@@ -283,8 +283,8 @@ def check_curve_reparametrization() -> tuple[bool, str]:
     f = lambda p: np.exp(np.sin(p[:, 0])) + p[:, 1] ** 2
 
     base = make_ellipse(2.0, 1.0, n=n)
-    p1, w1 = arclength_rule(base, n)
-    p2, w2 = arclength_rule(reparam, n)
+    p1, w1 = arclength_rule(base)
+    p2, w2 = arclength_rule(reparam)
     i1 = float(np.sum(f(p1) * w1))
     i2 = float(np.sum(f(p2) * w2))
     return abs(i1 - i2) < 1e-9, f"line integrals differ by {abs(i1 - i2):.2e}"
@@ -344,8 +344,8 @@ def check_toeplitz_definiteness() -> tuple[bool, str]:
     assert wc_pos.sign_class == SIGN_NONNEGATIVE and wc_neg.sign_class == SIGN_NONPOSITIVE
     mp = assemble(field, 2, wc_pos, K=10, N=512, check_resolution=False)
     mn = assemble(field, 2, wc_neg, K=10, N=512, check_resolution=False)
-    ep = spectrum(mp).eigenvalues
-    en = spectrum(mn).eigenvalues
+    ep = eigenvalues(mp)
+    en = eigenvalues(mn)
     lo = float(ep.min()) / float(np.max(np.abs(ep)))
     hi = float(en.max()) / float(np.max(np.abs(en)))
     ok = lo >= -1e-10 and hi <= 1e-10
@@ -362,7 +362,7 @@ def check_toeplitz_nodal_characterization() -> tuple[bool, str]:
     small = np.abs(res.eigenvalues) <= 1e-12 * scale
     if not np.any(small):
         return False, "no numerically-zero eigenvalue found at a resonant radius"
-    points, _ = arclength_rule(wc.curve, 512)
+    points, _ = arclength_rule(wc.curve)
     phi = basis_matrix(field, 1, range(9), points)
     basis_scale = float(np.max(np.abs(phi)))
     worst = 0.0
@@ -374,7 +374,7 @@ def check_toeplitz_nodal_characterization() -> tuple[bool, str]:
 
 def _translated_assembly(field: MagneticField, levels, K: int, r: float, y, values, n: int) -> np.ndarray:
     """Interaction matrix on levels x 0..K of the circle of radius r moved to y, over translated basis rows."""
-    pts, ds = arclength_rule(make_circle(r, n=n), n)
+    pts, ds = arclength_rule(make_circle(r, n=n))
     shifted = pts + np.asarray(y)[None, :]
     parts = [translated_parts(field, BasisIndex(k, j), y)(shifted) for j in levels for k in range(K + 1)]
     phi = np.array([np.exp(la) * np.exp(1j * ph) for la, ph in parts])
@@ -387,9 +387,9 @@ def check_toeplitz_recentering() -> tuple[bool, str]:
     q, K, r, n = 2, 9, 1.1, 512
     wc = load_weight(make_circle(r, n=n), lambda t: 1.0 + 0.5 * np.cos(t))
     m0 = assemble(field, q, wc, K=K, N=n, check_resolution=False)
-    e0 = spectrum(m0).eigenvalues
+    e0 = eigenvalues(m0)
     m1 = _translated_assembly(field, [q], K, r, (0.7, -0.4), wc.values, n)
-    e1 = spectrum(m1).eigenvalues
+    e1 = eigenvalues(m1)
     worst = float(np.max(np.abs(e0 - e1)))
     return worst < 1e-8, f"translated spectrum deviates by {worst:.2e}"
 
@@ -437,7 +437,7 @@ def check_census_matrix_agreement() -> tuple[bool, str]:
         for e in census_sweep(field, q, 3.0):
             wc = load_weight(make_circle(e.r, n=512), 1.0)
             m = assemble(field, q, wc, N=512, check_resolution=False)
-            vals = spectrum(m).eigenvalues
+            vals = eigenvalues(m)
             scale = float(np.max(np.abs(vals)))
             small = int(np.sum(np.abs(vals) <= 1e-10 * scale))
             if small < e.multiplicity:
@@ -508,8 +508,8 @@ def check_galerkin_weyl() -> tuple[bool, str]:
     wc = load_weight(make_circle(1.2, n=512), lambda t: 1.0 + 0.4 * np.cos(t))
     plus = assemble_model(field, 2, 8, wc, +1, N=512, check_resolution=False)
     minus = assemble_model(field, 2, 8, wc, -1, N=512, check_resolution=False)
-    ep = np.sort(spectrum(plus.matrix).eigenvalues)
-    en = np.sort(spectrum(minus.matrix).eigenvalues)
+    ep = np.sort(eigenvalues(plus.matrix))
+    en = np.sort(eigenvalues(minus.matrix))
     bare = np.sort(np.repeat(plus.levels(), 9))
     ok = bool(np.all(ep >= bare - 1e-12) and np.all(en <= bare + 1e-12) and np.all(ep >= en - 1e-12))
     return ok, "Weyl ordering holds" if ok else "Weyl ordering violated"
@@ -536,11 +536,11 @@ def check_galerkin_recentering() -> tuple[bool, str]:
     q, Q, K, r, n = 1, 2, 8, 1.0, 512
     wc = load_weight(make_circle(r, n=n), lambda t: 1.0 + 0.5 * np.sin(t))
     base = assemble_model(field, Q, K, wc, +1, N=n, check_resolution=False)
-    e0 = spectrum(base.matrix).eigenvalues
+    e0 = eigenvalues(base.matrix)
 
     b = _translated_assembly(field, range(Q + 1), K, r, (0.6, 0.35), wc.values, n)
     lam = np.repeat([field.landau_level(j) for j in range(Q + 1)], K + 1)
-    e1 = spectrum(np.diag(lam).astype(complex) + b).eigenvalues
+    e1 = eigenvalues(np.diag(lam).astype(complex) + b)
     worst = float(np.max(np.abs(e0 - e1)))
     return worst < 1e-8, f"recentered spectrum deviates by {worst:.2e}"
 

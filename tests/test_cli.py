@@ -76,6 +76,12 @@ class TestCensus:
         assert lines[0] == "alpha,eta_1,eta_2"
         assert len(lines) == 6
 
+    def test_eta_and_explicit_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["census", "--q", "2", "--eta", "--explicit", "3"])
+        assert err.value.code == 2
+        assert "argument --explicit: not allowed with argument --eta" in capsys.readouterr().err
+
     @pytest.mark.parametrize("step", ["0", "-0.5", "nan"])
     def test_eta_step_must_be_positive(self, capsys, step):
         code, out, err = run_cli(capsys, "census", "--q", "2", "--eta", "--alpha-step", step)
@@ -107,15 +113,21 @@ class TestToeplitz:
         assert out1 == out2
 
     def test_kernel_estimate(self, capsys, monkeypatch):
-        calls = []
-        original = toeplitz.spectrum
+        calls = {"eigenvalues": 0, "spectrum": 0}
 
-        def counting(matrix):
-            calls.append(matrix)
-            return original(matrix)
+        def counting(name):
+            original = getattr(toeplitz, name)
 
-        monkeypatch.setattr(cli, "spectrum", counting)
-        monkeypatch.setattr(toeplitz, "spectrum", counting)
+            def counted(matrix):
+                calls[name] += 1
+                return original(matrix)
+
+            return counted
+
+        full = counting("spectrum")
+        monkeypatch.setattr(cli, "spectrum", full)
+        monkeypatch.setattr(toeplitz, "spectrum", full)
+        monkeypatch.setattr(toeplitz, "eigenvalues", counting("eigenvalues"))
         code, out, _ = run_cli(
             capsys, "toeplitz", "--b", "2", "--q", "1", "--r", "1", "--K", "6",
             "--N", "256", "--kernel", "--no-resolution-check",
@@ -124,7 +136,8 @@ class TestToeplitz:
         payload = json.loads(out)
         assert payload["count"] == 1
         assert payload["census_multiplicity"] == 1
-        assert len(calls) == 1
+        # Eigenvalues only: one call of the eigenvalue door, no eigenvector solve.
+        assert calls == {"eigenvalues": 1, "spectrum": 0}
 
     def test_weight_file(self, capsys, tmp_path):
         path = tmp_path / "w.txt"
@@ -175,6 +188,19 @@ class TestToeplitz:
             ({"meta": {"q": 0, "K": 0, "b": 1.0, "provenance": [1]}, "re": [[1.0]], "im": [[0.0]]}, "must be objects"),
             ({"meta": {"q": None, "K": 0, "b": 1.0, "provenance": {}}, "re": [[1.0]], "im": [[0.0]]}, "q, K and b numbers"),
             ({"meta": {"q": 0, "K": 0, "b": 1.0, "provenance": {}}, "re": {}, "im": [[0.0]]}, "arrays of numbers"),
+            ({"meta": {"q": 0, "K": 1.5, "b": 1.0, "provenance": {}}, "re": [[1.0, 0.0], [0.0, 1.0]],
+              "im": [[0.0, 0.0], [0.0, 0.0]]}, "q, K and b numbers"),
+            ({"meta": {"q": 0, "K": True, "b": 1.0, "provenance": {}}, "re": [[1.0, 0.0], [0.0, 1.0]],
+              "im": [[0.0, 0.0], [0.0, 0.0]]}, "q, K and b numbers"),
+            ({"meta": {"q": 0, "K": "1", "b": 1.0, "provenance": {}}, "re": [[1.0, 0.0], [0.0, 1.0]],
+              "im": [[0.0, 0.0], [0.0, 0.0]]}, "q, K and b numbers"),
+            ({"meta": {"q": 0, "K": 1.0, "b": 1.0, "provenance": {}}, "re": [[1.0, 0.0], [0.0, 1.0]],
+              "im": [[0.0, 0.0], [0.0, 0.0]]}, "q, K and b numbers"),
+            ({"meta": {"q": 0.5, "K": 0, "b": 1.0, "provenance": {}}, "re": [[1.0]], "im": [[0.0]]}, "q, K and b numbers"),
+            ({"meta": {"q": False, "K": 0, "b": 1.0, "provenance": {}}, "re": [[1.0]], "im": [[0.0]]}, "q, K and b numbers"),
+            ({"meta": {"q": "0", "K": 0, "b": 1.0, "provenance": {}}, "re": [[1.0]], "im": [[0.0]]}, "q, K and b numbers"),
+            ({"meta": {"q": 0, "K": 0, "b": "2", "provenance": {}}, "re": [[1.0]], "im": [[0.0]]}, "q, K and b numbers"),
+            ({"meta": {"q": 0, "K": 0, "b": True, "provenance": {}}, "re": [[1.0]], "im": [[0.0]]}, "q, K and b numbers"),
         ],
     )
     def test_malformed_import_exit_2(self, capsys, tmp_path, payload, message):
@@ -194,6 +220,31 @@ class TestToeplitz:
             code, out, err = run_cli(capsys, "toeplitz", "--curve-file", str(path), *k)
             assert code == 2 and out == ""
             assert err == f"error: {path}: need at least 16 samples, got 8\n"
+
+    def test_import_accepts_integral_b(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"meta": {"q": 0, "K": 0, "b": 2, "provenance": {}}, "re": [[1.0]], "im": [[0.0]]}))
+        assert toeplitz.matrix_from_json(path.read_text()).b == 2.0
+        code, out, _ = run_cli(capsys, "toeplitz", "--import", str(path))
+        assert code == 0 and out == "index,eigenvalue,residual\n0,1,0\n"
+
+    @pytest.mark.parametrize("command", ["toeplitz", "galerkin"])
+    @pytest.mark.parametrize(
+        "mix", [("--ellipse", "1.4,0.9", "--r", "2.5"), ("--r", "2.5", "--curve-file", "c.txt"),
+                ("--ellipse", "1.4,0.9", "--curve-file", "c.txt")],
+    )
+    def test_curve_options_exclusive(self, capsys, command, mix):
+        with pytest.raises(SystemExit) as err:
+            main([command, *mix])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["toeplitz", "galerkin"])
+    def test_weight_options_exclusive(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--weight", "3", "--weight-file", "w.txt"])
+        assert err.value.code == 2
+        assert "argument --weight-file: not allowed with argument --weight" in capsys.readouterr().err
 
     def test_invalid_value_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "toeplitz", "--b", "-1", "--q", "0", "--r", "1")

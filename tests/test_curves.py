@@ -23,7 +23,7 @@ from landaudelta.curves import (
 class TestCircle:
     def test_circumference(self):
         for r, n in ((1.0, 64), (2.0, 128)):
-            _, w = arclength_rule(make_circle(r, n=n), n)
+            _, w = arclength_rule(make_circle(r, n=n))
             assert np.sum(w) == pytest.approx(2 * math.pi * r, abs=1e-12)
 
     def test_tangent_orthogonal_to_radius(self):
@@ -39,7 +39,7 @@ class TestCircle:
 
     def test_harmonic_exactness(self):
         n = 256
-        pts, w = arclength_rule(make_circle(1.0, n=n), n)
+        pts, w = arclength_rule(make_circle(1.0, n=n))
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         for m in (1, 3, 50, n // 2 - 1):
             assert abs(np.sum(np.exp(1j * m * theta) * w)) < 1e-12
@@ -51,21 +51,23 @@ class TestEllipse:
         n_ref = 10**6
         t = np.linspace(0.0, 2 * math.pi, n_ref, endpoint=False)
         ref = np.sum(np.hypot(-a * np.sin(t), b * np.cos(t))) * (2 * math.pi / n_ref)
-        _, w = arclength_rule(make_ellipse(a, b, n=512), 512)
+        _, w = arclength_rule(make_ellipse(a, b, n=512))
         assert np.sum(w) == pytest.approx(ref, abs=1e-10)
 
     def test_self_convergence_beyond_256(self):
         f = lambda p: np.exp(np.sin(p[:, 0])) * np.cos(p[:, 1])
         vals = []
         for n in (256, 512, 1024):
-            pts, w = arclength_rule(make_ellipse(2.0, 1.0, n=n), n)
+            pts, w = arclength_rule(make_ellipse(2.0, 1.0, n=n))
             vals.append(float(np.sum(f(pts) * w)))
         assert abs(vals[1] - vals[0]) < 1e-10
         assert abs(vals[2] - vals[1]) < 1e-10
 
     def test_too_few_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            arclength_rule(make_ellipse(2.0, 1.0, n=64), 8)
+        e = make_ellipse(2.0, 1.0, n=16)
+        short = JordanCurve("sampled", e.params[::2], e.points[::2], e.derivs[::2], ())
+        with pytest.raises(ValueError, match="need at least 16 nodes, got 8"):
+            arclength_rule(short)
 
 
 class TestRegularity:
@@ -198,8 +200,8 @@ class TestCurveFiles:
         der = np.column_stack([-2.0 * np.sin(s) * ds, np.cos(s) * ds])
         reparam = JordanCurve("sampled", t, pts, der, ())
         f = lambda p: np.exp(np.sin(p[:, 0])) + p[:, 1] ** 2
-        p1, w1 = arclength_rule(make_ellipse(2.0, 1.0, n=n), n)
-        p2, w2 = arclength_rule(reparam, n)
+        p1, w1 = arclength_rule(make_ellipse(2.0, 1.0, n=n))
+        p2, w2 = arclength_rule(reparam)
         assert np.sum(f(p1) * w1) == pytest.approx(np.sum(f(p2) * w2), abs=1e-9)
 
 
@@ -229,8 +231,8 @@ class TestNestedRules:
             wc = load_weight(curve, weight)
             for n in (64, 97, 256, 1000):
                 coarse, fine = wc.resample(n), wc.resample(2 * n)
-                points, ds = arclength_rule(coarse.curve, n)
-                fine_points, fine_ds = arclength_rule(fine.curve, 2 * n)
+                points, ds = arclength_rule(coarse.curve)
+                fine_points, fine_ds = arclength_rule(fine.curve)
                 assert np.max(np.abs(fine_points[::2] - points)) <= tol * np.max(np.abs(points))
                 assert np.max(np.abs(2.0 * fine_ds[::2] - ds)) <= tol * np.max(ds)
                 assert np.max(np.abs(fine.values[::2] - coarse.values)) <= tol * np.max(np.abs(coarse.values))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from landaudelta.basis import BasisIndex, MagneticField, translated_parts
-from landaudelta import galerkin
+from landaudelta import galerkin, toeplitz
 from landaudelta.census import census
-from landaudelta.curves import arclength_rule, load_weight, make_circle, make_ellipse, save_weight
+from landaudelta.curves import JordanCurve, arclength_rule, load_weight, make_circle, make_ellipse, save_weight
 from landaudelta.galerkin import (
     assemble_model,
     cluster_report,
@@ -109,7 +109,7 @@ class TestAssembleModel:
         e0 = spectrum(base.matrix).eigenvalues
 
         y = np.array([0.6, 0.35])
-        pts, ds = arclength_rule(wc.curve, n)
+        pts, ds = arclength_rule(wc.curve)
         shifted = pts + y[None, :]
         rows = []
         for j in range(Q + 1):
@@ -199,6 +199,24 @@ class TestClusterReport:
         assert c0.min_offset > 0
         assert len(c0.exact_hits) == 0
         assert all(o > 0 for o in c0.offsets)
+
+    def test_model_the_eigenvector_solve_fails_on(self):
+        # b = 2, Q = 3 on a sampled 489-node ellipse: np.linalg.eigh raises
+        # LinAlgError on this 172 x 172 model, the eigenvalue-only solve does not.
+        t = np.linspace(0.0, 2.0 * math.pi, 489, endpoint=False)
+        a, c = 1.7161952819786195, 1.293503834881796
+        pts, der = np.column_stack([a * np.cos(t), c * np.sin(t)]), np.column_stack([-a * np.sin(t), c * np.cos(t)])
+        curve = JordanCurve("sampled", t, pts, der, ())
+        weight = trig_weight(
+            -0.3496797372145556,
+            (0.4119508467873838, -0.32583795537483196, 0.19822124309726163),
+            (0.24761311893849802, -0.371058962375429, 0.09961264919254231),
+        )
+        model = assemble_model(F2, 3, model_truncation(F2, 3, curve), load_weight(curve, weight), +1)
+        assert model.matrix.shape == (172, 172)
+        report = cluster_report(model)
+        listed = np.concatenate([c.eigenvalues for c in report.clusters])
+        assert np.array_equal(listed, np.linalg.eigvalsh(model.matrix))
 
     def test_json_shape(self):
         import json
@@ -332,7 +350,7 @@ class TestPersistence:
             raise AssertionError("eigenvector solver called")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(galerkin, "spectrum", refuse)
+        monkeypatch.setattr(toeplitz, "spectrum", refuse)
         assert persistence_check(F2, 2, math.sqrt(2.0), weight=lambda t: 2.0 + np.sin(t)).persists
         assert not persistence_check(F2, 1, 1.3, weight=1.0).persists
 

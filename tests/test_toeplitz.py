@@ -153,7 +153,7 @@ class TestAssemble:
         q, K, r, n = 1, 8, 1.1, 512
         wc = load_weight(make_circle(r, n=n), lambda t: 1.0 + 0.5 * np.cos(t))
         e0 = spectrum(assemble(F2, q, wc, K=K, N=n, check_resolution=False)).eigenvalues
-        pts, ds = arclength_rule(wc.curve, n)
+        pts, ds = arclength_rule(wc.curve)
         y = np.array([0.7, -0.4])
         shifted = pts + y[None, :]
         rows = []
@@ -212,7 +212,7 @@ class TestTruncation:
         # Reference: the per-k sweep over single basis rows.  The curve rule
         # reads CURVE_AMPLITUDE_CUTOFF, so both tail cutoffs give the same K.
         def scalar_sweep(field, q, curve):
-            points, _ = arclength_rule(curve, curve.n_nodes)
+            points, _ = arclength_rule(curve)
             t_peak = 0.5 * field.b * float(np.max(np.sum(points * points, axis=1)))
             best = -math.inf
             for k in range(MAX_TRUNCATION):
@@ -243,15 +243,14 @@ class TestTruncation:
         [(0.5, [20, 24, 28], [23, 27, 32]), (2.0, [30, 35, 40], [36, 41, 47]), (4.0, [39, 44, 50], [48, 53, 60])],
     )
     def test_curve_rule_pinned_on_ellipses(self, b, ellipse_ks, sampled_ks):
-        # Values of the sweep over arclength_rule(curve, curve.n_nodes), which
-        # the sweep over curve.points replaced: a curve resampled to its own
-        # node count is itself.
+        # Values of the sweep over arclength_rule(curve) nodes, which the
+        # sweep over curve.points replaced: the rule's nodes are the curve's.
         field = MagneticField(b)
         e = make_ellipse(1.8, 1.1, n=200)
         sampled = JordanCurve("sampled", e.params, e.points, e.derivs, ())
         for curve, expected in ((make_ellipse(1.4, 0.9), ellipse_ks), (sampled, sampled_ks)):
             assert [default_truncation(field, q, curve) for q in (0, 2, 5)] == expected
-            assert arclength_rule(curve, curve.n_nodes)[0] is curve.points
+            assert arclength_rule(curve)[0] is curve.points
 
 
 def three_harmonic(t):
@@ -341,7 +340,7 @@ class TestCircleKernel:
 def direct_quadrature(field, levels, K, wc, n):
     """The trapezoid sum over basis samples at all n nodes of wc.resample(n)."""
     wcn = wc.resample(n)
-    points, ds = arclength_rule(wcn.curve, n)
+    points, ds = arclength_rule(wcn.curve)
     phi = np.vstack([basis_matrix(field, j, range(K + 1), points) for j in levels])
     m = (phi * (wcn.values * ds)) @ phi.conj().T
     return 0.5 * (m + m.conj().T)
@@ -431,6 +430,26 @@ class TestSpectrum:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             spectrum(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+class TestEigenvalues:
+    def test_bitwise_eigvalsh_descending(self):
+        ellipse = load_weight(make_ellipse(1.3, 0.9, n=512), lambda t: np.cos(t) - 0.2 * np.sin(3 * t))
+        circle = load_weight(make_circle(1.0, n=512), 1.0)
+        for wc, q in ((ellipse, 2), (circle, 1)):
+            m = assemble(F2, q, wc, K=12, N=512, check_resolution=False)
+            got = toeplitz.eigenvalues(m)
+            assert got.tobytes() == np.linalg.eigvalsh(m.entries)[::-1].tobytes()
+            assert toeplitz.eigenvalues(m.entries).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [(np.zeros((0, 0)), "empty matrix"), (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), "not Hermitian")],
+    )
+    def test_rejects_as_spectrum_does(self, matrix, message):
+        for door in (toeplitz.eigenvalues, spectrum):
+            with pytest.raises(ValueError, match=message):
+                door(matrix)
 
 
 class TestKernelEstimate:

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: laguerre, toeplitz, census, galerkin, verify.  All output is
-deterministic (fixed quadrature, no randomized solvers) and floats are
-printed with 17 significant digits so files round-trip losslessly.  Exit
-codes: 0 success, 1 verification failure, 2 bad arguments.
+deterministic (quadrature sized by a fixed rule, no randomized solvers)
+and floats are printed with 17 significant digits so files round-trip
+losslessly.  Exit codes: 0 success, 1 verification failure, 2 bad arguments.
 """
 
 from __future__ import annotations
@@ -57,8 +57,10 @@ def _weighted_curve(args):
 
 def _warn_if_underresolved(result) -> None:
     if result.underresolved:
-        delta = result.refinement_delta
-        print(f"warning: quadrature underresolved (doubling N moves entries by {delta:.3e})", file=sys.stderr)
+        delta, prov = result.refinement_delta, result.provenance
+        causes = [f"doubling N moves entries by {delta:.3e}"] if delta is not None else []
+        causes += [f"{key.replace('_', ' ')} {prov[key]:.3e}" for key in ("curve_tail", "weight_tail") if key in prov]
+        print(f"warning: quadrature underresolved ({', '.join(causes)})", file=sys.stderr)
 
 
 def _add_curve_options(p: argparse.ArgumentParser) -> None:
@@ -70,7 +72,9 @@ def _add_curve_options(p: argparse.ArgumentParser) -> None:
     weight = p.add_mutually_exclusive_group()
     weight.add_argument("--weight", type=float, default=1.0, help="constant weight value")
     weight.add_argument("--weight-file", type=str, default=None, help="weight file (t v)")
-    p.add_argument("--N", type=int, default=None, help="quadrature nodes (default 1024)")
+    p.add_argument("--N", type=int, default=None,
+                   help="quadrature nodes (default: the least power of two >= max(64, 2(K+level+1)), "
+                        "doubled until the N->2N check settles, at most 8192)")
 
 
 def _cmd_laguerre(args) -> int:

@@ -1,12 +1,17 @@
 """Jordan curves, arclength quadrature, and interaction weights.
 
 Curves are stored as parametrization samples gamma(t_j) with derivatives
-at N uniform parameters t_j in [0, 2pi), N = DEFAULT_NODES unless given.
-Circles and ellipses resample exactly; sampled curves and weight tables
-share one periodic linear interpolant.  Line integrals use the periodic
-trapezoid rule, ds_j = (2pi/N) |gamma'(t_j)|: spectral on smooth closed
-curves, exact on circle harmonics.  Simplicity (no self-intersection) and
-C^{1,1} regularity of sampled data are assumed, not verified.
+at N uniform parameters t_j = 2 pi j / N, N = DEFAULT_NODES unless given;
+sampled curves and weight tables must sit on that grid too.  Circles and
+ellipses resample exactly; sampled curves and weight tables share one
+trigonometric interpolant of their native samples, evaluated exactly at
+any node count, so the even nodes of 2N values are the N values.  Each
+sampled input reports the Fourier tail of its samples (sample_tails):
+a slow tail (a kink, a jump) is the interpolation error no node count
+removes.  Line integrals use the periodic trapezoid rule,
+ds_j = (2pi/N) |gamma'(t_j)|: spectral on smooth closed curves, exact on
+circle harmonics.  Simplicity (no self-intersection) and C^{1,1}
+regularity of sampled data are assumed, not verified.
 
 File formats (whitespace separated, %.17g, radians; '#' starts a comment):
 
@@ -61,9 +66,35 @@ def _uniform_params(n: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
 
 
-def _periodic_interp(x: np.ndarray, t: np.ndarray, columns) -> np.ndarray:
-    """Periodic (2pi) linear interpolation at x of each column sampled at t, stacked as columns."""
-    return np.column_stack([np.interp(x, t, col, period=2.0 * math.pi) for col in columns])
+def _require_uniform_grid(name, t: np.ndarray) -> None:
+    if np.max(np.abs(t - _uniform_params(t.size))) > 1e-9:
+        raise ValueError(f"{name}: samples must sit on the uniform grid 2*pi*j/N")
+
+
+def _periodic_interp(samples: np.ndarray, n: int) -> np.ndarray:
+    """Trigonometric interpolant of uniform samples (rows; columns apart) at n uniform nodes.
+
+    The FFT coefficients fold mod n and one inverse FFT evaluates the
+    interpolant exactly at the n nodes.  The spectrum is never truncated
+    to n, so every n samples the same function.  The real part splits the
+    Nyquist term of an even sample count between +M/2 and -M/2: its
+    coefficient is real, so it contributes c cos(M t / 2).
+    """
+    m = samples.shape[0]
+    if n == m:
+        return samples.copy()
+    coef = np.fft.fft(samples, axis=0) / m
+    freq = np.fft.fftfreq(m, 1.0 / m).astype(int)
+    folded = np.zeros((n,) + samples.shape[1:], dtype=complex)
+    np.add.at(folded, freq % n, coef)
+    return np.fft.ifft(folded, axis=0).real * n
+
+
+def _fourier_tail(samples: np.ndarray) -> float:
+    """Largest |FFT coefficient| over the top quarter of frequencies, relative to the largest, worst column."""
+    coef = np.abs(np.fft.rfft(samples.reshape(samples.shape[0], -1), axis=0))
+    top, peak = coef[coef.shape[0] * 3 // 4:].max(axis=0), coef.max(axis=0)
+    return float(np.max(np.divide(top, peak, out=np.zeros_like(top), where=peak > 0)))
 
 
 @dataclass(frozen=True)
@@ -80,6 +111,7 @@ class JordanCurve:
         speeds = np.hypot(self.derivs[:, 0], self.derivs[:, 1])
         if np.any(speeds <= 0.0):
             raise ValueError("curve is not regular: |gamma'| vanishes at a node")
+        _require_uniform_grid("curve", self.params)
         for arr in (self.params, self.points, self.derivs):
             arr.setflags(write=False)
 
@@ -96,10 +128,8 @@ class JordanCurve:
         if self.kind == "ellipse":
             m = dict(self.meta)
             return make_ellipse(m["a"], m["b"], n=n)
-        t = _uniform_params(n)
-        pts = _periodic_interp(t, self.params, self.points.T)
-        der = _periodic_interp(t, self.params, self.derivs.T)
-        return JordanCurve("sampled", t, pts, der, self.meta)
+        cols = _periodic_interp(np.column_stack([self.points, self.derivs]), n)
+        return JordanCurve("sampled", _uniform_params(n), cols[:, :2], cols[:, 2:], self.meta)
 
     def describe(self) -> str:
         items = ", ".join(f"{k}={v}" for k, v in self.meta)
@@ -150,6 +180,15 @@ class WeightedCurve:
         if n == self.curve.n_nodes:
             return self
         return load_weight(self.curve.resample(n), self.source)
+
+    def sample_tails(self) -> dict:
+        """_fourier_tail of the sampled curve's points and derivatives and of a weight table, where present."""
+        tails = {}
+        if self.curve.kind == "sampled":
+            tails["curve_tail"] = _fourier_tail(np.column_stack([self.curve.points, self.curve.derivs]))
+        if isinstance(self.source, tuple):
+            tails["weight_tail"] = _fourier_tail(self.source[1])
+        return tails
 
     def describe(self) -> str:
         if isinstance(self.source, (int, float)):
@@ -209,8 +248,7 @@ def load_curve(path) -> JordanCurve:
     n = t.size
     if n < MIN_NODES:
         raise ValueError(f"{path}: need at least {MIN_NODES} samples, got {n}")
-    if np.max(np.abs(t - _uniform_params(n))) > 1e-9:
-        raise ValueError(f"{path}: samples must sit on the uniform grid 2*pi*j/N")
+    _require_uniform_grid(path, t)
     return JordanCurve("sampled", _uniform_params(n), pts, der, (("path", str(path)),))
 
 
@@ -228,7 +266,8 @@ def load_weight(curve: JordanCurve, source) -> WeightedCurve:
     source may be a constant, a weight file path (rows t v), a (t, v)
     table, an array of values at the curve nodes, or a callable of the
     parameter.  Files and arrays are kept as (t, v) tables: 1-D columns of
-    equal length, t strictly increasing, interpolated by _periodic_interp.
+    equal length, t strictly increasing on the uniform grid 2 pi j / M,
+    interpolated by _periodic_interp.
     """
     name = "weight table"
     if isinstance(source, (str, Path)):
@@ -242,7 +281,8 @@ def load_weight(curve: JordanCurve, source) -> WeightedCurve:
             raise ValueError(f"{name}: t and v must be 1-D of equal length, got {t.shape} and {v.shape}")
         if not np.all(np.diff(t) > 0):
             raise ValueError(f"{name}: parameter column must be strictly increasing")
-        values = _periodic_interp(curve.params, t, (v,))[:, 0]
+        _require_uniform_grid(name, t)
+        values = _periodic_interp(v, curve.n_nodes)
         source = (t, v)
     elif callable(source):
         values = np.asarray(source(curve.params), dtype=float)

@@ -106,7 +106,10 @@ def assemble_model(
 ) -> GalerkinModel:
     """Assemble H = diag(Lambda_j) + sign * B on levels 0..Q, indices 0..K.
 
-    N (at least 16) and the N -> 2N check are as in toeplitz.assemble.
+    N and the N -> 2N check are as in toeplitz.assemble: N=None starts at
+    the least power of two >= max(64, 2(K+Q+1)) and doubles while the check
+    runs and moves an entry by more than 1e-14 max|B|; an explicit N (at
+    least 16) is used as given.
     """
     if Q < 0 or K < 0:
         raise ValueError("cutoffs must be >= 0")

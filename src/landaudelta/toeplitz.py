@@ -25,7 +25,12 @@ lambda_{k,q}(r) as its entries, only for constant weights.  Other curves
 use the quadrature over basis samples.  Their N -> 2N resolution check
 reuses the N-node sum, since the uniform 2N rule holds the N rule at its
 even nodes: M_2N = (M_N + M_odd)/2, with M_odd the N-node sum over the
-odd nodes, so the check costs N further basis samples, not 2N.  Kernel
+odd nodes, so the check costs N further basis samples, not 2N.  Without
+an explicit N the same doubling sizes the rule: it starts where every
+basis-product harmonic of a circle sits below Nyquist and stops once a
+doubling moves no entry by more than 1e-14 max|M|, which the periodic
+trapezoid rule's exponential convergence on smooth curves reaches in
+one or two steps (Trefethen & Weideman, SIAM Review 56, 2014).  Kernel
 counting for circles defers to the analytic census: truncation produces
 spuriously small tail entries, so the matrix-based estimate is a
 cross-check, not the authority.
@@ -60,6 +65,10 @@ __all__ = [
 ]
 
 RESOLUTION_DELTA_TOL = 1e-7
+# N=None: double N until the 2N matrix moves no entry by more than this
+# fraction of max|M|, or N reaches the cap.
+ADAPTIVE_DELTA_RTOL = 1e-14
+ADAPTIVE_NODE_CAP = 8192
 TAIL_RELATIVE_CUTOFF = 1e-16
 CURVE_AMPLITUDE_CUTOFF = 1e-12
 MAX_TRUNCATION = 512
@@ -151,12 +160,12 @@ def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_re
     return MAX_TRUNCATION
 
 
-def _quadrature_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int, refine: bool = False):
-    """Interaction matrices on levels x 0..K over basis samples: (n-node, 2n-node or None).
+def _quadrature_sums(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int):
+    """Interaction matrices on levels x 0..K over basis samples at n, 2n, 4n, ... nodes.
 
-    The uniform 2n rule holds the n rule at its even nodes, so the 2n sum
-    is half the n sum plus half the n-node sum over the odd nodes (weights
-    2 v ds of the 2n rule): refining costs n further basis samples.
+    The uniform 2n rule holds the n rule at its even nodes, so each
+    doubling halves the last sum and adds half the n-node sum over the new
+    odd nodes (weights 2 v ds of the 2n rule): n further basis samples.
     """
 
     def weighted_sum(points, w):
@@ -166,21 +175,20 @@ def _quadrature_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, 
     wcn = wc.resample(n)
     points, ds = arclength_rule(wcn.curve)
     m = weighted_sum(points, wcn.values * ds)
-    coarse = 0.5 * (m + m.conj().T)
-    if not refine:
-        return coarse, None
-    fine_wc = wc.resample(2 * n)
-    fine_points, fine_ds = arclength_rule(fine_wc.curve)
-    m_fine = 0.5 * (m + weighted_sum(fine_points[1::2], 2.0 * (fine_wc.values * fine_ds)[1::2]))
-    return coarse, 0.5 * (m_fine + m_fine.conj().T)
+    while True:
+        yield 0.5 * (m + m.conj().T)
+        n *= 2
+        fine_wc = wc.resample(n)
+        fine_points, fine_ds = arclength_rule(fine_wc.curve)
+        m = 0.5 * (m + weighted_sum(fine_points[1::2], 2.0 * (fine_wc.values * fine_ds)[1::2]))
 
 
-def _circle_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int, refine: bool = False):
-    """The same trapezoid sums on an origin-centred circle: (n-node, 2n-node or None).
+def _circle_sums(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int):
+    """The same trapezoid sums on an origin-centred circle at n, 2n, 4n, ... nodes.
 
     M_kl = D_k S_k conj(D_l S_l) v_hat[(m_l - m_k) mod n] with harmonics
     m = k - j and v_hat = FFT(weight samples)/n; the amplitudes do not
-    depend on n, so the 2n matrix costs one further FFT.  At most three
+    depend on n, so each doubling costs one further FFT.  At most three
     dense complex arrays are alive per size.  Keep the product as written:
     numpy may evaluate it in place with the operands swapped, and
     hand-written in-place forms round differently at some sizes.
@@ -188,38 +196,74 @@ def _circle_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, n: i
     log_lam, phase, m = _circle_amplitudes(field, levels, np.arange(K + 1), dict(wc.curve.meta)["r"])
     d = np.exp(0.5 * log_lam) * phase
     scaled = d[:, None] * d.conj()[None, :]
-
-    def at(size):
-        vhat = np.fft.fft(wc.resample(size).values) / size
-        mat = scaled * vhat[(m[None, :] - m[:, None]) % size]
+    while True:
+        vhat = np.fft.fft(wc.resample(n).values) / n
+        mat = scaled * vhat[(m[None, :] - m[:, None]) % n]
         mat += mat.conj().T
         mat *= 0.5
-        return mat
+        yield mat
+        n *= 2
 
-    return at(n), at(2 * n) if refine else None
+
+def _quadrature_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int, refine: bool = False):
+    """(n-node, 2n-node or None) matrices of _quadrature_sums: the check costs n further basis samples."""
+    sums = _quadrature_sums(field, levels, K, wc, n)
+    return next(sums), next(sums) if refine else None
+
+
+def _circle_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int, refine: bool = False):
+    """(n-node, 2n-node or None) matrices of _circle_sums: the check costs one further FFT."""
+    sums = _circle_sums(field, levels, K, wc, n)
+    return next(sums), next(sums) if refine else None
+
+
+def _start_nodes(levels, K: int) -> int:
+    """Smallest power of two >= max(64, 2 (K + max level + 1)): every basis-product harmonic below Nyquist."""
+    return 1 << (max(64, 2 * (K + max(levels) + 1)) - 1).bit_length()
 
 
 def _compress(field: MagneticField, levels, K: int, wc: WeightedCurve, N: int | None, check_resolution: bool):
     """Interaction matrix on levels x 0..K: (entries, provenance, underresolved, delta).
 
     The one front door of assemble and galerkin.assemble_model, and the one
-    home of their provenance (r included on circles).  N defaults to
-    curves.DEFAULT_NODES; fewer than MIN_NODES nodes are rejected.  With
-    check_resolution the matrix is also formed on 2N nodes, reusing the
-    N-node sum (N further samples on general curves, one further FFT on
-    circles): underresolved when an entry moves by more than RESOLUTION_DELTA_TOL.
+    home of their provenance (r included on circles).  An explicit N (at
+    least MIN_NODES) assembles on N nodes and, with check_resolution, also
+    on 2N, reusing the N-node sum (N further samples on general curves,
+    one further FFT on circles).  N=None starts at _start_nodes and, with
+    check_resolution, doubles through the same sums until the 2N matrix
+    moves no entry by more than ADAPTIVE_DELTA_RTOL * max|M| or N reaches
+    ADAPTIVE_NODE_CAP; provenance then lists every N tried and its delta.
+    Without the check N=None assembles once.  The matrix returned is the
+    N-node one, delta is its distance to the 2N matrix, and underresolved
+    is set when delta exceeds RESOLUTION_DELTA_TOL or when a sampled curve
+    or weight table has a Fourier tail above it (curves.WeightedCurve.sample_tails,
+    also in provenance); it is None when unchecked and no tail is flagged.
     """
-    n = quadrature_size(N)
+    adaptive = N is None
+    n = _start_nodes(levels, K) if adaptive else quadrature_size(N)
     circle = wc.curve.kind == "circle"
-    kernel = _circle_kernel if circle else _quadrature_kernel
-    coarse, fine = kernel(field, levels, K, wc, n, check_resolution)
+    sums = (_circle_sums if circle else _quadrature_sums)(field, levels, K, wc, n)
+    entries = next(sums)
+    tails = wc.sample_tails()
     provenance = {"curve": wc.curve.describe(), "weight": wc.describe(), "sign_class": wc.sign_class, "N": n}
     if circle:
         provenance["r"] = dict(wc.curve.meta)["r"]
-    if fine is None:
-        return coarse, provenance, None, None
-    delta = float(np.max(np.abs(fine - coarse)))
-    return coarse, provenance, delta > RESOLUTION_DELTA_TOL, delta
+    provenance.update(tails)
+    rough = any(tail > RESOLUTION_DELTA_TOL for tail in tails.values())
+    if not check_resolution:
+        return entries, provenance, True if rough else None, None
+    sizes, deltas = [], []
+    while True:
+        fine = next(sums)
+        sizes.append(n)
+        deltas.append(float(np.max(np.abs(fine - entries))))
+        if not adaptive or deltas[-1] <= ADAPTIVE_DELTA_RTOL * np.max(np.abs(entries)) or n >= ADAPTIVE_NODE_CAP:
+            break
+        entries, n = fine, 2 * n
+    provenance["N"] = n
+    if adaptive:
+        provenance["N_sequence"], provenance["delta_sequence"] = sizes, deltas
+    return entries, provenance, deltas[-1] > RESOLUTION_DELTA_TOL or rough, deltas[-1]
 
 
 def assemble(
@@ -233,9 +277,13 @@ def assemble(
     """Assemble the (K+1)x(K+1) level-q matrix over the arclength rule.
 
     Circles take the scaled Toeplitz route, other curves the quadrature
-    over basis samples.  K defaults to default_truncation on the curve, N
-    to DEFAULT_NODES = 1024 (at least 16); check_resolution flags the
-    matrix underresolved when doubling N moves an entry by more than 1e-7.
+    over basis samples.  K defaults to default_truncation on the curve.
+    N=None sizes the rule itself: from the least power of two >=
+    max(64, 2(K+q+1)), doubled while check_resolution finds the 2N matrix
+    more than 1e-14 max|M| away, up to 8192 nodes; an explicit N (at least
+    16) is used as given.  check_resolution flags the matrix underresolved
+    when doubling N moves an entry by more than 1e-7; a sampled curve or
+    weight table whose Fourier tail exceeds 1e-7 is flagged either way.
     """
     if q < 0:
         raise ValueError("level index must be >= 0")
@@ -351,7 +399,8 @@ def matrix_to_json(matrix: ToeplitzMatrix) -> str:
 
 
 def matrix_from_json(text: str) -> ToeplitzMatrix:
-    """Inverse of matrix_to_json; ValueError names a missing key, a non-object or bad field, or bad re/im."""
+    """Inverse of matrix_to_json; ValueError names a missing key, a non-object or bad field
+    (q and K JSON integers with q >= 0, b a finite positive number), or bad re/im."""
     payload = json.loads(text)
     try:
         meta, re, im = payload["meta"], payload["re"], payload["im"]
@@ -359,9 +408,11 @@ def matrix_from_json(text: str) -> ToeplitzMatrix:
         # JSON integers for q and K, a JSON number for b: no bool, string or 1.5 is coerced.
         if not (type(q) is int and type(K) is int and type(b) in (int, float)):
             raise TypeError(f"got q={q!r}, K={K!r}, b={b!r}")
+        if q < 0 or not (math.isfinite(b) and b > 0):
+            raise ValueError(f"need q >= 0 and a finite b > 0, got q={q!r}, b={b!r}")
     except KeyError as exc:
         raise ValueError(f"matrix JSON has no key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"matrix JSON: payload, meta and provenance must be objects, q, K and b numbers ({exc})") from None
     try:
         re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)

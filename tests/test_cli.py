@@ -150,6 +150,18 @@ class TestToeplitz:
         )
         assert code == 0
 
+    def test_kinked_weight_table_warns_without_the_check(self, capsys, tmp_path):
+        # The Fourier tail of the table flags the matrix though no N -> 2N check ran.
+        path = tmp_path / "w.txt"
+        t = np.linspace(0.0, 2 * math.pi, 200, endpoint=False)
+        path.write_text("# weight v1\n" + "".join(f"{ti:.17g} {abs(math.sin(ti)):.17g}\n" for ti in t))
+        code, out, err = run_cli(
+            capsys, "toeplitz", "--b", "2", "--q", "1", "--ellipse", "1.4,0.9", "--K", "4",
+            "--weight-file", str(path), "--no-resolution-check",
+        )
+        assert code == 0 and out.startswith("index,eigenvalue,residual\n")
+        assert re.fullmatch(r"warning: quadrature underresolved \(weight tail 2\.\d{3}e-04\)\n", err)
+
     def test_bad_arguments_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["toeplitz", "--q", "not-an-int"])
@@ -201,6 +213,16 @@ class TestToeplitz:
             ({"meta": {"q": "0", "K": 0, "b": 1.0, "provenance": {}}, "re": [[1.0]], "im": [[0.0]]}, "q, K and b numbers"),
             ({"meta": {"q": 0, "K": 0, "b": "2", "provenance": {}}, "re": [[1.0]], "im": [[0.0]]}, "q, K and b numbers"),
             ({"meta": {"q": 0, "K": 0, "b": True, "provenance": {}}, "re": [[1.0]], "im": [[0.0]]}, "q, K and b numbers"),
+            ({"meta": {"q": -3, "K": 0, "b": 1.0, "provenance": {}}, "re": [[1.0]], "im": [[0.0]]},
+             "need q >= 0 and a finite b > 0, got q=-3, b=1.0"),
+            ({"meta": {"q": 0, "K": 0, "b": math.nan, "provenance": {}}, "re": [[1.0]], "im": [[0.0]]},
+             "need q >= 0 and a finite b > 0, got q=0, b=nan"),
+            ({"meta": {"q": 0, "K": 0, "b": -math.inf, "provenance": {}}, "re": [[1.0]], "im": [[0.0]]},
+             "need q >= 0 and a finite b > 0"),
+            ({"meta": {"q": 0, "K": 0, "b": 0, "provenance": {}}, "re": [[1.0]], "im": [[0.0]]},
+             "need q >= 0 and a finite b > 0"),
+            ({"meta": {"q": 0, "K": 0, "b": 10**400, "provenance": {}}, "re": [[1.0]], "im": [[0.0]]},
+             "q, K and b numbers"),
         ],
     )
     def test_malformed_import_exit_2(self, capsys, tmp_path, payload, message):

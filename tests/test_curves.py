@@ -322,18 +322,75 @@ class TestTableIO:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_weight(curve, path)
 
-    def test_sampled_resampling_is_per_column_interp(self):
-        native = make_ellipse(1.4, 0.9, n=97)
+    def test_sampled_input_matches_analytic_values(self):
+        # The trigonometric interpolant reproduces band-limited samples at
+        # every node count, whether the native count is odd, even, below or
+        # above the target.
+        def three_harmonic(t):
+            return 1.0 + 0.3 * np.sin(t) - 0.2 * np.cos(2 * t) + 0.1 * np.sin(3 * t)
+
+        for nodes in (97, 200, 3000):
+            native = make_ellipse(1.4, 0.9, n=nodes)
+            wc = load_weight(
+                JordanCurve("sampled", native.params, native.points, native.derivs, ()),
+                (native.params, three_harmonic(native.params)),
+            )
+            for n in (64, 1000, 4096):
+                got, exact = wc.resample(n), make_ellipse(1.4, 0.9, n=n)
+                assert np.max(np.abs(got.curve.points - exact.points)) <= 1e-14 * 1.4
+                assert np.max(np.abs(got.curve.derivs - exact.derivs)) <= 1e-14 * 1.4
+                assert np.max(np.abs(got.values - three_harmonic(exact.params))) <= 1e-14 * 1.6
+        # An even table at its Nyquist frequency: the interpolant is cos(M t / 2).
+        t = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+        for n in (96, 128, 200):
+            exact = np.cos(2 * math.pi * (32 * np.arange(n) % n) / n)  # cos(32 t) with the argument reduced exactly
+            values = load_weight(make_circle(1.0, n=n), (t, (-1.0) ** np.arange(64))).values
+            assert np.max(np.abs(values - exact)) <= 1e-14
+
+
+class TestUniformGrid:
+    """Sampled curves and weight tables sit on the grid 2 pi j / M, whichever door they come through."""
+
+    def test_off_grid_weight_table_rejected(self, tmp_path):
+        grid = np.linspace(0.0, 2 * math.pi, 40, endpoint=False)
+        jittered = grid.copy()
+        jittered[7] += 0.01
+        curve = make_circle(1.0, n=64)
+        # A jittered row and a dropped row: both strictly increasing, neither on the grid.
+        for t in (jittered, np.delete(grid, 11)):
+            v = 1.0 + 0.5 * np.sin(t)
+            with pytest.raises(ValueError, match=r"^weight table: samples must sit on the uniform grid 2\*pi\*j/N$"):
+                load_weight(curve, (t, v))
+            path = tmp_path / "w.txt"
+            save_weight(t, v, path)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: samples must sit on the uniform grid"):
+                load_weight(curve, path)
+
+    def test_off_grid_sampled_curve_rejected(self):
+        e = make_ellipse(1.4, 0.9, n=64)
+        with pytest.raises(ValueError, match=r"^curve: samples must sit on the uniform grid 2\*pi\*j/N$"):
+            JordanCurve("sampled", e.params + 0.05 * np.sin(e.params), e.points, e.derivs, ())
+
+
+class TestSampleTails:
+    """The Fourier tail of native samples: the interpolation error no node count removes."""
+
+    def test_kinked_weight_table_has_a_slow_tail(self):
+        curve = make_ellipse(1.4, 0.9, n=64)
+        for rows, low, high in ((200, 1e-4, 1e-3), (3000, 1e-6, 1e-5)):
+            t = np.linspace(0.0, 2 * math.pi, rows, endpoint=False)
+            tails = load_weight(curve, (t, np.abs(np.sin(t)))).sample_tails()
+            assert set(tails) == {"weight_tail"}
+            assert low < tails["weight_tail"] < high
+
+    def test_smooth_samples_have_tails_at_rounding(self):
+        native = make_ellipse(1.4, 0.9, n=200)
         sampled = JordanCurve("sampled", native.params, native.points, native.derivs, ())
-        for n in (64, 256, 1000):
-            t = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-            expected = [
-                np.column_stack([np.interp(t, native.params, arr[:, i], period=2 * math.pi) for i in range(2)])
-                for arr in (native.points, native.derivs)
-            ]
-            got = sampled.resample(n)
-            assert got.points.tobytes() == expected[0].tobytes()
-            assert got.derivs.tobytes() == expected[1].tobytes()
-            v = 1.0 + 0.3 * np.sin(3 * native.params)
-            values = load_weight(got, (native.params, v)).values
-            assert values.tobytes() == np.interp(t, native.params, v, period=2 * math.pi).tobytes()
+        t = native.params
+        tails = load_weight(sampled, (t, 0.3 + np.cos(t) - 0.6 * np.sin(2 * t) + 0.4 * np.cos(3 * t))).sample_tails()
+        assert set(tails) == {"curve_tail", "weight_tail"}
+        assert max(tails.values()) <= 1e-15
+
+    def test_analytic_inputs_have_no_tail(self):
+        for weight in (1.0, np.sin):
+            assert load_weight(make_ellipse(1.4, 0.9, n=64), weight).sample_tails() == {}

@@ -7,7 +7,7 @@ import landaudelta.toeplitz as toeplitz
 from landaudelta.basis import BasisIndex, MagneticField, basis_eval, basis_matrix, translated_parts
 from landaudelta.census import census
 from landaudelta.curves import JordanCurve, arclength_rule, load_weight, make_circle, make_ellipse, save_weight
-from landaudelta.galerkin import assemble_model
+from landaudelta.galerkin import assemble_model, model_truncation, persistence_check
 from landaudelta.laguerre import LaguerreSpec, laguerre_eval, positive_zeros
 from landaudelta.toeplitz import (
     CURVE_AMPLITUDE_CUTOFF,
@@ -347,7 +347,7 @@ def direct_quadrature(field, levels, K, wc, n):
 
 
 def sampled_ellipse(a, c, nodes):
-    """An ellipse known only through its samples (resampled linearly)."""
+    """An ellipse known only through its samples (resampled by their trigonometric interpolant)."""
     ell = make_ellipse(a, c, n=nodes)
     return JordanCurve("sampled", ell.params, ell.points, ell.derivs, ())
 
@@ -362,7 +362,8 @@ class TestNestedResolution:
         for curve in (make_ellipse(1.4, 0.9), sampled_ellipse(1.4, 0.9, 97)):
             for weight in (three_harmonic, sample_weights(tmp_path)[2]):
                 wc = load_weight(curve, weight)
-                for n in (32, 64, 128):
+                # At n = 16 the rule is too coarse for K = 12 on either curve.
+                for n in (16, 32, 64, 128):
                     single = [assemble(F2, q, wc, K=K, N=n) for q in (0, 2, 5)]
                     model = assemble_model(F2, 3, K, wc, +1, N=n)
                     runs = [([m.q], m.entries, m.refinement_delta, m.underresolved) for m in single]
@@ -403,6 +404,122 @@ class TestNestedResolution:
             assert {q for q, _ in points} == {0, 1, 2, 3}
             assert all(sum(p for q, p in points if q == j) == per_level for j in range(4))
             assert (model.refinement_delta is not None) == check
+
+
+def step_weight(t):
+    """A weight with a jump: its trapezoid sums converge like 1/N, never to 1e-14."""
+    return (t < math.pi).astype(float)
+
+
+class TestAdaptiveNodes:
+    """N=None: start at the least power of two >= max(64, 2(K + level + 1)) and
+    double through the nested sums until the 2N matrix is within 1e-14 max|M|."""
+
+    @pytest.mark.parametrize("curve, K", [(make_circle(10.0), 349), (make_ellipse(6.0, 3.0), 188)])
+    def test_delta_tracks_error_at_high_K(self, curve, K):
+        field = MagneticField(4.0)
+        for weight in (1.0, three_harmonic):
+            wc = load_weight(curve, weight)
+            m = assemble(field, 2, wc, K=K)
+            assert m.provenance["N_sequence"][0] == (1024 if curve.kind == "circle" else 512)
+            assert m.provenance["N"] == m.provenance["N_sequence"][-1]
+            assert m.refinement_delta == m.provenance["delta_sequence"][-1]
+            reference = assemble(field, 2, wc, K=K, N=8192, check_resolution=False).entries
+            error = np.max(np.abs(m.entries - reference))
+            assert error <= m.refinement_delta + 1e-14 * np.max(np.abs(reference))
+
+    def test_unchecked_assembles_once_at_the_start_size(self, monkeypatch):
+        points = []
+
+        def counting(field, q, ks, pts):
+            points.append((q, len(pts)))
+            return basis_matrix(field, q, ks, pts)
+
+        monkeypatch.setattr(toeplitz, "basis_matrix", counting)
+        wc = load_weight(make_ellipse(1.4, 0.9), three_harmonic)
+        for check in (False, True):
+            points.clear()
+            m = assemble(F2, 2, wc, K=8, check_resolution=check)
+            assert m.provenance["N"] == 64
+            assert sum(p for _, p in points) == (128 if check else 64)
+            assert ("N_sequence" in m.provenance) == check
+            assert (m.underresolved, m.refinement_delta is None) == ((False, False) if check else (None, True))
+            points.clear()
+            model = assemble_model(F2, 3, 40, wc, +1, check_resolution=check)
+            assert model.provenance["N"] == 128  # 2 (40 + 3 + 1) = 88
+            assert all(sum(p for q, p in points if q == j) == (256 if check else 128) for j in range(4))
+
+    def test_circle_check_costs_one_further_fft(self, monkeypatch):
+        ffts = []
+        fft = np.fft.fft
+
+        def counting(a, *args, **kwargs):
+            ffts.append(np.shape(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counting)
+        wc = load_weight(make_circle(1.3), three_harmonic)
+        for check, sizes in ((True, [(64,), (128,)]), (False, [(64,)])):
+            ffts.clear()
+            assemble(F2, 2, wc, K=8, check_resolution=check)
+            assert ffts == sizes
+        ffts.clear()
+        assert persistence_check(F2, 1, 1.0, weight=three_harmonic).persists
+        assert len(ffts) == 1
+
+    @pytest.mark.parametrize("curve", [make_circle(1.1), make_ellipse(1.4, 0.9)])
+    def test_cap_sets_the_flag(self, curve):
+        m = assemble(F2, 1, load_weight(curve, step_weight), K=3)
+        assert m.provenance["N_sequence"] == [64 * 2**i for i in range(8)]
+        assert m.provenance["N"] == toeplitz.ADAPTIVE_NODE_CAP == 8192
+        assert m.underresolved is True
+        assert m.refinement_delta > RESOLUTION_DELTA_TOL
+
+    def test_slow_sample_tail_sets_the_flag(self):
+        # The interpolant of a kinked table is smooth, so the nested check
+        # settles; the tail of the native samples still flags the matrix.
+        t = np.linspace(0.0, 2 * math.pi, 200, endpoint=False)
+        kinked = load_weight(make_ellipse(1.4, 0.9), (t, np.abs(np.sin(t))))
+        for check in (True, False):
+            m = assemble(F2, 1, kinked, K=6, check_resolution=check)
+            assert m.underresolved is True
+            assert 1e-4 < m.provenance["weight_tail"] < 1e-3
+        assert m.refinement_delta is None
+        assert assemble(F2, 1, kinked, K=6).refinement_delta <= RESOLUTION_DELTA_TOL
+        smooth = assemble(F2, 1, load_weight(make_ellipse(1.4, 0.9), (t, three_harmonic(t))), K=6)
+        assert smooth.underresolved is False
+        assert smooth.provenance["weight_tail"] <= 1e-15
+
+
+def compress(field, level, K, wc, model, **kwargs):
+    """(interaction matrix, result) of assemble at level q or of assemble_model up to level Q."""
+    if model:
+        result = assemble_model(field, level, K, wc, +1, **kwargs)
+        return result.coupling, result
+    result = assemble(field, level, wc, K=K, **kwargs)
+    return result.entries, result
+
+
+def test_replay_corpus_matches_the_fixed_rule():
+    # Analytic circles and ellipses, single levels q <= 6 and models Q <= 5
+    # at the default K: the adaptive matrix lies within 1e-14 max|M| of the
+    # N = 1024 one, carries the same flag, and its delta bounds its
+    # distance to the N = 4096 matrix.
+    curves = (make_circle(0.8), make_circle(3.0), make_ellipse(1.4, 0.9), make_ellipse(3.0, 1.8))
+    weights = (1.0, three_harmonic, lambda t: 1.5 + np.sin(t) * np.cos(3 * t))
+    for i, (b, curve) in enumerate((b, c) for b in (0.5, 2.0, 4.0) for c in curves):
+        field = MagneticField(b)
+        wc = load_weight(curve, weights[i % 3])
+        cells = [(q, default_truncation(field, q, curve), False) for q in (0, 3, 6)]
+        cells += [(Q, model_truncation(field, Q, curve), True) for Q in (2, 5)]
+        for level, K, model in cells:
+            entries, adaptive = compress(field, level, K, wc, model)
+            fixed_entries, fixed = compress(field, level, K, wc, model, N=1024)
+            reference, _ = compress(field, level, K, wc, model, N=4096, check_resolution=False)
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(entries - fixed_entries)) <= 1e-14 * scale
+            assert adaptive.underresolved == fixed.underresolved
+            assert np.max(np.abs(entries - reference)) <= adaptive.refinement_delta + 1e-14 * scale
 
 
 class TestSpectrum:

@@ -216,22 +216,38 @@ def _zeta_rows(q: int, alphas: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _eta_table(field: MagneticField, q: int, alphas) -> np.ndarray:
+    """eta_1..eta_q(alpha), one row per alpha: the one home of the domain rule.
+
+    zeta_ell is defined on [ell - q, inf); alpha within _INT_TOL below the
+    edge reads the edge, and cells further below are nan.
+    """
+    if q < 1:
+        raise ValueError("eta curves require q >= 1")
+    alphas = np.asarray(alphas, dtype=float)
+    edges = np.arange(1 - q, 1)
+    defined = ~(alphas[:, None] < edges - _INT_TOL)
+    cells = np.maximum(alphas[:, None], edges)[defined]
+    at, row = np.unique(cells, return_inverse=True)
+    zeta = np.full(defined.shape, np.nan)
+    zeta[defined] = _zeta_rows(q, at)[row, np.nonzero(defined)[1]]
+    return np.sqrt(2.0 * zeta / field.b)
+
+
 def eta_curve(field: MagneticField, q: int, ell: int, alpha: float) -> float:
     """Radius curve eta_ell(alpha) = sqrt(2 zeta_ell(alpha) / b).
 
     zeta_ell extends to [ell - q, inf): at negative integers -n it takes
     the ell-th largest positive zero of L_q^(-n), with linear
     interpolation in between.  Strictly increasing in alpha; lower ell
-    dominates where both are defined.
+    dominates where both are defined.  ValueError below the domain edge.
     """
-    if q < 1:
-        raise ValueError("eta curves require q >= 1")
+    etas = _eta_table(field, q, [alpha])[0]
     if not 1 <= ell <= q:
         raise ValueError(f"curve index must satisfy 1 <= ell <= q, got {ell}")
-    if alpha < (ell - q) - _INT_TOL:
+    if math.isnan(etas[ell - 1]):
         raise ValueError(f"alpha={alpha} below the domain edge {ell - q} of curve {ell}")
-    zeta = _zeta_rows(q, np.array([max(alpha, float(ell - q))]))[0, ell - 1]
-    return math.sqrt(2.0 * zeta / field.b)
+    return float(etas[ell - 1])
 
 
 def gap_constants(field: MagneticField, q: int, lam: float) -> tuple[float, float]:
@@ -283,19 +299,9 @@ def census_to_csv(entries: list[CensusEntry]) -> str:
 
 
 def eta_table_to_csv(field: MagneticField, q: int, alphas) -> str:
-    """CSV table alpha,eta_1..eta_q; out-of-domain cells print as nan.
-
-    Each cell is eta_curve's value: the zeta row at alpha, or at the
-    domain edge ell - q for alpha within _INT_TOL below it.
-    """
+    """CSV table alpha,eta_1..eta_q of eta_curve's values; out-of-domain cells print as nan."""
     alphas = np.asarray(alphas, dtype=float)
-    edges = np.arange(1 - q, 1)
-    defined = ~(alphas[:, None] < edges - _INT_TOL)
-    cells = np.maximum(alphas[:, None], edges)[defined]
-    at, row = np.unique(cells, return_inverse=True)
-    zeta = np.full(defined.shape, np.nan)
-    zeta[defined] = _zeta_rows(q, at)[row, np.nonzero(defined)[1]]
-    eta = np.sqrt(2.0 * zeta / field.b)
+    eta = _eta_table(field, q, alphas)
     header = "alpha," + ",".join(f"eta_{ell}" for ell in range(1, q + 1))
     lines = [header]
     for a, etas in zip(alphas.tolist(), eta.tolist()):

@@ -97,6 +97,8 @@ def _cmd_laguerre(args) -> int:
 def _cmd_census(args) -> int:
     field = MagneticField(args.b)
     if args.eta:
+        if args.format != "csv":
+            raise ValueError("--eta prints CSV only; drop --format json")
         if not args.alpha_step > 0:
             raise ValueError(f"--alpha-step must be positive, got {args.alpha_step}")
         alphas = np.arange(args.alpha_min, args.alpha_max + 0.5 * args.alpha_step, args.alpha_step)
@@ -141,7 +143,7 @@ def _cmd_toeplitz(args) -> int:
         with open(args.export, "w") as fh:
             fh.write(matrix_to_json(matrix))
     if args.kernel:
-        print(json.dumps(asdict(kernel_dim_estimate(matrix, rel_tol=args.kernel_tol)), indent=1))
+        print(json.dumps(asdict(kernel_dim_estimate(matrix)), indent=1))
         return 0
     sys.stdout.write(spectrum_to_csv(spectrum(matrix)))
     return 0
@@ -203,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--explicit", type=int, default=None, metavar="NMAX",
                       help="print the closed-form level-1/2 sets instead of sweeping")
-    mode.add_argument("--eta", action="store_true", help="print the zero-curve table")
+    mode.add_argument("--eta", action="store_true", help="print the zero-curve table (CSV only)")
     p.add_argument("--alpha-min", type=float, default=0.0)
     p.add_argument("--alpha-max", type=float, default=10.0)
     p.add_argument("--alpha-step", type=float, default=0.5)
@@ -218,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--import", dest="import_path", type=str, default=None,
                    help="reload an exported matrix instead of assembling")
     p.add_argument("--kernel", action="store_true", help="print the kernel-dimension estimate")
-    p.add_argument("--kernel-tol", type=float, default=1e-10)
     p.add_argument("--no-resolution-check", action="store_true")
     p.set_defaults(func=_cmd_toeplitz)
 

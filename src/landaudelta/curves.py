@@ -199,9 +199,11 @@ class WeightedCurve:
 
 
 def classify_sign(values: np.ndarray) -> str:
-    if np.min(values) >= -_SIGN_ZERO_TOL:
+    """Sign class of the samples, with values within _SIGN_ZERO_TOL * max|v| of zero counted as zero."""
+    tol = _SIGN_ZERO_TOL * np.max(np.abs(values))
+    if np.min(values) >= -tol:
         return SIGN_NONNEGATIVE
-    if np.max(values) <= _SIGN_ZERO_TOL:
+    if np.max(values) <= tol:
         return SIGN_NONPOSITIVE
     return SIGN_INDEFINITE
 

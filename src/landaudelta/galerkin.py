@@ -109,7 +109,7 @@ def assemble_model(
     N and the N -> 2N check are as in toeplitz.assemble: N=None starts at
     the least power of two >= max(64, 2(K+Q+1)) and doubles while the check
     runs and moves an entry by more than 1e-14 max|B|; an explicit N (at
-    least 16) is used as given.
+    least 16) is used as given; the underresolved flag is relative to max|B|.
     """
     if Q < 0 or K < 0:
         raise ValueError("cutoffs must be >= 0")

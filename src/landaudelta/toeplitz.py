@@ -205,18 +205,6 @@ def _circle_sums(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int
         n *= 2
 
 
-def _quadrature_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int, refine: bool = False):
-    """(n-node, 2n-node or None) matrices of _quadrature_sums: the check costs n further basis samples."""
-    sums = _quadrature_sums(field, levels, K, wc, n)
-    return next(sums), next(sums) if refine else None
-
-
-def _circle_kernel(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int, refine: bool = False):
-    """(n-node, 2n-node or None) matrices of _circle_sums: the check costs one further FFT."""
-    sums = _circle_sums(field, levels, K, wc, n)
-    return next(sums), next(sums) if refine else None
-
-
 def _start_nodes(levels, K: int) -> int:
     """Smallest power of two >= max(64, 2 (K + max level + 1)): every basis-product harmonic below Nyquist."""
     return 1 << (max(64, 2 * (K + max(levels) + 1)) - 1).bit_length()
@@ -235,9 +223,10 @@ def _compress(field: MagneticField, levels, K: int, wc: WeightedCurve, N: int | 
     ADAPTIVE_NODE_CAP; provenance then lists every N tried and its delta.
     Without the check N=None assembles once.  The matrix returned is the
     N-node one, delta is its distance to the 2N matrix, and underresolved
-    is set when delta exceeds RESOLUTION_DELTA_TOL or when a sampled curve
-    or weight table has a Fourier tail above it (curves.WeightedCurve.sample_tails,
-    also in provenance); it is None when unchecked and no tail is flagged.
+    is set when delta exceeds RESOLUTION_DELTA_TOL * max|M| or a sampled
+    curve or weight table has a relative Fourier tail above RESOLUTION_DELTA_TOL
+    (curves.WeightedCurve.sample_tails, also in provenance); it is None when
+    unchecked and no tail is flagged.  No decision depends on the weight's scale.
     """
     adaptive = N is None
     n = _start_nodes(levels, K) if adaptive else quadrature_size(N)
@@ -255,15 +244,16 @@ def _compress(field: MagneticField, levels, K: int, wc: WeightedCurve, N: int | 
     sizes, deltas = [], []
     while True:
         fine = next(sums)
+        scale = np.max(np.abs(entries))
         sizes.append(n)
         deltas.append(float(np.max(np.abs(fine - entries))))
-        if not adaptive or deltas[-1] <= ADAPTIVE_DELTA_RTOL * np.max(np.abs(entries)) or n >= ADAPTIVE_NODE_CAP:
+        if not adaptive or deltas[-1] <= ADAPTIVE_DELTA_RTOL * scale or n >= ADAPTIVE_NODE_CAP:
             break
         entries, n = fine, 2 * n
     provenance["N"] = n
     if adaptive:
         provenance["N_sequence"], provenance["delta_sequence"] = sizes, deltas
-    return entries, provenance, deltas[-1] > RESOLUTION_DELTA_TOL or rough, deltas[-1]
+    return entries, provenance, bool(deltas[-1] > RESOLUTION_DELTA_TOL * scale) or rough, deltas[-1]
 
 
 def assemble(
@@ -282,8 +272,9 @@ def assemble(
     max(64, 2(K+q+1)), doubled while check_resolution finds the 2N matrix
     more than 1e-14 max|M| away, up to 8192 nodes; an explicit N (at least
     16) is used as given.  check_resolution flags the matrix underresolved
-    when doubling N moves an entry by more than 1e-7; a sampled curve or
-    weight table whose Fourier tail exceeds 1e-7 is flagged either way.
+    when doubling N moves an entry by more than 1e-7 max|M|; a sampled
+    curve or weight table whose relative Fourier tail exceeds 1e-7 is
+    flagged either way.
     """
     if q < 0:
         raise ValueError("level index must be >= 0")
@@ -309,11 +300,11 @@ class SpectrumResult:
 
 
 def _hermitian_solve(matrix: ToeplitzMatrix | np.ndarray, solver):
-    """(entries, solver(entries)) for a nonempty matrix, Hermitian to 1e-12 * max|M|."""
+    """(entries, solver(entries)) for a nonempty matrix, Hermitian to 1e-12 * max|M| (a zero matrix is)."""
     m = matrix.entries if isinstance(matrix, ToeplitzMatrix) else np.asarray(matrix)
     if m.size == 0:
         raise ValueError("empty matrix")
-    if not np.allclose(m, m.conj().T, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(m))))):
+    if not np.allclose(m, m.conj().T, rtol=0.0, atol=1e-12 * float(np.max(np.abs(m)))):
         raise ValueError("matrix is not Hermitian")
     try:
         return m, solver(m)
@@ -355,13 +346,11 @@ class KernelEstimate:
     note: str
 
 
-def kernel_dim_estimate(matrix: ToeplitzMatrix, rel_tol: float = 1e-10) -> KernelEstimate:
-    """Count eigenvalues with |lambda| <= rel_tol * max|lambda|, from eigenvalues() alone."""
-    if not 0.0 < rel_tol <= 1e-3:
-        raise ValueError(f"rel_tol must lie in (0, 1e-3], got {rel_tol}")
+def kernel_dim_estimate(matrix: ToeplitzMatrix) -> KernelEstimate:
+    """Count eigenvalues with |lambda| <= 1e-10 max|lambda| (so no weight scale moves it), from eigenvalues() alone."""
     vals = eigenvalues(matrix)
     scale = float(np.max(np.abs(vals)))
-    threshold = rel_tol * max(scale, 1e-300)
+    threshold = 1e-10 * max(scale, 1e-300)
     count = int(np.sum(np.abs(vals) <= threshold))
     note = (
         "truncation adds spuriously small tail entries; treat the count as an upper "

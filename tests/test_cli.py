@@ -88,6 +88,18 @@ class TestCensus:
         assert code == 2 and out == ""
         assert err.startswith("error: --alpha-step must be positive")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--q", "2", "--eta", "--format", "json"), "--eta prints CSV only; drop --format json"),
+            (("--q", "0", "--eta"), "eta curves require q >= 1"),
+        ],
+    )
+    def test_malformed_eta_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "census", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestToeplitz:
     def test_spectrum_csv(self, capsys):

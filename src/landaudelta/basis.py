@@ -53,7 +53,8 @@ FD_STEP = 1e-4
 # Radial nodes per block of the Gram quadrature: 13 functions on 16 x 256
 # nodes take under 1 MiB of complex samples.
 GRAM_RADIAL_BLOCK = 16
-# log k! table size; larger k (past twice the largest truncation) build another.
+# log k! table size; larger k (past twice the largest truncation) build one
+# power-of-two table per size class.
 LOG_FACTORIAL_TABLE = 1024
 
 
@@ -111,7 +112,7 @@ def _log_factorial(n):
     try:
         return _log_factorials(LOG_FACTORIAL_TABLE)[n]
     except IndexError:
-        return _log_factorials(int(np.max(n)) + 1)[n]
+        return _log_factorials(1 << int(np.max(n)).bit_length())[n]
 
 
 def _parts_arrays(field: MagneticField, k, q, pts: np.ndarray):

@@ -27,8 +27,10 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import MagneticField
-from .laguerre import _INT_TOL, ZERO_MEMBERSHIP_RTOL, nodal_zeros, positive_zeros
+from .laguerre import _INT_TOL, nodal_zeros, positive_zeros
 
+# Relative tolerance used when testing membership t in zeros(spec).
+ZERO_MEMBERSHIP_RTOL = 1e-9
 # Parameters k - q solved per stacked eigensolve when building a zero table.
 ZERO_TABLE_BLOCK = 64
 

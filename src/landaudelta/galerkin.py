@@ -20,12 +20,11 @@ read off the vanishing witness columns of B with no eigensolver, and
 Weyl monotonicity under sign-definite weights.  Eigenvalue positions
 between levels are reported, never certified.
 
-On circles the default angular cutoff keeps only modes whose diagonal
+The default angular cutoff keeps only modes whose truncation profile
 stays above 1e-4 of the peak: beyond that, modes are numerically blind
 to the curve and would pile spurious eigenvalues onto the bare Landau
 levels, masking the resonant/non-resonant dichotomy.  All census
-witnesses sit well inside this cutoff.  Other curves take
-default_truncation's amplitude rule instead (see model_truncation).
+witnesses sit well inside this cutoff.
 """
 
 from __future__ import annotations
@@ -90,8 +89,7 @@ def _hamiltonian(field: MagneticField, Q: int, K: int, coupling: np.ndarray, sig
 
 
 def model_truncation(field: MagneticField, Q: int, curve: JordanCurve) -> int:
-    """Default angular cutoff on curve, worst level included: the 1e-4 tail
-    rule on circles, default_truncation's 1e-12 amplitude rule on other curves."""
+    """Default angular cutoff on curve, worst level included: default_truncation at tail_rel = 1e-4."""
     return max(default_truncation(field, j, curve, tail_rel=MODEL_TAIL_CUTOFF) for j in range(Q + 1))
 
 

@@ -32,9 +32,6 @@ __all__ = [
     "orthogonality_defect",
 ]
 
-# Relative tolerance used when testing membership t in zeros(spec).
-ZERO_MEMBERSHIP_RTOL = 1e-9
-
 _INT_TOL = 1e-12
 
 

@@ -70,9 +70,8 @@ RESOLUTION_DELTA_TOL = 1e-7
 ADAPTIVE_DELTA_RTOL = 1e-14
 ADAPTIVE_NODE_CAP = 8192
 TAIL_RELATIVE_CUTOFF = 1e-16
-CURVE_AMPLITUDE_CUTOFF = 1e-12
 MAX_TRUNCATION = 512
-# Angular indices per basis evaluation in the general-curve truncation sweep.
+# Angular indices per basis evaluation in the truncation sweep.
 TRUNCATION_BLOCK = 32
 
 
@@ -120,43 +119,29 @@ def circle_diagonal(field: MagneticField, q: int, k: int, r: float) -> float:
 def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_rel: float = TAIL_RELATIVE_CUTOFF) -> int:
     """Smallest K beyond which entries of the level-q matrix on curve are negligible.
 
-    Circles: sweep lambda_{k,q}(r) until the Poisson-type tail drops
-    below tail_rel of the running maximum.  General curves ignore
-    tail_rel and sweep curve.points, TRUNCATION_BLOCK angular indices per
-    evaluation: stop once the amplitude of phi_{K,q} at every node falls
-    below CURVE_AMPLITUDE_CUTOFF = 1e-12 of the largest amplitude seen.
+    One rule on every curve.  The profile P_q(k) = 2 max_j log|phi_{k,q}(x_j)|
+    is swept TRUNCATION_BLOCK angular indices per evaluation, over the
+    nodes x_j of curve.points, or the single node (r, 0) on a circle, whose
+    nodes all share one modulus.  Past k = q + t_peak (t_peak = b max|x_j|^2/2),
+    q+1 consecutive k with P_q(k) below tail_rel times the running maximum
+    certify the tail, and K is the index before them: at most q diagonals
+    vanish at any circle radius, so a lone resonant zero cannot stop the sweep.
     """
-    if curve.kind != "circle":
-        points = curve.points
-        t_peak = 0.5 * field.b * float(np.max(np.sum(points * points, axis=1)))
-        log_cut = math.log(CURVE_AMPLITUDE_CUTOFF)
-        best = -math.inf
-        for start in range(0, MAX_TRUNCATION, TRUNCATION_BLOCK):
-            ks = np.arange(start, min(start + TRUNCATION_BLOCK, MAX_TRUNCATION))
-            log_level = _parts_arrays(field, ks[:, None], q, points)[0].max(axis=1)
-            running = np.maximum(np.maximum.accumulate(log_level), best)
-            stop = (ks > q + t_peak) & (log_level < running + log_cut)
-            if stop.any():
-                return int(ks[np.argmax(stop)])
-            best = float(running[-1])
-        return MAX_TRUNCATION
-    r = dict(curve.meta)["r"]
-    t = 0.5 * field.b * r * r
-    log_lam = _circle_amplitudes(field, [q], np.arange(MAX_TRUNCATION), r)[0].tolist()
-    best = -math.inf
-    below = 0
+    points = np.array([[dict(curve.meta)["r"], 0.0]]) if curve.kind == "circle" else curve.points
+    t_peak = 0.5 * field.b * float(np.max(np.sum(points * points, axis=1)))
     log_cut = math.log(tail_rel)
-    # At most q diagonals vanish at any radius, so q+1 consecutive
-    # sub-threshold entries certify the tail (a lone resonant zero must
-    # not truncate the sweep).
-    for k, val in enumerate(log_lam):
-        best = max(best, val)
-        if k > q + t and val < best + log_cut:
-            below += 1
-            if below == q + 1:
-                return k - (q + 1)
-        else:
-            below = 0
+    best, below = -math.inf, 0
+    for start in range(0, MAX_TRUNCATION, TRUNCATION_BLOCK):
+        ks = range(start, min(start + TRUNCATION_BLOCK, MAX_TRUNCATION))
+        profile = 2.0 * _parts_arrays(field, np.array(ks)[:, None], q, points)[0].max(axis=1)
+        for k, val in zip(ks, profile.tolist()):
+            best = max(best, val)
+            if k > q + t_peak and val < best + log_cut:
+                below += 1
+                if below == q + 1:
+                    return k - (q + 1)
+            else:
+                below = 0
     return MAX_TRUNCATION
 
 

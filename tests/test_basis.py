@@ -8,6 +8,8 @@ from scipy.special import eval_genlaguerre
 from landaudelta.basis import (
     BasisIndex,
     MagneticField,
+    _log_factorial,
+    _log_factorials,
     _parts_arrays,
     annihilation_residual,
     basis_eval,
@@ -20,6 +22,7 @@ from landaudelta.basis import (
     translated_parts,
 )
 from landaudelta.laguerre import positive_zeros
+from landaudelta.toeplitz import circle_diagonal
 from landaudelta.verify import basis_gram, translated_gram
 
 
@@ -81,6 +84,16 @@ class TestEval:
     def test_origin_vanishes_above_diagonal(self):
         assert basis_eval(MagneticField(2.0), BasisIndex(3, 1), (0.0, 0.0)) == 0.0
         assert basis_eval(MagneticField(2.0), BasisIndex(0, 2), (0.0, 0.0)) == 0.0
+
+    def test_log_factorials_past_the_table_share_one_cache_entry(self):
+        # Indices past LOG_FACTORIAL_TABLE build one power-of-two table, not one per size.
+        _log_factorial(0)  # the base table
+        before = _log_factorials.cache_info().currsize
+        for k in range(1100, 1140):
+            assert math.isfinite(circle_diagonal(MagneticField(2.0), 1, k, 20.0))
+        assert _log_factorials.cache_info().currsize - before <= 1
+        ks = np.arange(1100, 1140)
+        assert _log_factorial(ks).tolist() == [math.lgamma(k + 1) for k in ks.tolist()]
 
     @pytest.mark.parametrize("k,q", [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)])
     def test_matches_hand_built_closed_forms(self, k, q):

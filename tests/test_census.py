@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from landaudelta.basis import MagneticField
 from landaudelta.census import (
+    ZERO_MEMBERSHIP_RTOL,
     CensusEntry,
     census,
     census_to_csv,
@@ -19,7 +20,7 @@ from landaudelta.census import (
     multiplicity,
 )
 
-from landaudelta.laguerre import ZERO_MEMBERSHIP_RTOL, positive_zeros
+from landaudelta.laguerre import positive_zeros
 
 census_mod = importlib.import_module("landaudelta.census")
 laguerre_mod = importlib.import_module("landaudelta.laguerre")

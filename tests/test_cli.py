@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from landaudelta import cli, toeplitz
-from landaudelta.curves import JordanCurve, make_ellipse, save_curve
+from landaudelta.curves import JordanCurve, make_circle, make_ellipse, save_curve
 from landaudelta.cli import main
 
 
@@ -254,6 +254,19 @@ class TestToeplitz:
             code, out, err = run_cli(capsys, "toeplitz", "--curve-file", str(path), *k)
             assert code == 2 and out == ""
             assert err == f"error: {path}: need at least 16 samples, got 8\n"
+
+    def test_circle_file_truncates_like_the_circle(self, capsys, tmp_path):
+        # At t = 5 - sqrt(5) (b = 2) phi_{5,2} vanishes on the circle, past
+        # k = q + t: that lone zero must not end the sweep on the samples.
+        r = math.sqrt(5.0 - math.sqrt(5.0))
+        path = tmp_path / "circle.txt"
+        save_curve(make_circle(r, n=256), path)
+        rows = []
+        for curve in (("--curve-file", str(path)), ("--r", repr(r))):
+            code, out, _ = run_cli(capsys, "toeplitz", "--b", "2", "--q", "2", *curve)
+            assert code == 0
+            rows.append(len(out.strip().splitlines()) - 1)
+        assert rows[0] == rows[1] > 6
 
     def test_import_accepts_integral_b(self, capsys, tmp_path):
         path = tmp_path / "m.json"

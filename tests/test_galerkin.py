@@ -213,7 +213,9 @@ class TestClusterReport:
             (0.4119508467873838, -0.32583795537483196, 0.19822124309726163),
             (0.24761311893849802, -0.371058962375429, 0.09961264919254231),
         )
-        model = assemble_model(F2, 3, model_truncation(F2, 3, curve), load_weight(curve, weight), +1)
+        # An explicit K keeps this 172 x 172 model: model_truncation, which
+        # honours the 1e-4 tail cutoff on every curve, gives K = 19 here.
+        model = assemble_model(F2, 3, 42, load_weight(curve, weight), +1)
         assert model.matrix.shape == (172, 172)
         report = cluster_report(model)
         listed = np.concatenate([c.eigenvalues for c in report.clusters])

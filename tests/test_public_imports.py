@@ -1,4 +1,5 @@
-"""verify and the CLI reach the package through public names only, so verify checks the doors users run."""
+"""verify and the CLI reach the package through public names only, so verify checks the doors users run;
+verify reports every failure as a verdict, never through an assert that python -O strips."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,8 @@ def test_detects_private_imports(tmp_path):
         "import landaudelta._y\n"
     )
     assert private_package_imports(path) == ["_compress", "_hidden", "_x", "_y"]
+
+
+def test_verify_has_no_assert():
+    tree = ast.parse((SRC / "verify.py").read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

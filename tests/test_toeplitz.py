@@ -11,7 +11,6 @@ from landaudelta.curves import JordanCurve, arclength_rule, load_weight, make_ci
 from landaudelta.galerkin import assemble_model, model_truncation, persistence_check
 from landaudelta.laguerre import LaguerreSpec, laguerre_eval, positive_zeros
 from landaudelta.toeplitz import (
-    CURVE_AMPLITUDE_CUTOFF,
     MAX_TRUNCATION,
     RESOLUTION_DELTA_TOL,
     ToeplitzMatrix,
@@ -210,18 +209,22 @@ class TestTruncation:
                         assert default_truncation(field, q, circle, tail_rel) == scalar_sweep(field, q, r, tail_rel)
 
     def test_curve_rule_matches_scalar_sweep(self):
-        # Reference: the per-k sweep over single basis rows.  The curve rule
-        # reads CURVE_AMPLITUDE_CUTOFF, so both tail cutoffs give the same K.
-        def scalar_sweep(field, q, curve):
-            points, _ = arclength_rule(curve)
+        # Reference for every curve: the per-k maximum of |phi_{k,q}|^2 over
+        # the curve's nodes, swept one k at a time with the circle's stop rule.
+        def scalar_sweep(field, q, curve, tail_rel):
+            points = curve.points
             t_peak = 0.5 * field.b * float(np.max(np.sum(points * points, axis=1)))
-            best = -math.inf
+            best, below = -math.inf, 0
             for k in range(MAX_TRUNCATION):
-                level = float(np.max(np.abs(basis_eval(field, BasisIndex(k, q), points))))
-                log_level = math.log(level) if level > 0 else -math.inf
-                best = max(best, log_level)
-                if k > q + t_peak and log_level < best + math.log(CURVE_AMPLITUDE_CUTOFF):
-                    return k
+                level = float(np.max(np.abs(basis_eval(field, BasisIndex(k, q), points)) ** 2))
+                val = math.log(level) if level > 0 else -math.inf
+                best = max(best, val)
+                if k > q + t_peak and val < best + math.log(tail_rel):
+                    below += 1
+                    if below == q + 1:
+                        return k - (q + 1)
+                else:
+                    below = 0
             return MAX_TRUNCATION
 
         for b in (0.5, 1.0, 2.0, 4.0):
@@ -230,9 +233,25 @@ class TestTruncation:
                 for ratio in (0.5, 0.7, 0.9):
                     curve = make_ellipse(a, ratio * a, n=256)
                     for q in range(6):
-                        expected = scalar_sweep(field, q, curve)
-                        for tail_rel in (1e-16, 1e-4):
-                            assert default_truncation(field, q, curve, tail_rel) == expected
+                        ks = [default_truncation(field, q, curve, tail_rel) for tail_rel in (1e-16, 1e-4)]
+                        assert ks == [scalar_sweep(field, q, curve, tail_rel) for tail_rel in (1e-16, 1e-4)]
+                        # The tail cutoff is honoured on every curve.
+                        assert ks[1] < ks[0]
+
+    @pytest.mark.parametrize("b", [0.5, 2.0, 4.0])
+    def test_circle_and_its_samples_truncate_alike(self, b):
+        # Generic radii, and census radii of witnesses up to 8 past q, among
+        # them the k > q + t witnesses (q, k) = (2, 5), (3, 8), (4, 10), (6, 14).
+        field = MagneticField(b)
+        radii = [0.37, 1.37, 2.2]
+        for q, k in [(q, k) for q in range(1, 7) for k in range(q + 1, q + 9)]:
+            radii += [math.sqrt(2.0 * t / b) for t in positive_zeros(q, float(k - q))[:2]]
+        for r in radii:
+            circle = make_circle(r, n=256)
+            sampled = JordanCurve("sampled", circle.params, circle.points, circle.derivs, ())
+            for q in range(7):
+                for tail_rel in (1e-16, 1e-4):
+                    assert default_truncation(field, q, sampled, tail_rel) == default_truncation(field, q, circle, tail_rel)
 
     def test_curve_rule_bounded(self):
         curve = make_ellipse(1.5, 1.0, n=256)
@@ -241,11 +260,10 @@ class TestTruncation:
 
     @pytest.mark.parametrize(
         "b, ellipse_ks, sampled_ks",
-        [(0.5, [20, 24, 28], [23, 27, 32]), (2.0, [30, 35, 40], [36, 41, 47]), (4.0, [39, 44, 50], [48, 53, 60])],
+        [(0.5, [14, 18, 22], [16, 20, 25]), (2.0, [22, 27, 32], [27, 32, 38]), (4.0, [30, 35, 41], [37, 43, 50])],
     )
     def test_curve_rule_pinned_on_ellipses(self, b, ellipse_ks, sampled_ks):
-        # Values of the sweep over arclength_rule(curve) nodes, which the
-        # sweep over curve.points replaced: the rule's nodes are the curve's.
+        # The rule sweeps curve.points, which are also the arclength_rule nodes.
         field = MagneticField(b)
         e = make_ellipse(1.8, 1.1, n=200)
         sampled = JordanCurve("sampled", e.params, e.points, e.derivs, ())

@@ -16,9 +16,11 @@ identity, which turns the prefactor into a finite conjugate-power form
 
 As phi_{k,q}(r e^{i theta}) = phi_{k,q}(r, 0) e^{i(k-q) theta}, the circle
 diagonal of toeplitz is lambda_{k,q}(r) = 2 pi r |phi_{k,q}(r, 0)|^2.
-Magnitudes are computed in log space so that k! never overflows and
-far-field evaluation degrades gracefully to zero; k and q broadcast
-against the points, so a matrix of rows takes one Laguerre recurrence.
+Magnitudes depend on x only through t = b|x|^2/2.  They are computed in
+log space by _log_abs, the one home of the log|phi| formula, so that k!
+never overflows and far-field evaluation degrades gracefully to zero;
+the toeplitz truncation sweep reads them alone, without phases.  k and q
+broadcast against the points, so a matrix of rows takes one Laguerre recurrence.
 """
 
 from __future__ import annotations
@@ -115,16 +117,12 @@ def _log_factorial(n):
         return _log_factorials(1 << int(np.max(n)).bit_length())[n]
 
 
-def _parts_arrays(field: MagneticField, k, q, pts: np.ndarray):
-    """log|phi_{k,q}| and arg phi_{k,q} at an array of points.
+def _log_abs(field: MagneticField, k, q, t):
+    """log|phi_{k,q}| at moduli t = b|x|^2/2, and the Laguerre factor whose sign the phase reads.
 
-    k and q broadcast against pts.shape[:-1]: a column of angular indices
-    against N points gives one row per index, all from one recurrence.
+    k and q broadcast against t: a column of angular indices against N
+    moduli gives one row per index, all from one recurrence.
     """
-    k = np.asarray(k)
-    q = np.asarray(q)
-    x, y = pts[..., 0], pts[..., 1]
-    t = 0.5 * field.b * (x * x + y * y)
     lo, hi = np.minimum(k, q), np.maximum(k, q)
     n = hi - lo
     poly = laguerre_eval_batch(lo, n, t)
@@ -136,8 +134,15 @@ def _parts_arrays(field: MagneticField, k, q, pts: np.ndarray):
             if not t.all():  # 0 log 0 = 0: phi(0) is nonzero for n = 0
                 power = np.where(n > 0, power, 0.0)
             logabs = logabs + power
+    return logabs, poly
+
+
+def _parts_arrays(field: MagneticField, k, q, pts: np.ndarray):
+    """log|phi_{k,q}| and arg phi_{k,q} at an array of points; k and q broadcast against pts.shape[:-1]."""
+    x, y = pts[..., 0], pts[..., 1]
+    logabs, poly = _log_abs(field, k, q, 0.5 * field.b * (x * x + y * y))
     # arg = (k - q) theta - pi q / 2, plus pi for odd reflected powers and negative L.
-    reflected = (k < q) & (n % 2 == 1)
+    reflected = (k < q) & ((q - k) % 2 == 1)
     phase = (k - q) * np.arctan2(y, x) + math.pi * (reflected - 0.5 * q) + math.pi * (poly < 0.0)
     return logabs, phase
 

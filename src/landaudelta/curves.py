@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 import numpy as np
 
@@ -71,23 +72,33 @@ def _require_uniform_grid(name, t: np.ndarray) -> None:
         raise ValueError(f"{name}: samples must sit on the uniform grid 2*pi*j/N")
 
 
-def _periodic_interp(samples: np.ndarray, n: int) -> np.ndarray:
-    """Trigonometric interpolant of uniform samples (rows; columns apart) at n uniform nodes.
+@dataclass(frozen=True)
+class _PeriodicInterp:
+    """Trigonometric interpolant of uniform samples (rows; columns apart), called at n uniform nodes.
 
-    The FFT coefficients fold mod n and one inverse FFT evaluates the
-    interpolant exactly at the n nodes.  The spectrum is never truncated
-    to n, so every n samples the same function.  The real part splits the
-    Nyquist term of an even sample count between +M/2 and -M/2: its
-    coefficient is real, so it contributes c cos(M t / 2).
+    The FFT coefficients, taken once, fold mod n and one inverse FFT
+    evaluates the interpolant exactly at the n nodes.  The spectrum is
+    never truncated to n, so every n samples the same function.  The real
+    part splits the Nyquist term of an even sample count between +M/2 and
+    -M/2: its coefficient is real, so it contributes c cos(M t / 2).
     """
-    m = samples.shape[0]
-    if n == m:
-        return samples.copy()
-    coef = np.fft.fft(samples, axis=0) / m
-    freq = np.fft.fftfreq(m, 1.0 / m).astype(int)
-    folded = np.zeros((n,) + samples.shape[1:], dtype=complex)
-    np.add.at(folded, freq % n, coef)
-    return np.fft.ifft(folded, axis=0).real * n
+
+    samples: np.ndarray
+
+    @cached_property
+    def _coef(self) -> np.ndarray:
+        return np.fft.fft(self.samples, axis=0) / self.samples.shape[0]
+
+    def __call__(self, n: int) -> np.ndarray:
+        m, cols = self.samples.shape[0], self.samples.shape[1:]
+        if n == m:
+            return self.samples.copy()
+        # Frequency f (coef[:h] holds f >= 0) fills slot f mod n of whole rows of n, zero-padded between
+        # the signs; rows summed in order from zero add each slot's terms as np.add.at would.
+        h = (m + 1) // 2
+        gap = np.zeros(((-m) % n,) + cols, dtype=complex)
+        rows = np.concatenate([self._coef[:h], gap, self._coef[h:]]).reshape((-1, n) + cols)
+        return np.fft.ifft(np.add.reduce(rows, axis=0, initial=0), axis=0).real * n
 
 
 def _fourier_tail(samples: np.ndarray) -> float:
@@ -128,8 +139,12 @@ class JordanCurve:
         if self.kind == "ellipse":
             m = dict(self.meta)
             return make_ellipse(m["a"], m["b"], n=n)
-        cols = _periodic_interp(np.column_stack([self.points, self.derivs]), n)
+        cols = self._interp(n)
         return JordanCurve("sampled", _uniform_params(n), cols[:, :2], cols[:, 2:], self.meta)
+
+    @cached_property
+    def _interp(self) -> _PeriodicInterp:
+        return _PeriodicInterp(np.column_stack([self.points, self.derivs]))
 
     def describe(self) -> str:
         items = ", ".join(f"{k}={v}" for k, v in self.meta)
@@ -174,12 +189,22 @@ class WeightedCurve:
     source: object  # constant | (t, v) table | callable, kept for resampling
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("weight values must be finite")
         self.values.setflags(write=False)
 
     def resample(self, n: int) -> "WeightedCurve":
         if n == self.curve.n_nodes:
             return self
-        return load_weight(self.curve.resample(n), self.source)
+        curve = self.curve.resample(n)
+        if isinstance(self.source, tuple):
+            values = self._interp(n)
+            return WeightedCurve(curve, values, classify_sign(values), self.source)
+        return load_weight(curve, self.source)
+
+    @cached_property
+    def _interp(self) -> _PeriodicInterp:
+        return _PeriodicInterp(self.source[1])
 
     def sample_tails(self) -> dict:
         """_fourier_tail of the sampled curve's points and derivatives and of a weight table, where present."""
@@ -269,7 +294,7 @@ def load_weight(curve: JordanCurve, source) -> WeightedCurve:
     table, an array of values at the curve nodes, or a callable of the
     parameter.  Files and arrays are kept as (t, v) tables: 1-D columns of
     equal length, t strictly increasing on the uniform grid 2 pi j / M,
-    interpolated by _periodic_interp.
+    interpolated by _PeriodicInterp.
     """
     name = "weight table"
     if isinstance(source, (str, Path)):
@@ -284,7 +309,7 @@ def load_weight(curve: JordanCurve, source) -> WeightedCurve:
         if not np.all(np.diff(t) > 0):
             raise ValueError(f"{name}: parameter column must be strictly increasing")
         _require_uniform_grid(name, t)
-        values = _periodic_interp(v, curve.n_nodes)
+        values = _PeriodicInterp(v)(curve.n_nodes)
         source = (t, v)
     elif callable(source):
         values = np.asarray(source(curve.params), dtype=float)
@@ -295,6 +320,4 @@ def load_weight(curve: JordanCurve, source) -> WeightedCurve:
                 f"weight array must have one value per curve node ({curve.n_nodes}), got {values.shape}"
             )
         source = (curve.params.copy(), values.copy())
-    if not np.all(np.isfinite(values)):
-        raise ValueError("weight values must be finite")
     return WeightedCurve(curve, values, classify_sign(values), source)

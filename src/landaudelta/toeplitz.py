@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import multiplicity as _census_multiplicity
-from .basis import MagneticField, _parts_arrays, basis_matrix
+from .basis import MagneticField, _log_abs, _parts_arrays, basis_matrix
 from .curves import JordanCurve, WeightedCurve, arclength_rule, quadrature_size
 
 __all__ = [
@@ -71,8 +71,8 @@ ADAPTIVE_DELTA_RTOL = 1e-14
 ADAPTIVE_NODE_CAP = 8192
 TAIL_RELATIVE_CUTOFF = 1e-16
 MAX_TRUNCATION = 512
-# Angular indices per basis evaluation in the truncation sweep.
-TRUNCATION_BLOCK = 32
+# Cells (angular indices x node moduli) per truncation sweep block: 64 KiB temporaries.
+TRUNCATION_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -120,21 +120,23 @@ def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_re
     """Smallest K beyond which entries of the level-q matrix on curve are negligible.
 
     One rule on every curve.  The profile P_q(k) = 2 max_j log|phi_{k,q}(x_j)|
-    is swept TRUNCATION_BLOCK angular indices per evaluation, over the
-    nodes x_j of curve.points, or the single node (r, 0) on a circle, whose
-    nodes all share one modulus.  Past k = q + t_peak (t_peak = b max|x_j|^2/2),
+    reads magnitudes only (basis._log_abs) over the distinct moduli t_j = b|x_j|^2/2
+    of the nodes of curve.points, or of the single node (r, 0) on a circle, in
+    blocks of max(1, TRUNCATION_CELLS // moduli) angular indices.  Past k = q + max t_j,
     q+1 consecutive k with P_q(k) below tail_rel times the running maximum
     certify the tail, and K is the index before them: at most q diagonals
     vanish at any circle radius, so a lone resonant zero cannot stop the sweep.
     """
     points = np.array([[dict(curve.meta)["r"], 0.0]]) if curve.kind == "circle" else curve.points
-    t_peak = 0.5 * field.b * float(np.max(np.sum(points * points, axis=1)))
+    t = np.unique(0.5 * field.b * np.sum(points * points, axis=1))
+    t_peak = float(t[-1])
     log_cut = math.log(tail_rel)
     best, below = -math.inf, 0
-    for start in range(0, MAX_TRUNCATION, TRUNCATION_BLOCK):
-        ks = range(start, min(start + TRUNCATION_BLOCK, MAX_TRUNCATION))
-        profile = 2.0 * _parts_arrays(field, np.array(ks)[:, None], q, points)[0].max(axis=1)
-        for k, val in zip(ks, profile.tolist()):
+    rows = max(1, TRUNCATION_CELLS // t.size)
+    for start in range(0, MAX_TRUNCATION, rows):
+        ks = np.arange(start, min(start + rows, MAX_TRUNCATION))
+        profile = 2.0 * _log_abs(field, ks[:, None], q, t)[0].max(axis=1)
+        for k, val in zip(ks.tolist(), profile.tolist()):
             best = max(best, val)
             if k > q + t_peak and val < best + log_cut:
                 below += 1

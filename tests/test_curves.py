@@ -322,6 +322,31 @@ class TestTableIO:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_weight(curve, path)
 
+    def test_interpolant_folds_like_add_at(self):
+        # Reference: the coefficient fold as one np.add.at, which adds each
+        # bucket's terms in index order.  Resampled curves and weight tables
+        # equal it bit for bit, below, at and above the native count.
+        def reference(samples, n):
+            m = samples.shape[0]
+            if n == m:
+                return samples.copy()
+            coef = np.fft.fft(samples, axis=0) / m
+            folded = np.zeros((n,) + samples.shape[1:], dtype=complex)
+            np.add.at(folded, np.fft.fftfreq(m, 1.0 / m).astype(int) % n, coef)
+            return np.fft.ifft(folded, axis=0).real * n
+
+        rng = np.random.default_rng(5)
+        for m in (16, 17, 64, 97, 200, 701, 3000):
+            native = make_ellipse(1.4, 0.9, n=m)
+            sampled = JordanCurve("sampled", native.params, native.points, native.derivs, ())
+            v = rng.standard_normal(m)
+            wc = load_weight(sampled, (native.params, v))
+            cols = np.column_stack([native.points, native.derivs])
+            for n in (16, 31, 64, 97, 256, 701, 1000, 4096):
+                got = wc.resample(n)
+                assert got.values.tobytes() == reference(v, n).tobytes()
+                assert np.column_stack([got.curve.points, got.curve.derivs]).tobytes() == reference(cols, n).tobytes()
+
     def test_sampled_input_matches_analytic_values(self):
         # The trigonometric interpolant reproduces band-limited samples at
         # every node count, whether the native count is odd, even, below or

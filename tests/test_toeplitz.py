@@ -4,15 +4,17 @@ from itertools import islice
 import numpy as np
 import pytest
 
+import landaudelta.basis as basis
 import landaudelta.toeplitz as toeplitz
 from landaudelta.basis import BasisIndex, MagneticField, basis_eval, basis_matrix, translated_parts
 from landaudelta.census import census
 from landaudelta.curves import JordanCurve, arclength_rule, load_weight, make_circle, make_ellipse, save_weight
 from landaudelta.galerkin import assemble_model, model_truncation, persistence_check
-from landaudelta.laguerre import LaguerreSpec, laguerre_eval, positive_zeros
+from landaudelta.laguerre import LaguerreSpec, laguerre_eval, laguerre_eval_batch, positive_zeros
 from landaudelta.toeplitz import (
     MAX_TRUNCATION,
     RESOLUTION_DELTA_TOL,
+    TRUNCATION_CELLS,
     ToeplitzMatrix,
     _circle_sums,
     _quadrature_sums,
@@ -227,16 +229,48 @@ class TestTruncation:
                     below = 0
             return MAX_TRUNCATION
 
+        def sampled(curve):
+            return JordanCurve("sampled", curve.params, curve.points, curve.derivs, ())
+
+        # Node counts that are no power of two, and the circle of radius 1
+        # through the origin, whose node 0 is (0, 0): t = 0 there, where the
+        # magnitude takes 0 log 0 = 0 for k = q and log 0 = -inf otherwise.
+        params = np.linspace(0.0, 2.0 * math.pi, 301, endpoint=False)
+        through_origin = JordanCurve(
+            "sampled", params, np.column_stack([1.0 - np.cos(params), np.sin(params)]),
+            np.column_stack([np.sin(params), np.cos(params)]), (),
+        )
+        assert not through_origin.points[0].any()
+        awkward = [sampled(make_ellipse(1.3, 0.8, n=701)), sampled(make_ellipse(1.1, 0.9, n=2477)), through_origin]
+        cases = [(make_ellipse(a, ratio * a, n=256), range(6)) for a in (1.0, 1.4, 2.0) for ratio in (0.5, 0.7, 0.9)]
+        cases += [(curve, range(10)) for curve in awkward]
         for b in (0.5, 1.0, 2.0, 4.0):
             field = MagneticField(b)
-            for a in (1.0, 1.4, 2.0):
-                for ratio in (0.5, 0.7, 0.9):
-                    curve = make_ellipse(a, ratio * a, n=256)
-                    for q in range(6):
-                        ks = [default_truncation(field, q, curve, tail_rel) for tail_rel in (1e-16, 1e-4)]
-                        assert ks == [scalar_sweep(field, q, curve, tail_rel) for tail_rel in (1e-16, 1e-4)]
-                        # The tail cutoff is honoured on every curve.
-                        assert ks[1] < ks[0]
+            for curve, levels in cases:
+                for q in levels:
+                    ks = [default_truncation(field, q, curve, tail_rel) for tail_rel in (1e-16, 1e-4)]
+                    assert ks == [scalar_sweep(field, q, curve, tail_rel) for tail_rel in (1e-16, 1e-4)]
+                    # The tail cutoff is honoured on every curve.
+                    assert ks[1] < ks[0]
+
+    def test_sweep_blocks_fit_the_cell_budget(self, monkeypatch):
+        # Each Laguerre evaluation of the sweep covers at most TRUNCATION_CELLS
+        # (angular index, modulus) cells, or one row, and each modulus once.
+        calls = []
+
+        def recording(degrees, alphas, t):
+            calls.append((np.broadcast(degrees, alphas, t).shape, np.asarray(t)))
+            return laguerre_eval_batch(degrees, alphas, t)
+
+        monkeypatch.setattr(basis, "laguerre_eval_batch", recording)
+        e = make_ellipse(1.8, 1.1, n=3000)
+        curve = JordanCurve("sampled", e.params, e.points, e.derivs, ())
+        for q in (0, 4):
+            default_truncation(F2, q, curve)
+        assert len(calls) > 2
+        for shape, t in calls:
+            assert math.prod(shape) <= TRUNCATION_CELLS or shape[0] == 1
+            assert np.unique(t).size == t.size
 
     @pytest.mark.parametrize("b", [0.5, 2.0, 4.0])
     def test_circle_and_its_samples_truncate_alike(self, b):

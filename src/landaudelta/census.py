@@ -5,11 +5,12 @@ positive zero of some L_q^(k-q), k = 0, 1, 2, ...; the number of such k
 is the kernel dimension m_q(r) of the level-q interaction operator.  The
 census enumerates all resonant radii up to a bound by sweeping k,
 working throughout in the scale-free variable t and converting to r at
-the end.  The zero table behind it solves the parameters k - q >= 0 in
-blocks of ZERO_TABLE_BLOCK = 64, one stacked Jacobi eigensolve per
-block.  Termination uses the strict growth of every zero in the
-parameter: once the smallest zero of L_q^(k-q) exceeds the target no
-larger k can contribute.
+the end.  Each level keeps one zero table, grown on demand: the k < q rows
+are solved once, and the parameters k - q >= 0 are appended in blocks
+of ZERO_TABLE_BLOCK = 64, one stacked Jacobi eigensolve per block.
+Completeness uses the strict growth of every zero in the parameter:
+once the smallest zero of L_q^(k-q) exceeds the target no larger k can
+contribute.
 
 Also provided: the closed-form sets for q = 1, 2, the zero-curve
 functions eta_l(alpha) = sqrt(2 zeta_l(alpha) / b) with their linear
@@ -31,7 +32,7 @@ from .laguerre import _INT_TOL, nodal_zeros, positive_zeros
 
 # Relative tolerance used when testing membership t in zeros(spec).
 ZERO_MEMBERSHIP_RTOL = 1e-9
-# Parameters k - q solved per stacked eigensolve when building a zero table.
+# Parameters k - q solved per stacked eigensolve when a level's zero table grows.
 ZERO_TABLE_BLOCK = 64
 
 __all__ = [
@@ -65,36 +66,44 @@ class CensusEntry:
             raise ValueError("multiplicity must equal the number of witnesses")
 
 
-@lru_cache(maxsize=None)
-def _zero_table(q: int, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """All (t, k) with t a positive zero of L_q^(k-q), t <= t_cap, sorted by t.
+class _LevelZeros:
+    """Positive zeros of L_q^(k-q) over every k solved so far, sorted by t, ties by ascending k.
 
-    k < q takes one solve per degree; k >= q is solved ZERO_TABLE_BLOCK
-    parameters at a time, up to the first k whose smallest zero passes
-    the cap.
+    k < q takes one solve per degree, once.  k >= q is appended
+    ZERO_TABLE_BLOCK parameters at a time; reach, the smallest zero of the
+    last k solved, bounds every zero of the k not yet solved from below.
     """
-    cap = t_cap * (1.0 + ZERO_MEMBERSHIP_RTOL)
-    ts = [nodal_zeros(q, k) for k in range(q)]
-    ks = [np.full(z.size, k) for k, z in enumerate(ts)]
-    start = q
-    while True:
-        block = np.arange(start, start + ZERO_TABLE_BLOCK)
-        rows = nodal_zeros(q, block)
-        ts.append(rows.ravel())
-        ks.append(np.repeat(block, q))
-        if rows[-1, 0] > cap:  # every later k has only larger zeros
-            break
-        start += ZERO_TABLE_BLOCK
-    ts, ks = np.concatenate(ts), np.concatenate(ks)
-    kept = ts <= cap
-    ts, ks = ts[kept], ks[kept]
-    order = np.argsort(ts)
-    return ts[order], ks[order]
+
+    def __init__(self, q: int):
+        self.q = q
+        zeros = [nodal_zeros(q, k) for k in range(q)]
+        self.ts = np.concatenate([np.empty(0), *zeros])
+        self.ks = np.repeat(np.arange(q), [z.size for z in zeros])
+        self.next_k = q
+        self.reach = 0.0  # every zero is positive, so nothing is certified yet
+
+    def upto(self, cap: float) -> tuple[np.ndarray, np.ndarray]:
+        """(ts, ks) holding every zero t <= cap; zeros past cap may follow."""
+        if self.reach <= cap:
+            ts, ks = [self.ts], [self.ks]
+            while self.reach <= cap:
+                block = np.arange(self.next_k, self.next_k + ZERO_TABLE_BLOCK)
+                rows = nodal_zeros(self.q, block)
+                ts.append(rows.ravel())
+                ks.append(np.repeat(block, self.q))
+                self.next_k += ZERO_TABLE_BLOCK
+                self.reach = float(rows[-1, 0])
+            ts, ks = np.concatenate(ts), np.concatenate(ks)
+            # Stable: ties keep the table's order, ascending k, as every new k is larger.
+            order = np.argsort(ts, kind="stable")
+            self.ts, self.ks = ts[order], ks[order]
+        return self.ts, self.ks
 
 
-def _table_bucket(t_max: float) -> float:
-    """Cache-friendly cap: the next power of two at or above t_max."""
-    return float(2.0 ** math.ceil(math.log2(max(t_max, 1.0))))
+@lru_cache(maxsize=None)
+def _level_zeros(q: int) -> _LevelZeros:
+    """The one zero table of level q, grown on demand; cache_clear() drops it."""
+    return _LevelZeros(q)
 
 
 def _close(a, b):
@@ -102,14 +111,8 @@ def _close(a, b):
     return abs(a - b) <= ZERO_MEMBERSHIP_RTOL * np.maximum(a, b)
 
 
-def _witnesses_at(t: float, ts: np.ndarray, ks: np.ndarray) -> list[tuple[int, float]]:
-    lo = np.searchsorted(ts, t * (1.0 - 2.0 * ZERO_MEMBERSHIP_RTOL))
-    hi = np.searchsorted(ts, t * (1.0 + 2.0 * ZERO_MEMBERSHIP_RTOL))
-    return [(int(ks[idx]), float(ts[idx])) for idx in range(lo, hi) if _close(ts[idx], t)]
-
-
 def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tuple[int, float]]]:
-    """m_q(r) together with the witnessing (k, zero) pairs.
+    """m_q(r) together with the witnessing (k, zero) pairs, in ascending k as census lists them.
 
     q = 0 is rejected: the lowest-level operator has trivial kernel for
     every curve and weight, so there is nothing to enumerate.  Witnesses
@@ -123,8 +126,10 @@ def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tupl
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
     t = 0.5 * field.b * r * r
-    ts, ks = _zero_table(q, _table_bucket(t))
-    witnesses = _witnesses_at(t, ts, ks)
+    hi_t = t * (1.0 + 2.0 * ZERO_MEMBERSHIP_RTOL)
+    ts, ks = _level_zeros(q).upto(hi_t)
+    lo, hi = np.searchsorted(ts, [t * (1.0 - 2.0 * ZERO_MEMBERSHIP_RTOL), hi_t])
+    witnesses = sorted((int(ks[i]), float(ts[i])) for i in range(lo, hi) if _close(ts[i], t))
     return len(witnesses), witnesses
 
 
@@ -132,27 +137,31 @@ def census(field: MagneticField, q: int, r_max: float) -> list[CensusEntry]:
     """All resonant radii in (0, r_max] with multiplicities, ascending.
 
     Radii whose t values agree to relative 1e-9 are merged and their
-    witnesses pooled; distinct entries stay strictly ordered.
+    witnesses pooled, in ascending k as multiplicity lists them; distinct
+    entries stay strictly ordered.
     """
     if q < 1:
         raise ValueError("census is defined for q >= 1; the q = 0 kernel is always trivial")
     if not r_max > 0:
         raise ValueError(f"r_max must be positive, got {r_max}")
-    t_max = 0.5 * field.b * r_max * r_max
-    ts, ks = _zero_table(q, _table_bucket(t_max))
-    keep = ts <= t_max * (1.0 + ZERO_MEMBERSHIP_RTOL)
-    ts, ks = ts[keep], ks[keep]
-    if not ts.size:
+    cap = 0.5 * field.b * r_max * r_max * (1.0 + ZERO_MEMBERSHIP_RTOL)
+    ts, ks = _level_zeros(q).upto(cap)
+    n = int(np.searchsorted(ts, cap, side="right"))
+    if not n:
         return []
+    ts, ks = ts[:n], ks[:n]
     # A new group starts wherever consecutive zeros differ by more than the tolerance.
-    edges = [0, *(np.flatnonzero(~_close(ts[1:], ts[:-1])) + 1).tolist(), ts.size]
-    entries: list[CensusEntry] = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        t_mean = float(np.mean(ts[lo:hi]))
-        r = math.sqrt(2.0 * t_mean / field.b)
-        witnesses = tuple(sorted(zip(ks[lo:hi].tolist(), ts[lo:hi].tolist())))
-        entries.append(CensusEntry(r, t_mean, len(witnesses), witnesses))
-    return entries
+    starts = np.flatnonzero(np.concatenate([[True], ~_close(ts[1:], ts[:-1])]))
+    counts = np.diff(np.append(starts, n))
+    t_mean = np.add.reduceat(ts, starts) / counts
+    r = np.sqrt(2.0 * t_mean / field.b)
+    group = np.repeat(np.arange(starts.size), counts)
+    order = np.lexsort((ts, ks, group))
+    witnesses = list(zip(ks[order].tolist(), ts[order].tolist()))
+    return [
+        CensusEntry(r_i, t_i, m, tuple(witnesses[lo : lo + m]))
+        for r_i, t_i, lo, m in zip(r.tolist(), t_mean.tolist(), starts.tolist(), counts.tolist())
+    ]
 
 
 def explicit_D12(field: MagneticField, n_max: int) -> dict[str, list[float]]:

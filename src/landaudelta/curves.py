@@ -100,12 +100,12 @@ class _PeriodicInterp:
         rows = np.concatenate([self._coef[:h], gap, self._coef[h:]]).reshape((-1, n) + cols)
         return np.fft.ifft(np.add.reduce(rows, axis=0, initial=0), axis=0).real * n
 
-
-def _fourier_tail(samples: np.ndarray) -> float:
-    """Largest |FFT coefficient| over the top quarter of frequencies, relative to the largest, worst column."""
-    coef = np.abs(np.fft.rfft(samples.reshape(samples.shape[0], -1), axis=0))
-    top, peak = coef[coef.shape[0] * 3 // 4:].max(axis=0), coef.max(axis=0)
-    return float(np.max(np.divide(top, peak, out=np.zeros_like(top), where=peak > 0)))
+    def tail(self) -> float:
+        """Largest |coefficient| over the top quarter of frequencies 0..M/2, relative to the largest, worst column."""
+        half = self.samples.shape[0] // 2 + 1
+        coef = np.abs(self._coef[:half].reshape(half, -1))
+        top, peak = coef[half * 3 // 4 :].max(axis=0), coef.max(axis=0)
+        return float(np.max(np.divide(top, peak, out=np.zeros_like(top), where=peak > 0)))
 
 
 @dataclass(frozen=True)
@@ -207,12 +207,15 @@ class WeightedCurve:
         return _PeriodicInterp(self.source[1])
 
     def sample_tails(self) -> dict:
-        """_fourier_tail of the sampled curve's points and derivatives and of a weight table, where present."""
+        """The Fourier tail of the sampled curve's points and derivatives and of a weight table, where present.
+
+        Read from the interpolants' coefficients, so no further FFT is taken.
+        """
         tails = {}
         if self.curve.kind == "sampled":
-            tails["curve_tail"] = _fourier_tail(np.column_stack([self.curve.points, self.curve.derivs]))
+            tails["curve_tail"] = self.curve._interp.tail()
         if isinstance(self.source, tuple):
-            tails["weight_tail"] = _fourier_tail(self.source[1])
+            tails["weight_tail"] = self._interp.tail()
         return tails
 
     def describe(self) -> str:

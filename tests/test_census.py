@@ -51,7 +51,7 @@ def per_k_zero_table(q: int, t_cap: float):
                 ts.append(float(z))
                 ks.append(k)
         k += 1
-    order = np.argsort(ts)
+    order = np.argsort(ts, kind="stable")  # ties in ascending k, the table's order
     return np.asarray(ts)[order], np.asarray(ks, dtype=int)[order]
 
 
@@ -108,6 +108,15 @@ class TestCensus:
         (_, t1), (_, t2) = entries[0].witnesses
         assert t1 != t2 and abs(t1 - t2) <= ZERO_MEMBERSHIP_RTOL * max(t1, t2)
         assert multiplicity(F2, 18, entries[0].r) == (2, list(entries[0].witnesses))
+
+    def test_multiplicity_lists_the_census_witnesses(self):
+        # Bitwise-tied zeros (q = 2, t = 182: k = 169 and 196) must come out in one order,
+        # ascending k, from both functions.
+        for b in (0.5, 2.0, 4.0, 25.0 * math.pi / 16.0):
+            field = MagneticField(b)
+            for q in range(1, 9):
+                for e in census(field, q, math.sqrt(800.0 / b)):
+                    assert multiplicity(field, q, e.r) == (e.multiplicity, list(e.witnesses))
 
     def test_level_one_integers(self):
         entries = census(F2, 1, 3.0)
@@ -269,12 +278,20 @@ class TestEtaCurves:
         assert lines[1].split(",")[2] == "nan"  # eta_2 undefined at alpha = -1
 
 
+def fresh_table(q: int, cap: float):
+    """A new level-q table grown to cap, read as census reads it: every zero t <= cap (1 + 1e-9)."""
+    bound = cap * (1.0 + ZERO_MEMBERSHIP_RTOL)
+    ts, ks = census_mod._LevelZeros(q).upto(bound)
+    n = np.searchsorted(ts, bound, side="right")
+    return ts[:n], ks[:n]
+
+
 class TestZeroTable:
     @pytest.mark.parametrize("q", range(1, 17))
     def test_matches_per_k_sweep(self, q):
         for e in range(10):
             cap = 2.0**e
-            ts, ks = census_mod._zero_table.__wrapped__(q, cap)
+            ts, ks = fresh_table(q, cap)
             ref_ts, ref_ks = per_k_zero_table(q, cap)
             assert np.array_equal(ts, ref_ts) and np.array_equal(ks, ref_ks)
 
@@ -283,7 +300,7 @@ class TestZeroTable:
         block = census_mod.ZERO_TABLE_BLOCK
         for edge in (block - 1, block, 2 * block - 1, 2 * block):
             cap = float(positive_zeros(q, float(edge))[0])
-            ts, ks = census_mod._zero_table.__wrapped__(q, cap)
+            ts, ks = fresh_table(q, cap)
             ref_ts, ref_ks = per_k_zero_table(q, cap)
             assert int(ks.max()) - q == edge
             assert np.array_equal(ts, ref_ts) and np.array_equal(ks, ref_ks)
@@ -298,9 +315,34 @@ class TestZeroTable:
             return positive_zeros(q, alpha)
 
         monkeypatch.setattr(laguerre_mod, "positive_zeros", counted)
-        ts, ks = census_mod._zero_table.__wrapped__(16, 512.0)
+        ts, ks = fresh_table(16, 512.0)
         blocks = (int(ks.max()) - 16) // census_mod.ZERO_TABLE_BLOCK + 1
         assert calls.count(1) == blocks and calls.count(0) == 15
+
+    @pytest.mark.parametrize("q", (1, 3, 16))
+    def test_growth_in_any_order_matches_one_build(self, q):
+        caps = [2.0**e for e in range(10)]
+        np.random.default_rng(q).shuffle(caps)
+        grown = census_mod._LevelZeros(q)
+        for cap in caps:
+            grown.upto(cap)
+        ts, ks = census_mod._LevelZeros(q).upto(max(caps))
+        assert np.array_equal(grown.ts, ts) and np.array_equal(grown.ks, ks)
+
+    def test_cache_clear_empties_the_table(self, monkeypatch):
+        calls = []
+
+        def counted(q, alpha):
+            calls.append(q)
+            return positive_zeros(q, alpha)
+
+        monkeypatch.setattr(laguerre_mod, "positive_zeros", counted)
+        census_mod._level_zeros.cache_clear()
+        first = census(F2, 5, 4.0)
+        cold = len(calls)
+        assert cold > 0 and census(F2, 5, 4.0) == first and len(calls) == cold
+        census_mod._level_zeros.cache_clear()
+        assert census(F2, 5, 4.0) == first and len(calls) == 2 * cold
 
 
 class TestEtaTable:

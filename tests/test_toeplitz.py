@@ -202,13 +202,18 @@ class TestTruncation:
                     below = 0
             return MAX_TRUNCATION
 
-        for r in np.linspace(0.3, 3.0, 50).tolist():
-            circle = make_circle(r)
-            for b in (0.5, 1.0, 2.0, 4.0):
-                field = MagneticField(b)
-                for q in range(7):
-                    for tail_rel in (1e-16, 1e-4):
-                        assert default_truncation(field, q, circle, tail_rel) == scalar_sweep(field, q, r, tail_rel)
+        cases = [(b, q, r) for r in np.linspace(0.3, 3.0, 50).tolist() for b in (0.5, 1.0, 2.0, 4.0) for q in range(7)]
+        # Census radii, where one diagonal vanishes: up to 12 per level, q <= 8, with b = 25 pi / 16 too.
+        for b in (0.5, 2.0, 4.0, 25.0 * math.pi / 16.0):
+            cases += [(b, q, e.r) for q in range(1, 9) for e in census(MagneticField(b), q, 4.0)[:12]]
+        for b, q, r in cases:
+            field, circle = MagneticField(b), make_circle(r)
+            for tail_rel in (1e-16, 1e-4):
+                assert default_truncation(field, q, circle, tail_rel) == scalar_sweep(field, q, r, tail_rel)
+        # A 1e-200 cutoff carries the sweep far past the peak.
+        for b, q, r in cases[::7]:
+            field = MagneticField(b)
+            assert default_truncation(field, q, make_circle(r), 1e-200) == scalar_sweep(field, q, r, 1e-200)
 
     def test_curve_rule_matches_scalar_sweep(self):
         # Reference for every curve: the per-k maximum of |phi_{k,q}|^2 over

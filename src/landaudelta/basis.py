@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -46,6 +46,7 @@ __all__ = [
     "plane_gram",
     "annihilation_residual",
     "magnetic_translate",
+    "stacked_parts",
     "translated_parts",
 ]
 
@@ -53,7 +54,9 @@ RADIAL_NODES = 128
 ANGULAR_NODES = 256
 FD_STEP = 1e-4
 # Radial nodes per block of the Gram quadrature: 13 functions on 16 x 256
-# nodes take under 1 MiB of complex samples.
+# nodes take 0.81 MiB of complex samples, and with the stacked float
+# temporaries of their one evaluation a 13-function Gram peaks at 3.7 MiB
+# (tracemalloc, numpy 2.4).
 GRAM_RADIAL_BLOCK = 16
 # log k! table size; larger k (past twice the largest truncation) build one
 # power-of-two table per size class.
@@ -183,53 +186,71 @@ def basis_matrix(field: MagneticField, q: int, ks, points) -> np.ndarray:
     return _from_parts(*_parts_arrays(field, np.array(list(ks), dtype=int)[:, None], q, pts))
 
 
-def translated_parts(field: MagneticField, idx: BasisIndex, y) -> Callable:
-    """Log-magnitude/phase of the magnetic translate T_y phi_{k,q}.
+def stacked_parts(field: MagneticField, q: int, ks, y=None) -> Callable:
+    """Log-magnitude/phase of phi_{k,q} for the angular indices ks, or of their magnetic translates T_y.
 
-    (T_y f)(x) = exp(-i(b/2) x^y) f(x - y) with x^y = x1 y2 - x2 y1, so the
-    magnitude is carried over from x - y and only the phase is twisted.
+    The returned callable maps points of shape (..., 2) to (log|f|, arg f)
+    with one leading row per index in ks, all rows from one broadcast
+    evaluation (one t, log t and arctan2 for every row); a scalar ks gives
+    no leading row.  (T_y f)(x) = exp(-i(b/2) x^y) f(x - y) with
+    x^y = x1 y2 - x2 y1, so the magnitude is carried over from x - y and
+    only the phase is twisted; y = None is the untranslated basis, with no
+    twist applied.
     """
-    y = np.asarray(y, dtype=float)
+    ks = np.asarray(ks, dtype=int)
+    y = None if y is None else np.asarray(y, dtype=float)
 
     def parts(pts: np.ndarray):
-        logabs, phase = _parts_arrays(field, idx.k, idx.q, pts - y)
+        k = ks.reshape(ks.shape + (1,) * (pts.ndim - 1))
+        if y is None:
+            return _parts_arrays(field, k, q, pts)
+        logabs, phase = _parts_arrays(field, k, q, pts - y)
         wedge = pts[..., 0] * y[1] - pts[..., 1] * y[0]
         return logabs, phase - 0.5 * field.b * wedge
 
     return parts
 
 
-def plane_gram(field: MagneticField, parts: list[Callable]) -> np.ndarray:
-    """L^2(R^2) Gram matrix G_ij = <f_i, f_j> of functions given by parts callables.
+def translated_parts(field: MagneticField, idx: BasisIndex, y) -> Callable:
+    """Log-magnitude/phase of the magnetic translate T_y phi_{k,q}: the one-row stacked_parts."""
+    return stacked_parts(field, idx.q, idx.k, y)
 
+
+def plane_gram(field: MagneticField, parts: Callable) -> np.ndarray:
+    """L^2(R^2) Gram matrix G_ij = <f_i, f_j> of the functions whose stacked parts one callable gives.
+
+    parts maps points of shape (B, A, 2) to (log|f|, arg f) of shape
+    (m, B, A), one leading row per function, as stacked_parts does.
     Polar quadrature: RADIAL_NODES Gauss nodes in t = b r^2 / 2 against
     the weight e^{-t} (the Gaussian decay of the integrands pays for the
     e^{+t} compensation, half of it taken into each factor in log space),
-    ANGULAR_NODES uniform nodes in the angle.  Every function is evaluated
-    once per block of radial nodes, and each block adds one weighted
-    matrix product.
+    ANGULAR_NODES uniform nodes in the angle.  parts is called once per
+    block of radial nodes, and each block adds one weighted matrix product.
     """
     t, logw = gauss_laguerre_log_rule(RADIAL_NODES, 0.0)
     half_logw = 0.5 * (logw + t)
     r = np.sqrt(2.0 * t / field.b)
     theta = np.linspace(0.0, 2.0 * math.pi, ANGULAR_NODES, endpoint=False)
-    gram = np.zeros((len(parts), len(parts)), dtype=complex)
+    gram = 0.0
     for lo in range(0, RADIAL_NODES, GRAM_RADIAL_BLOCK):
         rows = slice(lo, lo + GRAM_RADIAL_BLOCK)
         pts = np.empty((r[rows].size, ANGULAR_NODES, 2))
         pts[..., 0] = r[rows, None] * np.cos(theta)[None, :]
         pts[..., 1] = r[rows, None] * np.sin(theta)[None, :]
-        phi = np.empty((len(parts), pts.shape[0] * ANGULAR_NODES), dtype=complex)
-        for i, f in enumerate(parts):
-            la, ph = f(pts)
-            phi[i] = _from_parts(la + half_logw[rows, None], ph).ravel()
+        la, ph = parts(pts)
+        phi = _from_parts(la + half_logw[rows, None], ph).reshape(len(la), -1)
         gram += phi @ phi.conj().T
     return gram * (2.0 * math.pi / ANGULAR_NODES) / field.b
 
 
 def plane_inner_product(field: MagneticField, parts1: Callable, parts2: Callable) -> complex:
-    """L^2(R^2) inner product of two functions given by parts callables (see plane_gram)."""
-    return complex(plane_gram(field, [parts1, parts2])[0, 1])
+    """L^2(R^2) inner product of two functions given by one-row parts callables (see plane_gram)."""
+
+    def both(pts: np.ndarray):
+        (la1, ph1), (la2, ph2) = parts1(pts), parts2(pts)
+        return np.stack([la1, la2]), np.stack([ph1, ph2])
+
+    return complex(plane_gram(field, both)[0, 1])
 
 
 def basis_inner_product(field: MagneticField, idx1: BasisIndex, idx2: BasisIndex) -> complex:
@@ -238,8 +259,7 @@ def basis_inner_product(field: MagneticField, idx1: BasisIndex, idx2: BasisIndex
         raise ValueError(
             f"cross-level inner products are exact by construction; got q={idx1.q} and q={idx2.q}"
         )
-    parts = [partial(basis_eval_parts, field, idx) for idx in (idx1, idx2)]
-    return plane_inner_product(field, *parts)
+    return complex(plane_gram(field, stacked_parts(field, idx1.q, [idx1.k, idx2.k]))[0, 1])
 
 
 def annihilation_residual(field: MagneticField, idx: BasisIndex, x) -> float:

@@ -120,6 +120,8 @@ def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tupl
     more, each witness column of the coupling at <= SUPPORT_TOL * max|B|.
     So r = 1 + 1e-10 at b = 2, q = 1 has witness k = 1 here but does not
     persist there (its support_residuals show the 2.6e-10 column).
+    Two bisections of the level's zero table bound the candidates, which
+    are read as Python scalars: a call builds no array per radius.
     """
     if q < 1:
         raise ValueError("multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")
@@ -128,8 +130,8 @@ def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tupl
     t = 0.5 * field.b * r * r
     hi_t = t * (1.0 + 2.0 * ZERO_MEMBERSHIP_RTOL)
     ts, ks = _level_zeros(q).upto(hi_t)
-    lo, hi = np.searchsorted(ts, [t * (1.0 - 2.0 * ZERO_MEMBERSHIP_RTOL), hi_t])
-    witnesses = sorted((int(ks[i]), float(ts[i])) for i in range(lo, hi) if _close(ts[i], t))
+    lo, hi = ts.searchsorted(t * (1.0 - 2.0 * ZERO_MEMBERSHIP_RTOL)), ts.searchsorted(hi_t)
+    witnesses = sorted([(k, z) for k, z in zip(ks[lo:hi].tolist(), ts[lo:hi].tolist()) if _close(z, t)])
     return len(witnesses), witnesses
 
 

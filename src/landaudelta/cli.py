@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -241,9 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parse_args keeps no state between calls, so main reuses it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -197,17 +198,24 @@ def laguerre_zeros(spec: LaguerreSpec) -> list[tuple[float, int]]:
 
 
 def gauss_laguerre_log_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule for the weight e^{-t} t^alpha: nodes and log-weights.
+    """Gauss rule for the weight e^{-t} t^alpha: nodes and log-weights, as read-only arrays.
 
     Nodes are Jacobi-matrix eigenvalues polished by two Newton steps;
     weights come from the closed form
         w_i = Gamma(n+alpha+1)/n! * t_i / ((n+1) L_{n+1}^(alpha)(t_i))^2,
-    evaluated in log space so very large rules stay finite.
+    evaluated in log space so very large rules stay finite.  Each (n, alpha)
+    is built once per process and shared by every caller (_log_rule).
     """
     if n < 1:
         raise ValueError("rule needs at least one node")
     if alpha <= -1:
         raise ValueError(f"Gauss-Laguerre rule requires alpha > -1, got {alpha}")
+    return _log_rule(n, float(alpha))
+
+
+@lru_cache(maxsize=None)
+def _log_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cached body of gauss_laguerre_log_rule; cache_clear() drops every rule."""
     t = _newton_step(n, alpha, positive_zeros(n, alpha))
     lnext = laguerre_eval_batch(n + 1, alpha, t)
     logw = (
@@ -216,6 +224,8 @@ def gauss_laguerre_log_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarra
         + np.log(t)
         - 2.0 * np.log((n + 1) * np.abs(lnext))
     )
+    t.setflags(write=False)
+    logw.setflags(write=False)
     return t, logw
 
 

@@ -287,11 +287,14 @@ class SpectrumResult:
 
 
 def _hermitian_solve(matrix: ToeplitzMatrix | np.ndarray, solver):
-    """(entries, solver(entries)) for a nonempty matrix, Hermitian to 1e-12 * max|M| (a zero matrix is)."""
+    """(entries, solver(entries)) for a nonempty finite matrix, Hermitian to 1e-12 * max|M| (a zero matrix is)."""
     m = matrix.entries if isinstance(matrix, ToeplitzMatrix) else np.asarray(matrix)
     if m.size == 0:
         raise ValueError("empty matrix")
-    if not np.allclose(m, m.conj().T, rtol=0.0, atol=1e-12 * float(np.max(np.abs(m)))):
+    scale = float(np.max(np.abs(m)))  # NaN or inf exactly when some entry is
+    if not math.isfinite(scale):
+        raise ValueError("matrix has non-finite entries")
+    if float(np.max(np.abs(m - m.conj().T))) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian")
     try:
         return m, solver(m)
@@ -311,8 +314,7 @@ def spectrum(matrix: ToeplitzMatrix | np.ndarray) -> SpectrumResult:
     vecs = vecs[:, ::-1].copy()
     residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    bad = residuals > 1e-10 * max(scale, 1e-300)
-    if np.any(bad):
+    if not np.all(residuals <= 1e-10 * max(scale, 1e-300)):  # a NaN residual fails too
         worst = float(np.max(residuals))
         raise ValueError(f"eigenpair residual {worst:.3e} exceeds 1e-10 * ||M||")
     return SpectrumResult(vals, vecs, residuals)
@@ -371,7 +373,8 @@ def matrix_to_json(matrix: ToeplitzMatrix) -> str:
         "re": matrix.entries.real.tolist(),
         "im": matrix.entries.imag.tolist(),
     }
-    return json.dumps(payload, indent=1)
+    # No indent: json then takes its C encoder, which writes the same float reprs.
+    return json.dumps(payload)
 
 
 def matrix_from_json(text: str) -> ToeplitzMatrix:
@@ -396,6 +399,8 @@ def matrix_from_json(text: str) -> ToeplitzMatrix:
         raise ValueError(f"matrix JSON: re and im must be arrays of numbers ({exc})") from None
     if not re.shape == im.shape == (K + 1, K + 1):
         raise ValueError(f"matrix JSON: re {re.shape} and im {im.shape} must both be {(K + 1, K + 1)}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix JSON: re and im must hold finite numbers (NaN or Infinity found)")
     flags = meta.get("underresolved"), meta.get("refinement_delta")
     return ToeplitzMatrix(re + 1j * im, q, K, float(b), provenance, *flags)
 

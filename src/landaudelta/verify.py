@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -21,9 +20,9 @@ from .basis import (
     MagneticField,
     annihilation_residual,
     basis_eval,
-    basis_eval_parts,
     basis_matrix,
     plane_gram,
+    stacked_parts,
     translated_parts,
 )
 from .census import (
@@ -157,7 +156,7 @@ def check_laguerre_zero_quality() -> tuple[bool, str]:
 
 
 def basis_gram(field: MagneticField, q: int, kmax: int) -> np.ndarray:
-    return plane_gram(field, [partial(basis_eval_parts, field, BasisIndex(k, q)) for k in range(kmax + 1)])
+    return plane_gram(field, stacked_parts(field, q, range(kmax + 1)))
 
 
 def check_basis_gram() -> tuple[bool, str]:
@@ -245,7 +244,7 @@ def check_basis_annihilation() -> tuple[bool, str]:
 
 
 def translated_gram(field: MagneticField, q: int, kmax: int, y) -> np.ndarray:
-    return plane_gram(field, [translated_parts(field, BasisIndex(k, q), y) for k in range(kmax + 1)])
+    return plane_gram(field, stacked_parts(field, q, range(kmax + 1), y))
 
 
 def check_basis_translation() -> tuple[bool, str]:
@@ -597,5 +596,5 @@ def run_all() -> list[CheckResult]:
             passed, detail = fn()
         except Exception as exc:  # surface failures, never mask them
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, passed, detail))
+        results.append(CheckResult(name, bool(passed), detail))
     return results

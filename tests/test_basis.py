@@ -6,8 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre
 
 from landaudelta.basis import (
+    ANGULAR_NODES,
+    GRAM_RADIAL_BLOCK,
+    RADIAL_NODES,
     BasisIndex,
     MagneticField,
+    _from_parts,
     _log_factorial,
     _log_factorials,
     _parts_arrays,
@@ -19,9 +23,10 @@ from landaudelta.basis import (
     magnetic_phase,
     magnetic_translate,
     plane_inner_product,
+    stacked_parts,
     translated_parts,
 )
-from landaudelta.laguerre import positive_zeros
+from landaudelta.laguerre import gauss_laguerre_log_rule, positive_zeros
 from landaudelta.toeplitz import circle_diagonal
 from landaudelta.verify import basis_gram, translated_gram
 
@@ -206,6 +211,73 @@ class TestInnerProduct:
         for q in range(5):
             gram = basis_gram(field, q, 12)
             assert np.max(np.abs(gram - np.eye(13))) < 1e-8
+
+
+def looped_gram(field, parts):
+    """Reference Gram: plane_gram's quadrature with each one-function parts callable evaluated on its own."""
+    t, logw = gauss_laguerre_log_rule(RADIAL_NODES, 0.0)
+    half_logw = 0.5 * (logw + t)
+    r = np.sqrt(2.0 * t / field.b)
+    theta = np.linspace(0.0, 2.0 * math.pi, ANGULAR_NODES, endpoint=False)
+    gram = np.zeros((len(parts), len(parts)), dtype=complex)
+    for lo in range(0, RADIAL_NODES, GRAM_RADIAL_BLOCK):
+        rows = slice(lo, lo + GRAM_RADIAL_BLOCK)
+        pts = np.empty((r[rows].size, ANGULAR_NODES, 2))
+        pts[..., 0] = r[rows, None] * np.cos(theta)[None, :]
+        pts[..., 1] = r[rows, None] * np.sin(theta)[None, :]
+        phi = np.empty((len(parts), pts.shape[0] * ANGULAR_NODES), dtype=complex)
+        for i, f in enumerate(parts):
+            la, ph = f(pts)
+            phi[i] = _from_parts(la + half_logw[rows, None], ph).ravel()
+        gram += phi @ phi.conj().T
+    return gram * (2.0 * math.pi / ANGULAR_NODES) / field.b
+
+
+def twisted_parts(field, idx, y):
+    """Reference T_y phi_{k,q}: one basis function at x - y, phase twisted by -(b/2) x^y."""
+    y = np.asarray(y, dtype=float)
+
+    def parts(pts):
+        la, ph = basis_eval_parts(field, idx, pts - y)
+        return la, ph - 0.5 * field.b * (pts[..., 0] * y[1] - pts[..., 1] * y[0])
+
+    return parts
+
+
+class TestStackedGram:
+    """One broadcast evaluation per block gives the per-function Gram bit for bit."""
+
+    @pytest.mark.parametrize("b", [0.5, 2.0])
+    def test_basis_gram_matches_loop(self, b):
+        field = MagneticField(b)
+        for q in range(5):
+            ref = looped_gram(field, [lambda p, k=k: basis_eval_parts(field, BasisIndex(k, q), p) for k in range(13)])
+            assert np.array_equal(basis_gram(field, q, 12), ref)
+
+    @pytest.mark.parametrize("b", [0.5, 2.0])
+    def test_translated_gram_matches_loop(self, b):
+        field = MagneticField(b)
+        y = (0.5, -1.2)
+        for q in range(5):
+            ref = looped_gram(field, [twisted_parts(field, BasisIndex(k, q), y) for k in range(5)])
+            assert np.array_equal(translated_gram(field, q, 4, y), ref)
+
+    def test_rows_and_one_row_case(self):
+        field = MagneticField(2.0)
+        y = np.array([0.5, -1.2])
+        pts = np.random.default_rng(4).uniform(-2, 2, size=(3, 7, 2))
+        for q in (0, 3):
+            for shift in (None, y):
+                la, ph = stacked_parts(field, q, [0, 2, 5], shift)(pts)
+                assert la.shape == ph.shape == (3, 3, 7)
+                for row, k in enumerate((0, 2, 5)):
+                    if shift is None:
+                        ref = basis_eval_parts(field, BasisIndex(k, q), pts)
+                    else:
+                        ref = translated_parts(field, BasisIndex(k, q), shift)(pts)
+                        twisted = twisted_parts(field, BasisIndex(k, q), shift)(pts)
+                        assert all(np.array_equal(a, b) for a, b in zip(ref, twisted))
+                    assert np.array_equal(la[row], ref[0]) and np.array_equal(ph[row], ref[1])
 
 
 class TestAnnihilation:

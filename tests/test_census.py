@@ -10,6 +10,8 @@ from landaudelta.basis import MagneticField
 from landaudelta.census import (
     ZERO_MEMBERSHIP_RTOL,
     CensusEntry,
+    _close,
+    _level_zeros,
     census,
     census_to_csv,
     coupling_lower_bounds,
@@ -67,6 +69,16 @@ def recursive_zeta(q: int, ell: int, alpha: float) -> float:
     return z_lo + (alpha - n_hi) * (z_hi - z_lo)
 
 
+def looped_multiplicity(field, q, r):
+    """Reference multiplicity: the zero table indexed one numpy element at a time."""
+    t = 0.5 * field.b * r * r
+    hi_t = t * (1.0 + 2.0 * ZERO_MEMBERSHIP_RTOL)
+    ts, ks = _level_zeros(q).upto(hi_t)
+    lo, hi = np.searchsorted(ts, [t * (1.0 - 2.0 * ZERO_MEMBERSHIP_RTOL), hi_t])
+    witnesses = sorted((int(ks[i]), float(ts[i])) for i in range(lo, hi) if _close(ts[i], t))
+    return len(witnesses), witnesses
+
+
 class TestMultiplicity:
     def test_simple_resonance(self):
         m, w = multiplicity(F2, 1, 1.0)
@@ -97,6 +109,23 @@ class TestMultiplicity:
         m, w = multiplicity(F2, q, r)
         assert 0 <= m <= q
         assert len(w) == m
+
+
+    def test_matches_looped_reference(self):
+        # Random radii, every census radius, and census t moved to the edges of the membership window.
+        rng = np.random.default_rng(5)
+        for b in (0.5, 2.0):
+            field = MagneticField(b)
+            for q in range(1, 8):
+                radii = rng.uniform(1e-3, 4.0, size=300).tolist()
+                for e in census(field, q, 4.0):
+                    radii.append(e.r)
+                    for rel in (-1.5, -0.99, 0.99, 1.5):
+                        radii.append(math.sqrt(2.0 * e.t * (1.0 + rel * ZERO_MEMBERSHIP_RTOL) / b))
+                for r in radii:
+                    m, w = multiplicity(field, q, r)
+                    assert (m, w) == looped_multiplicity(field, q, r)
+                    assert all(type(k) is int and type(z) is float for k, z in w)
 
 
 class TestCensus:

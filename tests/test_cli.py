@@ -235,6 +235,10 @@ class TestToeplitz:
              "need q >= 0 and a finite b > 0"),
             ({"meta": {"q": 0, "K": 0, "b": 10**400, "provenance": {}}, "re": [[1.0]], "im": [[0.0]]},
              "q, K and b numbers"),
+            ({"meta": {"q": 0, "K": 1, "b": 1.0, "provenance": {}}, "re": [[1.0, 0.0], [0.0, math.inf]],
+              "im": [[0.0, 0.0], [0.0, 0.0]]}, "re and im must hold finite numbers"),
+            ({"meta": {"q": 0, "K": 0, "b": 1.0, "provenance": {}}, "re": [[1.0]], "im": [[math.nan]]},
+             "re and im must hold finite numbers"),
         ],
     )
     def test_malformed_import_exit_2(self, capsys, tmp_path, payload, message):

@@ -291,3 +291,30 @@ class TestOrthogonality:
         t, w = gauss_laguerre_rule(6, alpha)
         for m in range(0, 12):
             assert np.sum(w * t**m) == pytest.approx(math.gamma(m + alpha + 1), rel=1e-12)
+
+
+class TestRuleCache:
+    def test_cached_rule_is_a_read_only_fresh_build(self):
+        laguerre_mod._log_rule.cache_clear()
+        for n, alpha in ((1, 0.0), (7, 0.5), (128, 0.0)):
+            first = laguerre_mod.gauss_laguerre_log_rule(n, alpha)
+            fresh = laguerre_mod._log_rule.__wrapped__(n, float(alpha))
+            assert all(np.array_equal(a, b) for a, b in zip(first, fresh))
+            assert laguerre_mod.gauss_laguerre_log_rule(n, alpha) is first
+            for arr in first:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1.0
+        assert laguerre_mod.gauss_laguerre_log_rule(7, 0) is laguerre_mod.gauss_laguerre_log_rule(7, 0.0)
+
+    def test_cache_clear_empties_the_rules(self):
+        rule = laguerre_mod.gauss_laguerre_log_rule(6, 3.0)
+        assert laguerre_mod._log_rule.cache_info().currsize > 0
+        laguerre_mod._log_rule.cache_clear()
+        assert laguerre_mod._log_rule.cache_info().currsize == 0
+        again = laguerre_mod.gauss_laguerre_log_rule(6, 3.0)
+        assert again is not rule and all(np.array_equal(a, b) for a, b in zip(again, rule))
+
+    def test_bad_arguments_are_rejected_before_the_cache(self):
+        for n, alpha in ((0, 0.0), (4, -1.0)):
+            with pytest.raises(ValueError):
+                laguerre_mod.gauss_laguerre_log_rule(n, alpha)

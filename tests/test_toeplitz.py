@@ -657,6 +657,20 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    def test_non_finite_rejected_by_name(self):
+        for bad in (math.inf, -math.inf, math.nan, complex(0.0, math.nan)):
+            m = np.eye(3, dtype=complex)
+            m[1, 1] = bad
+            for door in (toeplitz.eigenvalues, spectrum):
+                with pytest.raises(ValueError, match="non-finite"):
+                    door(m)
+
+    def test_nan_residual_fails_the_guard(self, monkeypatch):
+        vals, vecs = np.linalg.eigh(np.eye(2))
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (vals, np.full_like(vecs, math.nan)))
+        with pytest.raises(ValueError, match="eigenpair residual"):
+            spectrum(np.eye(2, dtype=complex))
+
 
 class TestEigenvalues:
     def test_bitwise_eigvalsh_descending(self):

@@ -65,13 +65,13 @@ LOG_FACTORIAL_TABLE = 1024
 
 @dataclass(frozen=True)
 class MagneticField:
-    """Constant magnetic field of strength b > 0."""
+    """Constant magnetic field of finite strength b > 0."""
 
     b: float
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError(f"field strength must be positive, got {self.b}")
+        if not 0 < self.b < math.inf:
+            raise ValueError(f"field strength must be positive and finite, got {self.b}")
 
     def landau_level(self, q: int) -> float:
         """Lambda_q = b(2q+1)."""

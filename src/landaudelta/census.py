@@ -120,17 +120,22 @@ def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tupl
     more, each witness column of the coupling at <= SUPPORT_TOL * max|B|.
     So r = 1 + 1e-10 at b = 2, q = 1 has witness k = 1 here but does not
     persist there (its support_residuals show the 2.6e-10 column).
-    Two bisections of the level's zero table bound the candidates, which
-    are read as Python scalars: a call builds no array per radius.
+    Two bisections of the level's zero table bound the candidates.  When
+    they bracket none, as for almost every radius, the call returns
+    (0, []) at once; otherwise the candidates are read as Python scalars:
+    a call builds no array per radius.  r must be positive and finite:
+    r = inf would grow the zero table without end.
     """
     if q < 1:
         raise ValueError("multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
     t = 0.5 * field.b * r * r
     hi_t = t * (1.0 + 2.0 * ZERO_MEMBERSHIP_RTOL)
     ts, ks = _level_zeros(q).upto(hi_t)
     lo, hi = ts.searchsorted(t * (1.0 - 2.0 * ZERO_MEMBERSHIP_RTOL)), ts.searchsorted(hi_t)
+    if lo == hi:
+        return 0, []
     witnesses = sorted([(k, z) for k, z in zip(ks[lo:hi].tolist(), ts[lo:hi].tolist()) if _close(z, t)])
     return len(witnesses), witnesses
 
@@ -140,12 +145,13 @@ def census(field: MagneticField, q: int, r_max: float) -> list[CensusEntry]:
 
     Radii whose t values agree to relative 1e-9 are merged and their
     witnesses pooled, in ascending k as multiplicity lists them; distinct
-    entries stay strictly ordered.
+    entries stay strictly ordered.  r_max must be positive and finite:
+    the sweep grows the zero table until it passes r_max.
     """
     if q < 1:
         raise ValueError("census is defined for q >= 1; the q = 0 kernel is always trivial")
-    if not r_max > 0:
-        raise ValueError(f"r_max must be positive, got {r_max}")
+    if not 0 < r_max < math.inf:
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
     cap = 0.5 * field.b * r_max * r_max * (1.0 + ZERO_MEMBERSHIP_RTOL)
     ts, ks = _level_zeros(q).upto(cap)
     n = int(np.searchsorted(ts, cap, side="right"))

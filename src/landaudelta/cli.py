@@ -173,13 +173,14 @@ def _cmd_verify(args) -> int:
     from .verify import run_all
 
     results = run_all()
-    failures = 0
-    for res in results:
-        tag = "PASS" if res.passed else "FAIL"
-        print(f"{tag} {res.name}: {res.detail}")
-        if not res.passed:
-            failures += 1
-    print(f"{len(results) - failures}/{len(results)} checks passed")
+    failures = sum(not res.passed for res in results)
+    if args.format == "json":
+        for res in results:
+            print(json.dumps(asdict(res)))
+    else:
+        for res in results:
+            print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
+        print(f"{len(results) - failures}/{len(results)} checks passed")
     return 0 if failures == 0 else 1
 
 
@@ -237,6 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_galerkin)
 
     p = sub.add_parser("verify", help="run the cross-module invariant suite")
+    p.add_argument("--format", choices=["text", "json"], default="text",
+                   help="json: one object per check with name, passed, detail and seconds")
     p.set_defaults(func=_cmd_verify)
 
     return parser

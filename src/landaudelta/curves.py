@@ -152,9 +152,9 @@ class JordanCurve:
 
 
 def make_circle(r: float, n: int | None = None) -> JordanCurve:
-    """Origin-centered circle of radius r (recentering is a gauge motion)."""
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    """Origin-centered circle of finite radius r > 0 (recentering is a gauge motion)."""
+    if not 0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
     t = _uniform_params(quadrature_size(n))
     pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
     der = np.column_stack([-r * np.sin(t), r * np.cos(t)])
@@ -162,9 +162,9 @@ def make_circle(r: float, n: int | None = None) -> JordanCurve:
 
 
 def make_ellipse(a: float, b: float, n: int | None = None) -> JordanCurve:
-    """Axis-aligned ellipse with semi-axes a, b."""
-    if not (a > 0 and b > 0):
-        raise ValueError(f"semi-axes must be positive, got a={a}, b={b}")
+    """Axis-aligned ellipse with finite semi-axes a, b > 0."""
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError(f"semi-axes must be positive and finite, got a={a}, b={b}")
     t = _uniform_params(quadrature_size(n))
     pts = np.column_stack([a * np.cos(t), b * np.sin(t)])
     der = np.column_stack([-a * np.sin(t), b * np.cos(t)])

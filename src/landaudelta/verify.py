@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -28,7 +29,7 @@ from .basis import (
 from .census import (
     census as census_sweep,
     coupling_lower_bounds,
-    eta_curve,
+    eta_table_to_csv,
     explicit_D12,
     gap_constants,
     multiplicity as census_multiplicity,
@@ -63,6 +64,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float  # wall time of the check, timed by run_all
 
 
 def check_laguerre_examples() -> tuple[bool, str]:
@@ -448,20 +450,25 @@ def check_census_matrix_agreement() -> tuple[bool, str]:
 
 
 def check_census_eta_curves() -> tuple[bool, str]:
+    """Each eta_ell strictly increases on its domain alpha >= ell - q, and eta_{ell+1} < eta_ell on both domains.
+
+    One table per level over alpha = 1 - q, ..., 11.5 in steps of 0.5, read
+    through eta_table_to_csv, the census --eta export (%.17g cells parse
+    back exactly, nan below a curve's edge); curve ell is its column on the
+    rows alpha >= ell - q.
+    """
     field = MagneticField(2.0)
     bad = 0
     for q in (2, 3, 4):
+        rows = eta_table_to_csv(field, q, np.arange(1.0 - q, 12.0, 0.5)).splitlines()[1:]
+        table = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+        alphas, eta = table[:, 0], table[:, 1:]
         for ell in range(1, q + 1):
-            lo = float(ell - q)
-            grid = np.arange(lo, 12.0, 0.5)
-            vals = [eta_curve(field, q, ell, float(a)) for a in grid]
-            if not np.all(np.diff(vals) > 0):
+            if not np.all(np.diff(eta[alphas >= ell - q, ell - 1]) > 0):
                 bad += 1
         for ell in range(1, q):
-            grid = np.arange(float(ell + 1 - q), 12.0, 0.5)
-            hi = [eta_curve(field, q, ell, float(a)) for a in grid]
-            lo_curve = [eta_curve(field, q, ell + 1, float(a)) for a in grid]
-            if not np.all(np.array(lo_curve) < np.array(hi)):
+            both = alphas >= ell + 1 - q
+            if not np.all(eta[both, ell] < eta[both, ell - 1]):
                 bad += 1
     return bad == 0, f"{bad} eta-curve ordering/monotonicity failures"
 
@@ -590,11 +597,13 @@ CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
 
 
 def run_all() -> list[CheckResult]:
+    """Run every check in CHECKS order, each timed; a check that raises fails with the exception as its detail."""
     results = []
     for name, fn in CHECKS:
+        start = perf_counter()
         try:
             passed, detail = fn()
         except Exception as exc:  # surface failures, never mask them
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, bool(passed), detail))
+        results.append(CheckResult(name, bool(passed), detail, perf_counter() - start))
     return results

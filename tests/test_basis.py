@@ -75,6 +75,11 @@ class TestField:
         with pytest.raises(ValueError):
             MagneticField(-1.0)
 
+    @pytest.mark.parametrize("b", (math.inf, math.nan))
+    def test_rejects_non_finite(self, b):
+        with pytest.raises(ValueError, match="field strength must be positive and finite"):
+            MagneticField(b)
+
     def test_phase_values(self):
         assert magnetic_phase(MagneticField(2.0), (0.0, 0.0)) == 0.0
         assert magnetic_phase(MagneticField(2.0), (1.0, 0.0)) == 0.5

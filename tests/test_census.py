@@ -79,6 +79,25 @@ def looped_multiplicity(field, q, r):
     return len(witnesses), witnesses
 
 
+def untouchable_table(q):
+    """Stands in for _level_zeros where an input must be refused first: fails at once, where a missing guard would hang."""
+    raise AssertionError(f"the level-{q} zero table was consulted")
+
+
+def per_cell_eta_csv(field, q, alphas):
+    """Reference eta table: one eta_curve call per cell, nan below each curve's edge."""
+    lines = ["alpha," + ",".join(f"eta_{ell}" for ell in range(1, q + 1))]
+    for a in alphas:
+        cells = [f"{a:.17g}"]
+        for ell in range(1, q + 1):
+            if a < (ell - q) - 1e-12:
+                cells.append("nan")
+            else:
+                cells.append(f"{eta_curve(field, q, ell, a):.17g}")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 class TestMultiplicity:
     def test_simple_resonance(self):
         m, w = multiplicity(F2, 1, 1.0)
@@ -102,6 +121,33 @@ class TestMultiplicity:
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):
             multiplicity(F2, 1, 0.0)
+
+    @pytest.mark.parametrize("r", (math.inf, math.nan))
+    def test_non_finite_radius_rejected(self, r, monkeypatch):
+        # r = inf would grow the level's zero table without end, so it is refused before the table.
+        monkeypatch.setattr(census_mod, "_level_zeros", untouchable_table)
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            multiplicity(F2, 1, r)
+
+    def test_miss_returns_int_zero_and_empty_list(self):
+        for q in (1, 3):
+            m, w = multiplicity(F2, q, math.sqrt(0.5))
+            assert type(m) is int and m == 0
+            assert type(w) is list and w == []
+
+    @pytest.mark.parametrize("q, t, expected", ((2, 210.0, 2), (2, 210.5, 0), (1, 200.0, 1), (1, 200.5, 0)))
+    def test_query_that_grows_a_cold_table_matches_a_warm_one(self, q, t, expected):
+        # t = 210 = 14^2 + 14 is a double radius of level 2, t = 200 a level-1 radius.
+        r = math.sqrt(2.0 * t / F2.b)
+        _level_zeros.cache_clear()
+        assert _level_zeros(q).reach <= t  # the call below must grow the table
+        cold = multiplicity(F2, q, r)
+        assert _level_zeros(q).reach > t
+        census(F2, q, 2.0 * r)  # grow well past t
+        warm = multiplicity(F2, q, r)
+        assert cold == warm and cold[0] == expected
+        assert type(cold[0]) is int and type(cold[1]) is list
+        assert all(type(k) is int and type(z) is float for k, z in cold[1])
 
     @given(r=st.floats(0.01, 4.0), q=st.integers(1, 6))
     @settings(max_examples=300, deadline=None)
@@ -170,6 +216,12 @@ class TestCensus:
         for q in (1, 2, 3, 4):
             rs = [e.r for e in census(F2, q, 3.5)]
             assert all(a < b for a, b in zip(rs, rs[1:]))
+
+    @pytest.mark.parametrize("r_max", (math.inf, math.nan))
+    def test_non_finite_r_max_rejected(self, r_max, monkeypatch):
+        monkeypatch.setattr(census_mod, "_level_zeros", untouchable_table)
+        with pytest.raises(ValueError, match="r_max must be positive and finite"):
+            census(F2, 1, r_max)
 
     def test_grows_without_bound(self):
         assert len(census(F2, 1, math.sqrt(20.0))) == 20
@@ -393,16 +445,22 @@ class TestEtaTable:
             field = MagneticField(b)
             for q in range(1, 9):
                 alphas = sorted(set(np.arange(1.0 - q, 10.25, 0.5).tolist() + self.ALPHAS_NEAR_EDGES))
-                lines = ["alpha," + ",".join(f"eta_{ell}" for ell in range(1, q + 1))]
-                for a in alphas:
-                    cells = [f"{a:.17g}"]
-                    for ell in range(1, q + 1):
-                        if a < (ell - q) - 1e-12:
-                            cells.append("nan")
-                        else:
-                            cells.append(f"{eta_curve(field, q, ell, a):.17g}")
-                    lines.append(",".join(cells))
-                assert eta_table_to_csv(field, q, alphas) == "\n".join(lines) + "\n"
+                assert eta_table_to_csv(field, q, alphas) == per_cell_eta_csv(field, q, alphas)
+
+    def test_table_matches_per_cell_curves_on_the_verify_grid(self):
+        # verify's census-eta-curves reads one table per level at b = 2, alpha = 1 - q, ..., 11.5.
+        for q in (2, 3, 4):
+            alphas = np.arange(1.0 - q, 12.0, 0.5)
+            text = eta_table_to_csv(F2, q, alphas)
+            assert text == per_cell_eta_csv(F2, q, alphas.tolist())
+            rows = [[float(cell) for cell in row.split(",")] for row in text.splitlines()[1:]]
+            assert [row[0] for row in rows] == alphas.tolist() and rows[-1][0] == 11.5
+            for row in rows:
+                for ell, cell in enumerate(row[1:], start=1):
+                    if row[0] < ell - q:
+                        assert math.isnan(cell)
+                    else:
+                        assert cell == eta_curve(F2, q, ell, row[0])  # %.17g parses back exactly
 
 
 class TestScalarConstants:

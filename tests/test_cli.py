@@ -358,6 +358,52 @@ class TestVerify:
         assert all(l.startswith("PASS") for l in lines[:-1])
         assert lines[-1].endswith("checks passed")
 
+    def test_json_one_object_per_check(self, capsys):
+        from landaudelta.verify import CHECKS
+
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 0
+        assert [r["name"] for r in records] == [name for name, _ in CHECKS]
+        for r in records:
+            assert list(r) == ["name", "passed", "detail", "seconds"]
+            assert r["passed"] is True and type(r["detail"]) is str and r["seconds"] >= 0.0
+
+    def test_failing_check_exits_1_in_both_formats(self, capsys, monkeypatch):
+        from landaudelta import verify
+
+        def broken():
+            raise RuntimeError("forced")
+
+        checks = [("always-passes", lambda: (True, "ok")), ("always-fails", lambda: (False, "forced")),
+                  ("raises", broken)]
+        monkeypatch.setattr(verify, "CHECKS", checks)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert out.splitlines() == ["PASS always-passes: ok", "FAIL always-fails: forced",
+                                    "FAIL raises: raised RuntimeError: forced", "1/3 checks passed"]
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 1
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [(r["name"], r["passed"], r["detail"]) for r in records] == [
+            ("always-passes", True, "ok"), ("always-fails", False, "forced"),
+            ("raises", False, "raised RuntimeError: forced")]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["census", "--q", "1", "--rmax", "inf"], "error: r_max must be positive and finite, got inf"),
+    (["census", "--q", "1", "--b", "inf"], "error: field strength must be positive and finite, got inf"),
+    (["galerkin", "--persistence", "--q", "1", "--r", "inf"], "error: radius must be positive and finite, got inf"),
+    (["toeplitz", "--ellipse", "inf,1"], "error: semi-axes must be positive and finite, got a=inf, b=1.0"),
+])
+def test_non_finite_inputs_exit_2_without_hanging(argv, message):
+    # In a child process with a timeout: the first three used to grow a zero table without end.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "landaudelta.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")
+
 
 def test_import_leaves_scipy_unloaded():
     # Only the verify subcommand needs scipy; importing the package or the CLI must not load it.

@@ -37,6 +37,14 @@ class TestCircle:
         with pytest.raises(ValueError):
             make_circle(-2.0)
 
+    @pytest.mark.parametrize("r", (math.inf, math.nan))
+    def test_rejects_non_finite_radius(self, r):
+        # Raised before any sample: make_circle(inf) used to warn and return nan derivatives.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="radius must be positive and finite"):
+                make_circle(r)
+
     def test_harmonic_exactness(self):
         n = 256
         pts, w = arclength_rule(make_circle(1.0, n=n))
@@ -62,6 +70,13 @@ class TestEllipse:
             vals.append(float(np.sum(f(pts) * w)))
         assert abs(vals[1] - vals[0]) < 1e-10
         assert abs(vals[2] - vals[1]) < 1e-10
+
+    @pytest.mark.parametrize("a, b", ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, -math.inf)))
+    def test_rejects_non_finite_semi_axes(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="semi-axes must be positive and finite"):
+                make_ellipse(a, b)
 
     def test_too_few_nodes_rejected(self):
         e = make_ellipse(2.0, 1.0, n=16)

@@ -5,9 +5,12 @@ positive zero of some L_q^(k-q), k = 0, 1, 2, ...; the number of such k
 is the kernel dimension m_q(r) of the level-q interaction operator.  The
 census enumerates all resonant radii up to a bound by sweeping k,
 working throughout in the scale-free variable t and converting to r at
-the end.  Each level keeps one zero table, grown on demand: the k < q rows
-are solved once, and the parameters k - q >= 0 are appended in blocks
-of ZERO_TABLE_BLOCK = 64, one stacked Jacobi eigensolve per block.
+the end; t past T_MAX = 1e4 is refused with a ValueError.  Entries are
+immutable named tuples (r, t, multiplicity, witnesses): they unpack, and
+they compare equal to the plain 4-tuple of their values.  Each level
+keeps one zero table, grown on demand: the k < q rows are solved once,
+and the parameters k - q >= 0 are appended in blocks of
+ZERO_TABLE_BLOCK = 64, one stacked Jacobi eigensolve per block.
 Completeness uses the strict growth of every zero in the parameter:
 once the smallest zero of L_q^(k-q) exceeds the target no larger k can
 contribute.
@@ -21,8 +24,9 @@ spectral-gap and coupling-threshold constants.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +38,13 @@ from .laguerre import _INT_TOL, nodal_zeros, positive_zeros
 ZERO_MEMBERSHIP_RTOL = 1e-9
 # Parameters k - q solved per stacked eigensolve when a level's zero table grows.
 ZERO_TABLE_BLOCK = 64
+# Largest t = b r^2 / 2 that census and multiplicity accept.  At q = 1 a table
+# for t = 1e8 was still growing after 5 s, and one for t = inf never stops.
+# The limit is on t alone: a level-q table reaching t holds about q t zeros
+# and costs more than linearly in q (t = 1e4 on 2 cores: q = 20 in 0.22 s,
+# q = 40 in 1.13 s), so a large q can still be slow below it.  Tests, demos
+# and verify stay below t = 850.
+T_MAX = 1e4
 
 __all__ = [
     "CensusEntry",
@@ -48,22 +59,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CensusEntry:
-    """One resonant radius with its multiplicity and witnesses.
+@dataclasses.dataclass(frozen=True, init=False, repr=False, eq=False)
+class CensusEntry(namedtuple("CensusEntry", "r t multiplicity witnesses")):
+    """One resonant radius with its multiplicity and witnesses, as an immutable named tuple.
 
     Each witness is a pair (k, t) with t = b r^2 / 2 the zero of
     L_q^(k-q) that puts the circle inside the nodal set of phi_{k,q}.
+    The constructor, _make and _replace check multiplicity == len(witnesses).
+    The frozen dataclass fields keep dataclasses.replace, asdict and fields
+    working on entries; equality, hash and repr are the named tuple's.
     """
 
-    r: float
-    t: float
-    multiplicity: int
-    witnesses: tuple[tuple[int, float], ...]
+    __slots__ = ()
+    # field() keeps the inherited tuple getters from becoming field defaults.
+    r: float = dataclasses.field()
+    t: float = dataclasses.field()
+    multiplicity: int = dataclasses.field()
+    witnesses: tuple[tuple[int, float], ...] = dataclasses.field()
 
-    def __post_init__(self):
-        if self.multiplicity != len(self.witnesses):
+    def __new__(cls, r: float, t: float, multiplicity: int, witnesses: tuple[tuple[int, float], ...]):
+        return cls._make((r, t, multiplicity, witnesses))
+
+    @classmethod
+    def _make(cls, iterable) -> CensusEntry:
+        entry = super()._make(iterable)
+        if entry.multiplicity != len(entry.witnesses):
             raise ValueError("multiplicity must equal the number of witnesses")
+        return entry
 
 
 class _LevelZeros:
@@ -123,14 +145,17 @@ def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tupl
     Two bisections of the level's zero table bound the candidates.  When
     they bracket none, as for almost every radius, the call returns
     (0, []) at once; otherwise the candidates are read as Python scalars:
-    a call builds no array per radius.  r must be positive and finite:
-    r = inf would grow the zero table without end.
+    a call builds no array per radius.  r must be positive and finite,
+    and t = b r^2 / 2 at most T_MAX = 1e4: the zero table grows until it
+    passes t, so a huge t would tie it up and t = inf would never end.
     """
     if q < 1:
         raise ValueError("multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")
     if not 0 < r < math.inf:
         raise ValueError(f"radius must be positive and finite, got {r}")
     t = 0.5 * field.b * r * r
+    if not t <= T_MAX:
+        raise ValueError(f"t = b r^2 / 2 = {t} is past the census limit T_MAX = {T_MAX:g}")
     hi_t = t * (1.0 + 2.0 * ZERO_MEMBERSHIP_RTOL)
     ts, ks = _level_zeros(q).upto(hi_t)
     lo, hi = ts.searchsorted(t * (1.0 - 2.0 * ZERO_MEMBERSHIP_RTOL)), ts.searchsorted(hi_t)
@@ -145,14 +170,18 @@ def census(field: MagneticField, q: int, r_max: float) -> list[CensusEntry]:
 
     Radii whose t values agree to relative 1e-9 are merged and their
     witnesses pooled, in ascending k as multiplicity lists them; distinct
-    entries stay strictly ordered.  r_max must be positive and finite:
-    the sweep grows the zero table until it passes r_max.
+    entries stay strictly ordered.  r_max must be positive and finite,
+    with t = b r_max^2 / 2 at most T_MAX = 1e4: the sweep grows the zero
+    table until it passes that t.
     """
     if q < 1:
         raise ValueError("census is defined for q >= 1; the q = 0 kernel is always trivial")
     if not 0 < r_max < math.inf:
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
-    cap = 0.5 * field.b * r_max * r_max * (1.0 + ZERO_MEMBERSHIP_RTOL)
+    t_max = 0.5 * field.b * r_max * r_max
+    if not t_max <= T_MAX:
+        raise ValueError(f"t = b r_max^2 / 2 = {t_max} is past the census limit T_MAX = {T_MAX:g}")
+    cap = t_max * (1.0 + ZERO_MEMBERSHIP_RTOL)
     ts, ks = _level_zeros(q).upto(cap)
     n = int(np.searchsorted(ts, cap, side="right"))
     if not n:
@@ -165,9 +194,10 @@ def census(field: MagneticField, q: int, r_max: float) -> list[CensusEntry]:
     r = np.sqrt(2.0 * t_mean / field.b)
     group = np.repeat(np.arange(starts.size), counts)
     order = np.lexsort((ts, ks, group))
-    witnesses = list(zip(ks[order].tolist(), ts[order].tolist()))
+    witnesses = tuple(zip(ks[order].tolist(), ts[order].tolist()))
+    # Each group holds its own witnesses, so the entries skip the constructor's check.
     return [
-        CensusEntry(r_i, t_i, m, tuple(witnesses[lo : lo + m]))
+        tuple.__new__(CensusEntry, (r_i, t_i, m, witnesses[lo : lo + m]))
         for r_i, t_i, lo, m in zip(r.tolist(), t_mean.tolist(), starts.tolist(), counts.tolist())
     ]
 
@@ -311,9 +341,10 @@ def coupling_lower_bounds(field: MagneticField, q: int, c: float) -> tuple[float
 def census_to_csv(entries: list[CensusEntry]) -> str:
     """CSV rows r,t,multiplicity,witness_ks (witness ks ';'-joined)."""
     lines = ["r,t,multiplicity,witness_ks"]
-    for e in entries:
-        ks = ";".join(str(k) for k, _ in e.witnesses)
-        lines.append(f"{e.r:.17g},{e.t:.17g},{e.multiplicity},{ks}")
+    for r, t, m, witnesses in entries:
+        # Nearly every row has one witness; skipping its join is worth about 9% of census_sweep.
+        ks = witnesses[0][0] if m == 1 else ";".join([str(k) for k, _ in witnesses])
+        lines.append("%.17g,%.17g,%s,%s" % (r, t, m, ks))
     return "\n".join(lines) + "\n"
 
 
@@ -322,7 +353,6 @@ def eta_table_to_csv(field: MagneticField, q: int, alphas) -> str:
     alphas = np.asarray(alphas, dtype=float)
     eta = _eta_table(field, q, alphas)
     header = "alpha," + ",".join(f"eta_{ell}" for ell in range(1, q + 1))
-    lines = [header]
-    for a, etas in zip(alphas.tolist(), eta.tolist()):
-        lines.append(",".join(f"{x:.17g}" for x in (a, *etas)))
+    row = ",".join(["%.17g"] * (q + 1))
+    lines = [header] + [row % tuple(cells) for cells in np.column_stack((alphas, eta)).tolist()]
     return "\n".join(lines) + "\n"

@@ -223,7 +223,9 @@ def persistence_check(
     The census names witnesses within a relative 1e-9 in t, but the
     verdict needs each witness column at <= SUPPORT_TOL = 1e-12 * max|B|.
     So r = 1 + 1e-10 at b = 2, q = 1 names k = 1 yet does not persist:
-    its support_residuals read 2.6e-10.
+    its support_residuals read 2.6e-10.  The witnesses come from
+    census.multiplicity, so t = b r^2 / 2 past census.T_MAX raises its
+    ValueError.
     """
     if q < 1:
         raise ValueError("persistence_check requires q >= 1")

@@ -336,7 +336,11 @@ class KernelEstimate:
 
 
 def kernel_dim_estimate(matrix: ToeplitzMatrix) -> KernelEstimate:
-    """Count eigenvalues with |lambda| <= 1e-10 max|lambda| (so no weight scale moves it), from eigenvalues() alone."""
+    """Count eigenvalues with |lambda| <= 1e-10 max|lambda| (so no weight scale moves it), from eigenvalues() alone.
+
+    For a nonzero circle matrix at q >= 1 the census multiplicity is
+    attached, so t = b r^2 / 2 past census.T_MAX raises its ValueError.
+    """
     vals = eigenvalues(matrix)
     scale = float(np.max(np.abs(vals)))
     threshold = 1e-10 * max(scale, 1e-300)

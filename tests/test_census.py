@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import importlib
+import json
 import math
+import pickle
 from functools import lru_cache
 
 import numpy as np
@@ -8,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from landaudelta.basis import MagneticField
 from landaudelta.census import (
+    T_MAX,
     ZERO_MEMBERSHIP_RTOL,
     CensusEntry,
     _close,
@@ -22,6 +27,8 @@ from landaudelta.census import (
     multiplicity,
 )
 
+from landaudelta.cli import main
+from landaudelta.galerkin import persistence_check
 from landaudelta.laguerre import positive_zeros
 
 census_mod = importlib.import_module("landaudelta.census")
@@ -82,6 +89,50 @@ def looped_multiplicity(field, q, r):
 def untouchable_table(q):
     """Stands in for _level_zeros where an input must be refused first: fails at once, where a missing guard would hang."""
     raise AssertionError(f"the level-{q} zero table was consulted")
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassEntry:
+    """Reference: the census entry as a frozen dataclass, checked in __post_init__."""
+
+    r: float
+    t: float
+    multiplicity: int
+    witnesses: tuple
+
+    def __post_init__(self):
+        if self.multiplicity != len(self.witnesses):
+            raise ValueError("multiplicity must equal the number of witnesses")
+
+
+def dataclass_census(field, q, r_max):
+    """Reference census: the same grouping, one checked dataclass entry per group."""
+    cap = 0.5 * field.b * r_max * r_max * (1.0 + ZERO_MEMBERSHIP_RTOL)
+    ts, ks = _level_zeros(q).upto(cap)
+    n = int(np.searchsorted(ts, cap, side="right"))
+    if not n:
+        return []
+    ts, ks = ts[:n], ks[:n]
+    starts = np.flatnonzero(np.concatenate([[True], ~_close(ts[1:], ts[:-1])]))
+    counts = np.diff(np.append(starts, n))
+    t_mean = np.add.reduceat(ts, starts) / counts
+    r = np.sqrt(2.0 * t_mean / field.b)
+    group = np.repeat(np.arange(starts.size), counts)
+    order = np.lexsort((ts, ks, group))
+    witnesses = list(zip(ks[order].tolist(), ts[order].tolist()))
+    return [
+        DataclassEntry(r_i, t_i, m, tuple(witnesses[lo : lo + m]))
+        for r_i, t_i, lo, m in zip(r.tolist(), t_mean.tolist(), starts.tolist(), counts.tolist())
+    ]
+
+
+def per_entry_csv(entries):
+    """Reference CSV: one generator join and one attribute read per field, per entry."""
+    lines = ["r,t,multiplicity,witness_ks"]
+    for e in entries:
+        ks = ";".join(str(k) for k, _ in e.witnesses)
+        lines.append(f"{e.r:.17g},{e.t:.17g},{e.multiplicity},{ks}")
+    return "\n".join(lines) + "\n"
 
 
 def per_cell_eta_csv(field, q, alphas):
@@ -235,6 +286,146 @@ class TestCensus:
         lines = text.strip().splitlines()
         assert lines[0] == "r,t,multiplicity,witness_ks"
         assert lines[3].endswith(",2,1;4")
+
+    @given(b=st.floats(0.5, 4.0), q=st.integers(1, 16), t_max=st.floats(0.5, 400.0))
+    @settings(max_examples=60, deadline=None)
+    def test_csv_rows_parse_back_to_their_entries(self, b, q, t_max):
+        entries = census(MagneticField(b), q, math.sqrt(2.0 * t_max / b))
+        rows = census_to_csv(entries).splitlines()[1:]
+        assert len(rows) == len(entries)
+        for row, (r, t, m, witnesses) in zip(rows, entries):
+            r_text, t_text, m_text, ks_text = row.split(",")
+            assert (float(r_text), float(t_text), int(m_text)) == (r, t, m)
+            assert [int(k) for k in ks_text.split(";")] == [k for k, _ in witnesses]
+
+
+def same_float(a, b):
+    return type(a) is float and type(b) is float and a.hex() == b.hex()
+
+
+class TestEntryContract:
+    ENTRY = CensusEntry(1.5, 1.125, 2, ((1, 1.125), (4, 1.125)))
+
+    def test_fields_in_order(self):
+        assert CensusEntry._fields == ("r", "t", "multiplicity", "witnesses")
+        r, t, m, witnesses = self.ENTRY
+        assert (r, t, m, witnesses) == (self.ENTRY.r, self.ENTRY.t, self.ENTRY.multiplicity, self.ENTRY.witnesses)
+        assert self.ENTRY._asdict() == {"r": 1.5, "t": 1.125, "multiplicity": 2, "witnesses": ((1, 1.125), (4, 1.125))}
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.ENTRY.r = 2.0
+        with pytest.raises(AttributeError):
+            self.ENTRY.extra = 1
+        with pytest.raises(TypeError):
+            self.ENTRY[0] = 2.0
+
+    def test_equality_and_hash(self):
+        plain = (1.5, 1.125, 2, ((1, 1.125), (4, 1.125)))
+        twin = CensusEntry(*plain)
+        assert twin == self.ENTRY == plain and hash(twin) == hash(self.ENTRY) == hash(plain)
+        assert len({twin, self.ENTRY}) == 1
+        assert self.ENTRY != CensusEntry(1.5, 1.125, 1, ((1, 1.125),))
+        assert census(F2, 2, 1.5) == census(F2, 2, 1.5)
+
+    def test_mismatch_raises_through_every_door(self):
+        with pytest.raises(ValueError, match="multiplicity must equal the number of witnesses"):
+            CensusEntry(1.0, 1.0, 0, ((1, 1.0),))
+        with pytest.raises(ValueError, match="multiplicity must equal the number of witnesses"):
+            CensusEntry._make((1.0, 1.0, 2, ((1, 1.0),)))
+        with pytest.raises(ValueError, match="multiplicity must equal the number of witnesses"):
+            self.ENTRY._replace(multiplicity=1)
+        with pytest.raises(ValueError, match="multiplicity must equal the number of witnesses"):
+            self.ENTRY._replace(witnesses=())
+        with pytest.raises(TypeError):
+            CensusEntry._make((1.0, 1.0, 0))
+
+    def test_valid_copies_keep_the_type(self):
+        moved = self.ENTRY._replace(r=2.0)
+        assert type(moved) is CensusEntry and moved == (2.0, 1.125, 2, self.ENTRY.witnesses)
+        for clone in (CensusEntry._make(self.ENTRY), copy.deepcopy(self.ENTRY), pickle.loads(pickle.dumps(self.ENTRY))):
+            assert type(clone) is CensusEntry and clone == self.ENTRY
+        assert repr(self.ENTRY) == "CensusEntry(r=1.5, t=1.125, multiplicity=2, witnesses=((1, 1.125), (4, 1.125)))"
+
+    def test_dataclass_helpers_keep_working(self):
+        assert dataclasses.is_dataclass(self.ENTRY)
+        assert [f.name for f in dataclasses.fields(self.ENTRY)] == list(CensusEntry._fields)
+        assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(CensusEntry))
+        assert dataclasses.asdict(self.ENTRY) == self.ENTRY._asdict()
+        moved = dataclasses.replace(self.ENTRY, r=2.0)
+        assert type(moved) is CensusEntry and moved == self.ENTRY._replace(r=2.0)
+        with pytest.raises(ValueError, match="multiplicity must equal the number of witnesses"):
+            dataclasses.replace(self.ENTRY, multiplicity=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.ENTRY.r = 2.0
+
+
+class TestByteIdentity:
+    """census and census_to_csv against the frozen-dataclass build and per-entry CSV they replaced."""
+
+    @pytest.mark.parametrize("b", (0.5, 1.0, 2.0, 4.0))
+    def test_entries_and_csv_match_the_dataclass_reference(self, b):
+        field = MagneticField(b)
+        for q in range(1, 17):
+            for t_max in (4.0, 37.0, 400.0):
+                r_max = math.sqrt(2.0 * t_max / b)
+                entries, reference = census(field, q, r_max), dataclass_census(field, q, r_max)
+                assert census_to_csv(entries) == per_entry_csv(reference)
+                assert len(entries) == len(reference)
+                for e, ref in zip(entries, reference):
+                    assert type(e) is CensusEntry and type(e.multiplicity) is int and type(e.witnesses) is tuple
+                    assert same_float(e.r, ref.r) and same_float(e.t, ref.t) and e.multiplicity == ref.multiplicity
+                    assert len(e.witnesses) == len(ref.witnesses)
+                    for (k, z), (ref_k, ref_z) in zip(e.witnesses, ref.witnesses):
+                        assert type(k) is int and k == ref_k and same_float(z, ref_z)
+
+    def test_csv_of_constructed_entries_matches_per_entry_csv(self):
+        entries = [
+            CensusEntry(0.1, 0.005, 0, ()),
+            CensusEntry(1.0, 1.0, 1, ((1, 1.0),)),
+            CensusEntry(math.sqrt(2.0), 2.0, 3, ((1, 2.0), (4, 2.0), (9, 2.0))),
+        ]
+        assert census_to_csv(entries) == per_entry_csv(entries)
+        assert census_to_csv([]) == per_entry_csv([]) == "r,t,multiplicity,witness_ks\n"
+
+    @pytest.mark.parametrize("b, q, r_max", ((2.0, 2, 3.0), (0.5, 7, 9.0), (4.0, 16, 14.0)))
+    def test_cli_prints_the_reference_bytes(self, capsys, b, q, r_max):
+        reference = dataclass_census(MagneticField(b), q, r_max)
+        argv = ["census", "--b", str(b), "--q", str(q), "--rmax", str(r_max)]
+        assert main([*argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == per_entry_csv(reference)
+        payload = [
+            {"r": e.r, "t": e.t, "multiplicity": e.multiplicity, "witnesses": [{"k": k, "zero": z} for k, z in e.witnesses]}
+            for e in reference
+        ]
+        assert main([*argv, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=1) + "\n"
+
+
+class TestTLimit:
+    # Just past the limit, far past it, and t overflowing to inf from a finite b or r.
+    PAST = ((2.0, math.nextafter(100.0, math.inf)), (2.0, 1e4), (1e300, 3.0), (2.0, 1e200))
+
+    @pytest.mark.parametrize("b, r", PAST)
+    def test_refused_before_the_table(self, b, r, monkeypatch):
+        monkeypatch.setattr(census_mod, "_level_zeros", untouchable_table)
+        field = MagneticField(b)
+        with pytest.raises(ValueError, match=r"t = b r\^2 / 2 = .* is past the census limit T_MAX = 10000$"):
+            multiplicity(field, 3, r)
+        with pytest.raises(ValueError, match=r"t = b r_max\^2 / 2 = .* is past the census limit T_MAX = 10000$"):
+            census(field, 3, r)
+
+    @pytest.mark.parametrize("b, r", PAST[:3])
+    def test_persistence_check_inherits_the_limit(self, b, r, monkeypatch):
+        monkeypatch.setattr(census_mod, "_level_zeros", untouchable_table)
+        with pytest.raises(ValueError, match="is past the census limit T_MAX"):
+            persistence_check(MagneticField(b), 1, r)
+
+    def test_the_limit_itself_is_accepted(self):
+        assert T_MAX == 1e4
+        entries = census(F2, 1, 100.0)  # t = b r^2 / 2 = T_MAX exactly
+        assert len(entries) == 10000 and entries[-1].t == pytest.approx(T_MAX, rel=1e-12)
+        assert multiplicity(F2, 1, 100.0) == (1, list(entries[-1].witnesses))
 
 
 class TestExplicitSets:

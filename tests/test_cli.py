@@ -390,6 +390,13 @@ class TestVerify:
             ("raises", False, "raised RuntimeError: forced")]
 
 
+def cli_in_child(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "landaudelta.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["census", "--q", "1", "--rmax", "inf"], "error: r_max must be positive and finite, got inf"),
     (["census", "--q", "1", "--b", "inf"], "error: field strength must be positive and finite, got inf"),
@@ -398,10 +405,19 @@ class TestVerify:
 ])
 def test_non_finite_inputs_exit_2_without_hanging(argv, message):
     # In a child process with a timeout: the first three used to grow a zero table without end.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "landaudelta.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=30)
+    proc = cli_in_child(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["census", "--q", "1", "--b", "1e300", "--rmax", "3"],
+     "error: t = b r_max^2 / 2 = 4.5000000000000005e+300 is past the census limit T_MAX = 10000"),
+    (["galerkin", "--persistence", "--q", "1", "--b", "2", "--r", "1e4"],
+     "error: t = b r^2 / 2 = 100000000.0 is past the census limit T_MAX = 10000"),
+])
+def test_huge_finite_t_exits_2_without_hanging(argv, message):
+    # Finite inputs with a huge t = b r^2 / 2 used to grow a zero table until stopped (still running after 5 s).
+    proc = cli_in_child(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")
 
 

@@ -156,8 +156,9 @@ def make_circle(r: float, n: int | None = None) -> JordanCurve:
     if not 0 < r < math.inf:
         raise ValueError(f"radius must be positive and finite, got {r}")
     t = _uniform_params(quadrature_size(n))
-    pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
-    der = np.column_stack([-r * np.sin(t), r * np.cos(t)])
+    cos, sin = np.cos(t), np.sin(t)
+    pts = np.column_stack([r * cos, r * sin])
+    der = np.column_stack([-r * sin, r * cos])
     return JordanCurve("circle", t, pts, der, (("r", float(r)),))
 
 
@@ -166,8 +167,9 @@ def make_ellipse(a: float, b: float, n: int | None = None) -> JordanCurve:
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError(f"semi-axes must be positive and finite, got a={a}, b={b}")
     t = _uniform_params(quadrature_size(n))
-    pts = np.column_stack([a * np.cos(t), b * np.sin(t)])
-    der = np.column_stack([-a * np.sin(t), b * np.cos(t)])
+    cos, sin = np.cos(t), np.sin(t)
+    pts = np.column_stack([a * cos, b * sin])
+    der = np.column_stack([-a * sin, b * cos])
     return JordanCurve("ellipse", t, pts, der, (("a", float(a)), ("b", float(b))))
 
 
@@ -197,10 +199,24 @@ class WeightedCurve:
         if n == self.curve.n_nodes:
             return self
         curve = self.curve.resample(n)
+        values = self.sample(n)
+        return WeightedCurve(curve, values, classify_sign(values), self.source)
+
+    def sample(self, n: int) -> np.ndarray:
+        """The weight at the n parameters 2 pi j / n, bytes as resample(n).values, with no curve built.
+
+        Tables go through their interpolant; non-finite callable values raise as in load_weight.
+        """
+        if n == self.curve.n_nodes:
+            return self.values
         if isinstance(self.source, tuple):
-            values = self._interp(n)
-            return WeightedCurve(curve, values, classify_sign(values), self.source)
-        return load_weight(curve, self.source)
+            return self._interp(n)
+        if callable(self.source):
+            values = np.asarray(self.source(_uniform_params(n)), dtype=float)
+            if not np.all(np.isfinite(values)):
+                raise ValueError("weight values must be finite")
+            return values
+        return np.full(n, float(self.source))
 
     @cached_property
     def _interp(self) -> _PeriodicInterp:

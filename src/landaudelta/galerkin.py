@@ -84,8 +84,11 @@ class GalerkinModel:
 
 def _hamiltonian(field: MagneticField, Q: int, K: int, coupling: np.ndarray, sign: int) -> np.ndarray:
     lam = np.repeat([field.landau_level(j) for j in range(Q + 1)], K + 1)
-    # Exactly Hermitian: the coupling is, and the diagonal is real.
-    return np.diag(lam).astype(complex) + sign * coupling
+    # Exactly Hermitian: the coupling is, and the diagonal is real.  0.0 +- B
+    # is sign * B with every zero +0.0, as diag(Lambda) + sign * B has them.
+    h = 0.0 + coupling if sign > 0 else 0.0 - coupling
+    h.reshape(-1)[:: h.shape[0] + 1] += lam
+    return h
 
 
 def model_truncation(field: MagneticField, Q: int, curve: JordanCurve) -> int:
@@ -224,8 +227,9 @@ def persistence_check(
     verdict needs each witness column at <= SUPPORT_TOL = 1e-12 * max|B|.
     So r = 1 + 1e-10 at b = 2, q = 1 names k = 1 yet does not persist:
     its support_residuals read 2.6e-10.  The witnesses come from
-    census.multiplicity, so t = b r^2 / 2 past census.T_MAX raises its
-    ValueError.
+    census.multiplicity, asked before the default K, so t = b r^2 / 2 past
+    census.T_MAX raises its ValueError; a default K that finds no tail
+    below toeplitz.MAX_TRUNCATION raises too (pass K).
     """
     if q < 1:
         raise ValueError("persistence_check requires q >= 1")
@@ -233,13 +237,13 @@ def persistence_check(
     if Q < q:
         raise ValueError("level cutoff Q must include the level under study")
     wc = load_weight(make_circle(r, n=N), weight)
+    _, witnesses = _census_multiplicity(field, q, r)
     if K is None:
         # Cut at the level under study: a wider cutoff (sized for higher
         # levels) would re-admit level-q modes numerically blind to the
         # curve, which crowd Lambda_q in the near_count and min_offset
         # diagnostics.
         K = default_truncation(field, q, wc.curve, tail_rel=MODEL_TAIL_CUTOFF)
-    _, witnesses = _census_multiplicity(field, q, r)
     witness_ks = tuple(k for k, _ in witnesses)
     if any(k > K for k in witness_ks):
         raise ValueError(f"census witness k = {max(witness_ks)} of level {q} lies beyond K = {K}")

@@ -122,19 +122,24 @@ def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_re
     One rule on every curve.  The profile P_q(k) = 2 max_j log|phi_{k,q}(x_j)|
     reads magnitudes only (basis._log_abs) over the distinct moduli t_j = b|x_j|^2/2
     of the nodes of curve.points, or of the single node (r, 0) on a circle, in
-    blocks of max(1, TRUNCATION_CELLS // moduli) angular indices.  Past k = q + max t_j,
+    blocks of angular indices that start at 8 (q + 1 + ceil(max t_j)) and
+    double, each at most max(1, TRUNCATION_CELLS // moduli) indices: a circle
+    evaluates a few rows past its K, not all MAX_TRUNCATION.  Past k = q + max t_j,
     q+1 consecutive k with P_q(k) below tail_rel times the running maximum
     certify the tail, and K is the index before them: at most q diagonals
     vanish at any circle radius, so a lone resonant zero cannot stop the sweep.
+    A sweep that certifies no tail below MAX_TRUNCATION raises ValueError
+    (naming q and max t_j): pass K explicitly there.
     """
     points = np.array([[dict(curve.meta)["r"], 0.0]]) if curve.kind == "circle" else curve.points
     t = np.unique(0.5 * field.b * np.sum(points * points, axis=1))
     t_peak = float(t[-1])
     log_cut = math.log(tail_rel)
     best, below = -math.inf, 0
-    rows = max(1, TRUNCATION_CELLS // t.size)
-    for start in range(0, MAX_TRUNCATION, rows):
-        ks = np.arange(start, min(start + rows, MAX_TRUNCATION))
+    cap = max(1, TRUNCATION_CELLS // t.size)
+    start, rows = 0, 8 * (q + 1 + math.ceil(min(t_peak, MAX_TRUNCATION)))  # 8 rows per index before the stop can start
+    while start < MAX_TRUNCATION:
+        ks = np.arange(start, min(start + min(rows, cap), MAX_TRUNCATION))
         profile = 2.0 * _log_abs(field, ks[:, None], q, t)[0].max(axis=1)
         for k, val in zip(ks.tolist(), profile.tolist()):
             best = max(best, val)
@@ -144,7 +149,8 @@ def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_re
                     return k - (q + 1)
             else:
                 below = 0
-    return MAX_TRUNCATION
+        start, rows = start + ks.size, 2 * rows
+    raise ValueError(f"level {q}: no certified tail below MAX_TRUNCATION = {MAX_TRUNCATION} at t_peak = {t_peak:.6g}; pass K")
 
 
 def _quadrature_sums(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int):
@@ -175,17 +181,22 @@ def _circle_sums(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int
 
     M_kl = D_k S_k conj(D_l S_l) v_hat[(m_l - m_k) mod n] with harmonics
     m = k - j and v_hat = FFT(weight samples)/n; the amplitudes do not
-    depend on n, so each doubling costs one further FFT.  At most three
-    dense complex arrays are alive per size.  Keep the product as written:
-    numpy may evaluate it in place with the operands swapped, and
-    hand-written in-place forms round differently at some sizes.
+    depend on n, so each doubling costs one further FFT of wc.sample(n),
+    with no curve rebuilt.  v_hat is folded per n onto the 2 span + 1
+    harmonic differences and read through one table of offsets
+    m_l - m_k + span, so no size takes a mod over all dim^2 shifts.  At
+    most three dense complex arrays are alive per size.  Keep the product
+    as written: numpy may evaluate it in place with the operands swapped,
+    and hand-written in-place forms round differently at some sizes.
     """
     log_lam, phase, m = _circle_amplitudes(field, levels, np.arange(K + 1), dict(wc.curve.meta)["r"])
     d = np.exp(0.5 * log_lam) * phase
     scaled = d[:, None] * d.conj()[None, :]
+    span = int(m.max() - m.min())
+    offsets = m[None, :] - m[:, None] + span  # m_l - m_k + span, in 0..2 span
     while True:
-        vhat = np.fft.fft(wc.resample(n).values) / n
-        mat = scaled * vhat[(m[None, :] - m[:, None]) % n]
+        vhat = np.fft.fft(wc.sample(n)) / n
+        mat = scaled * vhat[np.arange(-span, span + 1) % n][offsets]
         mat += mat.conj().T
         mat *= 0.5
         yield mat
@@ -287,14 +298,20 @@ class SpectrumResult:
 
 
 def _hermitian_solve(matrix: ToeplitzMatrix | np.ndarray, solver):
-    """(entries, solver(entries)) for a nonempty finite matrix, Hermitian to 1e-12 * max|M| (a zero matrix is)."""
+    """(entries, solver(entries)) for a nonempty finite matrix, Hermitian to 1e-12 * max|M| (a zero matrix is).
+
+    The defect max|M - conj(M^T)| is read from a contiguous conj(M^T)
+    overwritten by the difference: the same numbers as the plain
+    expression, without its strided pass over a transposed view.
+    """
     m = matrix.entries if isinstance(matrix, ToeplitzMatrix) else np.asarray(matrix)
     if m.size == 0:
         raise ValueError("empty matrix")
     scale = float(np.max(np.abs(m)))  # NaN or inf exactly when some entry is
     if not math.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    if float(np.max(np.abs(m - m.conj().T))) > 1e-12 * scale:
+    defect = np.conj(m.T, order="C")
+    if float(np.max(np.abs(np.subtract(m, defect, out=defect)))) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian")
     try:
         return m, solver(m)
@@ -338,8 +355,12 @@ class KernelEstimate:
 def kernel_dim_estimate(matrix: ToeplitzMatrix) -> KernelEstimate:
     """Count eigenvalues with |lambda| <= 1e-10 max|lambda| (so no weight scale moves it), from eigenvalues() alone.
 
-    For a nonzero circle matrix at q >= 1 the census multiplicity is
-    attached, so t = b r^2 / 2 past census.T_MAX raises its ValueError.
+    For a circle matrix at q >= 1 the census multiplicity is attached, so
+    t = b r^2 / 2 past census.T_MAX raises its ValueError.  An identically
+    zero matrix is noted as degenerate (a zero weight), unless it is a
+    circle whose every lambda_{k,q}(r), k <= K, underflows the double
+    range: the note then says the entries underflow at that t, and the
+    census value is attached as for a nonzero circle.
     """
     vals = eigenvalues(matrix)
     scale = float(np.max(np.abs(vals)))
@@ -349,16 +370,21 @@ def kernel_dim_estimate(matrix: ToeplitzMatrix) -> KernelEstimate:
         "truncation adds spuriously small tail entries; treat the count as an upper "
         "envelope of the kernel dimension"
     )
-    census_m = None
-    if scale == 0.0:
+    census_m, r = None, matrix.provenance.get("r")
+    underflow = scale == 0.0 and r is not None and not np.exp(
+        _circle_amplitudes(MagneticField(matrix.b), [matrix.q], np.arange(matrix.K + 1), r)[0]
+    ).any()
+    if underflow:
+        t = 0.5 * matrix.b * r * r
+        note = f"entries underflow at t = b r^2 / 2 = {t:.6g}: every lambda_(k,q)(r), k <= K, is below the double range; {note}"
+    if scale == 0.0 and not underflow:
         note = "degenerate input: matrix is identically zero (zero weight?)"
-    elif "r" in matrix.provenance:
+    elif r is not None:
         if matrix.q == 0:
             census_m = 0
             note += "; analytic value for circles at level 0: trivial kernel"
         else:
-            field = MagneticField(matrix.b)
-            census_m, _ = _census_multiplicity(field, matrix.q, matrix.provenance["r"])
+            census_m, _ = _census_multiplicity(MagneticField(matrix.b), matrix.q, r)
             note += "; analytic census value attached for the circle"
     return KernelEstimate(count, threshold, census_m, note)
 

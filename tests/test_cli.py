@@ -421,6 +421,39 @@ def test_huge_finite_t_exits_2_without_hanging(argv, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    # t = 625: no certified tail below MAX_TRUNCATION; an explicit K is used.
+    (["toeplitz", "--b", "2", "--q", "1", "--r", "25", "--kernel"], 2,
+     "error: level 1: no certified tail below MAX_TRUNCATION = 512 at t_peak = 625; pass K\n"),
+    (["toeplitz", "--b", "2", "--q", "1", "--r", "25", "--K", "20", "--N", "64", "--kernel"], 0, ""),
+    # Every entry underflows: at t = T_MAX the census value is attached, past it refused.
+    (["toeplitz", "--b", "2", "--q", "1", "--r", "100", "--K", "4", "--kernel"], 0, ""),
+    (["toeplitz", "--b", "2", "--q", "1", "--r", "200", "--K", "4", "--kernel"], 2,
+     "error: t = b r^2 / 2 = 40000.0 is past the census limit T_MAX = 10000\n"),
+], ids=["default-K-past-the-cap", "explicit-K", "underflow-at-T_MAX", "underflow-past-T_MAX"])
+def test_far_circles_exit_as_documented(argv, code, message):
+    proc = cli_in_child(argv)
+    assert (proc.returncode, proc.stderr) == (code, message)
+    if code == 0:
+        estimate = json.loads(proc.stdout)
+        assert estimate["census_multiplicity"] == 1
+        assert ("underflow" in estimate["note"]) == ("100" in argv)
+
+
+def test_python_dash_m_runs_the_cli():
+    # python -m landaudelta from a checkout: src on PYTHONPATH, nothing installed.
+    from landaudelta.verify import CHECKS
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "landaudelta", "verify", "--format", "json"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["name"] for r in records] == [name for name, _ in CHECKS]
+    assert all(r["passed"] is True for r in records)
+
+
 def test_import_leaves_scipy_unloaded():
     # Only the verify subcommand needs scipy; importing the package or the CLI must not load it.
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -253,6 +253,46 @@ class TestNestedRules:
                 assert np.max(np.abs(fine.values[::2] - coarse.values)) <= tol * np.max(np.abs(coarse.values))
 
 
+class TestSample:
+    """WeightedCurve.sample(n): the weight values of resample(n), without the curve."""
+
+    def test_bytes_as_resample_and_as_a_fresh_weight(self, tmp_path):
+        # Reference: resample(n).values, and the weight loaded afresh on the
+        # n-node curve from the kept source (constant, callable or (t, v) table).
+        path = tmp_path / "weight.txt"
+        grid = np.linspace(0.0, 2 * math.pi, 61, endpoint=False)
+        save_weight(grid, 1.5 + np.sin(grid) * np.cos(3 * grid), path)
+        base = make_circle(1.3, n=128)
+        sources = (
+            -0.7,
+            lambda t: 0.3 + np.cos(t) - 0.6 * np.sin(2 * t),
+            str(path),
+            (grid, 1.0 + 0.2 * np.cos(2 * grid)),
+            2.0 + np.cos(base.params) - 0.5 * np.sin(3 * base.params),
+        )
+        for source in sources:
+            for curve in (base, make_ellipse(1.4, 0.9, n=128)):
+                wc = load_weight(curve, source)
+                for n in (16, 64, 128, 1024, 2048):
+                    values = wc.sample(n)
+                    assert values.dtype == np.float64 and values.shape == (n,)
+                    assert values.tobytes() == wc.resample(n).values.tobytes()
+                    assert values.tobytes() == load_weight(curve.resample(n), wc.source).values.tobytes()
+
+    def test_non_finite_callable_values_raise(self):
+        # Finite on the 64 nodes it is loaded on, NaN on every other grid.
+        def finite_on_64(t):
+            return np.full(t.size, 1.0 if t.size == 64 else np.nan)
+
+        wc = load_weight(make_circle(1.0, n=64), finite_on_64)
+        assert wc.sample(64) is wc.values
+        for n in (32, 128):
+            with pytest.raises(ValueError, match="weight values must be finite"):
+                wc.sample(n)
+            with pytest.raises(ValueError, match="weight values must be finite"):
+                wc.resample(n)
+
+
 class TestTableIO:
     """One reader, one writer and one periodic interpolant for curve and weight tables."""
 

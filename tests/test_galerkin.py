@@ -125,6 +125,27 @@ class TestAssembleModel:
         assert np.max(np.abs(e0 - e1)) < 1e-8
 
 
+class TestHamiltonian:
+    def test_bytes_as_diagonal_plus_signed_coupling(self):
+        # Reference: the dense form diag(Lambda) + sign * B.  Its zero
+        # diagonal matrix turns each -0.0 of sign * B into +0.0, so a bare
+        # sign * B with Lambda added on its diagonal would differ in bytes.
+        rng = np.random.default_rng(3)
+        cases = [(3, 12, load_weight(make_circle(1.3), w)) for w in (1.0, 0.0, -0.8, trig_weight(1.0, [0.3, -0.2], [0.1, 0.4]))]
+        cases.append((2, 30, load_weight(make_ellipse(1.4, 0.9), indefinite_weight(rng))))
+        seen_negative_zero = False
+        for Q, K, wc in cases:
+            coupling = assemble_model(F2, Q, K, wc, +1, check_resolution=False).coupling
+            lam = np.repeat([F2.landau_level(j) for j in range(Q + 1)], K + 1)
+            for sign in (+1, -1):
+                reference = np.diag(lam).astype(complex) + sign * coupling
+                h = galerkin._hamiltonian(F2, Q, K, coupling, sign)
+                assert h.tobytes() == reference.tobytes()
+                parts = (sign * coupling).view(float)
+                seen_negative_zero |= bool(np.any((parts == 0.0) & np.signbit(parts)))
+        assert seen_negative_zero
+
+
 class TestWeightedCouplingOracle:
     def test_circle_couplings_match_fourier_closed_form(self):
         # On a circle each basis function is a fixed modulus times

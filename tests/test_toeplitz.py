@@ -151,6 +151,17 @@ class TestAssemble:
         with pytest.raises(ValueError, match="at least 16 nodes"):
             make_ellipse(1.0, 0.7, n=N)
 
+    def test_non_finite_weight_at_the_doubled_n_raises(self):
+        # Finite on the 64 nodes it is loaded on; NaN at the check's 128.
+        def finite_on_64(t):
+            return np.full(t.size, 1.0 if t.size == 64 else np.nan)
+
+        for curve in (make_circle(1.0, n=64), make_ellipse(1.4, 0.9, n=64)):
+            wc = load_weight(curve, finite_on_64)
+            assert assemble(F2, 1, wc, K=6, N=64, check_resolution=False).K == 6
+            with pytest.raises(ValueError, match="weight values must be finite"):
+                assemble(F2, 1, wc, K=6, N=64)
+
     def test_recentering_invariance(self):
         q, K, r, n = 1, 8, 1.1, 512
         wc = load_weight(make_circle(r, n=n), lambda t: 1.0 + 0.5 * np.cos(t))
@@ -277,6 +288,46 @@ class TestTruncation:
             assert math.prod(shape) <= TRUNCATION_CELLS or shape[0] == 1
             assert np.unique(t).size == t.size
 
+    def test_circle_sweep_stops_within_its_first_blocks(self, monkeypatch):
+        # Rows counted as in test_sweep_blocks_fit_the_cell_budget: a circle's
+        # blocks start at 8 (q + 1 + ceil t) rows and double, so a sweep whose
+        # stop comes early evaluates far fewer than MAX_TRUNCATION rows.
+        rows = []
+
+        def recording(degrees, alphas, t):
+            rows.append(np.broadcast(degrees, alphas, t).shape[0])
+            return laguerre_eval_batch(degrees, alphas, t)
+
+        monkeypatch.setattr(basis, "laguerre_eval_batch", recording)
+        for b, q, r in ((2.0, 1, 1.0), (0.5, 3, 2.2), (4.0, 6, 2.9)):
+            rows.clear()
+            t = 0.5 * b * r * r
+            K = default_truncation(MagneticField(b), q, make_circle(r))
+            assert rows[0] == 8 * (q + 1 + math.ceil(t))
+            assert K + q + 1 < sum(rows) < MAX_TRUNCATION // 2
+            assert all(later == 2 * earlier for earlier, later in zip(rows, rows[1:]))
+
+    def test_no_certified_tail_below_the_cap_raises(self):
+        # b = 2, q = 1, r = 25: t = 625, so the stop rule cannot start below
+        # k = 512.  The cut used to be MAX_TRUNCATION with the largest
+        # diagonal in its last row; now every default K names the level, t
+        # and the cap, and an explicit K is used as given.
+        circle = make_circle(25.0)
+        message = r"level 1: no certified tail below MAX_TRUNCATION = 512 at t_peak = 625; pass K"
+        wc = load_weight(circle, 1.0)
+        with pytest.raises(ValueError, match=message):
+            default_truncation(F2, 1, circle)
+        with pytest.raises(ValueError, match=message):
+            assemble(F2, 1, wc)
+        with pytest.raises(ValueError, match=r"level \d+: no certified tail .* t_peak = 625; pass K"):
+            model_truncation(F2, 3, circle)
+        with pytest.raises(ValueError, match=message):
+            persistence_check(F2, 1, 25.0)
+        assert assemble(F2, 1, wc, K=20, check_resolution=False).K == 20
+        # A huge t (the sum overflows to inf) raises the same error, not OverflowError.
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="t_peak = inf; pass K"):
+            default_truncation(MagneticField(1e300), 0, make_circle(1e10))
+
     @pytest.mark.parametrize("b", [0.5, 2.0, 4.0])
     def test_circle_and_its_samples_truncate_alike(self, b):
         # Generic radii, and census radii of witnesses up to 8 past q, among
@@ -380,6 +431,19 @@ class TestCircleKernel:
                     coarse, fine = islice(_circle_sums(field, levels, K, wc, 128), 2)
                     assert coarse.tobytes() == reference(field, levels, K, wc, 128).tobytes()
                     assert fine.tobytes() == reference(field, levels, K, wc, 256).tobytes()
+        # A weight table and an array weight, dims of 300 to 405, and n = 16
+        # below the harmonic span of levels 0..8 (m from -8 to 44), where the
+        # offset table's fold must match shift % size.
+        grid = np.linspace(0.0, 2 * math.pi, 97, endpoint=False)
+        table = (grid, 1.5 + np.sin(grid) * np.cos(3 * grid))
+        array = 1.0 + 0.3 * np.cos(np.linspace(0.0, 2 * math.pi, 128, endpoint=False)) ** 3
+        field = MagneticField(4.0)
+        for levels, K, n in (([0], 299, 128), ([2], 404, 128), (range(5), 80, 128), ([0, 1, 2], 101, 64), (range(9), 44, 16)):
+            for weight in (table, array, three_harmonic):
+                wc = load_weight(make_circle(2.37, n=128), weight)
+                coarse, fine = islice(_circle_sums(field, levels, K, wc, n), 2)
+                assert coarse.tobytes() == reference(field, levels, K, wc, n).tobytes()
+                assert fine.tobytes() == reference(field, levels, K, wc, 2 * n).tobytes()
 
     def test_witness_rows_vanish_at_census_radii(self):
         # The rows vanish up to the rounding of t = b r^2 / 2 at the census
@@ -692,6 +756,30 @@ class TestEigenvalues:
                 door(matrix)
 
 
+class TestHermitianGuard:
+    @pytest.mark.parametrize("dim", [24, 392])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_decides_as_the_plain_expression(self, dim, factor):
+        # A defect of factor x the 1e-12 max|M| bound at one entry pair.
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = 0.5 * (a + a.conj().T)
+        m[3, 7] += factor * 1e-12 * float(np.max(np.abs(m)))
+        rejected = float(np.max(np.abs(m - m.conj().T))) > 1e-12 * float(np.max(np.abs(m)))
+        assert rejected == (factor > 1.0)
+        for door in (toeplitz.eigenvalues, spectrum):
+            if rejected:
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    door(m)
+            else:
+                door(m)
+        for bad in (np.nan, np.inf):
+            broken = m.copy()
+            broken[7, 3] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                toeplitz.eigenvalues(broken)
+
+
 class TestKernelEstimate:
     def test_resonant_radius_count(self):
         wc = load_weight(make_circle(1.0, n=512), 1.0)
@@ -706,6 +794,25 @@ class TestKernelEstimate:
         est = kernel_dim_estimate(m)
         assert est.count == 0
         assert est.census_multiplicity == 0
+
+    @pytest.mark.parametrize("q, census_m", [(0, 0), (1, 1)])
+    def test_underflowing_circle_is_no_zero_weight(self, q, census_m):
+        # b = 2, r = 100: t = 1e4 = census.T_MAX, and every lambda_{k,q}(r),
+        # k <= 4, underflows, so the unit-weight matrix is identically zero.
+        # At q = 1, t = 1e4 is the zero of L_1^(k-1) at k = 10000.
+        wc = load_weight(make_circle(100.0, n=64), 1.0)
+        m = assemble(F2, q, wc, K=4, N=64, check_resolution=False)
+        assert not m.entries.any()
+        assert all(circle_diagonal(F2, q, k, 100.0) == 0.0 for k in range(5))
+        est = kernel_dim_estimate(m)
+        assert est.count == 5
+        assert est.census_multiplicity == census_m
+        assert est.note.startswith("entries underflow at t = b r^2 / 2 = 10000:")
+        assert "degenerate" not in est.note
+        # Past T_MAX the census value is refused, as for a nonzero circle.
+        far = assemble(F2, 1, load_weight(make_circle(200.0, n=64), 1.0), K=4, N=64, check_resolution=False)
+        with pytest.raises(ValueError, match="past the census limit T_MAX"):
+            kernel_dim_estimate(far)
 
     def test_zero_weight_flagged(self):
         wc = load_weight(make_circle(1.0, n=256), 0.0)

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .laguerre import gauss_laguerre_log_rule, laguerre_eval_batch
+from .laguerre import MAX_RULE_NODES, gauss_laguerre_log_rule, laguerre_eval_batch
 
 __all__ = [
     "MagneticField",
@@ -44,20 +44,14 @@ __all__ = [
     "basis_inner_product",
     "plane_inner_product",
     "plane_gram",
+    "gram_rule",
     "annihilation_residual",
     "magnetic_translate",
     "stacked_parts",
     "translated_parts",
 ]
 
-RADIAL_NODES = 128
-ANGULAR_NODES = 256
 FD_STEP = 1e-4
-# Radial nodes per block of the Gram quadrature: 13 functions on 16 x 256
-# nodes take 0.81 MiB of complex samples, and with the stacked float
-# temporaries of their one evaluation a 13-function Gram peaks at 3.7 MiB
-# (tracemalloc, numpy 2.4).
-GRAM_RADIAL_BLOCK = 16
 # log k! table size; larger k (past twice the largest truncation) build one
 # power-of-two table per size class.
 LOG_FACTORIAL_TABLE = 1024
@@ -216,50 +210,88 @@ def translated_parts(field: MagneticField, idx: BasisIndex, y) -> Callable:
     return stacked_parts(field, idx.q, idx.k, y)
 
 
-def plane_gram(field: MagneticField, parts: Callable) -> np.ndarray:
+def gram_rule(kq_max: int, dk_max: int) -> tuple[int, int]:
+    """(radial n, angular A) of the plane_gram rule exact for phi_{k,q} up to k + q = kq_max, |k - k'| <= dk_max.
+
+    After the angular sum, the integrand of <phi_{k,q}, phi_{k,q}> is a
+    polynomial of degree k + q in t times e^{-t}, which n = ceil((kq_max + 1)/2)
+    Gauss-Laguerre nodes integrate exactly (2n - 1 >= k + q); A, the least
+    power of two > dk_max, sums every e^{i(k - k') theta} with 0 < |k - k'| <= dk_max
+    to zero.  A kq_max past 2 MAX_RULE_NODES - 1 = 723 raises ValueError naming
+    it: its rule leaves the double range.
+    """
+    n = kq_max // 2 + 1
+    if n > MAX_RULE_NODES:
+        raise ValueError(f"k + q = {kq_max} needs a {n}-node Gauss-Laguerre rule, past the MAX_RULE_NODES = "
+                         f"{MAX_RULE_NODES} that stay in the double range (k + q <= {2 * MAX_RULE_NODES - 1})")
+    return n, 1 << dk_max.bit_length()
+
+
+def plane_gram(field: MagneticField, parts: Callable, rule: tuple[int, int]) -> np.ndarray:
     """L^2(R^2) Gram matrix G_ij = <f_i, f_j> of the functions whose stacked parts one callable gives.
 
-    parts maps points of shape (B, A, 2) to (log|f|, arg f) of shape
-    (m, B, A), one leading row per function, as stacked_parts does.
-    Polar quadrature: RADIAL_NODES Gauss nodes in t = b r^2 / 2 against
-    the weight e^{-t} (the Gaussian decay of the integrands pays for the
-    e^{+t} compensation, half of it taken into each factor in log space),
-    ANGULAR_NODES uniform nodes in the angle.  parts is called once per
-    block of radial nodes, and each block adds one weighted matrix product.
+    parts maps points of shape (n, A, 2) to (log|f|, arg f) of shape
+    (m, n, A), one leading row per function, as stacked_parts does, and is
+    called once.  Polar quadrature on rule = (n, A): n Gauss nodes in
+    t = b r^2 / 2 against the weight e^{-t} (the Gaussian decay of the
+    integrands pays for the e^{+t} compensation, half of it taken into
+    each factor in log space), A uniform nodes in the angle.
+    - Basis functions: gram_rule sizes the rule from k and q, and the
+      quadrature is then exact up to rounding.
+    - Magnetic translates are not band-limited, so no degree sizes them;
+      size the rule by measurement (verify uses 32 x 64 at b = 2, where
+      doubling both sizes moves no entry by more than 1e-13).
+    - n is at most MAX_RULE_NODES = 362 (k + q <= 723).
+    - Memory: the one evaluation holds m n A complex samples (16 bytes
+      each) and peaks at four times that with its float temporaries
+      (tracemalloc), 64 m n A bytes: 13 functions on 9 x 16 nodes take
+      0.11 MB, and 2 functions at k + q = 723 and |k - k'| = 723
+      (362 x 1024 nodes) take 47 MB.
     """
-    t, logw = gauss_laguerre_log_rule(RADIAL_NODES, 0.0)
+    radial, angular = rule
+    t, logw = gauss_laguerre_log_rule(radial, 0.0)
     half_logw = 0.5 * (logw + t)
     r = np.sqrt(2.0 * t / field.b)
-    theta = np.linspace(0.0, 2.0 * math.pi, ANGULAR_NODES, endpoint=False)
-    gram = 0.0
-    for lo in range(0, RADIAL_NODES, GRAM_RADIAL_BLOCK):
-        rows = slice(lo, lo + GRAM_RADIAL_BLOCK)
-        pts = np.empty((r[rows].size, ANGULAR_NODES, 2))
-        pts[..., 0] = r[rows, None] * np.cos(theta)[None, :]
-        pts[..., 1] = r[rows, None] * np.sin(theta)[None, :]
-        la, ph = parts(pts)
-        phi = _from_parts(la + half_logw[rows, None], ph).reshape(len(la), -1)
-        gram += phi @ phi.conj().T
-    return gram * (2.0 * math.pi / ANGULAR_NODES) / field.b
+    theta = np.linspace(0.0, 2.0 * math.pi, angular, endpoint=False)
+    pts = np.empty((radial, angular, 2))
+    pts[..., 0] = r[:, None] * np.cos(theta)[None, :]
+    pts[..., 1] = r[:, None] * np.sin(theta)[None, :]
+    la, ph = parts(pts)
+    phi = _from_parts(la + half_logw[:, None], ph).reshape(len(la), -1)
+    return (phi @ phi.conj().T) * (2.0 * math.pi / angular) / field.b
 
 
-def plane_inner_product(field: MagneticField, parts1: Callable, parts2: Callable) -> complex:
-    """L^2(R^2) inner product of two functions given by one-row parts callables (see plane_gram)."""
+def plane_inner_product(field: MagneticField, parts1: Callable, parts2: Callable, rule: tuple[int, int]) -> complex:
+    """L^2(R^2) inner product of two functions given by one-row parts callables, on the caller's rule.
+
+    See plane_gram for the rule: gram_rule's exactness bound for basis
+    functions, a measured size for translates, n <= MAX_RULE_NODES and the
+    memory budget.
+    """
 
     def both(pts: np.ndarray):
         (la1, ph1), (la2, ph2) = parts1(pts), parts2(pts)
         return np.stack([la1, la2]), np.stack([ph1, ph2])
 
-    return complex(plane_gram(field, both)[0, 1])
+    return complex(plane_gram(field, both, rule)[0, 1])
 
 
 def basis_inner_product(field: MagneticField, idx1: BasisIndex, idx2: BasisIndex) -> complex:
-    """<phi_{k1,q}, phi_{k2,q}> by polar quadrature; requires equal q."""
+    """<phi_{k1,q}, phi_{k2,q}> by polar quadrature; requires equal q.
+
+    The rule is gram_rule(max(k1, k2) + q, |k1 - k2|), exact up to rounding:
+    at b = 2, norms come out 1 within 1.1e-13 at (k, q) = (200, 60),
+    (200, 120) and (250, 200), within 5e-12 up to k + q = 723 (the rule's
+    own weights sum to 1 within 2e-11 there), and a larger k + q raises
+    ValueError naming it.  Memory as in plane_gram, for 2 functions.
+    """
     if idx1.q != idx2.q:
         raise ValueError(
             f"cross-level inner products are exact by construction; got q={idx1.q} and q={idx2.q}"
         )
-    return complex(plane_gram(field, stacked_parts(field, idx1.q, [idx1.k, idx2.k]))[0, 1])
+    q, k1, k2 = idx1.q, idx1.k, idx2.k
+    rule = gram_rule(max(k1, k2) + q, abs(k1 - k2))
+    return complex(plane_gram(field, stacked_parts(field, q, [k1, k2]), rule)[0, 1])
 
 
 def annihilation_residual(field: MagneticField, idx: BasisIndex, x) -> float:

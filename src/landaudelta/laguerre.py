@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 _INT_TOL = 1e-12
+# Largest Gauss rule built: at alpha = 0, (n + 1) L_{n+1}(t_i) overflows at the
+# largest node from n = 363 on (measured, numpy 2.4); a larger alpha fails
+# earlier (from n = 356 at alpha = 50) and is refused by its non-finite weights.
+MAX_RULE_NODES = 362
 
 
 @dataclass(frozen=True)
@@ -203,11 +207,17 @@ def gauss_laguerre_log_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarra
     Nodes are Jacobi-matrix eigenvalues polished by two Newton steps;
     weights come from the closed form
         w_i = Gamma(n+alpha+1)/n! * t_i / ((n+1) L_{n+1}^(alpha)(t_i))^2,
-    evaluated in log space so very large rules stay finite.  Each (n, alpha)
-    is built once per process and shared by every caller (_log_rule).
+    evaluated in log space.  Each (n, alpha) is built once per process and
+    shared by every caller (_log_rule).  Past n = MAX_RULE_NODES = 362, or
+    where L_{n+1}^(alpha) overflows at the largest node (a larger alpha, from
+    n = 356 at alpha = 50), the weights leave the double range: ValueError
+    naming n, with no numpy warning.
     """
     if n < 1:
         raise ValueError("rule needs at least one node")
+    if n > MAX_RULE_NODES:
+        raise ValueError(f"Gauss-Laguerre rule with n = {n} nodes: past MAX_RULE_NODES = {MAX_RULE_NODES}, "
+                         "where the weights leave the double range")
     if alpha <= -1:
         raise ValueError(f"Gauss-Laguerre rule requires alpha > -1, got {alpha}")
     return _log_rule(n, float(alpha))
@@ -217,13 +227,17 @@ def gauss_laguerre_log_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarra
 def _log_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """The cached body of gauss_laguerre_log_rule; cache_clear() drops every rule."""
     t = _newton_step(n, alpha, positive_zeros(n, alpha))
-    lnext = laguerre_eval_batch(n + 1, alpha, t)
-    logw = (
-        math.lgamma(n + alpha + 1)
-        - math.lgamma(n + 1)
-        + np.log(t)
-        - 2.0 * np.log((n + 1) * np.abs(lnext))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        lnext = laguerre_eval_batch(n + 1, alpha, t)
+        logw = (
+            math.lgamma(n + alpha + 1)
+            - math.lgamma(n + 1)
+            + np.log(t)
+            - 2.0 * np.log((n + 1) * np.abs(lnext))
+        )
+    if not np.isfinite(logw).all():
+        raise ValueError(f"Gauss-Laguerre rule with n = {n} nodes at alpha = {alpha:g}: "
+                         "the weights leave the double range")
     t.setflags(write=False)
     logw.setflags(write=False)
     return t, logw

@@ -116,6 +116,19 @@ def circle_diagonal(field: MagneticField, q: int, k: int, r: float) -> float:
     return math.exp(circle_diagonal_log(field, q, k, r))
 
 
+def _node_moduli(field: MagneticField, curve: JordanCurve) -> np.ndarray:
+    """Moduli t_j = b|x_j|^2/2 of the nodes of curve; a circle has the one node (r, 0).
+
+    A t past the double range reads inf, without a numpy warning.
+    """
+    if curve.kind == "circle":
+        r = dict(curve.meta)["r"]
+        return np.array([0.5 * field.b * (r * r)])  # Python floats: no warning on overflow
+    x, y = curve.points[:, 0], curve.points[:, 1]
+    with np.errstate(over="ignore"):
+        return 0.5 * field.b * (x * x + y * y)
+
+
 def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_rel: float = TAIL_RELATIVE_CUTOFF) -> int:
     """Smallest K beyond which entries of the level-q matrix on curve are negligible.
 
@@ -131,8 +144,7 @@ def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_re
     A sweep that certifies no tail below MAX_TRUNCATION raises ValueError
     (naming q and max t_j): pass K explicitly there.
     """
-    points = np.array([[dict(curve.meta)["r"], 0.0]]) if curve.kind == "circle" else curve.points
-    t = np.unique(0.5 * field.b * np.sum(points * points, axis=1))
+    t = np.unique(_node_moduli(field, curve))
     t_peak = float(t[-1])
     log_cut = math.log(tail_rel)
     best, below = -math.inf, 0
@@ -212,7 +224,9 @@ def _compress(field: MagneticField, levels, K: int, wc: WeightedCurve, N: int | 
     """Interaction matrix on levels x 0..K: (entries, provenance, underresolved, delta).
 
     The one front door of assemble and galerkin.assemble_model, and the one
-    home of their provenance (r included on circles).  An explicit N (at
+    home of their provenance (r included on circles).  A curve node whose
+    t = b|x|^2/2 overflows the double range raises ValueError naming t, b
+    and the largest node radius r, before any basis value.  An explicit N (at
     least MIN_NODES) assembles on N nodes and, with check_resolution, also
     on 2N, reusing the N-node sum (N further samples on general curves,
     one further FFT on circles).  N=None starts at _start_nodes and, with
@@ -226,6 +240,9 @@ def _compress(field: MagneticField, levels, K: int, wc: WeightedCurve, N: int | 
     (curves.WeightedCurve.sample_tails, also in provenance); it is None when
     unchecked and no tail is flagged.  No decision depends on the weight's scale.
     """
+    if not math.isfinite(_node_moduli(field, wc.curve).max()):
+        r = float(np.max(np.hypot(wc.curve.points[:, 0], wc.curve.points[:, 1])))
+        raise ValueError(f"t = b r^2 / 2 is past the double range at b = {field.b:g}, r = {r:g}")
     adaptive = N is None
     n = _start_nodes(levels, K) if adaptive else quadrature_size(N)
     circle = wc.curve.kind == "circle"

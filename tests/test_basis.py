@@ -6,9 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre
 
 from landaudelta.basis import (
-    ANGULAR_NODES,
-    GRAM_RADIAL_BLOCK,
-    RADIAL_NODES,
     BasisIndex,
     MagneticField,
     _from_parts,
@@ -20,15 +17,17 @@ from landaudelta.basis import (
     basis_eval_parts,
     basis_inner_product,
     basis_matrix,
+    gram_rule,
     magnetic_phase,
     magnetic_translate,
+    plane_gram,
     plane_inner_product,
     stacked_parts,
     translated_parts,
 )
 from landaudelta.laguerre import gauss_laguerre_log_rule, positive_zeros
 from landaudelta.toeplitz import circle_diagonal
-from landaudelta.verify import basis_gram, translated_gram
+from landaudelta.verify import TRANSLATED_GRAM_RULE, basis_gram, translated_gram
 
 
 def closed_form_phi(field, k, q, pts):
@@ -215,27 +214,61 @@ class TestInnerProduct:
         field = MagneticField(b)
         for q in range(5):
             gram = basis_gram(field, q, 12)
-            assert np.max(np.abs(gram - np.eye(13))) < 1e-8
+            assert np.max(np.abs(gram - np.eye(13))) < 1e-13
+
+    @pytest.mark.parametrize("k, q", [(200, 60), (200, 120), (250, 200)])
+    def test_norms_past_the_old_fixed_rule(self, k, q):
+        # The fixed 128-node rule was exact only up to k + q = 255: these read
+        # 1 - 7.3e-12, 0.679 and 0.588.
+        field = MagneticField(2.0)
+        assert abs(basis_inner_product(field, BasisIndex(k, q), BasisIndex(k, q)) - 1.0) <= 1e-12
+
+    def test_past_the_rule_limit_raises_naming_k_plus_q(self):
+        assert gram_rule(723, 723) == (362, 1024)
+        field = MagneticField(2.0)
+        message = r"k \+ q = 724 needs a 363-node Gauss-Laguerre rule"
+        with pytest.raises(ValueError, match=message):
+            gram_rule(724, 0)
+        with pytest.raises(ValueError, match=message):
+            basis_inner_product(field, BasisIndex(600, 124), BasisIndex(0, 124))
 
 
-def looped_gram(field, parts):
-    """Reference Gram: plane_gram's quadrature with each one-function parts callable evaluated on its own."""
-    t, logw = gauss_laguerre_log_rule(RADIAL_NODES, 0.0)
+class TestGramRule:
+    def test_sizes_from_degree_and_angular_spread(self):
+        # n = ceil((k + q + 1)/2); A the least power of two > max |k - k'|.
+        cases = {(0, 0): (1, 1), (1, 1): (1, 2), (2, 2): (2, 4), (12, 12): (7, 16), (16, 12): (9, 16),
+                 (255, 0): (128, 1), (256, 255): (129, 256), (256, 256): (129, 512)}
+        for (kq, dk), rule in cases.items():
+            assert gram_rule(kq, dk) == rule
+
+    @pytest.mark.parametrize("b, bound", [(2.0, 1e-13), (0.5, 2e-13)])
+    def test_translated_rule_survives_doubling(self, b, bound):
+        # Translates are not band-limited: their rule is measured, not derived.
+        # Doubling both sizes moved entries by at most 7.7e-14 (b = 2, the
+        # verify case) and 1.5e-13 (b = 0.5).
+        field = MagneticField(b)
+        radial, angular = TRANSLATED_GRAM_RULE
+        y = (0.5, -1.2)
+        for q in range(5):
+            fine = plane_gram(field, stacked_parts(field, q, range(5), y), (2 * radial, 2 * angular))
+            assert np.max(np.abs(translated_gram(field, q, 4, y) - fine)) <= bound
+
+
+def looped_gram(field, parts, rule):
+    """Reference Gram: plane_gram's quadrature on rule with each one-function parts callable evaluated on its own."""
+    radial, angular = rule
+    t, logw = gauss_laguerre_log_rule(radial, 0.0)
     half_logw = 0.5 * (logw + t)
     r = np.sqrt(2.0 * t / field.b)
-    theta = np.linspace(0.0, 2.0 * math.pi, ANGULAR_NODES, endpoint=False)
-    gram = np.zeros((len(parts), len(parts)), dtype=complex)
-    for lo in range(0, RADIAL_NODES, GRAM_RADIAL_BLOCK):
-        rows = slice(lo, lo + GRAM_RADIAL_BLOCK)
-        pts = np.empty((r[rows].size, ANGULAR_NODES, 2))
-        pts[..., 0] = r[rows, None] * np.cos(theta)[None, :]
-        pts[..., 1] = r[rows, None] * np.sin(theta)[None, :]
-        phi = np.empty((len(parts), pts.shape[0] * ANGULAR_NODES), dtype=complex)
-        for i, f in enumerate(parts):
-            la, ph = f(pts)
-            phi[i] = _from_parts(la + half_logw[rows, None], ph).ravel()
-        gram += phi @ phi.conj().T
-    return gram * (2.0 * math.pi / ANGULAR_NODES) / field.b
+    theta = np.linspace(0.0, 2.0 * math.pi, angular, endpoint=False)
+    pts = np.empty((radial, angular, 2))
+    pts[..., 0] = r[:, None] * np.cos(theta)[None, :]
+    pts[..., 1] = r[:, None] * np.sin(theta)[None, :]
+    phi = np.empty((len(parts), radial * angular), dtype=complex)
+    for i, f in enumerate(parts):
+        la, ph = f(pts)
+        phi[i] = _from_parts(la + half_logw[:, None], ph).ravel()
+    return (phi @ phi.conj().T) * (2.0 * math.pi / angular) / field.b
 
 
 def twisted_parts(field, idx, y):
@@ -250,13 +283,14 @@ def twisted_parts(field, idx, y):
 
 
 class TestStackedGram:
-    """One broadcast evaluation per block gives the per-function Gram bit for bit."""
+    """One broadcast evaluation gives the per-function Gram bit for bit."""
 
     @pytest.mark.parametrize("b", [0.5, 2.0])
     def test_basis_gram_matches_loop(self, b):
         field = MagneticField(b)
         for q in range(5):
-            ref = looped_gram(field, [lambda p, k=k: basis_eval_parts(field, BasisIndex(k, q), p) for k in range(13)])
+            parts = [lambda p, k=k: basis_eval_parts(field, BasisIndex(k, q), p) for k in range(13)]
+            ref = looped_gram(field, parts, gram_rule(12 + q, 12))
             assert np.array_equal(basis_gram(field, q, 12), ref)
 
     @pytest.mark.parametrize("b", [0.5, 2.0])
@@ -264,7 +298,8 @@ class TestStackedGram:
         field = MagneticField(b)
         y = (0.5, -1.2)
         for q in range(5):
-            ref = looped_gram(field, [twisted_parts(field, BasisIndex(k, q), y) for k in range(5)])
+            parts = [twisted_parts(field, BasisIndex(k, q), y) for k in range(5)]
+            ref = looped_gram(field, parts, TRANSLATED_GRAM_RULE)
             assert np.array_equal(translated_gram(field, q, 4, y), ref)
 
     def test_rows_and_one_row_case(self):
@@ -341,11 +376,11 @@ class TestTranslation:
         y = (0.5, -1.2)
         for q in range(5):
             gram = translated_gram(field, q, 4, y)
-            assert np.max(np.abs(gram - np.eye(5))) < 1e-8
+            assert np.max(np.abs(gram - np.eye(5))) < 1e-13
 
     def test_plane_inner_product_matches_basis_route(self):
         field = MagneticField(2.0)
         idx = BasisIndex(2, 2)
         parts = translated_parts(field, idx, (0.0, 0.0))
-        val = plane_inner_product(field, parts, parts)
+        val = plane_inner_product(field, parts, parts, gram_rule(4, 0))
         assert val == pytest.approx(basis_inner_product(field, idx, idx), rel=1e-10)

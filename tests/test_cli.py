@@ -414,6 +414,9 @@ def test_non_finite_inputs_exit_2_without_hanging(argv, message):
      "error: t = b r_max^2 / 2 = 4.5000000000000005e+300 is past the census limit T_MAX = 10000"),
     (["galerkin", "--persistence", "--q", "1", "--b", "2", "--r", "1e4"],
      "error: t = b r^2 / 2 = 100000000.0 is past the census limit T_MAX = 10000"),
+    # b r^2 overflows: refused before any basis value, with no numpy warning on stderr.
+    (["toeplitz", "--b", "1e300", "--r", "1e10", "--K", "3"],
+     "error: t = b r^2 / 2 is past the double range at b = 1e+300, r = 1e+10"),
 ])
 def test_huge_finite_t_exits_2_without_hanging(argv, message):
     # Finite inputs with a huge t = b r^2 / 2 used to grow a zero table until stopped (still running after 5 s).
@@ -452,6 +455,18 @@ def test_python_dash_m_runs_the_cli():
     records = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [r["name"] for r in records] == [name for name, _ in CHECKS]
     assert all(r["passed"] is True for r in records)
+
+
+def test_verify_leaks_no_runtime_warning():
+    # Every check passes with numpy's RuntimeWarnings (overflow, invalid value) turned into errors.
+    from landaudelta.verify import CHECKS
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "landaudelta", "verify"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == f"{len(CHECKS)}/{len(CHECKS)} checks passed"
 
 
 def test_import_leaves_scipy_unloaded():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,23 @@ class TestRuleCache:
         assert laguerre_mod._log_rule.cache_info().currsize == 0
         again = laguerre_mod.gauss_laguerre_log_rule(6, 3.0)
         assert again is not rule and all(np.array_equal(a, b) for a, b in zip(again, rule))
+
+    def test_largest_rule_has_finite_weights(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t, logw = laguerre_mod.gauss_laguerre_log_rule(laguerre_mod.MAX_RULE_NODES, 0.0)
+        assert np.isfinite(logw).all()
+        assert abs(np.sum(np.exp(logw)) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("n, alpha", [(363, 0.0), (400, 0.0), (600, 0.0), (356, 50.0)])
+    def test_rules_past_the_double_range_raise_naming_n(self, n, alpha):
+        # These used to return NaN log-weights with two numpy warnings; at
+        # alpha = 50 the weights overflow below MAX_RULE_NODES.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"rule with n = {n} nodes"):
+                laguerre_mod.gauss_laguerre_log_rule(n, alpha)
+            assert np.isfinite(laguerre_mod.gauss_laguerre_log_rule(355, 50.0)[1]).all()
 
     def test_bad_arguments_are_rejected_before_the_cache(self):
         for n, alpha in ((0, 0.0), (4, -1.0)):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -161,6 +162,20 @@ class TestAssemble:
             assert assemble(F2, 1, wc, K=6, N=64, check_resolution=False).K == 6
             with pytest.raises(ValueError, match="weight values must be finite"):
                 assemble(F2, 1, wc, K=6, N=64)
+
+    def test_overflowing_t_raises_at_the_door_without_warnings(self):
+        # b r^2 past the double range used to leak a numpy overflow warning and
+        # fail later on "non-finite entries"; now it is refused before any basis value.
+        field = MagneticField(1e300)
+        message = r"t = b r\^2 / 2 is past the double range at b = 1e\+300, r = 1e\+10"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for curve in (make_circle(1e10), make_ellipse(1e10, 1e10)):
+                with pytest.raises(ValueError, match=message):
+                    assemble(field, 1, load_weight(curve, 1.0), K=3)
+            with pytest.raises(ValueError, match=message):
+                assemble_model(field, 1, 2, load_weight(make_circle(1e10), 1.0), 1)
+        assert assemble(MagneticField(1e300), 0, load_weight(make_circle(1.0), 1.0), K=3).K == 3
 
     def test_recentering_invariance(self):
         q, K, r, n = 1, 8, 1.1, 512

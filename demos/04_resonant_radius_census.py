@@ -9,7 +9,7 @@ Levels 1 and 2 admit closed forms, which the sweep reproduces.
 import numpy as np
 
 from landaudelta.basis import MagneticField
-from landaudelta.census import census, eta_curve, explicit_D12, gap_constants, multiplicity
+from landaudelta.census import census, eta_curve, explicit_D12, gap_constants, multiplicities
 
 field = MagneticField(2.0)
 
@@ -38,7 +38,7 @@ print("double-multiplicity radii:     D22 =", [round(x, 6) for x in closed["D22"
 rng = np.random.default_rng(0)
 print("\nspot check of the kernel bound m <= q:")
 for q in (3, 5):
-    worst = max(multiplicity(field, q, float(r))[0] for r in rng.uniform(0.05, 4.0, size=2000))
+    worst = int(multiplicities(field, q, rng.uniform(0.05, 4.0, size=2000)).max())
     print(f"   q = {q}: max multiplicity over 2000 random radii = {worst}")
 
 # ---------------------------------------------------------------------

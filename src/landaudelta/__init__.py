@@ -29,6 +29,7 @@ from .census import (
     explicit_D12,
     gap_constants,
     multiplicity,
+    multiplicities,
 )
 from .curves import (
     JordanCurve,
@@ -98,6 +99,7 @@ __all__ = [
     "make_circle",
     "make_ellipse",
     "multiplicity",
+    "multiplicities",
     "orthogonality_defect",
     "persistence_check",
     "spectrum",

@@ -49,6 +49,7 @@ T_MAX = 1e4
 __all__ = [
     "CensusEntry",
     "multiplicity",
+    "multiplicities",
     "census",
     "explicit_D12",
     "eta_curve",
@@ -133,6 +134,14 @@ def _close(a, b):
     return abs(a - b) <= ZERO_MEMBERSHIP_RTOL * np.maximum(a, b)
 
 
+_WINDOW_LO, _WINDOW_HI = 1.0 - 2.0 * ZERO_MEMBERSHIP_RTOL, 1.0 + 2.0 * ZERO_MEMBERSHIP_RTOL
+
+
+def _window(t):
+    """Bisection bounds t (1 -/+ 2 ZERO_MEMBERSHIP_RTOL) of scalar or array t; every zero _close to t is inside."""
+    return t * _WINDOW_LO, t * _WINDOW_HI
+
+
 def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tuple[int, float]]]:
     """m_q(r) together with the witnessing (k, zero) pairs, in ascending k as census lists them.
 
@@ -148,6 +157,7 @@ def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tupl
     a call builds no array per radius.  r must be positive and finite,
     and t = b r^2 / 2 at most T_MAX = 1e4: the zero table grows until it
     passes t, so a huge t would tie it up and t = inf would never end.
+    multiplicities gives the counts alone for an array of radii in one pass.
     """
     if q < 1:
         raise ValueError("multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")
@@ -156,13 +166,46 @@ def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tupl
     t = 0.5 * field.b * r * r
     if not t <= T_MAX:
         raise ValueError(f"t = b r^2 / 2 = {t} is past the census limit T_MAX = {T_MAX:g}")
-    hi_t = t * (1.0 + 2.0 * ZERO_MEMBERSHIP_RTOL)
+    lo_t, hi_t = _window(t)
     ts, ks = _level_zeros(q).upto(hi_t)
-    lo, hi = ts.searchsorted(t * (1.0 - 2.0 * ZERO_MEMBERSHIP_RTOL)), ts.searchsorted(hi_t)
+    lo, hi = ts.searchsorted(lo_t), ts.searchsorted(hi_t)
     if lo == hi:
         return 0, []
     witnesses = sorted([(k, z) for k, z in zip(ks[lo:hi].tolist(), ts[lo:hi].tolist()) if _close(z, t)])
     return len(witnesses), witnesses
+
+
+def multiplicities(field: MagneticField, q: int, radii) -> np.ndarray:
+    """m_q(r) for every radius, as an integer array of the shape of radii; each equals multiplicity(field, q, r)[0].
+
+    One array pass: the level's zero table grows once, to the largest t,
+    two searchsorted calls bracket every radius's candidates with the
+    window multiplicity uses, and _close runs only on the radii whose
+    window holds a zero.  The input is checked as multiplicity checks it
+    (q >= 1, radii positive and finite, t = b r^2 / 2 at most T_MAX),
+    with the same messages, naming the first bad radius.  An empty input
+    gives an empty array.
+    """
+    if q < 1:
+        raise ValueError("multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")
+    r = np.asarray(radii, dtype=float)
+    bad = ~((0 < r) & (r < math.inf))
+    if bad.any():
+        raise ValueError(f"radius must be positive and finite, got {float(r[bad][0])}")
+    with np.errstate(over="ignore"):  # a finite r may still overflow t; refused next
+        t = 0.5 * field.b * r * r
+    past = ~(t <= T_MAX)
+    if past.any():
+        raise ValueError(f"t = b r^2 / 2 = {float(t[past][0])} is past the census limit T_MAX = {T_MAX:g}")
+    counts = np.zeros(r.shape, dtype=int)
+    if not r.size:
+        return counts
+    lo_t, hi_t = _window(t)
+    ts, _ = _level_zeros(q).upto(float(hi_t.max()))
+    lo, hi = ts.searchsorted(lo_t), ts.searchsorted(hi_t)
+    for i in np.flatnonzero(lo < hi).tolist():
+        counts.flat[i] = np.count_nonzero(_close(ts[lo.flat[i] : hi.flat[i]], t.flat[i]))
+    return counts
 
 
 def census(field: MagneticField, q: int, r_max: float) -> list[CensusEntry]:

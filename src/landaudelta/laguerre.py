@@ -249,23 +249,39 @@ def gauss_laguerre_rule(n: int, alpha: float = 0.0) -> tuple[np.ndarray, np.ndar
     return t, np.exp(logw)
 
 
-def orthogonality_defect(q: int, p: int, alpha: float) -> float:
+def _norm_squared(q: int, alpha: float) -> float:
+    """Gamma(alpha+1) C(q+alpha, q), the integral of e^{-t} t^alpha L_q^(alpha)(t)^2."""
+    if alpha >= 0 and abs(alpha - round(alpha)) <= _INT_TOL:
+        # Gamma(alpha+1) C(q+alpha, q) = (q+alpha)!/q! for integer alpha.
+        return float(math.factorial(q + round(alpha)) // math.factorial(q))
+    return math.exp(math.lgamma(q + alpha + 1) - math.lgamma(q + 1))
+
+
+def orthogonality_defect(q, p, alpha: float):
     """|quadrature of e^{-t} t^alpha L_q L_p  -  Gamma(alpha+1) C(q+alpha,q) delta_qp|.
 
     The quadrature is the ceil((q+p)/2)+1-node Gauss rule, which
-    integrates degree q+p exactly.
+    integrates degree q+p exactly.  q and p may be integer arrays,
+    broadcast together against the one alpha: the pairs sharing a rule
+    size share one gauss_laguerre_rule and one laguerre_eval_batch over
+    the degrees 0..max, and each defect equals its scalar call bit for
+    bit.  Scalar degrees give a float, arrays an array of their
+    broadcast shape.
     """
     if alpha <= -1:
         raise ValueError(f"orthogonality requires alpha > -1, got {alpha}")
-    nodes = math.ceil((q + p) / 2) + 1
-    t, w = gauss_laguerre_rule(nodes, alpha)
-    integral = float(np.sum(w * laguerre_eval(LaguerreSpec(q, alpha), t)
-                            * laguerre_eval(LaguerreSpec(p, alpha), t)))
-    if q != p:
-        target = 0.0
-    elif alpha >= 0 and abs(alpha - round(alpha)) <= _INT_TOL:
-        # Gamma(alpha+1) C(q+alpha, q) = (q+alpha)!/q! for integer alpha.
-        target = float(math.factorial(q + round(alpha)) // math.factorial(q))
-    else:
-        target = math.exp(math.lgamma(q + alpha + 1) - math.lgamma(q + 1))
-    return abs(integral - target)
+    qs, ps = np.broadcast_arrays(np.asarray(q), np.asarray(p))
+    for degrees in (qs, ps):
+        if (degrees < 0).any():
+            raise ValueError(f"degree must be >= 0, got {int(degrees[degrees < 0][0])}")
+    nodes = (qs + ps + 1) // 2 + 1
+    integral = np.empty(qs.shape)
+    for n in sorted(set(nodes.ravel().tolist())):
+        on = nodes == n
+        qn, pn = qs[on], ps[on]
+        t, w = gauss_laguerre_rule(n, alpha)
+        values = laguerre_eval_batch(np.arange(max(qn.max(), pn.max()) + 1)[:, None], alpha, t)
+        integral[on] = np.sum(w * values[qn] * values[pn], axis=-1)
+    target = [_norm_squared(qi, alpha) if qi == pi else 0.0 for qi, pi in zip(qs.ravel().tolist(), ps.ravel().tolist())]
+    defect = np.abs(integral - np.reshape(target, qs.shape))
+    return float(defect) if defect.ndim == 0 else defect

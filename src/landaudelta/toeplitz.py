@@ -119,14 +119,20 @@ def circle_diagonal(field: MagneticField, q: int, k: int, r: float) -> float:
 def _node_moduli(field: MagneticField, curve: JordanCurve) -> np.ndarray:
     """Moduli t_j = b|x_j|^2/2 of the nodes of curve; a circle has the one node (r, 0).
 
-    A t past the double range reads inf, without a numpy warning.
+    The one home of the overflow refusal: a t past the double range raises
+    ValueError naming b and the largest node radius r, without a numpy warning.
     """
     if curve.kind == "circle":
         r = dict(curve.meta)["r"]
-        return np.array([0.5 * field.b * (r * r)])  # Python floats: no warning on overflow
-    x, y = curve.points[:, 0], curve.points[:, 1]
-    with np.errstate(over="ignore"):
-        return 0.5 * field.b * (x * x + y * y)
+        t = np.array([0.5 * field.b * (r * r)])  # Python floats: no warning on overflow
+    else:
+        x, y = curve.points[:, 0], curve.points[:, 1]
+        with np.errstate(over="ignore"):
+            t = 0.5 * field.b * (x * x + y * y)
+    if not math.isfinite(t.max()):
+        r = float(np.max(np.hypot(curve.points[:, 0], curve.points[:, 1])))
+        raise ValueError(f"t = b r^2 / 2 is past the double range at b = {field.b:g}, r = {r:g}")
+    return t
 
 
 def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_rel: float = TAIL_RELATIVE_CUTOFF) -> int:
@@ -142,9 +148,11 @@ def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_re
     certify the tail, and K is the index before them: at most q diagonals
     vanish at any circle radius, so a lone resonant zero cannot stop the sweep.
     A sweep that certifies no tail below MAX_TRUNCATION raises ValueError
-    (naming q and max t_j): pass K explicitly there.
+    (naming q and max t_j): pass K explicitly there.  A t_j past the double
+    range raises the ValueError of _compress, as no K can help there.
     """
-    t = np.unique(_node_moduli(field, curve))
+    t = np.sort(_node_moduli(field, curve))
+    t = t[np.concatenate([[True], t[1:] != t[:-1]])]  # np.unique's values; its first call imports numpy.ma
     t_peak = float(t[-1])
     log_cut = math.log(tail_rel)
     best, below = -math.inf, 0
@@ -240,9 +248,7 @@ def _compress(field: MagneticField, levels, K: int, wc: WeightedCurve, N: int | 
     (curves.WeightedCurve.sample_tails, also in provenance); it is None when
     unchecked and no tail is flagged.  No decision depends on the weight's scale.
     """
-    if not math.isfinite(_node_moduli(field, wc.curve).max()):
-        r = float(np.max(np.hypot(wc.curve.points[:, 0], wc.curve.points[:, 1])))
-        raise ValueError(f"t = b r^2 / 2 is past the double range at b = {field.b:g}, r = {r:g}")
+    _node_moduli(field, wc.curve)  # refuses a t past the double range
     adaptive = N is None
     n = _start_nodes(levels, K) if adaptive else quadrature_size(N)
     circle = wc.curve.kind == "circle"

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import pickle
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -24,6 +25,7 @@ from landaudelta.census import (
     eta_table_to_csv,
     explicit_D12,
     gap_constants,
+    multiplicities,
     multiplicity,
 )
 
@@ -225,6 +227,87 @@ class TestMultiplicity:
                     assert all(type(k) is int and type(z) is float for k, z in w)
 
 
+# (b, r) with t = b r^2 / 2 just past T_MAX, far past it, and overflowing to inf from a finite b or r.
+PAST_T_MAX = ((2.0, math.nextafter(100.0, math.inf)), (2.0, 1e4), (1e300, 3.0), (2.0, 1e200))
+
+
+def raised(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestMultiplicities:
+    """The many-radius count equals the scalar call's count at every radius it is given."""
+
+    def scalar_counts(self, field, q, radii):
+        return [multiplicity(field, q, float(r))[0] for r in radii]
+
+    def test_census_bound_radii(self):
+        # The draws of verify's census-bound check, in its order.
+        rng = np.random.default_rng(23)
+        for b in (0.5, 2.0):
+            field = MagneticField(b)
+            for q in range(1, 7):
+                radii = rng.uniform(1e-3, 4.0, size=2000)
+                got = multiplicities(field, q, radii)
+                assert got.dtype.kind == "i" and got.shape == (2000,)
+                assert got.tolist() == self.scalar_counts(field, q, radii)
+
+    @pytest.mark.parametrize("b", [0.5, 2.0])
+    def test_census_radii_and_the_membership_edge(self, b):
+        # Every census radius; r 1e-10 relative from a zero (t 2e-10 relative, inside the window);
+        # and t moved to either side of the window's edge.
+        field = MagneticField(b)
+        for q in range(1, 7):
+            entries = census(field, q, 4.0)
+            radii = [e.r for e in entries]
+            radii += [e.r * (1.0 + s * 1e-10) for e in entries for s in (-1.0, 1.0)]
+            radii += [math.sqrt(2.0 * e.t * (1.0 + rel * ZERO_MEMBERSHIP_RTOL) / b)
+                      for e in entries for rel in (-1.5, -0.99, 0.99, 1.5)]
+            got = multiplicities(field, q, radii)
+            expected = self.scalar_counts(field, q, radii)
+            assert got.tolist() == expected
+            assert got[: len(entries)].tolist() == [e.multiplicity for e in entries]
+            assert 0 in expected and max(expected) >= 1
+
+    def test_shape_and_cold_table(self):
+        radii = np.array([[1.0, math.sqrt(2.0)], [math.sqrt(0.5), math.sqrt(210.0)]])
+        _level_zeros.cache_clear()  # the call below grows the table from cold to t = 210
+        got = multiplicities(F2, 2, radii)
+        assert got.shape == (2, 2)
+        assert got.tolist() == [[0, 2], [0, 2]]
+        assert multiplicities(F2, 2, radii[::-1]).tolist() == [[0, 2], [0, 2]]
+
+    def test_empty_input(self, monkeypatch):
+        monkeypatch.setattr(census_mod, "_level_zeros", untouchable_table)
+        for radii in ([], np.empty(0)):
+            got = multiplicities(F2, 3, radii)
+            assert got.shape == (0,) and got.dtype.kind == "i"
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.inf, -math.inf, math.nan])
+    def test_bad_radius_named_as_multiplicity_names_it(self, bad, monkeypatch):
+        monkeypatch.setattr(census_mod, "_level_zeros", untouchable_table)
+        expected = raised(multiplicity, F2, 1, bad)
+        assert expected.startswith("radius must be positive and finite, got ")
+        assert raised(multiplicities, F2, 1, [1.0, bad, -7.0, 2.0]) == expected
+        assert raised(multiplicities, F2, 1, np.array([bad])) == expected
+
+    @pytest.mark.parametrize("b, r", PAST_T_MAX)
+    def test_t_past_the_limit_named_as_multiplicity_names_it(self, b, r, monkeypatch):
+        monkeypatch.setattr(census_mod, "_level_zeros", untouchable_table)
+        field = MagneticField(b)
+        expected = raised(multiplicity, field, 3, r)
+        assert expected.endswith("is past the census limit T_MAX = 10000")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing t is refused without a numpy warning
+            assert raised(multiplicities, field, 3, [math.sqrt(2.0 / b), r, 2.0 * r]) == expected
+
+    def test_level_zero_rejected_as_multiplicity_rejects_it(self):
+        assert raised(multiplicities, F2, 0, [1.0]) == raised(multiplicity, F2, 0, 1.0)
+        assert raised(multiplicities, F2, 0, []) == raised(multiplicity, F2, 0, 1.0)
+
+
 class TestCensus:
     def test_membership_rule_groups_zeros_that_differ_in_the_last_bits(self):
         # At b = 2, q = 18 the zeros for k = 515 and k = 629 agree to 3e-10 relative, not
@@ -403,8 +486,7 @@ class TestByteIdentity:
 
 
 class TestTLimit:
-    # Just past the limit, far past it, and t overflowing to inf from a finite b or r.
-    PAST = ((2.0, math.nextafter(100.0, math.inf)), (2.0, 1e4), (1e300, 3.0), (2.0, 1e200))
+    PAST = PAST_T_MAX
 
     @pytest.mark.parametrize("b, r", PAST)
     def test_refused_before_the_table(self, b, r, monkeypatch):

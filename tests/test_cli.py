@@ -417,6 +417,11 @@ def test_non_finite_inputs_exit_2_without_hanging(argv, message):
     # b r^2 overflows: refused before any basis value, with no numpy warning on stderr.
     (["toeplitz", "--b", "1e300", "--r", "1e10", "--K", "3"],
      "error: t = b r^2 / 2 is past the double range at b = 1e+300, r = 1e+10"),
+    # A default K is refused the same way: no K can help there.
+    (["toeplitz", "--b", "1e300", "--r", "1e10"],
+     "error: t = b r^2 / 2 is past the double range at b = 1e+300, r = 1e+10"),
+    (["galerkin", "--b", "1e300", "--r", "1e10", "--Q", "1"],
+     "error: t = b r^2 / 2 is past the double range at b = 1e+300, r = 1e+10"),
 ])
 def test_huge_finite_t_exits_2_without_hanging(argv, message):
     # Finite inputs with a huge t = b r^2 / 2 used to grow a zero table until stopped (still running after 5 s).

@@ -281,6 +281,42 @@ class TestOrthogonality:
         with pytest.raises(ValueError):
             orthogonality_defect(1, 1, -1.0)
 
+    def test_rejects_negative_degrees(self):
+        for q, p in ((-1, 2), (3, [0, -2])):
+            with pytest.raises(ValueError, match="degree must be >= 0, got -"):
+                orthogonality_defect(q, p, 0.0)
+
+    @staticmethod
+    def looped_defect(q, p, alpha):
+        """Reference: one rule and two scalar recurrences per pair, the target from its closed form."""
+        t, w = gauss_laguerre_rule(math.ceil((q + p) / 2) + 1, alpha)
+        integral = float(np.sum(w * laguerre_eval(LaguerreSpec(q, alpha), t) * laguerre_eval(LaguerreSpec(p, alpha), t)))
+        if q != p:
+            return abs(integral)
+        if alpha == round(alpha):
+            return abs(integral - float(math.factorial(q + round(alpha)) // math.factorial(q)))
+        return abs(integral - math.exp(math.lgamma(q + alpha + 1) - math.lgamma(q + 1)))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 3.0])
+    def test_arrays_equal_scalar_calls_bitwise(self, alpha):
+        # The 3 x 91 (q, p, alpha) of verify's laguerre-orthogonality check, against one scalar call
+        # and one looped reference each.
+        q, p = np.triu_indices(13)
+        got = orthogonality_defect(q, p, alpha)
+        assert got.shape == (91,) and got.dtype == np.float64
+        pairs = list(zip(q.tolist(), p.tolist()))
+        scalar = [orthogonality_defect(qi, pi, alpha) for qi, pi in pairs]
+        assert all(type(d) is float for d in scalar)
+        assert got.tobytes() == np.array(scalar).tobytes()
+        assert scalar == [self.looped_defect(qi, pi, alpha) for qi, pi in pairs]
+
+    def test_arrays_broadcast(self):
+        q = np.arange(5)[:, None]
+        got = orthogonality_defect(q, np.arange(7), 0.5)
+        assert got.shape == (5, 7)
+        assert got[3, 6] == orthogonality_defect(3, 6, 0.5)
+        assert orthogonality_defect([], [], 0.0).shape == (0,)
+
     def test_rule_integrates_monomials(self):
         t, w = gauss_laguerre_rule(8, 0.0)
         # int_0^inf e^-t t^m dt = m!

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,8 +175,9 @@ class TestAssemble:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for curve in (make_circle(1e10), make_ellipse(1e10, 1e10)):
-                with pytest.raises(ValueError, match=message):
-                    assemble(field, 1, load_weight(curve, 1.0), K=3)
+                for K in (3, None):  # None: refused by default_truncation, with the same message
+                    with pytest.raises(ValueError, match=message):
+                        assemble(field, 1, load_weight(curve, 1.0), K=K)
             with pytest.raises(ValueError, match=message):
                 assemble_model(field, 1, 2, load_weight(make_circle(1e10), 1.0), 1)
         assert assemble(MagneticField(1e300), 0, load_weight(make_circle(1.0), 1.0), K=3).K == 3
@@ -339,9 +344,25 @@ class TestTruncation:
         with pytest.raises(ValueError, match=message):
             persistence_check(F2, 1, 25.0)
         assert assemble(F2, 1, wc, K=20, check_resolution=False).K == 20
-        # A huge t (the sum overflows to inf) raises the same error, not OverflowError.
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="t_peak = inf; pass K"):
+        # A huge t (the sum overflows to inf) is refused as _compress refuses it: no K can help there.
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"^t = b r\^2 / 2 is past the double range at b = 1e\+300, r = 1e\+10$"):
             default_truncation(MagneticField(1e300), 0, make_circle(1e10))
+
+    def test_default_truncation_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on its first call in a process (about 11 ms),
+        # which every one-shot CLI call with a default K used to pay.
+        code = (
+            "import sys\n"
+            "from landaudelta import MagneticField, assemble, load_weight, make_circle, make_ellipse\n"
+            "for curve in (make_circle(1.3), make_ellipse(1.5, 0.8)):\n"
+            "    assert assemble(MagneticField(2.0), 1, load_weight(curve, 1.0)).K > 1\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
     @pytest.mark.parametrize("b", [0.5, 2.0, 4.0])
     def test_circle_and_its_samples_truncate_alike(self, b):

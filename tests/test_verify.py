@@ -4,7 +4,7 @@ import importlib
 import json
 from dataclasses import asdict
 
-from landaudelta.verify import CHECKS, check_census_eta_curves, run_all
+from landaudelta.verify import CHECKS, check_basis_annihilation, check_census_bound, check_census_eta_curves, run_all
 
 census_mod = importlib.import_module("landaudelta.census")
 
@@ -30,3 +30,12 @@ def test_eta_check_solves_one_table_per_level(monkeypatch):
     passed, detail = check_census_eta_curves()
     assert passed, detail
     assert calls == [2, 3, 4]
+
+
+def test_census_bound_detail():
+    # 12 census sweeps (b in {0.5, 2}, q <= 6, r <= 4) and 24,000 drawn radii, one multiplicities call per sweep.
+    assert check_census_bound() == (True, "0 violations of m <= q over 24398 radii")
+
+
+def test_annihilation_detail():
+    assert check_basis_annihilation() == (True, "max annihilation residual 4.46e-08")

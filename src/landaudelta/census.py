@@ -255,8 +255,8 @@ def explicit_D12(field: MagneticField, n_max: int) -> dict[str, list[float]]:
 
     Exact, with no tolerance: the D2 branches meet only at t = u^2 + u,
     which both reach exactly (exact square roots, integer sums below
-    2^53), so np.unique drops every coincidence, the doubles of D2 are
-    bitwise D22 radii, and radii 9.9e-10 apart (t ~ 251000.5) stay apart.
+    2^53), so dropping equal neighbours after a sort removes every coincidence,
+    the doubles of D2 are bitwise D22 radii, and radii 9.9e-10 apart (t ~ 251000.5) stay apart.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -267,13 +267,15 @@ def explicit_D12(field: MagneticField, n_max: int) -> dict[str, list[float]]:
         return np.sqrt(2.0 * np.asarray(tvals) / b)
 
     d1 = radii(n)
-    d2 = np.unique(np.concatenate([radii((n + 1) - np.sqrt(n + 1)), radii(n + np.sqrt(n))]))
-    d22 = radii(n * n + n)
+    d2 = np.sort(np.concatenate([radii((n + 1) - np.sqrt(n + 1)), radii(n + np.sqrt(n))]))
+    d2 = d2[np.concatenate([[True], d2[1:] != d2[:-1]])]  # np.unique and np.isin import numpy.ma on first call
+    d22 = radii(n * n + n)  # ascending
+    in_d22 = d22[np.minimum(np.searchsorted(d22, d2), d22.size - 1)] == d2
     return {
         "D1": [float(x) for x in d1],
         "D2": [float(x) for x in d2],
         "D22": [float(x) for x in d22],
-        "D21": [float(x) for x in d2[~np.isin(d2, d22)]],
+        "D21": [float(x) for x in d2[~in_d22]],
     }
 
 

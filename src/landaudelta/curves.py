@@ -5,13 +5,14 @@ at N uniform parameters t_j = 2 pi j / N, N = DEFAULT_NODES unless given;
 sampled curves and weight tables must sit on that grid too.  Circles and
 ellipses resample exactly; sampled curves and weight tables share one
 trigonometric interpolant of their native samples, evaluated exactly at
-any node count, so the even nodes of 2N values are the N values.  Each
-sampled input reports the Fourier tail of its samples (sample_tails):
-a slow tail (a kink, a jump) is the interpolation error no node count
-removes.  Line integrals use the periodic trapezoid rule,
-ds_j = (2pi/N) |gamma'(t_j)|: spectral on smooth closed curves, exact on
-circle harmonics.  Simplicity (no self-intersection) and C^{1,1}
-regularity of sampled data are assumed, not verified.
+any node count, so the even nodes of 2N values are the N values.  A weight
+is its source (a constant, a table or a callable), read at any node count
+by one sampler into one finite value per parameter.  Each sampled input
+reports the Fourier tail of its samples (sample_tails): a slow tail (a
+kink, a jump) is the interpolation error no node count removes.  Line
+integrals use the periodic trapezoid rule, ds_j = (2pi/N) |gamma'(t_j)|:
+spectral on smooth closed curves, exact on circle harmonics.  Simplicity
+(no self-intersection) and C^{1,1} regularity of sampled data are assumed, not verified.
 
 File formats (whitespace separated, %.17g, radians; '#' starts a comment):
 
@@ -183,40 +184,52 @@ def arclength_rule(curve: JordanCurve) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class WeightedCurve:
-    """Curve together with interaction weight samples and their sign class."""
+    """Curve and weight source; values (read-only, at curve.params) and sign class derive from the source.
+
+    One sampler reads a constant, a (t, v) table or a callable into a new
+    float array, refusing any shape but (n,) and any non-finite value.
+    """
 
     curve: JordanCurve
-    values: np.ndarray  # weight at curve.params
-    sign_class: str
-    source: object  # constant | (t, v) table | callable, kept for resampling
+    source: object  # constant | (t, v) table | callable
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
+        self.values.setflags(write=False)  # sampled here, so a bad weight raises where it is attached
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self._sample(self.curve.params)
+
+    @cached_property
+    def sign_class(self) -> str:
+        """Sign class of the values, with values within _SIGN_ZERO_TOL * max|v| of zero counted as zero."""
+        tol = _SIGN_ZERO_TOL * np.max(np.abs(self.values))
+        if np.min(self.values) >= -tol:
+            return SIGN_NONNEGATIVE
+        if np.max(self.values) <= tol:
+            return SIGN_NONPOSITIVE
+        return SIGN_INDEFINITE
+
+    def _sample(self, params: np.ndarray) -> np.ndarray:
+        n = params.size
+        if isinstance(self.source, tuple):
+            values = self._interp(n)
+        elif callable(self.source):
+            values = np.array(self.source(params), dtype=float)
+        else:
+            values = np.full(n, float(self.source))
+        if values.shape != (n,):
+            raise ValueError(f"weight must give one value per parameter: expected shape ({n},), got {values.shape}")
+        if not np.all(np.isfinite(values)):
             raise ValueError("weight values must be finite")
-        self.values.setflags(write=False)
+        return values
 
     def resample(self, n: int) -> "WeightedCurve":
-        if n == self.curve.n_nodes:
-            return self
-        curve = self.curve.resample(n)
-        values = self.sample(n)
-        return WeightedCurve(curve, values, classify_sign(values), self.source)
+        return self if n == self.curve.n_nodes else WeightedCurve(self.curve.resample(n), self.source)
 
     def sample(self, n: int) -> np.ndarray:
-        """The weight at the n parameters 2 pi j / n, bytes as resample(n).values, with no curve built.
-
-        Tables go through their interpolant; non-finite callable values raise as in load_weight.
-        """
-        if n == self.curve.n_nodes:
-            return self.values
-        if isinstance(self.source, tuple):
-            return self._interp(n)
-        if callable(self.source):
-            values = np.asarray(self.source(_uniform_params(n)), dtype=float)
-            if not np.all(np.isfinite(values)):
-                raise ValueError("weight values must be finite")
-            return values
-        return np.full(n, float(self.source))
+        """The weight at the n parameters 2 pi j / n, bytes as resample(n).values, with no curve built."""
+        return self.values if n == self.curve.n_nodes else self._sample(_uniform_params(n))
 
     @cached_property
     def _interp(self) -> _PeriodicInterp:
@@ -240,16 +253,6 @@ class WeightedCurve:
         if callable(self.source):
             return getattr(self.source, "__name__", "callable")
         return "sampled"
-
-
-def classify_sign(values: np.ndarray) -> str:
-    """Sign class of the samples, with values within _SIGN_ZERO_TOL * max|v| of zero counted as zero."""
-    tol = _SIGN_ZERO_TOL * np.max(np.abs(values))
-    if np.min(values) >= -tol:
-        return SIGN_NONNEGATIVE
-    if np.max(values) <= tol:
-        return SIGN_NONPOSITIVE
-    return SIGN_INDEFINITE
 
 
 def _read_table(path, header: str, columns: int) -> np.ndarray:
@@ -311,32 +314,26 @@ def load_weight(curve: JordanCurve, source) -> WeightedCurve:
 
     source may be a constant, a weight file path (rows t v), a (t, v)
     table, an array of values at the curve nodes, or a callable of the
-    parameter.  Files and arrays are kept as (t, v) tables: 1-D columns of
-    equal length, t strictly increasing on the uniform grid 2 pi j / M,
-    interpolated by _PeriodicInterp.
+    parameter.  Files, tables and arrays are copied into (t, v) tables:
+    1-D columns of equal length, t strictly increasing on the uniform grid
+    2 pi j / M, interpolated by _PeriodicInterp.  A callable must give one
+    finite value per parameter, shape (n,), at every node count n.
     """
     name = "weight table"
     if isinstance(source, (str, Path)):
         table = _read_table(source, WEIGHT_HEADER, 2)
         name, source = source, (table[:, 0], table[:, 1])
-    if isinstance(source, (int, float)):
-        values = np.full(curve.n_nodes, float(source))
-    elif isinstance(source, tuple) and len(source) == 2 and not np.isscalar(source[0]):
-        t, v = (np.asarray(a, dtype=float) for a in source)
+    if isinstance(source, tuple) and len(source) == 2 and not np.isscalar(source[0]):
+        t, v = (np.array(a, dtype=float) for a in source)
         if t.ndim != 1 or t.shape != v.shape:
             raise ValueError(f"{name}: t and v must be 1-D of equal length, got {t.shape} and {v.shape}")
         if not np.all(np.diff(t) > 0):
             raise ValueError(f"{name}: parameter column must be strictly increasing")
         _require_uniform_grid(name, t)
-        values = _PeriodicInterp(v)(curve.n_nodes)
         source = (t, v)
-    elif callable(source):
-        values = np.asarray(source(curve.params), dtype=float)
-    else:
-        values = np.asarray(source, dtype=float)
-        if values.shape != (curve.n_nodes,):
-            raise ValueError(
-                f"weight array must have one value per curve node ({curve.n_nodes}), got {values.shape}"
-            )
-        source = (curve.params.copy(), values.copy())
-    return WeightedCurve(curve, values, classify_sign(values), source)
+    elif not (isinstance(source, (int, float)) or callable(source)):
+        v = np.array(source, dtype=float)
+        if v.shape != (curve.n_nodes,):
+            raise ValueError(f"weight array must have one value per curve node ({curve.n_nodes}), got {v.shape}")
+        source = (curve.params.copy(), v)
+    return WeightedCurve(curve, source)

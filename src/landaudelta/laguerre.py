@@ -173,12 +173,15 @@ def nodal_zeros(q: int, k) -> np.ndarray:
 
     By the reflection identity they are the zeros of L_min(k,q)^(|k-q|):
     for 0 < k < q the k zeros of L_k^(q-k), none at k = 0 (no eigensolve).
-    An array of indices k >= q gives one row per index from one stacked
-    solve, as positive_zeros does for its parameters.
+    An array of indices gives one row per index from one stacked solve,
+    as positive_zeros does for its parameters; each must be k >= q.
     """
     if np.ndim(k) == 0 and k < q:
         return positive_zeros(k, float(q - k)) if k > 0 else np.empty(0)
-    return positive_zeros(q, np.asarray(k, dtype=float) - q)
+    ks = np.asarray(k, dtype=float)
+    if np.any(ks < q):
+        raise ValueError(f"an array of angular indices needs every k >= q = {q}, got k = {ks[ks < q][0]:g}")
+    return positive_zeros(q, ks - q)
 
 
 def laguerre_zeros(spec: LaguerreSpec) -> list[tuple[float, int]]:

@@ -185,15 +185,13 @@ def _quadrature_sums(field: MagneticField, levels, K: int, wc: WeightedCurve, n:
         phi = np.vstack([basis_matrix(field, j, range(K + 1), points) for j in levels])
         return (phi * w) @ phi.conj().T
 
-    wcn = wc.resample(n)
-    points, ds = arclength_rule(wcn.curve)
-    m = weighted_sum(points, wcn.values * ds)
+    points, ds = arclength_rule(wc.curve.resample(n))
+    m = weighted_sum(points, wc.sample(n) * ds)
     while True:
         yield 0.5 * (m + m.conj().T)
         n *= 2
-        fine_wc = wc.resample(n)
-        fine_points, fine_ds = arclength_rule(fine_wc.curve)
-        m = 0.5 * (m + weighted_sum(fine_points[1::2], 2.0 * (fine_wc.values * fine_ds)[1::2]))
+        points, ds = arclength_rule(wc.curve.resample(n))
+        m = 0.5 * (m + weighted_sum(points[1::2], 2.0 * (wc.sample(n) * ds)[1::2]))
 
 
 def _circle_sums(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int):

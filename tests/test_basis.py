@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -384,3 +385,18 @@ class TestTranslation:
         parts = translated_parts(field, idx, (0.0, 0.0))
         val = plane_inner_product(field, parts, parts, gram_rule(4, 0))
         assert val == pytest.approx(basis_inner_product(field, idx, idx), rel=1e-10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MagneticField(2.0).landau_level(-1), "level index must be >= 0"),
+    (lambda: BasisIndex(-1, 0), "indices must be >= 0, got k=-1, q=0"),
+    (lambda: BasisIndex(0, -2), "indices must be >= 0, got k=0, q=-2"),
+    (lambda: basis_eval(MagneticField(2.0), BasisIndex(1, 0), [0.1, 0.2, 0.3]),
+     "points must have a trailing axis of size 2, got shape (3,)"),
+    (lambda: basis_matrix(MagneticField(2.0), 0, range(3), [0.1, 0.2]), "basis_matrix expects an (N, 2) array of points"),
+    (lambda: annihilation_residual(MagneticField(2.0), BasisIndex(1, 0), np.zeros((3, 2))),
+     "annihilation_residual expects a single point"),
+], ids=["negative-level", "negative-k", "negative-q", "trailing-axis", "matrix-points", "several-points"])
+def test_refusals_name_their_input(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()

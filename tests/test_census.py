@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import pickle
+import re
 import warnings
 from functools import lru_cache
 
@@ -770,3 +771,13 @@ class TestScalarConstants:
     def test_coupling_rejects_bad_constant(self):
         with pytest.raises(ValueError):
             coupling_lower_bounds(MagneticField(1.0), 1, 0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: census(F2, 0, 1.0), "census is defined for q >= 1; the q = 0 kernel is always trivial"),
+    (lambda: explicit_D12(F2, 0), "n_max must be >= 1"),
+    (lambda: coupling_lower_bounds(F2, -1, 1.0), "level index must be >= 0"),
+], ids=["census-q0", "explicit-n_max-0", "bounds-negative-q"])
+def test_refusals_name_their_input(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()

@@ -66,6 +66,21 @@ class TestCensus:
         sets = json.loads(out)
         assert sets["D1"] == pytest.approx([1.0, math.sqrt(2), math.sqrt(3)])
 
+    def test_explicit_sets_csv_rows(self, capsys):
+        # One "set,index,r" row per radius, %.17g; at b = 2 each r is sqrt(t):
+        # D2 holds t = 2 - sqrt 2, 3 - sqrt 3, 2 (reached by both branches), 2 + sqrt 2, 3 + sqrt 3.
+        code, out, _ = run_cli(capsys, "census", "--b", "2", "--q", "1", "--explicit", "3")
+        assert code == 0
+        assert out == (
+            "set,index,r\n"
+            "D1,1,1\nD1,2,1.4142135623730951\nD1,3,1.7320508075688772\n"
+            "D2,1,0.76536686473017945\nD2,2,1.1260325006104943\nD2,3,1.4142135623730951\n"
+            "D2,4,1.8477590650225735\nD2,5,2.1753277471610746\n"
+            "D22,1,1.4142135623730951\nD22,2,2.4494897427831779\nD22,3,3.4641016151377544\n"
+            "D21,1,0.76536686473017945\nD21,2,1.1260325006104943\n"
+            "D21,3,1.8477590650225735\nD21,4,2.1753277471610746\n"
+        )
+
     def test_eta_table(self, capsys):
         code, out, _ = run_cli(
             capsys, "census", "--b", "2", "--q", "2", "--eta",

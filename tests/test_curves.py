@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 import warnings
@@ -5,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from landaudelta.basis import MagneticField
 from landaudelta.curves import (
     SIGN_INDEFINITE,
     SIGN_NONNEGATIVE,
@@ -18,6 +20,7 @@ from landaudelta.curves import (
     save_curve,
     save_weight,
 )
+from landaudelta.toeplitz import assemble
 
 
 class TestCircle:
@@ -280,17 +283,63 @@ class TestSample:
                     assert values.tobytes() == load_weight(curve.resample(n), wc.source).values.tobytes()
 
     def test_non_finite_callable_values_raise(self):
-        # Finite on the 64 nodes it is loaded on, NaN on every other grid.
+        # Finite on the 64 nodes it is loaded on, NaN on every other grid;
+        # likewise one value per parameter on those 64 nodes only.
         def finite_on_64(t):
             return np.full(t.size, 1.0 if t.size == 64 else np.nan)
 
-        wc = load_weight(make_circle(1.0, n=64), finite_on_64)
-        assert wc.sample(64) is wc.values
-        for n in (32, 128):
-            with pytest.raises(ValueError, match="weight values must be finite"):
-                wc.sample(n)
-            with pytest.raises(ValueError, match="weight values must be finite"):
-                wc.resample(n)
+        def shaped_on_64(t):
+            return np.ones(t.size if t.size == 64 else 3)
+
+        for weight, message in ((finite_on_64, "weight values must be finite"), (shaped_on_64, r"got \(3,\)$")):
+            wc = load_weight(make_circle(1.0, n=64), weight)
+            assert wc.sample(64) is wc.values
+            for n in (32, 128):
+                with pytest.raises(ValueError, match=message):
+                    wc.sample(n)
+                with pytest.raises(ValueError, match=message):
+                    wc.resample(n)
+
+    @pytest.mark.parametrize("weight, shape", [
+        (lambda t: 2.0, "()"),
+        (lambda t: np.ones(3), "(3,)"),
+        (lambda t: np.ones((t.size, 2)), "(64, 2)"),
+    ], ids=["scalar", "three", "two-columns"])
+    def test_callable_of_another_shape_raises_naming_it(self, weight, shape):
+        for curve in (make_circle(1.0, n=64), make_ellipse(1.4, 0.9, n=64)):
+            with pytest.raises(ValueError, match=re.escape(f"expected shape (64,), got {shape}")):
+                load_weight(curve, weight)
+
+    def test_array_sources_are_copied(self):
+        # The caller's array, and an array a callable hands back, stay the caller's:
+        # writeable, and sharing no memory with the read-only values.
+        curve = make_ellipse(1.4, 0.9, n=64)
+        values = 2.0 + np.cos(curve.params)
+        returned = 1.0 + np.sin(curve.params)
+        for source, caller in ((values, values), (lambda t: returned, returned)):
+            wc = load_weight(curve, source)
+            assert caller.flags.writeable and not wc.values.flags.writeable
+            assert not np.shares_memory(caller, wc.values)
+            assert wc.values.tobytes() == caller.tobytes()
+        # Arrays and tables are kept as copies: the caller may change its arrays afterwards.
+        table = (curve.params.copy(), returned)
+        for source, arrays in ((values, (values,)), (table, table)):
+            wc, reference = load_weight(curve, source), load_weight(curve, copy.deepcopy(source))
+            for array in arrays:
+                array[:] = 0.0
+            assert wc.sample(128).tobytes() == reference.sample(128).tobytes()
+
+    def test_a_table_is_transformed_once(self, monkeypatch):
+        # load_weight samples the 301-row table at the curve's 1024 nodes and assemble at
+        # 64, 128, ...: one interpolant, so one FFT, serves them all.
+        calls = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: calls.append(1) or fft(*a, **kw))
+        t = np.linspace(0.0, 2 * math.pi, 301, endpoint=False)
+        wc = load_weight(make_ellipse(1.4, 0.9), (t, 1.5 + np.sin(t) * np.cos(3 * t)))
+        matrix = assemble(MagneticField(2.0), 1, wc, K=8)
+        assert matrix.provenance["N_sequence"][0] != 1024
+        assert len(calls) == 1
 
 
 class TestTableIO:
@@ -474,3 +523,17 @@ class TestSampleTails:
     def test_analytic_inputs_have_no_tail(self):
         for weight in (1.0, np.sin):
             assert load_weight(make_ellipse(1.4, 0.9, n=64), weight).sample_tails() == {}
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([0, 2, 1, 3], "parameter column must be strictly increasing"),
+    ([0, 1, 1, 3], "parameter column must be strictly increasing"),
+    ([-0.5, 1, 2, 3], "parameters must lie in [0, 2pi)"),
+    ([0, 1, 2, 7], "parameters must lie in [0, 2pi)"),
+], ids=["decreasing", "repeated", "below-zero", "past-2pi"])
+def test_curve_file_parameter_refusals_name_the_path(tmp_path, rows, message):
+    path = tmp_path / "c.txt"
+    lines = [f"{t} {math.cos(t)} {math.sin(t)} {-math.sin(t)} {math.cos(t)}\n" for t in rows]
+    path.write_text("# jordan-curve v1\n" + "".join(lines))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        load_curve(path)

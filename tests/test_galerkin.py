@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import islice
 
 import numpy as np
@@ -386,3 +387,13 @@ class TestPersistence:
 
                 _, w = multiplicity(F2, q, r)
                 assert all(k <= K for k, _ in w)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: assemble_model(F2, -1, 4, load_weight(make_circle(1.0, n=64), 1.0), +1), "cutoffs must be >= 0"),
+    (lambda: assemble_model(F2, 2, -1, load_weight(make_circle(1.0, n=64), 1.0), +1), "cutoffs must be >= 0"),
+    (lambda: persistence_check(F2, 2, 1.0, Q=1), "level cutoff Q must include the level under study"),
+], ids=["negative-Q", "negative-K", "Q-below-q"])
+def test_refusals_name_their_input(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()

@@ -263,6 +263,12 @@ class TestNodalZeros:
             for k, row in zip(ks.tolist(), rows):
                 assert row.tobytes() == nodal_zeros(q, k).tobytes()
 
+    def test_index_array_below_q_names_the_first_such_k(self):
+        # The scalar door reflects k < q; an array of indices must hold k >= q only.
+        for ks, first in (([1, 2, 3], 1), ([4, 3, 2, 0], 2), ([[3, 5], [0, 4]], 0)):
+            with pytest.raises(ValueError, match=rf"^an array of angular indices needs every k >= q = 3, got k = {first}$"):
+                nodal_zeros(3, np.array(ks))
+
     def test_laguerre_zeros_reads_the_reflection(self):
         for q in range(1, 9):
             for k in range(q):

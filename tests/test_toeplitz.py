@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -363,6 +364,20 @@ class TestTruncation:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    def test_explicit_census_leaves_numpy_ma_unimported(self):
+        # np.unique and np.isin import numpy.ma on their first call in a process (about
+        # 12 ms), which every one-shot `census --explicit` call paid.
+        code = (
+            "import sys\n"
+            "from landaudelta.cli import main\n"
+            "main(['census', '--q', '2', '--explicit', '5'])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout.splitlines()[-1], proc.stderr) == (0, "False", "")
 
     @pytest.mark.parametrize("b", [0.5, 2.0, 4.0])
     def test_circle_and_its_samples_truncate_alike(self, b):
@@ -870,3 +885,20 @@ class TestSerialization:
     def test_csv_header(self):
         res = spectrum(np.eye(2, dtype=complex))
         assert spectrum_to_csv(res).splitlines()[0] == "index,eigenvalue,residual"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: assemble(F2, -1, load_weight(make_circle(1.0, n=64), 1.0)), "level index must be >= 0"),
+    (lambda: assemble(F2, 0, load_weight(make_circle(1.0, n=64), 1.0), K=-1), "truncation K must be >= 0"),
+    (lambda: toeplitz.eigenvalues(np.eye(3)), "eigensolve failed to converge: no convergence"),
+    (lambda: spectrum(np.eye(3)), "eigensolve failed to converge: no convergence"),
+], ids=["negative-q", "negative-K", "eigenvalues-no-convergence", "spectrum-no-convergence"])
+def test_refusals_name_their_input(call, message, monkeypatch):
+    # Solvers that never converge: only the eigensolve doors call them.
+    def no_convergence(m):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()

@@ -11,14 +11,17 @@ they compare equal to the plain 4-tuple of their values.  Each level
 keeps one zero table, grown on demand: the k < q rows are solved once,
 and the parameters k - q >= 0 are appended in blocks of
 ZERO_TABLE_BLOCK = 64, one stacked Jacobi eigensolve per block.
-Completeness uses the strict growth of every zero in the parameter:
-once the smallest zero of L_q^(k-q) exceeds the target no larger k can
-contribute.
+census, multiplicity, multiplicities and the eta curves all read that
+one table; a scalar multiplicity finds its window by bisection over it,
+in Python floats.  Completeness uses the strict growth of every zero in
+the parameter: once the smallest zero of L_q^(k-q) exceeds the target
+no larger k can contribute.
 
 Also provided: the closed-form sets for q = 1, 2, the zero-curve
 functions eta_l(alpha) = sqrt(2 zeta_l(alpha) / b) with their linear
 interpolation at negative parameters (one zeta row per alpha; a table
-solves all its alpha >= 0 in one stacked call), and the scalar
+solves all its alpha >= 0 in one stacked call and reads the rows of
+L_q^(-n), n = 1 .. q - 1, from the level's zero table), and the scalar
 spectral-gap and coupling-threshold constants.
 """
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 
@@ -95,6 +99,9 @@ class _LevelZeros:
     k < q takes one solve per degree, once.  k >= q is appended
     ZERO_TABLE_BLOCK parameters at a time; reach, the smallest zero of the
     last k solved, bounds every zero of the k not yet solved from below.
+    The one table of its level: census and multiplicities read it in
+    array passes, multiplicity by bisection, and the eta curves read the
+    rows k = 1 .. q - 1 (the parameters -n = k - q < 0) from it.
     """
 
     def __init__(self, q: int):
@@ -122,6 +129,16 @@ class _LevelZeros:
             self.ts, self.ks = ts[order], ks[order]
         return self.ts, self.ks
 
+    def negative_rows(self) -> list[np.ndarray]:
+        """Zeros of L_q^(-n), descending, for n = 1 .. q - 1: the table's rows k = q - n, bitwise nodal_zeros(q, q - n).
+
+        Every table holds them from construction, so reading them solves nothing.
+        """
+        low = self.ks < self.q
+        # Stable: each row stays ascending; reversed, rows run k = q - 1, ..., 1, each descending.
+        desc = self.ts[low][np.argsort(self.ks[low], kind="stable")][::-1]
+        return np.split(desc, np.cumsum(np.arange(self.q - 1, 1, -1)))
+
 
 @lru_cache(maxsize=None)
 def _level_zeros(q: int) -> _LevelZeros:
@@ -130,8 +147,13 @@ def _level_zeros(q: int) -> _LevelZeros:
 
 
 def _close(a, b):
-    """The membership rule: |a - b| <= ZERO_MEMBERSHIP_RTOL * max(a, b), for scalars or arrays."""
-    return abs(a - b) <= ZERO_MEMBERSHIP_RTOL * np.maximum(a, b)
+    """The membership rule: |a - b| <= ZERO_MEMBERSHIP_RTOL * max(a, b), for scalars or arrays.
+
+    Two floats take Python's max, which equals np.maximum on finite
+    positive values, so a scalar lookup makes no numpy call.
+    """
+    top = max(a, b) if isinstance(a, float) and isinstance(b, float) else np.maximum(a, b)
+    return abs(a - b) <= ZERO_MEMBERSHIP_RTOL * top
 
 
 _WINDOW_LO, _WINDOW_HI = 1.0 - 2.0 * ZERO_MEMBERSHIP_RTOL, 1.0 + 2.0 * ZERO_MEMBERSHIP_RTOL
@@ -151,10 +173,12 @@ def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tupl
     more, each witness column of the coupling at <= SUPPORT_TOL * max|B|.
     So r = 1 + 1e-10 at b = 2, q = 1 has witness k = 1 here but does not
     persist there (its support_residuals show the 2.6e-10 column).
-    Two bisections of the level's zero table bound the candidates.  When
-    they bracket none, as for almost every radius, the call returns
-    (0, []) at once; otherwise the candidates are read as Python scalars:
-    a call builds no array per radius.  r must be positive and finite,
+    Two bisections of the level's zero table (bisect over a memoryview,
+    no copy; the second starts from the first) bound the candidates.
+    When they bracket none, as for almost every radius, the call returns
+    (0, []) at once; otherwise the candidates are read as Python scalars
+    and _close runs on floats: a call makes no numpy call per candidate.
+    r must be positive and finite,
     and t = b r^2 / 2 at most T_MAX = 1e4: the zero table grows until it
     passes t, so a huge t would tie it up and t = inf would never end.
     multiplicities gives the counts alone for an array of radii in one pass.
@@ -168,10 +192,12 @@ def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tupl
         raise ValueError(f"t = b r^2 / 2 = {t} is past the census limit T_MAX = {T_MAX:g}")
     lo_t, hi_t = _window(t)
     ts, ks = _level_zeros(q).upto(hi_t)
-    lo, hi = ts.searchsorted(lo_t), ts.searchsorted(hi_t)
+    view = memoryview(ts)
+    lo = bisect_left(view, lo_t)
+    hi = bisect_left(view, hi_t, lo)
     if lo == hi:
         return 0, []
-    witnesses = sorted([(k, z) for k, z in zip(ks[lo:hi].tolist(), ts[lo:hi].tolist()) if _close(z, t)])
+    witnesses = sorted([(k, z) for k, z in zip(ks[lo:hi].tolist(), view[lo:hi].tolist()) if _close(z, t)])
     return len(witnesses), witnesses
 
 
@@ -279,32 +305,34 @@ def explicit_D12(field: MagneticField, n_max: int) -> dict[str, list[float]]:
     }
 
 
-@lru_cache(maxsize=None)
-def _zeros_desc_at_negative(q: int, n: int) -> tuple[float, ...]:
-    """Positive zeros of L_q^(-n), descending, via the reflection reduction."""
-    return tuple(nodal_zeros(q, q - n)[::-1].tolist())
-
-
 def _zeta_rows(q: int, alphas: np.ndarray) -> np.ndarray:
     """zeta_1..zeta_q(alpha), the zeros of L_q^(alpha) in descending order, one row per alpha.
 
     Every alpha >= 0 is solved in one stacked call.  A negative alpha
-    within _INT_TOL of an integer -n reads the positive zeros of L_q^(-n);
-    in between, rows are interpolated linearly.  Cells past the end of a
-    shorter row are nan.
+    (alpha >= 1 - q) within _INT_TOL of an integer -n reads the positive
+    zeros of L_q^(-n) from the level's zero table, which solves them once
+    for census, multiplicity and eta alike; in between, rows are
+    interpolated linearly, on (-1, 0) toward the parameter-0 row: one
+    more row of the stacked call, as the table holds it only after its
+    first block.  Cells past the end of a shorter row are nan.
     """
     rows = np.full((alphas.size, q), np.nan)
     nonneg = alphas >= 0
-    if nonneg.any():
-        rows[nonneg] = positive_zeros(q, alphas[nonneg])[:, ::-1]
-    for i in np.flatnonzero(~nonneg).tolist():
+    negative = np.flatnonzero(~nonneg).tolist()
+    params = np.append(alphas[nonneg], [0.0] if negative else [])
+    if params.size:
+        solved = positive_zeros(q, params)[:, ::-1]
+        rows[nonneg] = solved[: np.count_nonzero(nonneg)]
+    if negative:
+        desc = [solved[-1], *_level_zeros(q).negative_rows()]  # L_q^(-n) for n = 0 .. q - 1
+    for i in negative:
         alpha = float(alphas[i])
         if abs(alpha - round(alpha)) <= _INT_TOL:
-            row = np.array(_zeros_desc_at_negative(q, -round(alpha)))
+            row = desc[-round(alpha)]
         else:
             n_hi = math.floor(alpha)  # interval (n_hi, n_hi + 1)
-            lo = np.array(_zeros_desc_at_negative(q, -n_hi))
-            hi = np.array(_zeros_desc_at_negative(q, -n_hi - 1)[: lo.size])
+            lo = desc[-n_hi]
+            hi = desc[-n_hi - 1][: lo.size]
             row = lo + (alpha - n_hi) * (hi - lo)
         rows[i, : row.size] = row
     return rows

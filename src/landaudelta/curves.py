@@ -269,8 +269,6 @@ def _read_table(path, header: str, columns: int) -> np.ndarray:
         raise ValueError(f"{path}: no data rows")
     if table.shape[1] != columns:
         raise ValueError(f"{path}: expected {columns} columns, got {table.shape[1]}")
-    if not np.all(np.isfinite(table)):
-        raise ValueError(f"{path}: non-finite values")
     return table
 
 
@@ -281,6 +279,8 @@ def _write_table(path, header: str, columns) -> None:
 def load_curve(path) -> JordanCurve:
     """Read a sampled curve file (rows t x y dx dy, at least MIN_NODES = 16 of them)."""
     table = _read_table(path, CURVE_HEADER, 5)
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"{path}: non-finite values")
     t = table[:, 0]
     if np.any(np.diff(t) <= 0):
         raise ValueError(f"{path}: parameter column must be strictly increasing")
@@ -312,14 +312,20 @@ def save_weight(params: np.ndarray, values: np.ndarray, path) -> None:
 def load_weight(curve: JordanCurve, source) -> WeightedCurve:
     """Attach a weight to a curve.
 
-    source may be a constant, a weight file path (rows t v), a (t, v)
+    source may be a constant (a Python or numpy integer or float, kept as
+    a Python int or float), a weight file path (rows t v), a (t, v)
     table, an array of values at the curve nodes, or a callable of the
     parameter.  Files, tables and arrays are copied into (t, v) tables:
-    1-D columns of equal length, t strictly increasing on the uniform grid
-    2 pi j / M, interpolated by _PeriodicInterp.  A callable must give one
-    finite value per parameter, shape (n,), at every node count n.
+    1-D columns of equal length, finite, t strictly increasing on the
+    uniform grid 2 pi j / M, interpolated by _PeriodicInterp.  A callable
+    must give one finite value per parameter, shape (n,), at every node
+    count n.
     """
     name = "weight table"
+    if isinstance(source, np.integer):
+        source = int(source)
+    elif isinstance(source, np.floating):
+        source = float(source)
     if isinstance(source, (str, Path)):
         table = _read_table(source, WEIGHT_HEADER, 2)
         name, source = source, (table[:, 0], table[:, 1])
@@ -327,6 +333,8 @@ def load_weight(curve: JordanCurve, source) -> WeightedCurve:
         t, v = (np.array(a, dtype=float) for a in source)
         if t.ndim != 1 or t.shape != v.shape:
             raise ValueError(f"{name}: t and v must be 1-D of equal length, got {t.shape} and {v.shape}")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError(f"{name}: non-finite values")
         if not np.all(np.diff(t) > 0):
             raise ValueError(f"{name}: parameter column must be strictly increasing")
         _require_uniform_grid(name, t)

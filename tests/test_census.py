@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import importlib
+import itertools
 import json
 import math
 import pickle
@@ -226,6 +227,35 @@ class TestMultiplicity:
                     m, w = multiplicity(field, q, r)
                     assert (m, w) == looped_multiplicity(field, q, r)
                     assert all(type(k) is int and type(z) is float for k, z in w)
+
+    @pytest.mark.parametrize("b", (0.5, 2.0, 4.0))
+    def test_bisection_matches_looped_reference_at_every_census_radius(self, b):
+        # Each census radius, the radius moved by 1e-10 relative, and t moved 0.99 and 1.5
+        # membership tolerances either way: hits, edges of the rule and edges of the window.
+        field = MagneticField(b)
+        r_max = math.sqrt(2.0 * 60.0 / b)
+        for q in range(1, 9):
+            for e in census(field, q, r_max):
+                radii = [e.r, e.r * (1.0 - 1e-10), e.r * (1.0 + 1e-10)]
+                for rel in (-1.5, -0.99, 0.99, 1.5):
+                    radii.append(math.sqrt(2.0 * e.t * (1.0 + rel * ZERO_MEMBERSHIP_RTOL) / b))
+                for r in radii:
+                    m, w = multiplicity(field, q, r)
+                    assert (m, w) == looped_multiplicity(field, q, r)
+                    assert type(m) is int and type(w) is list
+                    assert all(type(k) is int and type(z) is float for k, z in w)
+                    assert [k for k, _ in w] == sorted(k for k, _ in w)
+                assert multiplicity(field, q, e.r) == (e.multiplicity, list(e.witnesses))
+
+    def test_random_misses_are_int_zero_and_empty_list(self):
+        rng = np.random.default_rng(11)
+        for b in (0.5, 2.0, 4.0):
+            field = MagneticField(b)
+            for q in range(1, 9):
+                for r in rng.uniform(1e-3, math.sqrt(2.0 * 60.0 / b), size=42).tolist():
+                    assert looped_multiplicity(field, q, r) == (0, [])  # a hit has measure zero
+                    m, w = multiplicity(field, q, r)
+                    assert type(m) is int and m == 0 and type(w) is list and w == []
 
 
 # (b, r) with t = b r^2 / 2 just past T_MAX, far past it, and overflowing to inf from a finite b or r.
@@ -641,6 +671,13 @@ def fresh_table(q: int, cap: float):
     return ts[:n], ks[:n]
 
 
+def clear_census_caches():
+    """Empty every functools cache of the census module, the level zero tables among them."""
+    for obj in vars(census_mod).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+
+
 class TestZeroTable:
     @pytest.mark.parametrize("q", range(1, 17))
     def test_matches_per_k_sweep(self, q):
@@ -673,6 +710,29 @@ class TestZeroTable:
         ts, ks = fresh_table(16, 512.0)
         blocks = (int(ks.max()) - 16) // census_mod.ZERO_TABLE_BLOCK + 1
         assert calls.count(1) == blocks and calls.count(0) == 15
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(("census", "multiplicity", "eta"))))
+    def test_census_multiplicity_and_eta_share_the_k_below_q_solves(self, order, monkeypatch):
+        # The k < q rows of level 16 are 15 scalar solves (k = 0 solves nothing), made once
+        # by whichever consumer reads the table first; every other solve is a stacked call.
+        calls = []
+
+        def counted(q, alpha):
+            calls.append(np.ndim(alpha))
+            return positive_zeros(q, alpha)
+
+        clear_census_caches()
+        monkeypatch.setattr(laguerre_mod, "positive_zeros", counted)
+        alphas = np.arange(-15.0, 4.25, 0.25)
+        run = {
+            "census": lambda: census(F2, 16, 6.0),
+            "multiplicity": lambda: [multiplicity(F2, 16, r) for r in np.linspace(0.1, 6.0, 50).tolist()],
+            "eta": lambda: eta_table_to_csv(F2, 16, alphas),
+        }
+        for name in order:
+            run[name]()
+        assert calls.count(0) == 15
+        clear_census_caches()
 
     @pytest.mark.parametrize("q", (1, 3, 16))
     def test_growth_in_any_order_matches_one_build(self, q):
@@ -720,6 +780,23 @@ class TestEtaTable:
             for q in range(1, 9):
                 alphas = sorted(set(np.arange(1.0 - q, 10.25, 0.5).tolist() + self.ALPHAS_NEAR_EDGES))
                 assert eta_table_to_csv(field, q, alphas) == per_cell_eta_csv(field, q, alphas)
+
+    @pytest.mark.parametrize("q", range(9, 17))
+    def test_table_matches_per_cell_curves_at_high_levels(self, q):
+        # Negative integers -n and the cells between them read the rows of L_q^(-n) from a
+        # cold level's zero table; alpha in (-1, 0) interpolates toward the parameter-0 row.
+        alphas = sorted(set(np.arange(1.0 - q, 8.25, 0.25).tolist() + [-0.9, -0.1, -1e-13] + self.ALPHAS_NEAR_EDGES))
+        for b in (0.5, 1.7, 4.0):
+            field = MagneticField(b)
+            census_mod._level_zeros.cache_clear()
+            text = eta_table_to_csv(field, q, alphas)
+            assert text == per_cell_eta_csv(field, q, alphas)
+            for line, a in zip(text.splitlines()[1:], alphas):
+                cells = line.split(",")[1:]
+                for ell in range(1, q + 1):
+                    if a >= ell - q - 1e-12 and (a < 0 or a == round(a)):
+                        zeta = recursive_zeta(q, ell, max(a, float(ell - q)))
+                        assert cells[ell - 1] == f"{math.sqrt(2.0 * zeta / b):.17g}"
 
     def test_table_matches_per_cell_curves_on_the_verify_grid(self):
         # verify's census-eta-curves reads one table per level at b = 2, alpha = 1 - q, ..., 11.5.

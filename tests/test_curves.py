@@ -132,6 +132,39 @@ class TestWeights:
         with pytest.raises(ValueError):
             load_weight(curve, bad)
 
+    @pytest.mark.parametrize(
+        "scalar, plain",
+        (
+            (np.int64(2), 2),
+            (np.int32(-3), -3),
+            (np.uint8(0), 0),
+            (np.float32(2.0), 2.0),
+            (np.float32(0.1), float(np.float32(0.1))),
+            (np.float16(-0.5), -0.5),
+            (np.float64(2.5), 2.5),
+        ),
+    )
+    def test_numpy_scalar_is_its_python_constant(self, scalar, plain):
+        for curve in (make_circle(1.0, n=64), make_ellipse(1.3, 0.8, n=64)):
+            wc, ref = load_weight(curve, scalar), load_weight(curve, plain)
+            assert type(wc.source) is type(plain) and wc.source == plain
+            assert wc.values.tobytes() == ref.values.tobytes()
+            assert wc.sign_class == ref.sign_class and wc.describe() == ref.describe()
+            assert wc.sample(97).tobytes() == ref.sample(97).tobytes()
+
+    def test_zero_dim_array_is_still_refused_as_an_array(self):
+        with pytest.raises(ValueError, match=re.escape("weight array must have one value per curve node (64), got ()")):
+            load_weight(make_circle(1.0, n=64), np.array(2.0))
+
+    @pytest.mark.parametrize("column", (0, 1))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_table_names_the_table(self, column, bad):
+        t = np.linspace(0.0, 2 * math.pi, 40, endpoint=False)
+        table = [t, 1.0 + 0.5 * np.sin(t)]
+        table[column][5] = bad
+        with pytest.raises(ValueError, match="^weight table: non-finite values$"):
+            load_weight(make_circle(1.0, n=64), tuple(table))
+
     def test_file_roundtrip(self, tmp_path):
         curve = make_circle(1.0, n=128)
         t = np.linspace(0.0, 2 * math.pi, 60, endpoint=False)
@@ -530,7 +563,8 @@ class TestSampleTails:
     ([0, 1, 1, 3], "parameter column must be strictly increasing"),
     ([-0.5, 1, 2, 3], "parameters must lie in [0, 2pi)"),
     ([0, 1, 2, 7], "parameters must lie in [0, 2pi)"),
-], ids=["decreasing", "repeated", "below-zero", "past-2pi"])
+    ([0, 1, math.nan, 3], "non-finite values"),
+], ids=["decreasing", "repeated", "below-zero", "past-2pi", "non-finite"])
 def test_curve_file_parameter_refusals_name_the_path(tmp_path, rows, message):
     path = tmp_path / "c.txt"
     lines = [f"{t} {math.cos(t)} {math.sin(t)} {-math.sin(t)} {math.cos(t)}\n" for t in rows]

@@ -317,9 +317,10 @@ def load_weight(curve: JordanCurve, source) -> WeightedCurve:
     table, an array of values at the curve nodes, or a callable of the
     parameter.  Files, tables and arrays are copied into (t, v) tables:
     1-D columns of equal length, finite, t strictly increasing on the
-    uniform grid 2 pi j / M, interpolated by _PeriodicInterp.  A callable
-    must give one finite value per parameter, shape (n,), at every node
-    count n.
+    uniform grid 2 pi j / M, interpolated by _PeriodicInterp; a non-finite
+    value is refused naming its source ("weight array", "weight table" or
+    the file's path).  A callable must give one finite value per
+    parameter, shape (n,), at every node count n.
     """
     name = "weight table"
     if isinstance(source, np.integer):
@@ -343,5 +344,7 @@ def load_weight(curve: JordanCurve, source) -> WeightedCurve:
         v = np.array(source, dtype=float)
         if v.shape != (curve.n_nodes,):
             raise ValueError(f"weight array must have one value per curve node ({curve.n_nodes}), got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("weight array: non-finite values")
         source = (curve.params.copy(), v)
     return WeightedCurve(curve, source)

@@ -230,6 +230,14 @@ def persistence_check(
     census.multiplicity, asked before the default K, so t = b r^2 / 2 past
     census.T_MAX raises its ValueError; a default K that finds no tail
     below toeplitz.MAX_TRUNCATION raises too (pass K).
+
+    Memory: about three dense complex arrays of the model's size
+    n = (Q + 1)(K + 1) at once, 16 n^2 bytes each.  The circle kernel
+    holds three while it builds the coupling; then the coupling, one
+    Hamiltonian and LAPACK's copy of it are alive, as the sign +1 model
+    is dropped before the sign -1 Hamiltonian is built and the Hermitian
+    check reads row blocks.  At q = 40, r = 5 (n = 6,149) that is about
+    3 x 605 MB.
     """
     if q < 1:
         raise ValueError("persistence_check requires q >= 1")
@@ -247,15 +255,18 @@ def persistence_check(
     witness_ks = tuple(k for k, _ in witnesses)
     if any(k > K for k in witness_ks):
         raise ValueError(f"census witness k = {max(witness_ks)} of level {q} lies beyond K = {K}")
-    # One coupling serves both signs.
+    # One coupling serves both signs.  Only it outlives the sign +1 model,
+    # so one Hamiltonian is alive per eigensolve.
     plus = assemble_model(field, Q, K, wc, +1, N=N, check_resolution=False)
-    columns = plus.coupling[:, [flat_index(q, k, K) for k in witness_ks]]
-    residuals = np.linalg.norm(columns, axis=0) / (np.max(np.abs(plus.coupling)) or 1.0)
+    coupling, plus_values = plus.coupling, eigenvalues(plus.matrix)
+    del plus
+    columns = coupling[:, [flat_index(q, k, K) for k in witness_ks]]
+    residuals = np.linalg.norm(columns, axis=0) / (np.max(np.abs(coupling)) or 1.0)
     lam_q = field.landau_level(q)
     details: dict = {"Lambda_q": lam_q, "Q": Q, "K": K}
     for sign in (+1, -1):
-        matrix = plus.matrix if sign > 0 else _hamiltonian(field, Q, K, plus.coupling, sign)
-        offsets = np.abs(eigenvalues(matrix) - lam_q)
+        values = plus_values if sign > 0 else eigenvalues(_hamiltonian(field, Q, K, coupling, sign))
+        offsets = np.abs(values - lam_q)
         details[f"sign_{'+' if sign > 0 else '-'}"] = {
             "near_count": int(np.sum(offsets < EXACT_HIT_TOL)),
             "min_offset": float(np.min(offsets)),

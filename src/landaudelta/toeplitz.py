@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -71,8 +72,10 @@ ADAPTIVE_DELTA_RTOL = 1e-14
 ADAPTIVE_NODE_CAP = 8192
 TAIL_RELATIVE_CUTOFF = 1e-16
 MAX_TRUNCATION = 512
-# Cells (angular indices x node moduli) per truncation sweep block: 64 KiB temporaries.
-TRUNCATION_CELLS = 8192
+# Cells per block of a blocked pass: angular indices x node moduli in the
+# truncation sweep, matrix entries in a _blockwise_max read.  It bounds
+# each pass's temporaries at 64 KiB per float and 128 KiB per complex array.
+BLOCK_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_re
     reads magnitudes only (basis._log_abs) over the distinct moduli t_j = b|x_j|^2/2
     of the nodes of curve.points, or of the single node (r, 0) on a circle, in
     blocks of angular indices that start at 8 (q + 1 + ceil(max t_j)) and
-    double, each at most max(1, TRUNCATION_CELLS // moduli) indices: a circle
+    double, each at most max(1, BLOCK_CELLS // moduli) indices: a circle
     evaluates a few rows past its K, not all MAX_TRUNCATION.  Past k = q + max t_j,
     q+1 consecutive k with P_q(k) below tail_rel times the running maximum
     certify the tail, and K is the index before them: at most q diagonals
@@ -156,7 +159,7 @@ def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_re
     t_peak = float(t[-1])
     log_cut = math.log(tail_rel)
     best, below = -math.inf, 0
-    cap = max(1, TRUNCATION_CELLS // t.size)
+    cap = max(1, BLOCK_CELLS // t.size)
     start, rows = 0, 8 * (q + 1 + math.ceil(min(t_peak, MAX_TRUNCATION)))  # 8 rows per index before the stop can start
     while start < MAX_TRUNCATION:
         ks = np.arange(start, min(start + min(rows, cap), MAX_TRUNCATION))
@@ -194,6 +197,22 @@ def _quadrature_sums(field: MagneticField, levels, K: int, wc: WeightedCurve, n:
         m = 0.5 * (m + weighted_sum(points[1::2], 2.0 * (wc.sample(n) * ds)[1::2]))
 
 
+def _harmonic_toeplitz(fold: np.ndarray, rows: int, K: int) -> np.ndarray:
+    """The (rows (K+1))^2 table fold[span + m_l - m_k], m = k - j, over consecutive levels j.
+
+    A copy of a strided view of fold, whose middle entry is the harmonic
+    difference 0: m_l - m_k falls by one along k and j', and rises by one
+    along k' and j.  So no index table is built or read.  The copy is
+    returned unnamed, so numpy may evaluate the product it enters in place.
+    """
+    dim, step = rows * (K + 1), fold.strides[0]
+    # A view from the ndarray constructor: as_strided costs microseconds more per call.
+    view = np.ndarray((rows, K + 1, rows, K + 1), fold.dtype, fold, fold.size // 2 * step, (step, -step, -step, step))
+    table = np.empty((dim, dim), dtype=fold.dtype)
+    table.reshape(view.shape)[...] = view
+    return table
+
+
 def _circle_sums(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int):
     """The same trapezoid sums on an origin-centred circle at n, 2n, 4n, ... nodes.
 
@@ -201,24 +220,41 @@ def _circle_sums(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int
     m = k - j and v_hat = FFT(weight samples)/n; the amplitudes do not
     depend on n, so each doubling costs one further FFT of wc.sample(n),
     with no curve rebuilt.  v_hat is folded per n onto the 2 span + 1
-    harmonic differences and read through one table of offsets
-    m_l - m_k + span, so no size takes a mod over all dim^2 shifts.  At
-    most three dense complex arrays are alive per size.  Keep the product
-    as written: numpy may evaluate it in place with the operands swapped,
-    and hand-written in-place forms round differently at some sizes.
+    harmonic differences, and _harmonic_toeplitz spreads the fold over the
+    block-Toeplitz pattern of the levels (consecutive, as every caller's
+    are), so no size takes a mod over all dim^2 shifts and no index table
+    is held.  At most three dense complex arrays are alive per size:
+    scaled, the matrix and the conjugate transpose it adds.  Keep the
+    product as written: numpy may evaluate it in place with the operands
+    swapped, and hand-written in-place forms round differently at some
+    sizes.
     """
     log_lam, phase, m = _circle_amplitudes(field, levels, np.arange(K + 1), dict(wc.curve.meta)["r"])
     d = np.exp(0.5 * log_lam) * phase
     scaled = d[:, None] * d.conj()[None, :]
     span = int(m.max() - m.min())
-    offsets = m[None, :] - m[:, None] + span  # m_l - m_k + span, in 0..2 span
     while True:
         vhat = np.fft.fft(wc.sample(n)) / n
-        mat = scaled * vhat[np.arange(-span, span + 1) % n][offsets]
+        mat = scaled * _harmonic_toeplitz(vhat[np.arange(-span, span + 1) % n], len(levels), K)
         mat += mat.conj().T
         mat *= 0.5
         yield mat
         n *= 2
+
+
+def _blockwise_max(a: np.ndarray, modulus) -> float:
+    """max of modulus(rows) over row blocks of a of at most BLOCK_CELLS entries (one row at least).
+
+    modulus(rows) gives the |.| values of the rows of one block, so the
+    dense temporaries are one block's, not the matrix's.  The max is
+    exact, hence bitwise the whole-matrix expression's, a NaN included.
+    A matrix of one block is read in one call, with no per-block overhead.
+    """
+    step = max(1, BLOCK_CELLS // a.shape[1])
+    if step >= a.shape[0]:
+        return float(np.max(modulus(slice(None))))
+    maxima = (np.max(modulus(slice(i, i + step))) for i in range(0, a.shape[0], step))
+    return float(reduce(np.maximum, maxima))  # np.maximum, unlike max(), keeps a NaN wherever it falls
 
 
 def _start_nodes(levels, K: int) -> int:
@@ -265,7 +301,7 @@ def _compress(field: MagneticField, levels, K: int, wc: WeightedCurve, N: int | 
         fine = next(sums)
         scale = np.max(np.abs(entries))
         sizes.append(n)
-        deltas.append(float(np.max(np.abs(fine - entries))))
+        deltas.append(_blockwise_max(fine, lambda rows: np.abs(fine[rows] - entries[rows])))
         if not adaptive or deltas[-1] <= ADAPTIVE_DELTA_RTOL * scale or n >= ADAPTIVE_NODE_CAP:
             break
         entries, n = fine, 2 * n
@@ -319,20 +355,30 @@ class SpectrumResult:
 
 
 def _hermitian_solve(matrix: ToeplitzMatrix | np.ndarray, solver):
-    """(entries, solver(entries)) for a nonempty finite matrix, Hermitian to 1e-12 * max|M| (a zero matrix is).
+    """(entries, solver(entries)) for a nonempty finite square matrix, Hermitian to 1e-12 * max|M| (a zero matrix is).
 
-    The defect max|M - conj(M^T)| is read from a contiguous conj(M^T)
+    Anything but a square 2-D array raises ValueError naming its shape.
+    max|M| and the defect max|M - conj(M^T)| are read in row blocks by
+    _blockwise_max, each defect block from a contiguous conj(M^T) block
     overwritten by the difference: the same numbers as the plain
-    expression, without its strided pass over a transposed view.
+    expressions, without their strided pass over a transposed view, and
+    with no dense temporary beyond one block.  So the solver's own copy
+    of M for LAPACK is the one model-sized array the door adds.
     """
     m = matrix.entries if isinstance(matrix, ToeplitzMatrix) else np.asarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix must be a square 2-D array, got shape {m.shape}")
     if m.size == 0:
         raise ValueError("empty matrix")
-    scale = float(np.max(np.abs(m)))  # NaN or inf exactly when some entry is
+    scale = _blockwise_max(m, lambda rows: np.abs(m[rows]))  # NaN or inf exactly when some entry is
     if not math.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    defect = np.conj(m.T, order="C")
-    if float(np.max(np.abs(np.subtract(m, defect, out=defect)))) > 1e-12 * scale:
+
+    def defect(rows):
+        adjoint = np.conj(m[:, rows].T, order="C")
+        return np.abs(np.subtract(m[rows], adjoint, out=adjoint))
+
+    if _blockwise_max(m, defect) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian")
     try:
         return m, solver(m)

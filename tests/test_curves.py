@@ -165,6 +165,13 @@ class TestWeights:
         with pytest.raises(ValueError, match="^weight table: non-finite values$"):
             load_weight(make_circle(1.0, n=64), tuple(table))
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_array_names_the_array(self, bad):
+        v = np.ones(64)
+        v[5] = bad
+        with pytest.raises(ValueError, match="^weight array: non-finite values$"):
+            load_weight(make_circle(1.0, n=64), v)
+
     def test_file_roundtrip(self, tmp_path):
         curve = make_circle(1.0, n=128)
         t = np.linspace(0.0, 2 * math.pi, 60, endpoint=False)

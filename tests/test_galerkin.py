@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -294,6 +295,35 @@ class TestPersistence:
             vals = np.linalg.eigvalsh(original(F2, Q, K, wc, sign, check_resolution=False).matrix)
             offset = float(np.min(np.abs(vals - F2.landau_level(1))))
             assert res.details[f"sign_{'+' if sign > 0 else '-'}"]["min_offset"] == offset
+
+    def test_peak_is_about_three_model_matrices(self, peak_matrices):
+        # A model of dimension 405 = (q + 3)(K + 1): the circle kernel's
+        # three dense arrays set the peak, and one Hamiltonian at a time
+        # with the blocked Hermitian check stays below it.  With a second
+        # Hamiltonian, whole-matrix checks and an int64 offset table the
+        # peak read 4.5.
+        field, r = MagneticField(4.0), 2.3700854867581373
+        warm = persistence_check(field, 6, r)  # census and Laguerre tables outside the measurement
+        res, peak = peak_matrices(lambda: persistence_check(field, 6, r), 405)
+        assert (res.details["Q"] + 1) * (res.details["K"] + 1) == 405
+        assert res.to_json() == warm.to_json()
+        assert peak <= 3.25
+
+    def test_one_hamiltonian_alive_per_eigensolve(self, monkeypatch, peak_matrices):
+        # When each diagnostic eigensolve starts, the coupling and that
+        # sign's Hamiltonian are alive, not the other sign's as well.
+        alive = []
+
+        def recording(matrix):
+            alive.append(tracemalloc.get_traced_memory()[0] / (16 * matrix.size))
+            return toeplitz.eigenvalues(matrix)
+
+        monkeypatch.setattr(galerkin, "eigenvalues", recording)
+        field, r = MagneticField(4.0), 2.3700854867581373
+        persistence_check(field, 6, r)
+        alive.clear()
+        peak_matrices(lambda: persistence_check(field, 6, r), 405)
+        assert len(alive) == 2 and max(alive) <= 2.25
 
     def test_requires_positive_level(self):
         with pytest.raises(ValueError):

@@ -18,9 +18,9 @@ from landaudelta.curves import JordanCurve, arclength_rule, load_weight, make_ci
 from landaudelta.galerkin import assemble_model, model_truncation, persistence_check
 from landaudelta.laguerre import LaguerreSpec, laguerre_eval, laguerre_eval_batch, positive_zeros
 from landaudelta.toeplitz import (
+    BLOCK_CELLS,
     MAX_TRUNCATION,
     RESOLUTION_DELTA_TOL,
-    TRUNCATION_CELLS,
     ToeplitzMatrix,
     _circle_sums,
     _quadrature_sums,
@@ -291,7 +291,7 @@ class TestTruncation:
                     assert ks[1] < ks[0]
 
     def test_sweep_blocks_fit_the_cell_budget(self, monkeypatch):
-        # Each Laguerre evaluation of the sweep covers at most TRUNCATION_CELLS
+        # Each Laguerre evaluation of the sweep covers at most BLOCK_CELLS
         # (angular index, modulus) cells, or one row, and each modulus once.
         calls = []
 
@@ -306,7 +306,7 @@ class TestTruncation:
             default_truncation(F2, q, curve)
         assert len(calls) > 2
         for shape, t in calls:
-            assert math.prod(shape) <= TRUNCATION_CELLS or shape[0] == 1
+            assert math.prod(shape) <= BLOCK_CELLS or shape[0] == 1
             assert np.unique(t).size == t.size
 
     def test_circle_sweep_stops_within_its_first_blocks(self, monkeypatch):
@@ -484,7 +484,7 @@ class TestCircleKernel:
                     assert fine.tobytes() == reference(field, levels, K, wc, 256).tobytes()
         # A weight table and an array weight, dims of 300 to 405, and n = 16
         # below the harmonic span of levels 0..8 (m from -8 to 44), where the
-        # offset table's fold must match shift % size.
+        # fold must match shift % size.
         grid = np.linspace(0.0, 2 * math.pi, 97, endpoint=False)
         table = (grid, 1.5 + np.sin(grid) * np.cos(3 * grid))
         array = 1.0 + 0.3 * np.cos(np.linspace(0.0, 2 * math.pi, 128, endpoint=False)) ** 3
@@ -806,6 +806,26 @@ class TestEigenvalues:
             with pytest.raises(ValueError, match=message):
                 door(matrix)
 
+    @pytest.mark.parametrize(
+        "shape", [(2, 3), (3, 2), (0, 3), (3,), (), (2, 2, 2)], ids=["2x3", "3x2", "0x3", "vector", "scalar", "stack"]
+    )
+    def test_refuses_all_but_square_two_dimensional_arrays(self, shape):
+        for door in (toeplitz.eigenvalues, spectrum):
+            with pytest.raises(ValueError, match=re.escape(f"matrix must be a square 2-D array, got shape {shape}")):
+                door(np.ones(shape, dtype=complex))
+
+    def test_allocates_one_block_beyond_its_input(self, peak_matrices):
+        # LAPACK's own copy of the matrix is not traced; max|M| and the
+        # Hermitian defect read one row block at a time.  Reading each
+        # as a whole-matrix expression came to 1.5 matrices.
+        rng = np.random.default_rng(531)
+        a = rng.standard_normal((531, 531)) + 1j * rng.standard_normal((531, 531))
+        m = 0.5 * (a + a.conj().T)
+        expected = np.linalg.eigvalsh(m)[::-1]
+        vals, peak = peak_matrices(lambda: toeplitz.eigenvalues(m), 531)
+        assert vals.tobytes() == expected.tobytes()
+        assert peak <= 0.25
+
 
 class TestHermitianGuard:
     @pytest.mark.parametrize("dim", [24, 392])
@@ -827,6 +847,34 @@ class TestHermitianGuard:
         for bad in (np.nan, np.inf):
             broken = m.copy()
             broken[7, 3] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                toeplitz.eigenvalues(broken)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_row_blocks_read_the_last_block_and_keep_the_bound(self, factor):
+        # 392 rows in blocks of BLOCK_CELLS // 392 = 20, the last one
+        # partial.  The only defect is an imaginary part on the last
+        # diagonal entry, which no row but the last reads: |M - M^H| there
+        # is twice it, factor x the 1e-12 max|M| bound.
+        dim = 392
+        assert 1 < BLOCK_CELLS // dim < dim and dim % (BLOCK_CELLS // dim)
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = 0.5 * (a + a.conj().T)
+        m[-1, -1] += 0.5j * factor * 1e-12 * float(np.max(np.abs(m)))
+        defect = np.abs(m - m.conj().T)
+        assert np.count_nonzero(defect) == 1
+        rejected = float(np.max(defect)) > 1e-12 * float(np.max(np.abs(m)))
+        assert rejected == (factor > 1.0)
+        for door in (toeplitz.eigenvalues, spectrum):
+            if rejected:
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    door(m)
+            else:
+                door(m)
+        for bad in (np.nan, np.inf):
+            broken = m.copy()
+            broken[-1, -1] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 toeplitz.eigenvalues(broken)
 

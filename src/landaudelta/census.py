@@ -5,17 +5,18 @@ positive zero of some L_q^(k-q), k = 0, 1, 2, ...; the number of such k
 is the kernel dimension m_q(r) of the level-q interaction operator.  The
 census enumerates all resonant radii up to a bound by sweeping k,
 working throughout in the scale-free variable t and converting to r at
-the end; t past T_MAX = 1e4 is refused with a ValueError.  Entries are
+the end.  A level q is an integer >= 1; t past T_MAX = 1e4, or a table
+past TABLE_CELLS_MAX, is refused before any table work.  Entries are
 immutable named tuples (r, t, multiplicity, witnesses): they unpack, and
 they compare equal to the plain 4-tuple of their values.  Each level
 keeps one zero table, grown on demand: the k < q rows are solved once,
 and the parameters k - q >= 0 are appended in blocks of
 ZERO_TABLE_BLOCK = 64, one stacked Jacobi eigensolve per block.
 census, multiplicity, multiplicities and the eta curves all read that
-one table; a scalar multiplicity finds its window by bisection over it,
-in Python floats.  Completeness uses the strict growth of every zero in
-the parameter: once the smallest zero of L_q^(k-q) exceeds the target
-no larger k can contribute.
+one table; census builds its entries in C-level passes, and a scalar
+multiplicity bisects the table's memoryviews, in Python floats.
+Completeness uses the strict growth of every zero in the parameter: once
+the smallest zero of L_q^(k-q) exceeds the target no larger k can contribute.
 
 Also provided: the closed-form sets for q = 1, 2, the zero-curve
 functions eta_l(alpha) = sqrt(2 zeta_l(alpha) / b) with their linear
@@ -29,9 +30,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from bisect import bisect_left
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -44,11 +46,17 @@ ZERO_MEMBERSHIP_RTOL = 1e-9
 ZERO_TABLE_BLOCK = 64
 # Largest t = b r^2 / 2 that census and multiplicity accept.  At q = 1 a table
 # for t = 1e8 was still growing after 5 s, and one for t = inf never stops.
-# The limit is on t alone: a level-q table reaching t holds about q t zeros
-# and costs more than linearly in q (t = 1e4 on 2 cores: q = 20 in 0.22 s,
-# q = 40 in 1.13 s), so a large q can still be slow below it.  Tests, demos
-# and verify stay below t = 850.
+# The limit is on t alone; TABLE_CELLS_MAX bounds what a large q costs below
+# it.  Tests, demos and verify stay below t = 850.
 T_MAX = 1e4
+# Largest q^2 (sqrt(q) + sqrt(t))^2 that census and multiplicity accept: the
+# Jacobi-matrix cells a level-q table solves to reach t (its smallest zero
+# passes t near k = (sqrt(q) + sqrt(t))^2, each k a q x q matrix; the q^3 term
+# covers the k < q rows).  Cold builds at the bound, one BLAS thread on 2 cores,
+# took 1.1 to 2.0 s (q = 51 at T_MAX 1.5 s, q = 70 to t = 4883 1.8 to 2.0 s).
+# q <= 51 reaches T_MAX, q = 300 reaches t = 0.88, and q >= 311 is refused, by
+# the eta curves too wherever an alpha < 0 would read the table's q^3 cells.
+TABLE_CELLS_MAX = 3e7
 
 __all__ = [
     "CensusEntry",
@@ -93,6 +101,10 @@ class CensusEntry(namedtuple("CensusEntry", "r t multiplicity witnesses")):
         return entry
 
 
+# An entry from its 4-tuple of values, unchecked: census's groups hold their own witnesses.
+_entry = partial(tuple.__new__, CensusEntry)
+
+
 class _LevelZeros:
     """Positive zeros of L_q^(k-q) over every k solved so far, sorted by t, ties by ascending k.
 
@@ -100,8 +112,9 @@ class _LevelZeros:
     ZERO_TABLE_BLOCK parameters at a time; reach, the smallest zero of the
     last k solved, bounds every zero of the k not yet solved from below.
     The one table of its level: census and multiplicities read it in
-    array passes, multiplicity by bisection, and the eta curves read the
-    rows k = 1 .. q - 1 (the parameters -n = k - q < 0) from it.
+    array passes, and the eta curves read the rows k = 1 .. q - 1 (the
+    parameters -n = k - q < 0) from it.  t_view and k_view, memoryviews
+    of ts and ks set wherever those are replaced, serve multiplicity.
     """
 
     def __init__(self, q: int):
@@ -109,6 +122,7 @@ class _LevelZeros:
         zeros = [nodal_zeros(q, k) for k in range(q)]
         self.ts = np.concatenate([np.empty(0), *zeros])
         self.ks = np.repeat(np.arange(q), [z.size for z in zeros])
+        self.t_view, self.k_view = memoryview(self.ts), memoryview(self.ks)
         self.next_k = q
         self.reach = 0.0  # every zero is positive, so nothing is certified yet
 
@@ -127,6 +141,7 @@ class _LevelZeros:
             # Stable: ties keep the table's order, ascending k, as every new k is larger.
             order = np.argsort(ts, kind="stable")
             self.ts, self.ks = ts[order], ks[order]
+            self.t_view, self.k_view = memoryview(self.ts), memoryview(self.ks)
         return self.ts, self.ks
 
     def negative_rows(self) -> list[np.ndarray]:
@@ -164,6 +179,25 @@ def _window(t):
     return t * _WINDOW_LO, t * _WINDOW_HI
 
 
+def _check_level(q, message: str) -> None:
+    """Refuse a q that is not an integer (bool and str included) by name, and an integer q < 1 with message."""
+    # type(q) is int first: the ABC check alone costs about 1 us a call.
+    if type(q) is not int and (isinstance(q, bool) or not isinstance(q, numbers.Integral)):
+        raise ValueError(f"level q must be an integer, got {q!r}")
+    if q < 1:
+        raise ValueError(message)
+
+
+def _check_reach(q: int, t: float, radius: str) -> None:
+    """Refuse t = b radius^2 / 2 past T_MAX, and a level-q table to t past TABLE_CELLS_MAX, before any table work."""
+    if not t <= T_MAX:
+        raise ValueError(f"t = b {radius}^2 / 2 = {t} is past the census limit T_MAX = {T_MAX:g}")
+    # The exact integer q^3 first: past about q = 1e154 the float product would overflow.
+    if int(q) ** 3 > TABLE_CELLS_MAX or q * q * (math.sqrt(q) + math.sqrt(t)) ** 2 > TABLE_CELLS_MAX:
+        raise ValueError(f"q = {q} at t = b {radius}^2 / 2 = {t} is past the census limit "
+                         f"q^2 (sqrt(q) + sqrt(t))^2 <= TABLE_CELLS_MAX = {TABLE_CELLS_MAX:g}")
+
+
 def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tuple[int, float]]]:
     """m_q(r) together with the witnessing (k, zero) pairs, in ascending k as census lists them.
 
@@ -173,31 +207,33 @@ def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tupl
     more, each witness column of the coupling at <= SUPPORT_TOL * max|B|.
     So r = 1 + 1e-10 at b = 2, q = 1 has witness k = 1 here but does not
     persist there (its support_residuals show the 2.6e-10 column).
-    Two bisections of the level's zero table (bisect over a memoryview,
-    no copy; the second starts from the first) bound the candidates.
+    Two bisections of the table's memoryviews (the second starts from the
+    first) bound the candidates, once upto has grown the table past them.
     When they bracket none, as for almost every radius, the call returns
-    (0, []) at once; otherwise the candidates are read as Python scalars
-    and _close runs on floats: a call makes no numpy call per candidate.
-    r must be positive and finite,
-    and t = b r^2 / 2 at most T_MAX = 1e4: the zero table grows until it
-    passes t, so a huge t would tie it up and t = inf would never end.
+    (0, []) at once; otherwise the candidates are read from the views as
+    Python scalars, _close runs on floats, and only several are sorted: a
+    warm call makes no numpy call.  r must be positive and finite, and
+    t = b r^2 / 2 within T_MAX and TABLE_CELLS_MAX (_check_reach): the
+    table grows until it passes t, so a huge t would tie it up and t = inf
+    would never end.
     multiplicities gives the counts alone for an array of radii in one pass.
     """
-    if q < 1:
-        raise ValueError("multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")
+    _check_level(q, "multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")
     if not 0 < r < math.inf:
         raise ValueError(f"radius must be positive and finite, got {r}")
     t = 0.5 * field.b * r * r
-    if not t <= T_MAX:
-        raise ValueError(f"t = b r^2 / 2 = {t} is past the census limit T_MAX = {T_MAX:g}")
+    _check_reach(q, t, "r")
     lo_t, hi_t = _window(t)
-    ts, ks = _level_zeros(q).upto(hi_t)
-    view = memoryview(ts)
-    lo = bisect_left(view, lo_t)
-    hi = bisect_left(view, hi_t, lo)
+    table = _level_zeros(q)
+    table.upto(hi_t)
+    ts, ks = table.t_view, table.k_view
+    lo = bisect_left(ts, lo_t)
+    hi = bisect_left(ts, hi_t, lo)
     if lo == hi:
         return 0, []
-    witnesses = sorted([(k, z) for k, z in zip(ks[lo:hi].tolist(), view[lo:hi].tolist()) if _close(z, t)])
+    if hi - lo == 1:  # most hits: one candidate needs no list or sort
+        return (1, [(ks[lo], ts[lo])]) if _close(ts[lo], t) else (0, [])
+    witnesses = sorted([(k, z) for k, z in zip(ks[lo:hi], ts[lo:hi]) if _close(z, t)])
     return len(witnesses), witnesses
 
 
@@ -207,25 +243,22 @@ def multiplicities(field: MagneticField, q: int, radii) -> np.ndarray:
     One array pass: the level's zero table grows once, to the largest t,
     two searchsorted calls bracket every radius's candidates with the
     window multiplicity uses, and _close runs only on the radii whose
-    window holds a zero.  The input is checked as multiplicity checks it
-    (q >= 1, radii positive and finite, t = b r^2 / 2 at most T_MAX),
-    with the same messages, naming the first bad radius.  An empty input
-    gives an empty array.
+    window holds a zero.  The input is checked as multiplicity checks it,
+    with the same messages, naming the first bad radius (the largest t for
+    TABLE_CELLS_MAX).  An empty input gives an empty array.
     """
-    if q < 1:
-        raise ValueError("multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")
+    _check_level(q, "multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")
     r = np.asarray(radii, dtype=float)
     bad = ~((0 < r) & (r < math.inf))
     if bad.any():
         raise ValueError(f"radius must be positive and finite, got {float(r[bad][0])}")
-    with np.errstate(over="ignore"):  # a finite r may still overflow t; refused next
-        t = 0.5 * field.b * r * r
-    past = ~(t <= T_MAX)
-    if past.any():
-        raise ValueError(f"t = b r^2 / 2 = {float(t[past][0])} is past the census limit T_MAX = {T_MAX:g}")
     counts = np.zeros(r.shape, dtype=int)
     if not r.size:
         return counts
+    with np.errstate(over="ignore"):  # a finite r may still overflow t; refused next
+        t = 0.5 * field.b * r * r
+    past = ~(t <= T_MAX)
+    _check_reach(q, float(t[past][0] if past.any() else t.max()), "r")
     lo_t, hi_t = _window(t)
     ts, _ = _level_zeros(q).upto(float(hi_t.max()))
     lo, hi = ts.searchsorted(lo_t), ts.searchsorted(hi_t)
@@ -240,16 +273,16 @@ def census(field: MagneticField, q: int, r_max: float) -> list[CensusEntry]:
     Radii whose t values agree to relative 1e-9 are merged and their
     witnesses pooled, in ascending k as multiplicity lists them; distinct
     entries stay strictly ordered.  r_max must be positive and finite,
-    with t = b r_max^2 / 2 at most T_MAX = 1e4: the sweep grows the zero
-    table until it passes that t.
+    with t = b r_max^2 / 2 within T_MAX and TABLE_CELLS_MAX: the sweep
+    grows the zero table until it passes that t.  The entries come from
+    maps over zipped lists, so a census makes the same calls from Python
+    at any size, but for one sort per radius of several witnesses.
     """
-    if q < 1:
-        raise ValueError("census is defined for q >= 1; the q = 0 kernel is always trivial")
+    _check_level(q, "census is defined for q >= 1; the q = 0 kernel is always trivial")
     if not 0 < r_max < math.inf:
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
     t_max = 0.5 * field.b * r_max * r_max
-    if not t_max <= T_MAX:
-        raise ValueError(f"t = b r_max^2 / 2 = {t_max} is past the census limit T_MAX = {T_MAX:g}")
+    _check_reach(q, t_max, "r_max")
     cap = t_max * (1.0 + ZERO_MEMBERSHIP_RTOL)
     ts, ks = _level_zeros(q).upto(cap)
     n = int(np.searchsorted(ts, cap, side="right"))
@@ -261,14 +294,12 @@ def census(field: MagneticField, q: int, r_max: float) -> list[CensusEntry]:
     counts = np.diff(np.append(starts, n))
     t_mean = np.add.reduceat(ts, starts) / counts
     r = np.sqrt(2.0 * t_mean / field.b)
-    group = np.repeat(np.arange(starts.size), counts)
-    order = np.lexsort((ts, ks, group))
-    witnesses = tuple(zip(ks[order].tolist(), ts[order].tolist()))
-    # Each group holds its own witnesses, so the entries skip the constructor's check.
-    return [
-        tuple.__new__(CensusEntry, (r_i, t_i, m, witnesses[lo : lo + m]))
-        for r_i, t_i, lo, m in zip(r.tolist(), t_mean.tolist(), starts.tolist(), counts.tolist())
-    ]
+    pairs, lo, m = list(zip(ks.tolist(), ts.tolist())), starts.tolist(), counts.tolist()
+    witnesses = list(zip(map(pairs.__getitem__, lo)))  # ((k, t),): each group's first zero
+    # A group of several zeros lists them by (k, t): ascending k, as multiplicity does.
+    for i in np.flatnonzero(counts > 1).tolist():
+        witnesses[i] = tuple(sorted(pairs[lo[i] : lo[i] + m[i]]))
+    return list(map(_entry, zip(r.tolist(), t_mean.tolist(), m, witnesses)))
 
 
 def explicit_D12(field: MagneticField, n_max: int) -> dict[str, list[float]]:
@@ -314,11 +345,15 @@ def _zeta_rows(q: int, alphas: np.ndarray) -> np.ndarray:
     for census, multiplicity and eta alike; in between, rows are
     interpolated linearly, on (-1, 0) toward the parameter-0 row: one
     more row of the stacked call, as the table holds it only after its
-    first block.  Cells past the end of a shorter row are nan.
+    first block.  Cells past the end of a shorter row are nan.  A
+    negative alpha at a level past TABLE_CELLS_MAX is refused first.
     """
     rows = np.full((alphas.size, q), np.nan)
     nonneg = alphas >= 0
     negative = np.flatnonzero(~nonneg).tolist()
+    if negative and int(q) ** 3 > TABLE_CELLS_MAX:  # the table's k < q rows alone hold about q^3 cells
+        raise ValueError(f"eta curves at alpha < 0 read the level-q zero table: q = {q} is past "
+                         f"the census limit q^3 <= TABLE_CELLS_MAX = {TABLE_CELLS_MAX:g}")
     params = np.append(alphas[nonneg], [0.0] if negative else [])
     if params.size:
         solved = positive_zeros(q, params)[:, ::-1]
@@ -344,8 +379,7 @@ def _eta_table(field: MagneticField, q: int, alphas) -> np.ndarray:
     zeta_ell is defined on [ell - q, inf); alpha within _INT_TOL below the
     edge reads the edge, and cells further below are nan.
     """
-    if q < 1:
-        raise ValueError("eta curves require q >= 1")
+    _check_level(q, "eta curves require q >= 1")
     alphas = np.asarray(alphas, dtype=float)
     edges = np.arange(1 - q, 1)
     defined = ~(alphas[:, None] < edges - _INT_TOL)

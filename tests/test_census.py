@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from landaudelta.basis import MagneticField
 from landaudelta.census import (
+    TABLE_CELLS_MAX,
     T_MAX,
     ZERO_MEMBERSHIP_RTOL,
     CensusEntry,
@@ -93,6 +94,16 @@ def looped_multiplicity(field, q, r):
 def untouchable_table(q):
     """Stands in for _level_zeros where an input must be refused first: fails at once, where a missing guard would hang."""
     raise AssertionError(f"the level-{q} zero table was consulted")
+
+
+def unsolvable(q, k):
+    """Stands in for nodal_zeros where a (q, t) must be refused before any table work."""
+    raise AssertionError(f"a zero of level {q} was solved")
+
+
+def untouchable_view(obj):
+    """Stands in for memoryview where a warm query must make none (calling a type is no profile event)."""
+    raise AssertionError("a memoryview was made")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,6 +214,33 @@ class TestMultiplicity:
         assert cold == warm and cold[0] == expected
         assert type(cold[0]) is int and type(cold[1]) is list
         assert all(type(k) is int and type(z) is float for k, z in cold[1])
+
+    def test_query_past_the_first_reach_after_a_census_grew_the_table(self):
+        # The census replaces the table's arrays; a query must read the new ones, not views of the old.
+        q = 4
+        _level_zeros.cache_clear()
+        assert multiplicity(F2, q, 1.0) == looped_multiplicity(F2, q, 1.0)
+        first_reach = _level_zeros(q).reach
+        entries = census(F2, q, 2.0 * math.sqrt(first_reach))
+        past = [e for e in entries if e.t > first_reach]
+        assert len(past) > 100 and _level_zeros(q).reach > entries[-1].t
+        for e in past[:: len(past) // 50]:
+            assert multiplicity(F2, q, e.r) == (e.multiplicity, list(e.witnesses)) == looped_multiplicity(F2, q, e.r)
+            assert e.multiplicity >= 1
+
+    @pytest.mark.parametrize("q, t, m", ((5, None, 1), (5, None, 0), (2, 2.0, 2)), ids=["hit", "miss", "double"])
+    def test_warm_query_makes_no_numpy_call(self, q, t, m, c_calls, monkeypatch):
+        entries = census(F2, q, 4.0)  # grows the table past t = 16
+        if t is None:
+            t = entries[len(entries) // 2].t * (1.0 if m else 1.01)
+        r = math.sqrt(2.0 * t / F2.b)
+        expected = looped_multiplicity(F2, q, r)
+        assert expected[0] == m
+        monkeypatch.setattr(census_mod, "memoryview", untouchable_view, raising=False)
+        answer, calls = c_calls(lambda: multiplicity(F2, q, r))
+        assert answer == expected
+        assert not [name for name in calls if name.startswith("numpy") or "tolist" in name], calls
+        assert calls["builtins.sorted"] == (m > 1)  # one candidate needs no sort
 
     @given(r=st.floats(0.01, 4.0), q=st.integers(1, 6))
     @settings(max_examples=300, deadline=None)
@@ -357,6 +395,32 @@ class TestCensus:
             for q in range(1, 9):
                 for e in census(field, q, math.sqrt(800.0 / b)):
                     assert multiplicity(field, q, e.r) == (e.multiplicity, list(e.witnesses))
+
+    def test_near_equal_zeros_list_their_witnesses_in_ascending_k(self, monkeypatch):
+        # No real table has yet put near-equal zeros in descending k; this one does.
+        ts = np.array([1.0, 2.0, 2.0 + 2e-10, 2.0 + 4e-10, 3.0, 3.0 + 1e-10])
+        ks = np.array([3, 9, 7, 4, 2, 8])
+
+        class StubTable:
+            def upto(self, cap):
+                return ts, ks
+
+        monkeypatch.setattr(census_mod, "_level_zeros", lambda q: StubTable())
+        entries = census(F2, 5, math.sqrt(3.5))
+        assert [e.multiplicity for e in entries] == [1, 3, 2]
+        assert entries[0].witnesses == ((3, 1.0),)
+        assert entries[1].witnesses == ((4, 2.0 + 4e-10), (7, 2.0 + 2e-10), (9, 2.0))
+        assert entries[2].witnesses == ((2, 3.0), (8, 3.0 + 1e-10))
+        assert all(type(e) is CensusEntry and type(e.witnesses) is tuple for e in entries)
+
+    def test_same_calls_from_python_at_any_size(self, c_calls):
+        # The entries come from C-level passes: no call from Python per entry.
+        r_large = math.sqrt(5000.0)
+        census(F2, 1, r_large)  # grow the table first
+        small, few = c_calls(lambda: census(F2, 1, 10.0))
+        large, many = c_calls(lambda: census(F2, 1, r_large))
+        assert (len(small), len(large)) == (100, 5000)
+        assert few == many and "builtins.tuple.__new__" not in few
 
     def test_level_one_integers(self):
         entries = census(F2, 1, 3.0)
@@ -539,6 +603,54 @@ class TestTLimit:
         entries = census(F2, 1, 100.0)  # t = b r^2 / 2 = T_MAX exactly
         assert len(entries) == 10000 and entries[-1].t == pytest.approx(T_MAX, rel=1e-12)
         assert multiplicity(F2, 1, 100.0) == (1, list(entries[-1].witnesses))
+
+
+def edge_t(q):
+    """The largest t whose level-q table stays within TABLE_CELLS_MAX: q^2 (sqrt(q) + sqrt(t))^2 = TABLE_CELLS_MAX."""
+    return (math.sqrt(TABLE_CELLS_MAX) / q - math.sqrt(q)) ** 2
+
+
+class TestTableCellLimit:
+    @pytest.fixture(autouse=True)
+    def no_table_work(self, monkeypatch):
+        # A fresh table for every call, whose first solve fails: a refusal must come before it.
+        monkeypatch.setattr(census_mod, "_level_zeros", census_mod._LevelZeros)
+        monkeypatch.setattr(census_mod, "nodal_zeros", unsolvable)
+
+    @pytest.mark.parametrize("q, t", ((300, T_MAX), (311, 1e-6), (60, edge_t(60) * (1 + 1e-9)), (52, T_MAX),
+                                      pytest.param(10**200, 1.0, id="q=1e200")))  # a float q^2 would overflow
+    def test_refused_before_the_table(self, q, t):
+        r = math.sqrt(2.0 * t / F2.b)
+        message = (f"q = {q} at t = b r^2 / 2 = {0.5 * F2.b * r * r} is past the census limit "
+                   f"q^2 (sqrt(q) + sqrt(t))^2 <= TABLE_CELLS_MAX = 3e+07")
+        assert raised(multiplicity, F2, q, r) == message
+        assert raised(multiplicities, F2, q, [0.5 * r, r, 0.25 * r]) == message  # the largest t is named
+        assert raised(census, F2, q, r) == message.replace("r^2", "r_max^2")
+
+    @pytest.mark.parametrize("q, t", ((60, edge_t(60) * (1 - 1e-9)), (51, T_MAX), (1, T_MAX), (300, 0.5)))
+    def test_accepted_up_to_the_limit(self, q, t):
+        r = math.sqrt(2.0 * t / F2.b)
+        for call in (lambda: multiplicity(F2, q, r), lambda: multiplicities(F2, q, [r]), lambda: census(F2, q, r)):
+            with pytest.raises(AssertionError, match="was solved"):
+                call()
+
+    def test_eta_curves_at_negative_alpha_refused_past_the_limit(self):
+        # The k < q rows an alpha < 0 reads hold about q^3 cells: q = 311 is past 3e7, q = 310 is not.
+        message = ("eta curves at alpha < 0 read the level-q zero table: q = 311 is past "
+                   "the census limit q^3 <= TABLE_CELLS_MAX = 3e+07")
+        assert raised(eta_curve, F2, 311, 1, -0.5) == message
+        assert raised(eta_table_to_csv, F2, 311, [1.0, -2.0]) == message
+        assert eta_curve(F2, 311, 1, 0.5) > 0.0  # alpha >= 0 reads no table
+        with pytest.raises(AssertionError, match="was solved"):
+            eta_curve(F2, 310, 1, -0.5)
+
+    def test_limit_and_t_max_messages(self):
+        assert TABLE_CELLS_MAX == 3e7 and edge_t(51) > T_MAX > edge_t(52)
+        assert raised(census, F2, 300, 100.0) == (
+            "q = 300 at t = b r_max^2 / 2 = 10000.0 is past the census limit "
+            "q^2 (sqrt(q) + sqrt(t))^2 <= TABLE_CELLS_MAX = 3e+07")
+        # Past T_MAX, the T_MAX message comes first at any q.
+        assert raised(census, F2, 300, 101.0).endswith("is past the census limit T_MAX = 10000")
 
 
 class TestExplicitSets:
@@ -858,3 +970,16 @@ class TestScalarConstants:
 def test_refusals_name_their_input(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: census(F2, q, 2.0),
+    lambda q: multiplicity(F2, q, 1.0),
+    lambda q: multiplicities(F2, q, [1.0, math.sqrt(2.0)]),
+    lambda q: eta_curve(F2, q, 1, 0.5),
+], ids=["census", "multiplicity", "multiplicities", "eta_curve"])
+def test_non_integer_level_refused_by_name(call):
+    for q in (2.0, 2.5, np.float64(2.0), True, False, "2", None):
+        with pytest.raises(ValueError, match="^" + re.escape(f"level q must be an integer, got {q!r}") + "$"):
+            call(q)
+    assert repr(call(np.int64(2))) == repr(call(2))  # numpy integers answer as ints do

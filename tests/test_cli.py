@@ -437,9 +437,14 @@ def test_non_finite_inputs_exit_2_without_hanging(argv, message):
      "error: t = b r^2 / 2 is past the double range at b = 1e+300, r = 1e+10"),
     (["galerkin", "--b", "1e300", "--r", "1e10", "--Q", "1"],
      "error: t = b r^2 / 2 is past the double range at b = 1e+300, r = 1e+10"),
+    # t = T_MAX itself, but a level whose zero table there ran past 40 s: refused by its cell count.
+    (["census", "--q", "300", "--b", "2", "--rmax", "100"],
+     "error: q = 300 at t = b r_max^2 / 2 = 10000.0 is past the census limit "
+     "q^2 (sqrt(q) + sqrt(t))^2 <= TABLE_CELLS_MAX = 3e+07"),
 ])
 def test_huge_finite_t_exits_2_without_hanging(argv, message):
-    # Finite inputs with a huge t = b r^2 / 2 used to grow a zero table until stopped (still running after 5 s).
+    # Finite inputs with a huge t = b r^2 / 2, or a huge table below it, used to grow a zero table
+    # until stopped (still running after 5 s).
     proc = cli_in_child(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")
 

@@ -7,11 +7,12 @@ form of the perturbed operator is the Hermitian matrix
     B_(k,j),(k',j') = sum_nodes v phi_{k,j} conj(phi_{k',j'}) ds.
 
 B is assembled by the same kernels as the single-level matrices of
-toeplitz, with rows (k, j) stacked level-major; its diagonal blocks are
-those matrices.  On an origin-centred circle B_(k,j),(k',j') is
-D_(k,j) S_(k,j) conj(D_(k',j') S_(k',j')) v_hat[(k'-j') - (k-j)], a
-diagonally scaled block-Toeplitz matrix built from one FFT of the weight;
-other curves use the quadrature over basis samples.
+toeplitz, on the rows (k, j) of a toeplitz.RowLayout, stacked level-major;
+its diagonal blocks are those matrices.  On an origin-centred circle
+B_(k,j),(k',j') is D_(k,j) S_(k,j) conj(D_(k',j') S_(k',j'))
+v_hat[(k'-j') - (k-j)], a diagonally scaled block-Toeplitz matrix built
+from one FFT of the weight; other curves use the quadrature over basis
+samples.
 
 The truncation is an uncontrolled approximation of the continuous
 operator, so only statements that are exact in finite sections are
@@ -35,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import multiplicity as _census_multiplicity
+from .census import _check_integer, _is_integer, multiplicity as _census_multiplicity
 from .basis import MagneticField
 from .curves import JordanCurve, WeightedCurve, load_weight, make_circle
-from .toeplitz import _compress, default_truncation, eigenvalues
+from .toeplitz import RowLayout, _compress, default_truncation, eigenvalues, flat_index
 
 __all__ = [
     "GalerkinModel",
@@ -57,11 +58,6 @@ SUPPORT_TOL = 1e-12
 MODEL_TAIL_CUTOFF = 1e-4
 
 
-def flat_index(j: int, k: int, K: int) -> int:
-    """Position of phi_{k,j} in the stacked level-major ordering."""
-    return j * (K + 1) + k
-
-
 @dataclass(frozen=True)
 class GalerkinModel:
     field: MagneticField
@@ -78,12 +74,16 @@ class GalerkinModel:
         self.matrix.setflags(write=False)
         self.coupling.setflags(write=False)
 
+    @property
+    def layout(self) -> RowLayout:
+        return RowLayout(range(self.Q + 1), self.K)
+
     def levels(self) -> np.ndarray:
         return np.array([self.field.landau_level(j) for j in range(self.Q + 1)])
 
 
-def _hamiltonian(field: MagneticField, Q: int, K: int, coupling: np.ndarray, sign: int) -> np.ndarray:
-    lam = np.repeat([field.landau_level(j) for j in range(Q + 1)], K + 1)
+def _hamiltonian(field: MagneticField, layout: RowLayout, coupling: np.ndarray, sign: int) -> np.ndarray:
+    lam = layout.spread([field.landau_level(j) for j in layout.levels])
     # Exactly Hermitian: the coupling is, and the diagonal is real.  0.0 +- B
     # is sign * B with every zero +0.0, as diag(Lambda) + sign * B has them.
     h = 0.0 + coupling if sign > 0 else 0.0 - coupling
@@ -93,6 +93,7 @@ def _hamiltonian(field: MagneticField, Q: int, K: int, coupling: np.ndarray, sig
 
 def model_truncation(field: MagneticField, Q: int, curve: JordanCurve) -> int:
     """Default angular cutoff on curve, worst level included: default_truncation at tail_rel = 1e-4."""
+    _check_integer("level cutoff Q", Q)
     return max(default_truncation(field, j, curve, tail_rel=MODEL_TAIL_CUTOFF) for j in range(Q + 1))
 
 
@@ -111,13 +112,18 @@ def assemble_model(
     the least power of two >= max(64, 2(K+Q+1)) and doubles while the check
     runs and moves an entry by more than 1e-14 max|B|; an explicit N (at
     least 16) is used as given; the underresolved flag is relative to max|B|.
+    ValueError names a Q or K that is not an integer and a sign that is not
+    the integer +1 or -1 (True and 1.0 included).
     """
+    _check_integer("level cutoff Q", Q)
+    _check_integer("truncation K", K)
     if Q < 0 or K < 0:
         raise ValueError("cutoffs must be >= 0")
-    if sign not in (+1, -1):
+    if not (_is_integer(sign) and sign in (+1, -1)):
         raise ValueError(f"coupling sign must be +1 or -1, got {sign}")
-    coupling, provenance, underresolved, delta = _compress(field, range(Q + 1), K, weighted_curve, N, check_resolution)
-    h = _hamiltonian(field, Q, K, coupling, sign)
+    layout = RowLayout(range(Q + 1), K)
+    coupling, provenance, underresolved, delta = _compress(field, layout, weighted_curve, N, check_resolution)
+    h = _hamiltonian(field, layout, coupling, sign)
     return GalerkinModel(field, Q, K, sign, h, coupling, provenance, underresolved, delta)
 
 
@@ -229,19 +235,24 @@ def persistence_check(
     its support_residuals read 2.6e-10.  The witnesses come from
     census.multiplicity, asked before the default K, so t = b r^2 / 2 past
     census.T_MAX raises its ValueError; a default K that finds no tail
-    below toeplitz.MAX_TRUNCATION raises too (pass K).
+    below toeplitz.MAX_TRUNCATION raises too (pass K).  Before any of this,
+    ValueError names a q, Q or K that is not an integer.
 
-    Memory: about three dense complex arrays of the model's size
-    n = (Q + 1)(K + 1) at once, 16 n^2 bytes each.  The circle kernel
-    holds three while it builds the coupling; then the coupling, one
-    Hamiltonian and LAPACK's copy of it are alive, as the sign +1 model
-    is dropped before the sign -1 Hamiltonian is built and the Hermitian
-    check reads row blocks.  At q = 40, r = 5 (n = 6,149) that is about
-    3 x 605 MB.
+    Memory: about three dense complex arrays of the model's size, its
+    RowLayout's dim n = (Q + 1)(K + 1), at once, 16 n^2 bytes each.  The
+    circle kernel holds three while it builds the coupling; then the
+    coupling, one Hamiltonian and LAPACK's copy of it are alive, as the
+    sign +1 model is dropped before the sign -1 Hamiltonian is built and
+    the Hermitian check reads row blocks.  At q = 40, r = 5 (n = 6,149)
+    that is about 3 x 605 MB.
     """
+    _check_integer("level q", q)
     if q < 1:
         raise ValueError("persistence_check requires q >= 1")
     Q = q + 2 if Q is None else Q
+    _check_integer("level cutoff Q", Q)
+    if K is not None:
+        _check_integer("truncation K", K)
     if Q < q:
         raise ValueError("level cutoff Q must include the level under study")
     wc = load_weight(make_circle(r, n=N), weight)
@@ -258,14 +269,14 @@ def persistence_check(
     # One coupling serves both signs.  Only it outlives the sign +1 model,
     # so one Hamiltonian is alive per eigensolve.
     plus = assemble_model(field, Q, K, wc, +1, N=N, check_resolution=False)
-    coupling, plus_values = plus.coupling, eigenvalues(plus.matrix)
+    coupling, plus_values, layout = plus.coupling, eigenvalues(plus.matrix), plus.layout
     del plus
-    columns = coupling[:, [flat_index(q, k, K) for k in witness_ks]]
+    columns = coupling[:, [layout.index(q, k) for k in witness_ks]]
     residuals = np.linalg.norm(columns, axis=0) / (np.max(np.abs(coupling)) or 1.0)
     lam_q = field.landau_level(q)
     details: dict = {"Lambda_q": lam_q, "Q": Q, "K": K}
     for sign in (+1, -1):
-        values = plus_values if sign > 0 else eigenvalues(_hamiltonian(field, Q, K, coupling, sign))
+        values = plus_values if sign > 0 else eigenvalues(_hamiltonian(field, layout, coupling, sign))
         offsets = np.abs(values - lam_q)
         details[f"sign_{'+' if sign > 0 else '-'}"] = {
             "near_count": int(np.sum(offsets < EXACT_HIT_TOL)),

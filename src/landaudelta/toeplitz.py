@@ -45,11 +45,12 @@ from functools import reduce
 
 import numpy as np
 
-from .census import multiplicity as _census_multiplicity
+from .census import _check_integer, multiplicity as _census_multiplicity
 from .basis import MagneticField, _log_abs, _parts_arrays, basis_matrix
 from .curves import JordanCurve, WeightedCurve, arclength_rule, quadrature_size
 
 __all__ = [
+    "RowLayout",
     "ToeplitzMatrix",
     "SpectrumResult",
     "KernelEstimate",
@@ -58,6 +59,7 @@ __all__ = [
     "circle_diagonal_log",
     "default_truncation",
     "eigenvalues",
+    "flat_index",
     "spectrum",
     "kernel_dim_estimate",
     "matrix_to_json",
@@ -78,6 +80,56 @@ MAX_TRUNCATION = 512
 BLOCK_CELLS = 8192
 
 
+def flat_index(j: int, k: int, K: int) -> int:
+    """Row j (K + 1) + k of phi_{k,j} among levels 0, 1, ..., stacked level-major at cut K.
+
+    The one home of the row index formula.  A j < 0 or a k outside 0..K
+    would name another row, so it raises ValueError naming j, k and K.
+    """
+    if j < 0 or not 0 <= k <= K:
+        raise ValueError(f"no row (j, k) = ({j}, {k}) at K = {K}: need j >= 0 and 0 <= k <= K")
+    return j * (K + 1) + k
+
+
+@dataclass(frozen=True)
+class RowLayout:
+    """The rows phi_{k,j} of an interaction matrix: j in levels, a step-1 range, and k in 0..K, level-major.
+
+    Each row's j, k and harmonic m = k - j are read-only arrays.
+    """
+
+    levels: range
+    K: int
+
+    def __post_init__(self):
+        if not (isinstance(self.levels, range) and self.levels.step == 1 and 0 <= self.levels.start < self.levels.stop
+                and self.K >= 0):
+            raise ValueError(f"rows need a nonempty step-1 range of levels >= 0 and K >= 0, "
+                             f"got {self.levels!r}, K = {self.K}")
+        j, k = self.spread(self.levels), np.tile(np.arange(self.K + 1), len(self.levels))
+        for name, rows in (("j", j), ("k", k), ("m", k - j)):
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)  # derived, so no field: outside eq, hash and repr
+
+    @property
+    def dim(self) -> int:
+        return self.j.size
+
+    def spread(self, per_level) -> np.ndarray:
+        """The value per_level[i] of level levels[i] on each of its K + 1 rows."""
+        return np.repeat(per_level, self.K + 1)
+
+    def index(self, j: int, k: int) -> int:
+        """Row of phi_{k,j}; a j outside levels, or a k outside 0..K, raises ValueError naming j, k and K."""
+        if j not in self.levels or not 0 <= k <= self.K:
+            raise ValueError(f"no row (j, k) = ({j}, {k}) in levels {self.levels!r} at K = {self.K}")
+        return flat_index(j - self.levels.start, k, self.K)
+
+    def block(self, j: int) -> slice:
+        """The K + 1 rows of level j."""
+        return slice(self.index(j, 0), self.index(j, self.K) + 1)
+
+
 @dataclass(frozen=True)
 class ToeplitzMatrix:
     """Hermitian truncation of the level-q interaction compression."""
@@ -93,25 +145,27 @@ class ToeplitzMatrix:
     def __post_init__(self):
         self.entries.setflags(write=False)
 
+    @property
+    def layout(self) -> RowLayout:
+        return RowLayout(range(self.q, self.q + 1), self.K)
 
-def _circle_amplitudes(field: MagneticField, levels, ks, r: float):
-    """log lambda_{k,j}(r), unit phases and harmonics k - j on a circle.
 
-    Rows run level-major over j in levels and k in ks.  On the circle
-    phi_{k,j}(r e^{i theta}) = A_{k,j}(r) e^{i(k-j) theta} with
+def _circle_amplitudes(field: MagneticField, layout: RowLayout, r: float):
+    """log lambda_{k,j}(r) and unit phases of the rows of layout on a circle.
+
+    On the circle phi_{k,j}(r e^{i theta}) = A_{k,j}(r) e^{i(k-j) theta} with
     A_{k,j}(r) = phi_{k,j}(r, 0), so every row is one basis value:
     lambda_{k,j}(r) = 2 pi r |A_{k,j}(r)|^2 and the phase is that of A.
     """
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
-    k, j = (grid.ravel() for grid in np.meshgrid(ks, levels))
-    logabs, arg = _parts_arrays(field, k, j, np.array([r, 0.0]))
-    return math.log(2.0 * math.pi * r) + 2.0 * logabs, np.exp(1j * arg), k - j
+    logabs, arg = _parts_arrays(field, layout.k, layout.j, np.array([r, 0.0]))
+    return math.log(2.0 * math.pi * r) + 2.0 * logabs, np.exp(1j * arg)
 
 
 def circle_diagonal_log(field: MagneticField, q: int, k: int, r: float) -> float:
     """log lambda_{k,q}(r); finite iff the entry is nonzero."""
-    return float(_circle_amplitudes(field, [q], [k], r)[0][0])
+    return float(_circle_amplitudes(field, RowLayout(range(q, q + 1), k), r)[0][k])
 
 
 def circle_diagonal(field: MagneticField, q: int, k: int, r: float) -> float:
@@ -153,7 +207,9 @@ def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_re
     A sweep that certifies no tail below MAX_TRUNCATION raises ValueError
     (naming q and max t_j): pass K explicitly there.  A t_j past the double
     range raises the ValueError of _compress, as no K can help there.
+    A q that is not an integer raises ValueError naming it.
     """
+    _check_integer("level q", q)
     t = np.sort(_node_moduli(field, curve))
     t = t[np.concatenate([[True], t[1:] != t[:-1]])]  # np.unique's values; its first call imports numpy.ma
     t_peak = float(t[-1])
@@ -176,8 +232,8 @@ def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_re
     raise ValueError(f"level {q}: no certified tail below MAX_TRUNCATION = {MAX_TRUNCATION} at t_peak = {t_peak:.6g}; pass K")
 
 
-def _quadrature_sums(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int):
-    """Interaction matrices on levels x 0..K over basis samples at n, 2n, 4n, ... nodes.
+def _quadrature_sums(field: MagneticField, layout: RowLayout, wc: WeightedCurve, n: int):
+    """Interaction matrices on the rows of layout over basis samples at n, 2n, 4n, ... nodes.
 
     The uniform 2n rule holds the n rule at its even nodes, so each
     doubling halves the last sum and adds half the n-node sum over the new
@@ -185,7 +241,7 @@ def _quadrature_sums(field: MagneticField, levels, K: int, wc: WeightedCurve, n:
     """
 
     def weighted_sum(points, w):
-        phi = np.vstack([basis_matrix(field, j, range(K + 1), points) for j in levels])
+        phi = np.vstack([basis_matrix(field, j, range(layout.K + 1), points) for j in layout.levels])
         return (phi * w) @ phi.conj().T
 
     points, ds = arclength_rule(wc.curve.resample(n))
@@ -197,23 +253,23 @@ def _quadrature_sums(field: MagneticField, levels, K: int, wc: WeightedCurve, n:
         m = 0.5 * (m + weighted_sum(points[1::2], 2.0 * (wc.sample(n) * ds)[1::2]))
 
 
-def _harmonic_toeplitz(fold: np.ndarray, rows: int, K: int) -> np.ndarray:
-    """The (rows (K+1))^2 table fold[span + m_l - m_k], m = k - j, over consecutive levels j.
+def _harmonic_toeplitz(fold: np.ndarray, layout: RowLayout) -> np.ndarray:
+    """The dim^2 table fold[span + m_l - m_k] over the rows of layout, m = k - j.
 
     A copy of a strided view of fold, whose middle entry is the harmonic
     difference 0: m_l - m_k falls by one along k and j', and rises by one
     along k' and j.  So no index table is built or read.  The copy is
     returned unnamed, so numpy may evaluate the product it enters in place.
     """
-    dim, step = rows * (K + 1), fold.strides[0]
+    rows, cols, step = len(layout.levels), layout.K + 1, fold.strides[0]
     # A view from the ndarray constructor: as_strided costs microseconds more per call.
-    view = np.ndarray((rows, K + 1, rows, K + 1), fold.dtype, fold, fold.size // 2 * step, (step, -step, -step, step))
-    table = np.empty((dim, dim), dtype=fold.dtype)
+    view = np.ndarray((rows, cols, rows, cols), fold.dtype, fold, fold.size // 2 * step, (step, -step, -step, step))
+    table = np.empty((layout.dim, layout.dim), dtype=fold.dtype)
     table.reshape(view.shape)[...] = view
     return table
 
 
-def _circle_sums(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int):
+def _circle_sums(field: MagneticField, layout: RowLayout, wc: WeightedCurve, n: int):
     """The same trapezoid sums on an origin-centred circle at n, 2n, 4n, ... nodes.
 
     M_kl = D_k S_k conj(D_l S_l) v_hat[(m_l - m_k) mod n] with harmonics
@@ -221,21 +277,20 @@ def _circle_sums(field: MagneticField, levels, K: int, wc: WeightedCurve, n: int
     depend on n, so each doubling costs one further FFT of wc.sample(n),
     with no curve rebuilt.  v_hat is folded per n onto the 2 span + 1
     harmonic differences, and _harmonic_toeplitz spreads the fold over the
-    block-Toeplitz pattern of the levels (consecutive, as every caller's
-    are), so no size takes a mod over all dim^2 shifts and no index table
-    is held.  At most three dense complex arrays are alive per size:
-    scaled, the matrix and the conjugate transpose it adds.  Keep the
-    product as written: numpy may evaluate it in place with the operands
-    swapped, and hand-written in-place forms round differently at some
-    sizes.
+    block-Toeplitz pattern of the levels, so no size takes a mod over all
+    dim^2 shifts and no index table is held.  At most three dense complex
+    arrays are alive per size: scaled, the matrix and the conjugate
+    transpose it adds.  Keep the product as written: numpy may evaluate it
+    in place with the operands swapped, and hand-written in-place forms
+    round differently at some sizes.
     """
-    log_lam, phase, m = _circle_amplitudes(field, levels, np.arange(K + 1), dict(wc.curve.meta)["r"])
+    log_lam, phase = _circle_amplitudes(field, layout, dict(wc.curve.meta)["r"])
     d = np.exp(0.5 * log_lam) * phase
     scaled = d[:, None] * d.conj()[None, :]
-    span = int(m.max() - m.min())
+    span = int(layout.m.max() - layout.m.min())
     while True:
         vhat = np.fft.fft(wc.sample(n)) / n
-        mat = scaled * _harmonic_toeplitz(vhat[np.arange(-span, span + 1) % n], len(levels), K)
+        mat = scaled * _harmonic_toeplitz(vhat[np.arange(-span, span + 1) % n], layout)
         mat += mat.conj().T
         mat *= 0.5
         yield mat
@@ -257,13 +312,13 @@ def _blockwise_max(a: np.ndarray, modulus) -> float:
     return float(reduce(np.maximum, maxima))  # np.maximum, unlike max(), keeps a NaN wherever it falls
 
 
-def _start_nodes(levels, K: int) -> int:
-    """Smallest power of two >= max(64, 2 (K + max level + 1)): every basis-product harmonic below Nyquist."""
-    return 1 << (max(64, 2 * (K + max(levels) + 1)) - 1).bit_length()
+def _start_nodes(layout: RowLayout) -> int:
+    """Smallest power of two >= max(64, 2 (K + top level + 1)): every basis-product harmonic below Nyquist."""
+    return 1 << (max(64, 2 * (layout.K + layout.levels[-1] + 1)) - 1).bit_length()
 
 
-def _compress(field: MagneticField, levels, K: int, wc: WeightedCurve, N: int | None, check_resolution: bool):
-    """Interaction matrix on levels x 0..K: (entries, provenance, underresolved, delta).
+def _compress(field: MagneticField, layout: RowLayout, wc: WeightedCurve, N: int | None, check_resolution: bool):
+    """Interaction matrix on the rows of layout: (entries, provenance, underresolved, delta).
 
     The one front door of assemble and galerkin.assemble_model, and the one
     home of their provenance (r included on circles).  A curve node whose
@@ -284,9 +339,9 @@ def _compress(field: MagneticField, levels, K: int, wc: WeightedCurve, N: int | 
     """
     _node_moduli(field, wc.curve)  # refuses a t past the double range
     adaptive = N is None
-    n = _start_nodes(levels, K) if adaptive else quadrature_size(N)
+    n = _start_nodes(layout) if adaptive else quadrature_size(N)
     circle = wc.curve.kind == "circle"
-    sums = (_circle_sums if circle else _quadrature_sums)(field, levels, K, wc, n)
+    sums = (_circle_sums if circle else _quadrature_sums)(field, layout, wc, n)
     entries = next(sums)
     tails = wc.sample_tails()
     provenance = {"curve": wc.curve.describe(), "weight": wc.describe(), "sign_class": wc.sign_class, "N": n}
@@ -329,15 +384,18 @@ def assemble(
     16) is used as given.  check_resolution flags the matrix underresolved
     when doubling N moves an entry by more than 1e-7 max|M|; a sampled
     curve or weight table whose relative Fourier tail exceeds 1e-7 is
-    flagged either way.
+    flagged either way.  ValueError names a q or K that is not an integer.
     """
+    _check_integer("level q", q)
     if q < 0:
         raise ValueError("level index must be >= 0")
     if K is None:
         K = default_truncation(field, q, weighted_curve.curve)
+    _check_integer("truncation K", K)
     if K < 0:
         raise ValueError("truncation K must be >= 0")
-    entries, provenance, underresolved, delta = _compress(field, [q], K, weighted_curve, N, check_resolution)
+    layout = RowLayout(range(q, q + 1), K)
+    entries, provenance, underresolved, delta = _compress(field, layout, weighted_curve, N, check_resolution)
     return ToeplitzMatrix(entries, q, K, field.b, provenance, underresolved, delta)
 
 
@@ -439,7 +497,7 @@ def kernel_dim_estimate(matrix: ToeplitzMatrix) -> KernelEstimate:
     )
     census_m, r = None, matrix.provenance.get("r")
     underflow = scale == 0.0 and r is not None and not np.exp(
-        _circle_amplitudes(MagneticField(matrix.b), [matrix.q], np.arange(matrix.K + 1), r)[0]
+        _circle_amplitudes(MagneticField(matrix.b), matrix.layout, r)[0]
     ).any()
     if underflow:
         t = 0.5 * matrix.b * r * r

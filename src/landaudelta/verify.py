@@ -25,7 +25,6 @@ from .basis import (
     gram_rule,
     plane_gram,
     stacked_parts,
-    translated_parts,
 )
 from .census import (
     census as census_sweep,
@@ -45,7 +44,7 @@ from .curves import (
     make_circle,
     make_ellipse,
 )
-from .galerkin import assemble_model, cluster_report, flat_index, persistence_check
+from .galerkin import assemble_model, cluster_report, persistence_check
 from .laguerre import (
     LaguerreSpec,
     laguerre_derivative,
@@ -55,7 +54,7 @@ from .laguerre import (
     orthogonality_defect,
     positive_zeros,
 )
-from .toeplitz import assemble, circle_diagonal, eigenvalues, kernel_dim_estimate, spectrum
+from .toeplitz import RowLayout, assemble, circle_diagonal, eigenvalues, kernel_dim_estimate, spectrum
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
 
@@ -382,12 +381,12 @@ def check_toeplitz_nodal_characterization() -> tuple[bool, str]:
     return worst < 1e-8, f"kernel combination reaches {worst:.2e} x basis scale on the curve"
 
 
-def _translated_assembly(field: MagneticField, levels, K: int, r: float, y, values, n: int) -> np.ndarray:
-    """Interaction matrix on levels x 0..K of the circle of radius r moved to y, over translated basis rows."""
+def _translated_assembly(field: MagneticField, layout: RowLayout, r: float, y, values, n: int) -> np.ndarray:
+    """Interaction matrix on the rows of layout of the circle of radius r moved to y, over translated basis rows."""
     pts, ds = arclength_rule(make_circle(r, n=n))
     shifted = pts + np.asarray(y)[None, :]
-    parts = [translated_parts(field, BasisIndex(k, j), y)(shifted) for j in levels for k in range(K + 1)]
-    phi = np.array([np.exp(la) * np.exp(1j * ph) for la, ph in parts])
+    parts = [stacked_parts(field, j, range(layout.K + 1), y)(shifted) for j in layout.levels]
+    phi = np.vstack([np.exp(la) * np.exp(1j * ph) for la, ph in parts])
     m = (phi * (values * ds)) @ phi.conj().T
     return 0.5 * (m + m.conj().T)
 
@@ -398,7 +397,7 @@ def check_toeplitz_recentering() -> tuple[bool, str]:
     wc = load_weight(make_circle(r, n=n), lambda t: 1.0 + 0.5 * np.cos(t))
     m0 = assemble(field, q, wc, K=K, N=n, check_resolution=False)
     e0 = eigenvalues(m0)
-    m1 = _translated_assembly(field, [q], K, r, (0.7, -0.4), wc.values, n)
+    m1 = _translated_assembly(field, m0.layout, r, (0.7, -0.4), wc.values, n)
     e1 = eigenvalues(m1)
     worst = float(np.max(np.abs(e0 - e1)))
     return worst < 1e-8, f"translated spectrum deviates by {worst:.2e}"
@@ -503,9 +502,8 @@ def check_galerkin_blocks() -> tuple[bool, str]:
     worst = 0.0
     for q in range(3):
         t = assemble(field, q, wc, K=6, N=512, check_resolution=False)
-        lo = flat_index(q, 0, 6)
-        hi = flat_index(q, 6, 6) + 1
-        worst = max(worst, float(np.max(np.abs(model.coupling[lo:hi, lo:hi] - t.entries))))
+        block = model.layout.block(q)
+        worst = max(worst, float(np.max(np.abs(model.coupling[block, block] - t.entries))))
     return worst < 1e-12, f"max block deviation {worst:.2e}"
 
 
@@ -516,7 +514,7 @@ def check_galerkin_weyl() -> tuple[bool, str]:
     minus = assemble_model(field, 2, 8, wc, -1, N=512, check_resolution=False)
     ep = np.sort(eigenvalues(plus.matrix))
     en = np.sort(eigenvalues(minus.matrix))
-    bare = np.sort(np.repeat(plus.levels(), 9))
+    bare = np.sort(plus.layout.spread(plus.levels()))
     ok = bool(np.all(ep >= bare - 1e-12) and np.all(en <= bare + 1e-12) and np.all(ep >= en - 1e-12))
     return ok, "Weyl ordering holds" if ok else "Weyl ordering violated"
 
@@ -544,8 +542,8 @@ def check_galerkin_recentering() -> tuple[bool, str]:
     base = assemble_model(field, Q, K, wc, +1, N=n, check_resolution=False)
     e0 = eigenvalues(base.matrix)
 
-    b = _translated_assembly(field, range(Q + 1), K, r, (0.6, 0.35), wc.values, n)
-    lam = np.repeat([field.landau_level(j) for j in range(Q + 1)], K + 1)
+    b = _translated_assembly(field, base.layout, r, (0.6, 0.35), wc.values, n)
+    lam = base.layout.spread(base.levels())
     e1 = eigenvalues(np.diag(lam).astype(complex) + b)
     worst = float(np.max(np.abs(e0 - e1)))
     return worst < 1e-8, f"recentered spectrum deviates by {worst:.2e}"

@@ -1,8 +1,8 @@
-"""One eigensolver door per need: eigenvectors from toeplitz.spectrum, eigenvalues from toeplitz.eigenvalues."""
+"""One door per decision: eigenvectors from toeplitz.spectrum, eigenvalues from toeplitz.eigenvalues,
+and the level-major row order from toeplitz.RowLayout."""
 
 import ast
 import math
-from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +20,21 @@ DOORS = {
     "eigvalsh": {"toeplitz.eigenvalues", "laguerre.positive_zeros"},
 }
 
+# Every reference in src/ to a name that spells out the row order.  flat_index
+# is read by RowLayout.index and re-exported by galerkin (the bench reads
+# galerkin.flat_index); no row arrays come from meshgrid; np.repeat spreads
+# per-level values onto rows in RowLayout alone, and census builds its zero
+# table with it.
+ROW_ORDER = {
+    "flat_index": {"toeplitz.RowLayout.index", "galerkin"},
+    "meshgrid": set(),
+    "repeat": {"toeplitz.RowLayout.spread", "census._LevelZeros.__init__", "census._LevelZeros.upto"},
+}
 
-def solver_references() -> dict[str, set[str]]:
-    found = defaultdict(set)
+
+def references(allowed: dict[str, set[str]]) -> dict[str, set[str]]:
+    """For each name in allowed, the enclosing functions (or modules) in src/ that reference it."""
+    found = {name: set() for name in allowed}
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -35,7 +47,7 @@ def solver_references() -> dict[str, set[str]]:
             name = node.name
         else:
             name = None
-        if name in DOORS:
+        if name in found:
             found[name].add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -48,7 +60,11 @@ def solver_references() -> dict[str, set[str]]:
 def test_solvers_referenced_only_inside_their_doors():
     # Attribute, name and import references all count, so a solver passed
     # around or imported under another name is caught as well as a call.
-    assert solver_references() == DOORS
+    assert references(DOORS) == DOORS
+
+
+def test_row_order_spelled_out_only_in_the_row_layout():
+    assert references(ROW_ORDER) == ROW_ORDER
 
 
 def test_eigenvalue_readers_make_no_eigenvector_solve(monkeypatch):

@@ -18,7 +18,7 @@ from landaudelta.galerkin import (
     persistence_check,
 )
 from landaudelta.laguerre import positive_zeros
-from landaudelta.toeplitz import _circle_sums, _quadrature_sums, assemble, spectrum
+from landaudelta.toeplitz import RowLayout, _circle_sums, _quadrature_sums, assemble, spectrum
 
 F2 = MagneticField(2.0)
 
@@ -141,7 +141,7 @@ class TestHamiltonian:
             lam = np.repeat([F2.landau_level(j) for j in range(Q + 1)], K + 1)
             for sign in (+1, -1):
                 reference = np.diag(lam).astype(complex) + sign * coupling
-                h = galerkin._hamiltonian(F2, Q, K, coupling, sign)
+                h = galerkin._hamiltonian(F2, RowLayout(range(Q + 1), K), coupling, sign)
                 assert h.tobytes() == reference.tobytes()
                 parts = (sign * coupling).view(float)
                 seen_negative_zero |= bool(np.any((parts == 0.0) & np.signbit(parts)))
@@ -196,14 +196,14 @@ class TestCircleCoupling:
                 wc = load_weight(make_circle(r, n=256), weight)
                 for Q in range(5):
                     K = model_truncation(field, Q, wc.curve)
-                    fast = next(_circle_sums(field, range(Q + 1), K, wc, 256))
-                    slow = next(_quadrature_sums(field, range(Q + 1), K, wc, 256))
+                    fast = next(_circle_sums(field, RowLayout(range(Q + 1), K), wc, 256))
+                    slow = next(_quadrature_sums(field, RowLayout(range(Q + 1), K), wc, 256))
                     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
     def test_model_refinement_delta_matches_quadrature(self):
         wc = load_weight(make_circle(1.1, n=32), lambda t: 1.0 + np.cos(16.0 * t) + 0.2 * np.sin(3 * t))
         model = assemble_model(F2, 3, 10, wc, -1, N=32)
-        coarse, fine = islice(_quadrature_sums(F2, range(4), 10, wc, 32), 2)
+        coarse, fine = islice(_quadrature_sums(F2, RowLayout(range(4), 10), wc, 32), 2)
         assert abs(model.refinement_delta - np.max(np.abs(fine - coarse))) <= 1e-12
 
 
@@ -423,7 +423,21 @@ class TestPersistence:
     (lambda: assemble_model(F2, -1, 4, load_weight(make_circle(1.0, n=64), 1.0), +1), "cutoffs must be >= 0"),
     (lambda: assemble_model(F2, 2, -1, load_weight(make_circle(1.0, n=64), 1.0), +1), "cutoffs must be >= 0"),
     (lambda: persistence_check(F2, 2, 1.0, Q=1), "level cutoff Q must include the level under study"),
-], ids=["negative-Q", "negative-K", "Q-below-q"])
+    (lambda: assemble_model(F2, 2.0, 4, load_weight(make_circle(1.0, n=64), 1.0), 1), "level cutoff Q must be an integer, got 2.0"),
+    (lambda: assemble_model(F2, 2, 4.0, load_weight(make_circle(1.0, n=64), 1.0), 1), "truncation K must be an integer, got 4.0"),
+    (lambda: model_truncation(F2, 2.0, make_circle(1.0)), "level cutoff Q must be an integer, got 2.0"),
+    (lambda: persistence_check(F2, 1.0, 1.0), "level q must be an integer, got 1.0"),
+    (lambda: persistence_check(F2, 1, 1.0, Q=3.0), "level cutoff Q must be an integer, got 3.0"),
+    (lambda: persistence_check(F2, 1, 1.0, K=10.0), "truncation K must be an integer, got 10.0"),
+    (lambda: assemble_model(F2, 2, 4, load_weight(make_circle(1.0, n=64), 1.0), True), "coupling sign must be +1 or -1, got True"),
+    (lambda: assemble_model(F2, 2, 4, load_weight(make_circle(1.0, n=64), 1.0), 1.0), "coupling sign must be +1 or -1, got 1.0"),
+    (lambda: assemble_model(F2, 2, 4, load_weight(make_circle(1.0, n=64), 1.0), 2), "coupling sign must be +1 or -1, got 2"),
+    (lambda: flat_index(1, 9, 4), "no row (j, k) = (1, 9) at K = 4: need j >= 0 and 0 <= k <= K"),
+    (lambda: flat_index(-1, 0, 4), "no row (j, k) = (-1, 0) at K = 4: need j >= 0 and 0 <= k <= K"),
+    (lambda: flat_index(0, -1, 4), "no row (j, k) = (0, -1) at K = 4: need j >= 0 and 0 <= k <= K"),
+], ids=["negative-Q", "negative-K", "Q-below-q", "float-Q", "float-K", "float-Q-truncation", "persistence-float-q",
+        "persistence-float-Q", "persistence-float-K", "bool-sign", "float-sign", "sign-2", "flat-index-k-past-K",
+        "flat-index-negative-j", "flat-index-negative-k"])
 def test_refusals_name_their_input(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()

@@ -21,6 +21,7 @@ from landaudelta.toeplitz import (
     BLOCK_CELLS,
     MAX_TRUNCATION,
     RESOLUTION_DELTA_TOL,
+    RowLayout,
     ToeplitzMatrix,
     _circle_sums,
     _quadrature_sums,
@@ -413,6 +414,36 @@ class TestTruncation:
             assert arclength_rule(curve)[0] is curve.points
 
 
+class TestRowLayout:
+    @pytest.mark.parametrize("K", [0, 1, 7])
+    @pytest.mark.parametrize("levels", [range(2, 3), range(4)], ids=["level-2", "levels-0-3"])
+    def test_rows_run_level_major(self, levels, K):
+        layout = RowLayout(levels, K)
+        assert [layout.index(j, k) for j, k in zip(layout.j.tolist(), layout.k.tolist())] == list(range(layout.dim))
+        for j in levels:
+            rows = np.arange(layout.dim)[layout.block(j)]
+            assert np.array_equal(rows, np.flatnonzero(layout.j == j))
+        assert np.array_equal(layout.m, layout.k - layout.j)
+        assert not any(a.flags.writeable for a in (layout.j, layout.k, layout.m))
+        wc = load_weight(make_circle(1.0, n=64), lambda t: 1.0 + 0.3 * np.sin(t))
+        if len(levels) == 1:
+            matrix = assemble(F2, levels[0], wc, K=K, N=64, check_resolution=False)
+            shape = matrix.entries.shape
+        else:
+            matrix = assemble_model(F2, levels[-1], K, wc, +1, N=64, check_resolution=False)
+            shape = matrix.matrix.shape
+        assert matrix.layout == layout
+        assert shape == (layout.dim, layout.dim)
+
+    def test_numpy_integers_accepted(self):
+        wc = load_weight(make_circle(1.0, n=64), 1.0)
+        plain = assemble(F2, 1, wc, K=4, N=64)
+        numpy = assemble(F2, np.int64(1), wc, K=np.int64(4), N=64)
+        assert numpy.entries.tobytes() == plain.entries.tobytes()
+        model = assemble_model(F2, np.int64(2), np.int64(4), wc, np.int64(-1), N=64)
+        assert model.matrix.tobytes() == assemble_model(F2, 2, 4, wc, -1, N=64).matrix.tobytes()
+
+
 def three_harmonic(t):
     return 0.3 + np.cos(t) - 0.6 * np.sin(2 * t) + 0.4 * np.cos(3 * t)
 
@@ -444,8 +475,8 @@ class TestCircleKernel:
                 for r in sample_radii(field, q):
                     wc = load_weight(make_circle(r, n=256), weight)
                     K = default_truncation(field, q, wc.curve)
-                    fast = next(_circle_sums(field, [q], K, wc, 256))
-                    slow = next(_quadrature_sums(field, [q], K, wc, 256))
+                    fast = next(_circle_sums(field, RowLayout(range(q, q + 1), K), wc, 256))
+                    slow = next(_quadrature_sums(field, RowLayout(range(q, q + 1), K), wc, 256))
                     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
                     assert np.array_equal(fast, fast.conj().T)
 
@@ -454,7 +485,7 @@ class TestCircleKernel:
             for q in (0, 2, 5):
                 wc = load_weight(make_circle(1.1, n=16), weight)
                 m = assemble(F2, q, wc, K=12, N=16)
-                coarse, fine = islice(_quadrature_sums(F2, [q], 12, wc, 16), 2)
+                coarse, fine = islice(_quadrature_sums(F2, RowLayout(range(q, q + 1), 12), wc, 16), 2)
                 assert abs(m.refinement_delta - np.max(np.abs(fine - coarse))) <= 1e-12
 
     def test_entries_bitwise_as_out_of_place_symmetrization(self):
@@ -464,8 +495,9 @@ class TestCircleKernel:
         # the operands swapped, which rounds differently, and only above a
         # size threshold: several sizes (31, 84, 315 among them) and a zero
         # weight are covered.
-        def reference(field, levels, K, wc, size):
-            log_lam, phase, m = toeplitz._circle_amplitudes(field, levels, np.arange(K + 1), dict(wc.curve.meta)["r"])
+        def reference(field, layout, wc, size):
+            log_lam, phase = toeplitz._circle_amplitudes(field, layout, dict(wc.curve.meta)["r"])
+            m = layout.m
             d = np.exp(0.5 * log_lam) * phase
             scaled = d[:, None] * d.conj()[None, :]
             shift = m[None, :] - m[:, None]
@@ -476,12 +508,13 @@ class TestCircleKernel:
         weights = (1.0, 0.0, -0.7, three_harmonic)
         for b, r in ((0.5, 0.7), (2.0, 1.0), (4.0, 2.37)):
             field = MagneticField(b)
-            for levels, K in (([0], 30), ([3], 83), ([1], 9), ([0, 1, 2], 104), ([0, 1], 41), (range(9), 44)):
+            for levels, K in ((range(1), 30), (range(3, 4), 83), (range(1, 2), 9), (range(3), 104), (range(2), 41), (range(9), 44)):
                 for weight in weights:
                     wc = load_weight(make_circle(r, n=128), weight)
-                    coarse, fine = islice(_circle_sums(field, levels, K, wc, 128), 2)
-                    assert coarse.tobytes() == reference(field, levels, K, wc, 128).tobytes()
-                    assert fine.tobytes() == reference(field, levels, K, wc, 256).tobytes()
+                    layout = RowLayout(levels, K)
+                    coarse, fine = islice(_circle_sums(field, layout, wc, 128), 2)
+                    assert coarse.tobytes() == reference(field, layout, wc, 128).tobytes()
+                    assert fine.tobytes() == reference(field, layout, wc, 256).tobytes()
         # A weight table and an array weight, dims of 300 to 405, and n = 16
         # below the harmonic span of levels 0..8 (m from -8 to 44), where the
         # fold must match shift % size.
@@ -489,12 +522,13 @@ class TestCircleKernel:
         table = (grid, 1.5 + np.sin(grid) * np.cos(3 * grid))
         array = 1.0 + 0.3 * np.cos(np.linspace(0.0, 2 * math.pi, 128, endpoint=False)) ** 3
         field = MagneticField(4.0)
-        for levels, K, n in (([0], 299, 128), ([2], 404, 128), (range(5), 80, 128), ([0, 1, 2], 101, 64), (range(9), 44, 16)):
+        for levels, K, n in ((range(1), 299, 128), (range(2, 3), 404, 128), (range(5), 80, 128), (range(3), 101, 64), (range(9), 44, 16)):
             for weight in (table, array, three_harmonic):
                 wc = load_weight(make_circle(2.37, n=128), weight)
-                coarse, fine = islice(_circle_sums(field, levels, K, wc, n), 2)
-                assert coarse.tobytes() == reference(field, levels, K, wc, n).tobytes()
-                assert fine.tobytes() == reference(field, levels, K, wc, 2 * n).tobytes()
+                layout = RowLayout(levels, K)
+                coarse, fine = islice(_circle_sums(field, layout, wc, n), 2)
+                assert coarse.tobytes() == reference(field, layout, wc, n).tobytes()
+                assert fine.tobytes() == reference(field, layout, wc, 2 * n).tobytes()
 
     def test_witness_rows_vanish_at_census_radii(self):
         # The rows vanish up to the rounding of t = b r^2 / 2 at the census
@@ -539,14 +573,14 @@ class TestNestedResolution:
                 for n in (16, 32, 64, 128):
                     single = [assemble(F2, q, wc, K=K, N=n) for q in (0, 2, 5)]
                     model = assemble_model(F2, 3, K, wc, +1, N=n)
-                    runs = [([m.q], m.entries, m.refinement_delta, m.underresolved) for m in single]
-                    runs.append((range(4), model.coupling, model.refinement_delta, model.underresolved))
-                    for levels, entries, got_delta, flag in runs:
-                        coarse = direct_quadrature(F2, levels, K, wc, n)
-                        fine = direct_quadrature(F2, levels, K, wc, 2 * n)
+                    runs = [(m.layout, m.entries, m.refinement_delta, m.underresolved) for m in single]
+                    runs.append((model.layout, model.coupling, model.refinement_delta, model.underresolved))
+                    for layout, entries, got_delta, flag in runs:
+                        coarse = direct_quadrature(F2, layout.levels, K, wc, n)
+                        fine = direct_quadrature(F2, layout.levels, K, wc, 2 * n)
                         scale = np.max(np.abs(fine))
                         assert entries.tobytes() == coarse.tobytes()
-                        _, nested = islice(_quadrature_sums(F2, levels, K, wc, n), 2)
+                        _, nested = islice(_quadrature_sums(F2, layout, wc, n), 2)
                         assert np.max(np.abs(nested - fine)) <= 1e-14 * scale
                         delta = float(np.max(np.abs(fine - coarse)))
                         assert abs(got_delta - delta) <= 1e-15 * scale
@@ -938,9 +972,21 @@ class TestSerialization:
 @pytest.mark.parametrize("call, message", [
     (lambda: assemble(F2, -1, load_weight(make_circle(1.0, n=64), 1.0)), "level index must be >= 0"),
     (lambda: assemble(F2, 0, load_weight(make_circle(1.0, n=64), 1.0), K=-1), "truncation K must be >= 0"),
+    (lambda: assemble(F2, 2.0, load_weight(make_circle(1.0, n=64), 1.0)), "level q must be an integer, got 2.0"),
+    (lambda: assemble(F2, True, load_weight(make_circle(1.0, n=64), 1.0)), "level q must be an integer, got True"),
+    (lambda: assemble(F2, 1, load_weight(make_circle(1.0, n=64), 1.0), K=4.0), "truncation K must be an integer, got 4.0"),
+    (lambda: default_truncation(F2, 1.5, make_circle(1.0)), "level q must be an integer, got 1.5"),
+    (lambda: RowLayout(range(0, 4, 2), 3), "rows need a nonempty step-1 range of levels >= 0 and K >= 0, got range(0, 4, 2), K = 3"),
+    (lambda: RowLayout([0, 1], 3), "rows need a nonempty step-1 range of levels >= 0 and K >= 0, got [0, 1], K = 3"),
+    (lambda: circle_diagonal_log(F2, -1, 2, 1.0), "rows need a nonempty step-1 range of levels >= 0 and K >= 0, got range(-1, 0), K = 2"),
+    (lambda: circle_diagonal_log(F2, 1, -1, 1.0), "rows need a nonempty step-1 range of levels >= 0 and K >= 0, got range(1, 2), K = -1"),
+    (lambda: RowLayout(range(2, 4), 3).index(1, 0), "no row (j, k) = (1, 0) in levels range(2, 4) at K = 3"),
+    (lambda: RowLayout(range(2, 4), 3).index(2, 4), "no row (j, k) = (2, 4) in levels range(2, 4) at K = 3"),
     (lambda: toeplitz.eigenvalues(np.eye(3)), "eigensolve failed to converge: no convergence"),
     (lambda: spectrum(np.eye(3)), "eigensolve failed to converge: no convergence"),
-], ids=["negative-q", "negative-K", "eigenvalues-no-convergence", "spectrum-no-convergence"])
+], ids=["negative-q", "negative-K", "float-q", "bool-q", "float-K", "float-q-truncation", "layout-step-2",
+        "layout-list", "diagonal-negative-q", "diagonal-negative-k", "layout-level-outside", "layout-k-outside",
+        "eigenvalues-no-convergence", "spectrum-no-convergence"])
 def test_refusals_name_their_input(call, message, monkeypatch):
     # Solvers that never converge: only the eigensolve doors call them.
     def no_convergence(m):

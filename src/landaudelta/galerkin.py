@@ -1,6 +1,6 @@
 """Finite Galerkin model of the perturbed Landau Hamiltonian.
 
-On the span of basis functions phi_{k,j}, j <= Q, k <= K, the quadratic
+On the span of basis functions phi_{k,j}, j <= Q, k <= K_j, the quadratic
 form of the perturbed operator is the Hermitian matrix
 
     H = diag(Lambda_j) + sign * B,
@@ -21,11 +21,13 @@ read off the vanishing witness columns of B with no eigensolver, and
 Weyl monotonicity under sign-definite weights.  Eigenvalue positions
 between levels are reported, never certified.
 
-The default angular cutoff keeps only modes whose truncation profile
-stays above 1e-4 of the peak: beyond that, modes are numerically blind
-to the curve and would pile spurious eigenvalues onto the bare Landau
-levels, masking the resonant/non-resonant dichotomy.  All census
-witnesses sit well inside this cutoff.
+The default angular cutoff of level j, K_j, keeps only modes whose
+truncation profile stays above 1e-4 of the peak: beyond that, modes are
+numerically blind to the curve and would pile spurious eigenvalues onto
+the bare Landau levels, masking the resonant/non-resonant dichotomy.
+All census witnesses sit well inside this cutoff.  persistence_check
+cuts each level at its own K_j; model_truncation gives the largest, a
+single cut for every level of a model.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ MODEL_TAIL_CUTOFF = 1e-4
 class GalerkinModel:
     field: MagneticField
     Q: int
-    K: int
+    K: int | tuple[int, ...]  # every level's cut, or (K_0, ..., K_Q)
     sign: int
     matrix: np.ndarray  # diag(Lambda) + sign * coupling
     coupling: np.ndarray
@@ -91,34 +93,53 @@ def _hamiltonian(field: MagneticField, layout: RowLayout, coupling: np.ndarray, 
     return h
 
 
+def _model_cuts(field: MagneticField, Q: int, curve: JordanCurve, first: int = 0) -> tuple[int, ...]:
+    """(K_0, ..., K_Q): default_truncation of each level on curve at tail_rel = MODEL_TAIL_CUTOFF.
+
+    Level first is swept first, so a refusal (no certified tail) names it
+    if it fails at all.
+    """
+    levels = [first, *(j for j in range(Q + 1) if j != first)]
+    cuts = {j: default_truncation(field, j, curve, tail_rel=MODEL_TAIL_CUTOFF) for j in levels}
+    return tuple(cuts[j] for j in range(Q + 1))
+
+
 def model_truncation(field: MagneticField, Q: int, curve: JordanCurve) -> int:
-    """Default angular cutoff on curve, worst level included: default_truncation at tail_rel = 1e-4."""
+    """Default angular cutoff on curve, worst level included: the largest per-level cut at tail_rel = 1e-4."""
     _check_integer("level cutoff Q", Q)
-    return max(default_truncation(field, j, curve, tail_rel=MODEL_TAIL_CUTOFF) for j in range(Q + 1))
+    return max(_model_cuts(field, int(Q), curve))
 
 
 def assemble_model(
     field: MagneticField,
     Q: int,
-    K: int,
+    K: int | tuple[int, ...],
     weighted_curve: WeightedCurve,
     sign: int,
     N: int | None = None,
     check_resolution: bool = True,
 ) -> GalerkinModel:
-    """Assemble H = diag(Lambda_j) + sign * B on levels 0..Q, indices 0..K.
+    """Assemble H = diag(Lambda_j) + sign * B on levels 0..Q, indices 0..K_j at level j.
 
-    N and the N -> 2N check are as in toeplitz.assemble: N=None starts at
-    the least power of two >= max(64, 2(K+Q+1)) and doubles while the check
-    runs and moves an entry by more than 1e-14 max|B|; an explicit N (at
-    least 16) is used as given; the underresolved flag is relative to max|B|.
-    ValueError names a Q or K that is not an integer and a sign that is not
-    the integer +1 or -1 (True and 1.0 included).
+    K is an int, every level's cut, or the tuple (K_0, ..., K_Q); the rows
+    are those of toeplitz.RowLayout(range(Q + 1), K).  N and the N -> 2N
+    check are as in toeplitz.assemble: N=None starts at the least power of
+    two >= max(64, 2(max K_j + Q + 1)) and doubles while the check runs and
+    moves an entry by more than 1e-14 max|B|; an explicit N (at least 16)
+    is used as given; the underresolved flag is relative to max|B|.
+    ValueError names a Q or cut that is not an integer, a tuple K without
+    one cut per level, and a sign that is not the integer +1 or -1 (True
+    and 1.0 included).
     """
     _check_integer("level cutoff Q", Q)
-    _check_integer("truncation K", K)
-    if Q < 0 or K < 0:
+    cuts = K if isinstance(K, tuple) else (K,)
+    for cut in cuts:
+        _check_integer("truncation K", cut)
+    if Q < 0 or min(cuts, default=0) < 0:
         raise ValueError("cutoffs must be >= 0")
+    if isinstance(K, tuple) and len(K) != Q + 1:
+        raise ValueError(f"truncation K needs one cut per level 0..{Q}, got {K}")
+    Q, K = int(Q), tuple(map(int, K)) if isinstance(K, tuple) else int(K)
     if not (_is_integer(sign) and sign in (+1, -1)):
         raise ValueError(f"coupling sign must be +1 or -1, got {sign}")
     layout = RowLayout(range(Q + 1), K)
@@ -225,56 +246,59 @@ def persistence_check(
     holds these norms per sign ("support_residuals") and, as diagnostics
     from one toeplitz.eigenvalues solve per sign (no eigenvectors),
     "near_count" and "min_offset".  One weighted circle, make_circle(r,
-    n=N) with the weight, serves the default K and the coupling, so a bad
-    r, N or weight is reported before a K that cuts off a census witness
-    (also a ValueError).
+    n=N) with the weight, serves the default cuts and the coupling, so a
+    bad r, N or weight is reported before a cut that leaves out a census
+    witness (also a ValueError).
 
-    The census names witnesses within a relative 1e-9 in t, but the
-    verdict needs each witness column at <= SUPPORT_TOL = 1e-12 * max|B|.
-    So r = 1 + 1e-10 at b = 2, q = 1 names k = 1 yet does not persist:
-    its support_residuals read 2.6e-10.  The witnesses come from
-    census.multiplicity, asked before the default K, so t = b r^2 / 2 past
-    census.T_MAX raises its ValueError; a default K that finds no tail
-    below toeplitz.MAX_TRUNCATION raises too (pass K).  Before any of this,
-    ValueError names a q, Q or K that is not an integer.
+    The model has levels 0..Q, each at its own cut K_j, the default
+    truncation at MODEL_TAIL_CUTOFF that model_truncation takes the
+    largest of; an explicit K cuts every level there instead.  details
+    lists the cuts ("cuts") and level q's ("K").  The census names
+    witnesses within a relative 1e-9 in t, but the verdict needs each
+    witness column at <= SUPPORT_TOL = 1e-12 * max|B|.  So r = 1 + 1e-10
+    at b = 2, q = 1 names k = 1 yet does not persist: its
+    support_residuals read 2.6e-10.  The witnesses come from
+    census.multiplicity, asked before the default cuts, so t = b r^2 / 2
+    past census.T_MAX raises its ValueError; a level whose default cut
+    finds no tail below toeplitz.MAX_TRUNCATION raises too (pass K), level
+    q first.  Before any of this, ValueError names a q, Q or K that is not
+    an integer.
 
     Memory: about three dense complex arrays of the model's size, its
-    RowLayout's dim n = (Q + 1)(K + 1), at once, 16 n^2 bytes each.  The
+    RowLayout's dim n = sum_j (K_j + 1), at once, 16 n^2 bytes each.  The
     circle kernel holds three while it builds the coupling; then the
     coupling, one Hamiltonian and LAPACK's copy of it are alive, as the
     sign +1 model is dropped before the sign -1 Hamiltonian is built and
-    the Hermitian check reads row blocks.  At q = 40, r = 5 (n = 6,149)
-    that is about 3 x 605 MB.
+    the Hermitian check reads row blocks.  At q = 40, r = 5 (n = 4,474)
+    that is about 3 x 320 MB.
     """
     _check_integer("level q", q)
+    q = int(q)
     if q < 1:
         raise ValueError("persistence_check requires q >= 1")
     Q = q + 2 if Q is None else Q
     _check_integer("level cutoff Q", Q)
+    Q = int(Q)
     if K is not None:
         _check_integer("truncation K", K)
+        K = int(K)
     if Q < q:
         raise ValueError("level cutoff Q must include the level under study")
     wc = load_weight(make_circle(r, n=N), weight)
     _, witnesses = _census_multiplicity(field, q, r)
-    if K is None:
-        # Cut at the level under study: a wider cutoff (sized for higher
-        # levels) would re-admit level-q modes numerically blind to the
-        # curve, which crowd Lambda_q in the near_count and min_offset
-        # diagnostics.
-        K = default_truncation(field, q, wc.curve, tail_rel=MODEL_TAIL_CUTOFF)
+    cuts = _model_cuts(field, Q, wc.curve, first=q) if K is None else (K,) * (Q + 1)
     witness_ks = tuple(k for k, _ in witnesses)
-    if any(k > K for k in witness_ks):
-        raise ValueError(f"census witness k = {max(witness_ks)} of level {q} lies beyond K = {K}")
+    if any(k > cuts[q] for k in witness_ks):
+        raise ValueError(f"census witness k = {max(witness_ks)} of level {q} lies beyond K = {cuts[q]}")
     # One coupling serves both signs.  Only it outlives the sign +1 model,
     # so one Hamiltonian is alive per eigensolve.
-    plus = assemble_model(field, Q, K, wc, +1, N=N, check_resolution=False)
+    plus = assemble_model(field, Q, cuts, wc, +1, N=N, check_resolution=False)
     coupling, plus_values, layout = plus.coupling, eigenvalues(plus.matrix), plus.layout
     del plus
     columns = coupling[:, [layout.index(q, k) for k in witness_ks]]
     residuals = np.linalg.norm(columns, axis=0) / (np.max(np.abs(coupling)) or 1.0)
     lam_q = field.landau_level(q)
-    details: dict = {"Lambda_q": lam_q, "Q": Q, "K": K}
+    details: dict = {"Lambda_q": lam_q, "Q": Q, "K": cuts[q], "cuts": list(cuts)}
     for sign in (+1, -1):
         values = plus_values if sign > 0 else eigenvalues(_hamiltonian(field, layout, coupling, sign))
         offsets = np.abs(values - lam_q)

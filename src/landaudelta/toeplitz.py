@@ -42,6 +42,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -81,10 +82,11 @@ BLOCK_CELLS = 8192
 
 
 def flat_index(j: int, k: int, K: int) -> int:
-    """Row j (K + 1) + k of phi_{k,j} among levels 0, 1, ..., stacked level-major at cut K.
+    """Row j (K + 1) + k of phi_{k,j} among levels 0, 1, ..., stacked level-major at one cut K.
 
-    The one home of the row index formula.  A j < 0 or a k outside 0..K
-    would name another row, so it raises ValueError naming j, k and K.
+    The row RowLayout(range(j + 1), K).index(j, k) in closed form.  A j < 0
+    or a k outside 0..K would name another row, so it raises ValueError
+    naming j, k and K.
     """
     if j < 0 or not 0 <= k <= K:
         raise ValueError(f"no row (j, k) = ({j}, {k}) at K = {K}: need j >= 0 and 0 <= k <= K")
@@ -93,41 +95,52 @@ def flat_index(j: int, k: int, K: int) -> int:
 
 @dataclass(frozen=True)
 class RowLayout:
-    """The rows phi_{k,j} of an interaction matrix: j in levels, a step-1 range, and k in 0..K, level-major.
+    """The rows phi_{k,j} of an interaction matrix, level-major: j in levels, a step-1 range, and k in 0..K_j.
 
-    Each row's j, k and harmonic m = k - j are read-only arrays.
+    cuts holds K_j for each level in turn; an int K, every level's cut, is
+    stored as that tuple.  Each row's j, k and harmonic m = k - j are
+    read-only arrays, and starts[i] is the first row of levels[i], with
+    starts[-1] = dim.
     """
 
     levels: range
-    K: int
+    cuts: tuple[int, ...]
 
     def __post_init__(self):
+        cuts = self.cuts if isinstance(self.cuts, tuple) else (self.cuts,) * len(self.levels)
         if not (isinstance(self.levels, range) and self.levels.step == 1 and 0 <= self.levels.start < self.levels.stop
-                and self.K >= 0):
+                and min(cuts, default=0) >= 0):
             raise ValueError(f"rows need a nonempty step-1 range of levels >= 0 and K >= 0, "
-                             f"got {self.levels!r}, K = {self.K}")
-        j, k = self.spread(self.levels), np.tile(np.arange(self.K + 1), len(self.levels))
+                             f"got {self.levels!r}, K = {self.cuts}")
+        if len(cuts) != len(self.levels):
+            raise ValueError(f"rows need one cut per level of {self.levels!r}, got K = {self.cuts}")
+        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "starts", (0, *accumulate(cut + 1 for cut in cuts)))
+        j, k = self.spread(self.levels), np.arange(self.dim) - self.spread(self.starts[:-1])
         for name, rows in (("j", j), ("k", k), ("m", k - j)):
             rows.setflags(write=False)
             object.__setattr__(self, name, rows)  # derived, so no field: outside eq, hash and repr
 
     @property
     def dim(self) -> int:
-        return self.j.size
+        return self.starts[-1]
 
     def spread(self, per_level) -> np.ndarray:
-        """The value per_level[i] of level levels[i] on each of its K + 1 rows."""
-        return np.repeat(per_level, self.K + 1)
+        """The value per_level[i] of level levels[i] on each of its K_i + 1 rows."""
+        return np.repeat(per_level, np.add(self.cuts, 1))
 
     def index(self, j: int, k: int) -> int:
-        """Row of phi_{k,j}; a j outside levels, or a k outside 0..K, raises ValueError naming j, k and K."""
-        if j not in self.levels or not 0 <= k <= self.K:
-            raise ValueError(f"no row (j, k) = ({j}, {k}) in levels {self.levels!r} at K = {self.K}")
-        return flat_index(j - self.levels.start, k, self.K)
+        """Row of phi_{k,j}; a j outside levels, or a k outside 0..K_j, raises ValueError naming j, k and the cuts."""
+        i = j - self.levels.start
+        if j not in self.levels or not 0 <= k <= self.cuts[i]:
+            cut = self.cuts[0] if len(set(self.cuts)) == 1 else self.cuts
+            raise ValueError(f"no row (j, k) = ({j}, {k}) in levels {self.levels!r} at K = {cut}")
+        return self.starts[i] + k
 
     def block(self, j: int) -> slice:
-        """The K + 1 rows of level j."""
-        return slice(self.index(j, 0), self.index(j, self.K) + 1)
+        """The K_j + 1 rows of level j."""
+        start = self.index(j, 0)
+        return slice(start, start + self.cuts[j - self.levels.start] + 1)
 
 
 @dataclass(frozen=True)
@@ -210,6 +223,7 @@ def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_re
     A q that is not an integer raises ValueError naming it.
     """
     _check_integer("level q", q)
+    q = int(q)
     t = np.sort(_node_moduli(field, curve))
     t = t[np.concatenate([[True], t[1:] != t[:-1]])]  # np.unique's values; its first call imports numpy.ma
     t_peak = float(t[-1])
@@ -241,7 +255,7 @@ def _quadrature_sums(field: MagneticField, layout: RowLayout, wc: WeightedCurve,
     """
 
     def weighted_sum(points, w):
-        phi = np.vstack([basis_matrix(field, j, range(layout.K + 1), points) for j in layout.levels])
+        phi = np.vstack([basis_matrix(field, j, range(K + 1), points) for j, K in zip(layout.levels, layout.cuts)])
         return (phi * w) @ phi.conj().T
 
     points, ds = arclength_rule(wc.curve.resample(n))
@@ -256,16 +270,21 @@ def _quadrature_sums(field: MagneticField, layout: RowLayout, wc: WeightedCurve,
 def _harmonic_toeplitz(fold: np.ndarray, layout: RowLayout) -> np.ndarray:
     """The dim^2 table fold[span + m_l - m_k] over the rows of layout, m = k - j.
 
-    A copy of a strided view of fold, whose middle entry is the harmonic
-    difference 0: m_l - m_k falls by one along k and j', and rises by one
-    along k' and j.  So no index table is built or read.  The copy is
-    returned unnamed, so numpy may evaluate the product it enters in place.
+    Filled block by block: the (K_j + 1) x (K_j' + 1) block of levels j and
+    j' is a copy of a strided view of fold, whose middle entry is the
+    harmonic difference 0: m_l - m_k is j - j' at the block's corner, falls
+    by one along k and rises by one along k'.  So no index table is built
+    or read.  The table is returned unnamed, so numpy may evaluate the
+    product it enters in place.
     """
-    rows, cols, step = len(layout.levels), layout.K + 1, fold.strides[0]
-    # A view from the ndarray constructor: as_strided costs microseconds more per call.
-    view = np.ndarray((rows, cols, rows, cols), fold.dtype, fold, fold.size // 2 * step, (step, -step, -step, step))
+    step, middle = fold.strides[0], fold.size // 2
     table = np.empty((layout.dim, layout.dim), dtype=fold.dtype)
-    table.reshape(view.shape)[...] = view
+    blocks = list(zip(layout.levels, layout.cuts, layout.starts))
+    # Views from the ndarray constructor: as_strided costs microseconds more per call.
+    for j, K, row in blocks:
+        for jp, Kp, col in blocks:
+            view = np.ndarray((K + 1, Kp + 1), fold.dtype, fold, (middle + j - jp) * step, (-step, step))
+            table[row:row + K + 1, col:col + Kp + 1] = view
     return table
 
 
@@ -313,8 +332,8 @@ def _blockwise_max(a: np.ndarray, modulus) -> float:
 
 
 def _start_nodes(layout: RowLayout) -> int:
-    """Smallest power of two >= max(64, 2 (K + top level + 1)): every basis-product harmonic below Nyquist."""
-    return 1 << (max(64, 2 * (layout.K + layout.levels[-1] + 1)) - 1).bit_length()
+    """Smallest power of two >= max(64, 2 (largest cut + top level + 1)): every basis-product harmonic below Nyquist."""
+    return 1 << (max(64, 2 * (max(layout.cuts) + layout.levels[-1] + 1)) - 1).bit_length()
 
 
 def _compress(field: MagneticField, layout: RowLayout, wc: WeightedCurve, N: int | None, check_resolution: bool):
@@ -387,11 +406,13 @@ def assemble(
     flagged either way.  ValueError names a q or K that is not an integer.
     """
     _check_integer("level q", q)
+    q = int(q)
     if q < 0:
         raise ValueError("level index must be >= 0")
     if K is None:
         K = default_truncation(field, q, weighted_curve.curve)
     _check_integer("truncation K", K)
+    K = int(K)
     if K < 0:
         raise ValueError("truncation K must be >= 0")
     layout = RowLayout(range(q, q + 1), K)

@@ -385,7 +385,7 @@ def _translated_assembly(field: MagneticField, layout: RowLayout, r: float, y, v
     """Interaction matrix on the rows of layout of the circle of radius r moved to y, over translated basis rows."""
     pts, ds = arclength_rule(make_circle(r, n=n))
     shifted = pts + np.asarray(y)[None, :]
-    parts = [stacked_parts(field, j, range(layout.K + 1), y)(shifted) for j in layout.levels]
+    parts = [stacked_parts(field, j, range(K + 1), y)(shifted) for j, K in zip(layout.levels, layout.cuts)]
     phi = np.vstack([np.exp(la) * np.exp(1j * ph) for la, ph in parts])
     m = (phi * (values * ds)) @ phi.conj().T
     return 0.5 * (m + m.conj().T)

@@ -340,6 +340,15 @@ class TestGalerkin:
         assert payload["persists"] is True
         assert payload["witnesses"] == [1]
 
+    def test_persistence_json_records_the_cuts(self, capsys):
+        # Every level's cut, and level q's as K; an explicit K is every level's.
+        for extra, square in (((), False), (("--K", "9"), True)):
+            code, out, _ = run_cli(capsys, "galerkin", "--b", "2", "--q", "1", "--r", "1", "--persistence", *extra)
+            details = json.loads(out)["details"]
+            cuts = details["cuts"]
+            assert code == 0 and len(cuts) == details["Q"] + 1 == 4 and cuts[1] == details["K"]
+            assert (cuts == [9] * 4) if square else (len(set(cuts)) > 1)
+
     @pytest.mark.parametrize("n", ["0", "1"])
     @pytest.mark.parametrize("mode", [(), ("--persistence",)])
     def test_too_few_nodes_exit_2(self, capsys, n, mode):

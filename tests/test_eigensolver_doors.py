@@ -20,13 +20,13 @@ DOORS = {
     "eigvalsh": {"toeplitz.eigenvalues", "laguerre.positive_zeros"},
 }
 
-# Every reference in src/ to a name that spells out the row order.  flat_index
-# is read by RowLayout.index and re-exported by galerkin (the bench reads
-# galerkin.flat_index); no row arrays come from meshgrid; np.repeat spreads
-# per-level values onto rows in RowLayout alone, and census builds its zero
-# table with it.
+# Every reference in src/ to a name that spells out the row order.  flat_index,
+# the closed form at one cut, is only re-exported by galerkin (the bench reads
+# galerkin.flat_index): RowLayout.index looks rows up in the layout's starts;
+# no row arrays come from meshgrid; np.repeat spreads per-level values onto
+# rows in RowLayout alone, and census builds its zero table with it.
 ROW_ORDER = {
-    "flat_index": {"toeplitz.RowLayout.index", "galerkin"},
+    "flat_index": {"galerkin"},
     "meshgrid": set(),
     "repeat": {"toeplitz.RowLayout.spread", "census._LevelZeros.__init__", "census._LevelZeros.upto"},
 }

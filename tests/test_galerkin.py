@@ -1,14 +1,17 @@
+import importlib.util
 import math
 import re
+import sys
 import tracemalloc
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from landaudelta.basis import BasisIndex, MagneticField, translated_parts
 from landaudelta import galerkin, toeplitz
-from landaudelta.census import census
+from landaudelta.census import census, multiplicity as census_multiplicity
 from landaudelta.curves import JordanCurve, arclength_rule, load_weight, make_circle, make_ellipse, save_weight
 from landaudelta.galerkin import (
     assemble_model,
@@ -18,7 +21,7 @@ from landaudelta.galerkin import (
     persistence_check,
 )
 from landaudelta.laguerre import positive_zeros
-from landaudelta.toeplitz import RowLayout, _circle_sums, _quadrature_sums, assemble, spectrum
+from landaudelta.toeplitz import RowLayout, _quadrature_sums, assemble, spectrum
 
 F2 = MagneticField(2.0)
 
@@ -185,6 +188,9 @@ class TestCircleCoupling:
 
     @pytest.mark.parametrize("b", [0.5, 2.0, 4.0])
     def test_matches_quadrature(self, b, tmp_path):
+        # Every level at the largest default cut, and each at its own: the
+        # circle kernel against the quadrature, which assemble_model takes
+        # once the same nodes are labelled a sampled curve.
         field = MagneticField(b)
         path = tmp_path / "weight.txt"
         grid = np.linspace(0.0, 2 * math.pi, 97, endpoint=False)
@@ -193,12 +199,16 @@ class TestCircleCoupling:
         resonant = math.sqrt(2.0 * positive_zeros(2, 1.0)[0] / b)  # witness k = 3 at level 2
         for weight in weights:
             for r in (1.37, resonant):
-                wc = load_weight(make_circle(r, n=256), weight)
+                circle = make_circle(r, n=256)
+                sampled = JordanCurve("sampled", circle.params, circle.points, circle.derivs, ())
                 for Q in range(5):
-                    K = model_truncation(field, Q, wc.curve)
-                    fast = next(_circle_sums(field, RowLayout(range(Q + 1), K), wc, 256))
-                    slow = next(_quadrature_sums(field, RowLayout(range(Q + 1), K), wc, 256))
-                    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+                    cuts = galerkin._model_cuts(field, Q, circle)
+                    assert max(cuts) == model_truncation(field, Q, circle)
+                    for K in (max(cuts), cuts):
+                        fast = assemble_model(field, Q, K, load_weight(circle, weight), +1, N=256, check_resolution=False)
+                        slow = assemble_model(field, Q, K, load_weight(sampled, weight), +1, N=256, check_resolution=False)
+                        assert fast.layout == slow.layout == RowLayout(range(Q + 1), K)
+                        assert np.max(np.abs(fast.coupling - slow.coupling)) <= 1e-12 * np.max(np.abs(slow.coupling))
 
     def test_model_refinement_delta_matches_quadrature(self):
         wc = load_weight(make_circle(1.1, n=32), lambda t: 1.0 + np.cos(16.0 * t) + 0.2 * np.sin(3 * t))
@@ -289,23 +299,24 @@ class TestPersistence:
         weight = lambda t: 2.0 + np.sin(t)
         res = persistence_check(F2, 1, 1.3, weight=weight)
         assert calls == [+1]
-        K, Q = res.details["K"], res.details["Q"]
+        cuts, Q = tuple(res.details["cuts"]), res.details["Q"]
         wc = load_weight(make_circle(1.3), weight)
         for sign in (+1, -1):
-            vals = np.linalg.eigvalsh(original(F2, Q, K, wc, sign, check_resolution=False).matrix)
+            vals = np.linalg.eigvalsh(original(F2, Q, cuts, wc, sign, check_resolution=False).matrix)
             offset = float(np.min(np.abs(vals - F2.landau_level(1))))
             assert res.details[f"sign_{'+' if sign > 0 else '-'}"]["min_offset"] == offset
 
     def test_peak_is_about_three_model_matrices(self, peak_matrices):
-        # A model of dimension 405 = (q + 3)(K + 1): the circle kernel's
-        # three dense arrays set the peak, and one Hamiltonian at a time
-        # with the blocked Hermitian check stays below it.  With a second
-        # Hamiltonian, whole-matrix checks and an int64 offset table the
-        # peak read 4.5.
+        # A model of dimension 360 = sum_j (K_j + 1) over levels 0..q + 2:
+        # the circle kernel's three dense arrays set the peak, and one
+        # Hamiltonian at a time with the blocked Hermitian check stays below
+        # it.  With a second Hamiltonian, whole-matrix checks and an int64
+        # offset table the peak read 4.5.
         field, r = MagneticField(4.0), 2.3700854867581373
         warm = persistence_check(field, 6, r)  # census and Laguerre tables outside the measurement
-        res, peak = peak_matrices(lambda: persistence_check(field, 6, r), 405)
-        assert (res.details["Q"] + 1) * (res.details["K"] + 1) == 405
+        res, peak = peak_matrices(lambda: persistence_check(field, 6, r), 360)
+        assert len(res.details["cuts"]) == res.details["Q"] + 1
+        assert sum(cut + 1 for cut in res.details["cuts"]) == 360
         assert res.to_json() == warm.to_json()
         assert peak <= 3.25
 
@@ -322,8 +333,52 @@ class TestPersistence:
         field, r = MagneticField(4.0), 2.3700854867581373
         persistence_check(field, 6, r)
         alive.clear()
-        peak_matrices(lambda: persistence_check(field, 6, r), 405)
+        peak_matrices(lambda: persistence_check(field, 6, r), 360)
         assert len(alive) == 2 and max(alive) <= 2.25
+
+    def test_each_level_at_its_own_cut(self):
+        # The default model cuts level j at its own MODEL_TAIL_CUTOFF cut;
+        # an explicit K cuts every level there.
+        weight = lambda t: 2.0 + np.sin(t)
+        res = persistence_check(F2, 2, math.sqrt(2.0), weight=weight)
+        cuts = galerkin._model_cuts(F2, 4, make_circle(math.sqrt(2.0)))
+        assert res.details["cuts"] == list(cuts) and res.details["K"] == cuts[2] and res.details["Q"] == 4
+        assert len(set(cuts)) > 1 and max(cuts) == model_truncation(F2, 4, make_circle(math.sqrt(2.0)))
+        square = persistence_check(F2, 2, math.sqrt(2.0), K=cuts[2], weight=weight)
+        assert square.details["cuts"] == [cuts[2]] * 5 and square.details["K"] == cuts[2]
+        assert square.persists == res.persists and square.witnesses == res.witnesses
+
+    def test_no_certified_tail_names_the_level_under_study(self):
+        # At b = 2, r = 25 (t = 625) no level has a certified tail below
+        # MAX_TRUNCATION; level q is swept first, so its refusal is raised.
+        for q in (1, 2):
+            with pytest.raises(ValueError, match=rf"^level {q}: no certified tail below MAX_TRUNCATION = 512 at t_peak = 625; pass K$"):
+                persistence_check(F2, q, 25.0)
+
+    def test_verdicts_as_on_the_square_model(self, monkeypatch):
+        # Every persistence task of the benchmark's circle_scan first round,
+        # seeds 1-3, and its fixed task: the default per-level cuts give the
+        # verdict and witnesses of the model cutting every level at level
+        # q's cut, and both agree with the census.
+        spec = importlib.util.spec_from_file_location("bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up there
+        spec.loader.exec_module(workloads)
+        tasks = [workloads.KNOWN_DEFECT_TASK]
+        for seed in (1, 2, 3):
+            scan = workloads.CircleScan(seed, None)
+            tasks += [task for task in scan.next_round() if task.kind == "persistence"]
+        assert len(tasks) == 73
+        shrunk = 0
+        for task in tasks:
+            field = MagneticField(task.b)
+            ragged = persistence_check(field, task.q, task.r, weight=task.weight)
+            square = persistence_check(field, task.q, task.r, K=ragged.details["K"], weight=task.weight)
+            assert (ragged.persists, ragged.witnesses) == (square.persists, square.witnesses)
+            assert ragged.persists == bool(ragged.witnesses) == task.resonant
+            assert ragged.witnesses == tuple(k for k, _ in census_multiplicity(field, task.q, task.r)[1])
+            shrunk += sum(ragged.details["cuts"]) < sum(square.details["cuts"])
+        assert shrunk > len(tasks) // 2
 
     def test_requires_positive_level(self):
         with pytest.raises(ValueError):
@@ -435,9 +490,12 @@ class TestPersistence:
     (lambda: flat_index(1, 9, 4), "no row (j, k) = (1, 9) at K = 4: need j >= 0 and 0 <= k <= K"),
     (lambda: flat_index(-1, 0, 4), "no row (j, k) = (-1, 0) at K = 4: need j >= 0 and 0 <= k <= K"),
     (lambda: flat_index(0, -1, 4), "no row (j, k) = (0, -1) at K = 4: need j >= 0 and 0 <= k <= K"),
+    (lambda: assemble_model(F2, 2, (4, 5), load_weight(make_circle(1.0, n=64), 1.0), 1), "truncation K needs one cut per level 0..2, got (4, 5)"),
+    (lambda: assemble_model(F2, 1, (4, -1), load_weight(make_circle(1.0, n=64), 1.0), 1), "cutoffs must be >= 0"),
+    (lambda: assemble_model(F2, 1, (4, 5.0), load_weight(make_circle(1.0, n=64), 1.0), 1), "truncation K must be an integer, got 5.0"),
 ], ids=["negative-Q", "negative-K", "Q-below-q", "float-Q", "float-K", "float-Q-truncation", "persistence-float-q",
         "persistence-float-Q", "persistence-float-K", "bool-sign", "float-sign", "sign-2", "flat-index-k-past-K",
-        "flat-index-negative-j", "flat-index-negative-k"])
+        "flat-index-negative-j", "flat-index-negative-k", "cuts-per-level", "negative-cut", "float-cut"])
 def test_refusals_name_their_input(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -435,6 +436,24 @@ class TestRowLayout:
         assert matrix.layout == layout
         assert shape == (layout.dim, layout.dim)
 
+    @pytest.mark.parametrize("levels, cuts", [(range(4), (3, 0, 5, 2)), (range(2, 4), (1, 6)), (range(3), (4, 4, 4))])
+    def test_ragged_rows(self, levels, cuts):
+        # Reference: the rows spelled out level by level, k = 0..K_j at level j.
+        layout = RowLayout(levels, cuts)
+        rows = [(j, k) for j, K in zip(levels, cuts) for k in range(K + 1)]
+        assert list(zip(layout.j.tolist(), layout.k.tolist())) == rows
+        assert np.array_equal(layout.m, layout.k - layout.j)
+        assert layout.dim == len(rows) == sum(K + 1 for K in cuts)
+        assert [layout.index(j, k) for j, k in rows] == list(range(layout.dim))
+        for j, K in zip(levels, cuts):
+            rows_j = np.arange(layout.dim)[layout.block(j)]
+            assert np.array_equal(rows_j, np.flatnonzero(layout.j == j)) and rows_j.size == K + 1
+            with pytest.raises(ValueError, match=re.escape(f"no row (j, k) = ({j}, {K + 1})")):
+                layout.index(j, K + 1)
+        assert np.array_equal(layout.spread([10.0 * j for j in levels]), 10.0 * layout.j)
+        assert not any(a.flags.writeable for a in (layout.j, layout.k, layout.m))
+        assert (layout == RowLayout(levels, cuts[0])) == (len(set(cuts)) == 1)
+
     def test_numpy_integers_accepted(self):
         wc = load_weight(make_circle(1.0, n=64), 1.0)
         plain = assemble(F2, 1, wc, K=4, N=64)
@@ -442,6 +461,24 @@ class TestRowLayout:
         assert numpy.entries.tobytes() == plain.entries.tobytes()
         model = assemble_model(F2, np.int64(2), np.int64(4), wc, np.int64(-1), N=64)
         assert model.matrix.tobytes() == assemble_model(F2, 2, 4, wc, -1, N=64).matrix.tobytes()
+        ragged = assemble_model(F2, np.int64(2), (np.int64(3), 4, np.int64(5)), wc, -1, N=64)
+        assert ragged.K == (3, 4, 5) and all(type(cut) is int for cut in ragged.K)
+        assert type(default_truncation(F2, np.int64(2), wc.curve)) is int
+
+    def test_numpy_integers_export(self):
+        # Both JSON exports round-trip a numpy q, K and Q as the int results.
+        wc = load_weight(make_circle(1.0, n=64), 1.0)
+        for K in (np.int64(4), None):
+            numpy = assemble(F2, np.int64(1), wc, K=K, N=64)
+            plain = assemble(F2, 1, wc, K=None if K is None else 4, N=64)
+            assert type(numpy.q) is int and type(numpy.K) is int
+            assert matrix_to_json(numpy) == matrix_to_json(plain)
+            assert matrix_from_json(matrix_to_json(numpy)).entries.tobytes() == plain.entries.tobytes()
+        for kwargs in ({}, {"K": np.int64(6), "Q": np.int64(3)}):
+            numpy = persistence_check(F2, np.int64(1), 1.0, **kwargs)
+            plain = persistence_check(F2, 1, 1.0, **{k: int(v) for k, v in kwargs.items()})
+            assert numpy.to_json() == plain.to_json()
+            assert json.loads(numpy.to_json())["details"]["cuts"] == plain.details["cuts"]
 
 
 def three_harmonic(t):
@@ -529,6 +566,37 @@ class TestCircleKernel:
                 coarse, fine = islice(_circle_sums(field, layout, wc, n), 2)
                 assert coarse.tobytes() == reference(field, layout, wc, n).tobytes()
                 assert fine.tobytes() == reference(field, layout, wc, 2 * n).tobytes()
+
+    def test_one_cut_tables_bitwise_as_one_strided_view(self, tmp_path):
+        # An int K is every level's cut: the block-by-block table must be,
+        # byte for byte, the one-cut table read as a single 4-D strided view
+        # of the fold over (j, k, j', k'), and the matrices through both
+        # doors the same as with K spelled out per level.
+        def one_view_table(fold, layout):
+            rows, cols, step = len(layout.levels), layout.cuts[0] + 1, fold.strides[0]
+            view = np.lib.stride_tricks.as_strided(fold[fold.size // 2:], (rows, cols, rows, cols), (step, -step, -step, step))
+            return view.reshape(layout.dim, layout.dim)
+
+        e = make_ellipse(1.8, 1.1, n=211)
+        curves = (make_circle(1.37), make_ellipse(1.4, 0.9), JordanCurve("sampled", e.params, e.points, e.derivs, ()))
+        for b in (0.5, 2.0, 4.0):
+            field = MagneticField(b)
+            for weight in sample_weights(tmp_path):
+                for curve in curves:
+                    wc = load_weight(curve, weight)
+                    for Q in range(6):
+                        model = assemble_model(field, Q, 7, wc, -1, N=64)
+                        spelled = assemble_model(field, Q, (7,) * (Q + 1), wc, -1, N=64)
+                        assert model.matrix.tobytes() == spelled.matrix.tobytes()
+                        assert model.provenance == spelled.provenance
+                    if curve.kind != "circle":
+                        continue
+                    vhat = np.fft.fft(wc.sample(64)) / 64
+                    layouts = [RowLayout(range(q, q + 1), 9) for q in range(7)] + [RowLayout(range(Q + 1), 7) for Q in range(6)]
+                    for layout in layouts:
+                        span = int(layout.m.max() - layout.m.min())
+                        fold = vhat[np.arange(-span, span + 1) % 64]
+                        assert toeplitz._harmonic_toeplitz(fold, layout).tobytes() == one_view_table(fold, layout).tobytes()
 
     def test_witness_rows_vanish_at_census_radii(self):
         # The rows vanish up to the rounding of t = b r^2 / 2 at the census
@@ -982,10 +1050,14 @@ class TestSerialization:
     (lambda: circle_diagonal_log(F2, 1, -1, 1.0), "rows need a nonempty step-1 range of levels >= 0 and K >= 0, got range(1, 2), K = -1"),
     (lambda: RowLayout(range(2, 4), 3).index(1, 0), "no row (j, k) = (1, 0) in levels range(2, 4) at K = 3"),
     (lambda: RowLayout(range(2, 4), 3).index(2, 4), "no row (j, k) = (2, 4) in levels range(2, 4) at K = 3"),
+    (lambda: RowLayout(range(3), (2, 3)), "rows need one cut per level of range(0, 3), got K = (2, 3)"),
+    (lambda: RowLayout(range(2), (2, -1)), "rows need a nonempty step-1 range of levels >= 0 and K >= 0, got range(0, 2), K = (2, -1)"),
+    (lambda: RowLayout(range(3), (4, 5, 3)).index(2, 4), "no row (j, k) = (2, 4) in levels range(0, 3) at K = (4, 5, 3)"),
     (lambda: toeplitz.eigenvalues(np.eye(3)), "eigensolve failed to converge: no convergence"),
     (lambda: spectrum(np.eye(3)), "eigensolve failed to converge: no convergence"),
 ], ids=["negative-q", "negative-K", "float-q", "bool-q", "float-K", "float-q-truncation", "layout-step-2",
         "layout-list", "diagonal-negative-q", "diagonal-negative-k", "layout-level-outside", "layout-k-outside",
+        "layout-cuts-per-level", "layout-negative-cut", "layout-k-past-its-cut",
         "eigenvalues-no-convergence", "spectrum-no-convergence"])
 def test_refusals_name_their_input(call, message, monkeypatch):
     # Solvers that never converge: only the eigensolve doors call them.

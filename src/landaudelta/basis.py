@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .laguerre import MAX_RULE_NODES, gauss_laguerre_log_rule, laguerre_eval_batch
+from .laguerre import MAX_RULE_NODES, _index, gauss_laguerre_log_rule, laguerre_eval_batch
 
 __all__ = [
     "MagneticField",
@@ -69,9 +69,7 @@ class MagneticField:
 
     def landau_level(self, q: int) -> float:
         """Lambda_q = b(2q+1)."""
-        if q < 0:
-            raise ValueError("level index must be >= 0")
-        return self.b * (2 * q + 1)
+        return self.b * (2 * _index("level q", q) + 1)
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,8 @@ class BasisIndex:
     q: int
 
     def __post_init__(self):
-        if self.k < 0 or self.q < 0:
-            raise ValueError(f"indices must be >= 0, got k={self.k}, q={self.q}")
+        object.__setattr__(self, "k", _index("angular index k", self.k))
+        object.__setattr__(self, "q", _index("level q", self.q))
 
 
 def _as_points(x) -> np.ndarray:
@@ -177,7 +175,8 @@ def basis_matrix(field: MagneticField, q: int, ks, points) -> np.ndarray:
     pts = _as_points(points)
     if pts.ndim != 2:
         raise ValueError("basis_matrix expects an (N, 2) array of points")
-    return _from_parts(*_parts_arrays(field, np.array(list(ks), dtype=int)[:, None], q, pts))
+    ks = np.array([_index("angular index k", k) for k in ks], dtype=int)
+    return _from_parts(*_parts_arrays(field, ks[:, None], _index("level q", q), pts))
 
 
 def stacked_parts(field: MagneticField, q: int, ks, y=None) -> Callable:
@@ -220,11 +219,11 @@ def gram_rule(kq_max: int, dk_max: int) -> tuple[int, int]:
     to zero.  A kq_max past 2 MAX_RULE_NODES - 1 = 723 raises ValueError naming
     it: its rule leaves the double range.
     """
-    n = kq_max // 2 + 1
+    n = _index("kq_max", kq_max) // 2 + 1
     if n > MAX_RULE_NODES:
         raise ValueError(f"k + q = {kq_max} needs a {n}-node Gauss-Laguerre rule, past the MAX_RULE_NODES = "
                          f"{MAX_RULE_NODES} that stay in the double range (k + q <= {2 * MAX_RULE_NODES - 1})")
-    return n, 1 << dk_max.bit_length()
+    return n, 1 << _index("dk_max", dk_max).bit_length()
 
 
 def plane_gram(field: MagneticField, parts: Callable, rule: tuple[int, int]) -> np.ndarray:

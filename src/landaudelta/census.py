@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache, partial
@@ -38,7 +37,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .basis import MagneticField
-from .laguerre import _INT_TOL, nodal_zeros, positive_zeros
+from .laguerre import _INT_TOL, _index, nodal_zeros, positive_zeros
 
 # Relative tolerance used when testing membership t in zeros(spec).
 ZERO_MEMBERSHIP_RTOL = 1e-9
@@ -119,9 +118,9 @@ class _LevelZeros:
 
     def __init__(self, q: int):
         self.q = q
-        zeros = [nodal_zeros(q, k) for k in range(q)]
-        self.ts = np.concatenate([np.empty(0), *zeros])
-        self.ks = np.repeat(np.arange(q), [z.size for z in zeros])
+        self.low_rows = [nodal_zeros(q, k) for k in range(q)]  # k = 0 .. q - 1, ascending
+        self.ts = np.concatenate([np.empty(0), *self.low_rows])
+        self.ks = np.repeat(np.arange(q), [z.size for z in self.low_rows])
         self.t_view, self.k_view = memoryview(self.ts), memoryview(self.ks)
         self.next_k = q
         self.reach = 0.0  # every zero is positive, so nothing is certified yet
@@ -145,14 +144,11 @@ class _LevelZeros:
         return self.ts, self.ks
 
     def negative_rows(self) -> list[np.ndarray]:
-        """Zeros of L_q^(-n), descending, for n = 1 .. q - 1: the table's rows k = q - n, bitwise nodal_zeros(q, q - n).
+        """Zeros of L_q^(-n), descending, for n = 1 .. q - 1: the rows nodal_zeros(q, q - n) the table was built from, reversed.
 
         Every table holds them from construction, so reading them solves nothing.
         """
-        low = self.ks < self.q
-        # Stable: each row stays ascending; reversed, rows run k = q - 1, ..., 1, each descending.
-        desc = self.ts[low][np.argsort(self.ks[low], kind="stable")][::-1]
-        return np.split(desc, np.cumsum(np.arange(self.q - 1, 1, -1)))
+        return [row[::-1] for row in self.low_rows[:0:-1]]
 
 
 @lru_cache(maxsize=None)
@@ -179,24 +175,13 @@ def _window(t):
     return t * _WINDOW_LO, t * _WINDOW_HI
 
 
-def _is_integer(x) -> bool:
-    """True for an int or a numpy integer, not a bool."""
-    # type(x) is int first: the ABC check alone costs about 1 us a call.
-    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
-
-
-def _check_integer(name: str, x) -> None:
-    """Refuse an x that is not an integer by name: "<name> must be an integer, got <x!r>"."""
-    if not _is_integer(x):
-        raise ValueError(f"{name} must be an integer, got {x!r}")
-
-
-def _check_level(q, message: str) -> None:
-    """Refuse a q that is not an integer (bool and str included) by name, and an integer q < 1 with message."""
+def _check_level(q, message: str) -> int:
+    """q as an int: a q that is not an integer is refused by _index, an integer q < 1 with message."""
     if type(q) is not int:  # an int skips the call, which adds about 0.26 us to a 2.4 us warm multiplicity query
-        _check_integer("level q", q)
+        q = _index("level q", q)
     if q < 1:
         raise ValueError(message)
+    return q
 
 
 def _check_reach(q: int, t: float, radius: str) -> None:
@@ -204,7 +189,7 @@ def _check_reach(q: int, t: float, radius: str) -> None:
     if not t <= T_MAX:
         raise ValueError(f"t = b {radius}^2 / 2 = {t} is past the census limit T_MAX = {T_MAX:g}")
     # The exact integer q^3 first: past about q = 1e154 the float product would overflow.
-    if int(q) ** 3 > TABLE_CELLS_MAX or q * q * (math.sqrt(q) + math.sqrt(t)) ** 2 > TABLE_CELLS_MAX:
+    if q ** 3 > TABLE_CELLS_MAX or q * q * (math.sqrt(q) + math.sqrt(t)) ** 2 > TABLE_CELLS_MAX:
         raise ValueError(f"q = {q} at t = b {radius}^2 / 2 = {t} is past the census limit "
                          f"q^2 (sqrt(q) + sqrt(t))^2 <= TABLE_CELLS_MAX = {TABLE_CELLS_MAX:g}")
 
@@ -229,7 +214,7 @@ def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tupl
     would never end.
     multiplicities gives the counts alone for an array of radii in one pass.
     """
-    _check_level(q, "multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")
+    q = _check_level(q, "multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")
     if not 0 < r < math.inf:
         raise ValueError(f"radius must be positive and finite, got {r}")
     t = 0.5 * field.b * r * r
@@ -258,7 +243,7 @@ def multiplicities(field: MagneticField, q: int, radii) -> np.ndarray:
     with the same messages, naming the first bad radius (the largest t for
     TABLE_CELLS_MAX).  An empty input gives an empty array.
     """
-    _check_level(q, "multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")
+    q = _check_level(q, "multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")
     r = np.asarray(radii, dtype=float)
     bad = ~((0 < r) & (r < math.inf))
     if bad.any():
@@ -289,7 +274,7 @@ def census(field: MagneticField, q: int, r_max: float) -> list[CensusEntry]:
     maps over zipped lists, so a census makes the same calls from Python
     at any size, but for one sort per radius of several witnesses.
     """
-    _check_level(q, "census is defined for q >= 1; the q = 0 kernel is always trivial")
+    q = _check_level(q, "census is defined for q >= 1; the q = 0 kernel is always trivial")
     if not 0 < r_max < math.inf:
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
     t_max = 0.5 * field.b * r_max * r_max
@@ -326,10 +311,8 @@ def explicit_D12(field: MagneticField, n_max: int) -> dict[str, list[float]]:
     2^53), so dropping equal neighbours after a sort removes every coincidence,
     the doubles of D2 are bitwise D22 radii, and radii 9.9e-10 apart (t ~ 251000.5) stay apart.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     b = field.b
-    n = np.arange(1, n_max + 1, dtype=float)
+    n = np.arange(1, _index("n_max", n_max, 1) + 1, dtype=float)
 
     def radii(tvals):
         return np.sqrt(2.0 * np.asarray(tvals) / b)
@@ -362,7 +345,7 @@ def _zeta_rows(q: int, alphas: np.ndarray) -> np.ndarray:
     rows = np.full((alphas.size, q), np.nan)
     nonneg = alphas >= 0
     negative = np.flatnonzero(~nonneg).tolist()
-    if negative and int(q) ** 3 > TABLE_CELLS_MAX:  # the table's k < q rows alone hold about q^3 cells
+    if negative and q ** 3 > TABLE_CELLS_MAX:  # the table's k < q rows alone hold about q^3 cells
         raise ValueError(f"eta curves at alpha < 0 read the level-q zero table: q = {q} is past "
                          f"the census limit q^3 <= TABLE_CELLS_MAX = {TABLE_CELLS_MAX:g}")
     params = np.append(alphas[nonneg], [0.0] if negative else [])
@@ -390,7 +373,7 @@ def _eta_table(field: MagneticField, q: int, alphas) -> np.ndarray:
     zeta_ell is defined on [ell - q, inf); alpha within _INT_TOL below the
     edge reads the edge, and cells further below are nan.
     """
-    _check_level(q, "eta curves require q >= 1")
+    q = _check_level(q, "eta curves require q >= 1")
     alphas = np.asarray(alphas, dtype=float)
     edges = np.arange(1 - q, 1)
     defined = ~(alphas[:, None] < edges - _INT_TOL)
@@ -410,7 +393,7 @@ def eta_curve(field: MagneticField, q: int, ell: int, alpha: float) -> float:
     dominates where both are defined.  ValueError below the domain edge.
     """
     etas = _eta_table(field, q, [alpha])[0]
-    if not 1 <= ell <= q:
+    if _index("curve index ell", ell, 1) > q:
         raise ValueError(f"curve index must satisfy 1 <= ell <= q, got {ell}")
     if math.isnan(etas[ell - 1]):
         raise ValueError(f"alpha={alpha} below the domain edge {ell - q} of curve {ell}")
@@ -424,8 +407,7 @@ def gap_constants(field: MagneticField, q: int, lam: float) -> tuple[float, floa
     """
     if lam <= -field.b:
         raise ValueError(f"lambda must exceed -b = {-field.b}, got {lam}")
-    if q < 1:
-        raise ValueError("gap constants require q >= 1")
+    q = _index("level q", q, 1)
     lq = field.landau_level(q)
     plus = 2.0 * field.b / ((lq + lam) * (field.landau_level(q - 1) + lam))
     minus = 2.0 * field.b / ((lq + lam) * (field.landau_level(q + 1) + lam))
@@ -445,8 +427,7 @@ def coupling_lower_bounds(field: MagneticField, q: int, c: float) -> tuple[float
     """
     if not c > 0:
         raise ValueError(f"trace constant must be positive, got {c}")
-    if q < 0:
-        raise ValueError("level index must be >= 0")
+    q = _index("level q", q)
     b = field.b
     lq = field.landau_level(q)
     minus = 2.0 * b * c / (2.0 * b + (lq + 1.0) * (field.landau_level(q + 1) + 1.0))

@@ -38,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import _check_integer, _is_integer, multiplicity as _census_multiplicity
+from .census import multiplicity as _census_multiplicity
 from .basis import MagneticField
 from .curves import JordanCurve, WeightedCurve, load_weight, make_circle
+from .laguerre import _index
 from .toeplitz import RowLayout, _compress, default_truncation, eigenvalues, flat_index
 
 __all__ = [
@@ -106,8 +107,7 @@ def _model_cuts(field: MagneticField, Q: int, curve: JordanCurve, first: int = 0
 
 def model_truncation(field: MagneticField, Q: int, curve: JordanCurve) -> int:
     """Default angular cutoff on curve, worst level included: the largest per-level cut at tail_rel = 1e-4."""
-    _check_integer("level cutoff Q", Q)
-    return max(_model_cuts(field, int(Q), curve))
+    return max(_model_cuts(field, _index("level cutoff Q", Q), curve))
 
 
 def assemble_model(
@@ -127,25 +127,21 @@ def assemble_model(
     two >= max(64, 2(max K_j + Q + 1)) and doubles while the check runs and
     moves an entry by more than 1e-14 max|B|; an explicit N (at least 16)
     is used as given; the underresolved flag is relative to max|B|.
-    ValueError names a Q or cut that is not an integer, a tuple K without
-    one cut per level, and a sign that is not the integer +1 or -1 (True
-    and 1.0 included).
+    Q and the cuts follow the package's one integer rule (laguerre._index,
+    and RowLayout for the cuts); a sign that is not the integer +1 or -1
+    (True and 1.0 included) is refused by name.
     """
-    _check_integer("level cutoff Q", Q)
-    cuts = K if isinstance(K, tuple) else (K,)
-    for cut in cuts:
-        _check_integer("truncation K", cut)
-    if Q < 0 or min(cuts, default=0) < 0:
-        raise ValueError("cutoffs must be >= 0")
-    if isinstance(K, tuple) and len(K) != Q + 1:
-        raise ValueError(f"truncation K needs one cut per level 0..{Q}, got {K}")
-    Q, K = int(Q), tuple(map(int, K)) if isinstance(K, tuple) else int(K)
-    if not (_is_integer(sign) and sign in (+1, -1)):
+    layout = RowLayout(range(_index("level cutoff Q", Q) + 1), K)
+    try:
+        integral = _index("coupling sign", sign, -1)
+    except ValueError:
+        integral = None
+    if integral not in (+1, -1):
         raise ValueError(f"coupling sign must be +1 or -1, got {sign}")
-    layout = RowLayout(range(Q + 1), K)
     coupling, provenance, underresolved, delta = _compress(field, layout, weighted_curve, N, check_resolution)
     h = _hamiltonian(field, layout, coupling, sign)
-    return GalerkinModel(field, Q, K, sign, h, coupling, provenance, underresolved, delta)
+    cuts = layout.cuts if isinstance(K, tuple) else layout.cuts[0]
+    return GalerkinModel(field, layout.levels[-1], cuts, sign, h, coupling, provenance, underresolved, delta)
 
 
 @dataclass(frozen=True)
@@ -261,8 +257,9 @@ def persistence_check(
     census.multiplicity, asked before the default cuts, so t = b r^2 / 2
     past census.T_MAX raises its ValueError; a level whose default cut
     finds no tail below toeplitz.MAX_TRUNCATION raises too (pass K), level
-    q first.  Before any of this, ValueError names a q, Q or K that is not
-    an integer.
+    q first.  Before any of this, the package's one integer rule
+    (laguerre._index) refuses by name a q below 1, a Q below q and a K
+    below 0.
 
     Memory: about three dense complex arrays of the model's size, its
     RowLayout's dim n = sum_j (K_j + 1), at once, 16 n^2 bytes each.  The
@@ -272,24 +269,16 @@ def persistence_check(
     the Hermitian check reads row blocks.  At q = 40, r = 5 (n = 4,474)
     that is about 3 x 320 MB.
     """
-    _check_integer("level q", q)
-    q = int(q)
-    if q < 1:
-        raise ValueError("persistence_check requires q >= 1")
-    Q = q + 2 if Q is None else Q
-    _check_integer("level cutoff Q", Q)
-    Q = int(Q)
-    if K is not None:
-        _check_integer("truncation K", K)
-        K = int(K)
-    if Q < q:
-        raise ValueError("level cutoff Q must include the level under study")
+    q = _index("level q", q, 1)
+    Q = _index("level cutoff Q", q + 2 if Q is None else Q, q)
+    K = None if K is None else _index("truncation K", K)
     wc = load_weight(make_circle(r, n=N), weight)
     _, witnesses = _census_multiplicity(field, q, r)
-    cuts = _model_cuts(field, Q, wc.curve, first=q) if K is None else (K,) * (Q + 1)
+    cuts = _model_cuts(field, Q, wc.curve, first=q) if K is None else K
+    K_q = cuts[q] if K is None else K
     witness_ks = tuple(k for k, _ in witnesses)
-    if any(k > cuts[q] for k in witness_ks):
-        raise ValueError(f"census witness k = {max(witness_ks)} of level {q} lies beyond K = {cuts[q]}")
+    if any(k > K_q for k in witness_ks):
+        raise ValueError(f"census witness k = {max(witness_ks)} of level {q} lies beyond K = {K_q}")
     # One coupling serves both signs.  Only it outlives the sign +1 model,
     # so one Hamiltonian is alive per eigensolve.
     plus = assemble_model(field, Q, cuts, wc, +1, N=N, check_resolution=False)
@@ -298,7 +287,7 @@ def persistence_check(
     columns = coupling[:, [layout.index(q, k) for k in witness_ks]]
     residuals = np.linalg.norm(columns, axis=0) / (np.max(np.abs(coupling)) or 1.0)
     lam_q = field.landau_level(q)
-    details: dict = {"Lambda_q": lam_q, "Q": Q, "K": cuts[q], "cuts": list(cuts)}
+    details: dict = {"Lambda_q": lam_q, "Q": Q, "K": K_q, "cuts": list(layout.cuts)}
     for sign in (+1, -1):
         values = plus_values if sign > 0 else eigenvalues(_hamiltonian(field, layout, coupling, sign))
         offsets = np.abs(values - lam_q)

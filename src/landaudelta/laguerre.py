@@ -15,6 +15,7 @@ defect against the closed-form normalization Gamma(alpha+1) C(q+alpha, q).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +41,22 @@ _INT_TOL = 1e-12
 MAX_RULE_NODES = 362
 
 
+def _index(name: str, x, low: int = 0) -> int:
+    """x as an int: the one integer-argument rule of the package (levels, cuts, degrees, counts).
+
+    An int or a numpy integer is accepted; a bool, float, str, None or
+    anything else is refused with "<name> must be an integer, got <x!r>",
+    and an x below low with "<name> must be >= <low>, got <x>".
+    """
+    if type(x) is not int:  # an int skips the ABC check, which costs about 1 us
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
+        x = int(x)
+    if x < low:
+        raise ValueError(f"{name} must be >= {low}, got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class LaguerreSpec:
     """Degree q and parameter alpha of a generalized Laguerre polynomial."""
@@ -48,8 +65,7 @@ class LaguerreSpec:
     alpha: float
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+        object.__setattr__(self, "degree", _index("degree", self.degree))
 
 
 def laguerre_eval(spec: LaguerreSpec, t):
@@ -152,6 +168,7 @@ def positive_zeros(q: int, alpha) -> np.ndarray:
     off-diagonal sqrt(i(i+alpha))), all from one stacked eigvalsh call,
     followed by one Newton step.
     """
+    q = _index("degree q", q)
     a = np.asarray(alpha, dtype=float)
     if (a <= -1).any():
         raise ValueError(f"positive_zeros requires alpha > -1, got {alpha}")
@@ -216,8 +233,7 @@ def gauss_laguerre_log_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarra
     n = 356 at alpha = 50), the weights leave the double range: ValueError
     naming n, with no numpy warning.
     """
-    if n < 1:
-        raise ValueError("rule needs at least one node")
+    n = _index("node count n", n, 1)
     if n > MAX_RULE_NODES:
         raise ValueError(f"Gauss-Laguerre rule with n = {n} nodes: past MAX_RULE_NODES = {MAX_RULE_NODES}, "
                          "where the weights leave the double range")

@@ -46,9 +46,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .census import _check_integer, multiplicity as _census_multiplicity
+from .census import multiplicity as _census_multiplicity
 from .basis import MagneticField, _log_abs, _parts_arrays, basis_matrix
 from .curves import JordanCurve, WeightedCurve, arclength_rule, quadrature_size
+from .laguerre import _index
 
 __all__ = [
     "RowLayout",
@@ -98,24 +99,23 @@ class RowLayout:
     """The rows phi_{k,j} of an interaction matrix, level-major: j in levels, a step-1 range, and k in 0..K_j.
 
     cuts holds K_j for each level in turn; an int K, every level's cut, is
-    stored as that tuple.  Each row's j, k and harmonic m = k - j are
-    read-only arrays, and starts[i] is the first row of levels[i], with
-    starts[-1] = dim.
+    stored as that tuple.  The one check of cuts: each is an integer >= 0
+    (laguerre._index, as "truncation K"), stored as an int, one per level.
+    Each row's j, k and harmonic m = k - j are read-only arrays, and
+    starts[i] is the first row of levels[i], with starts[-1] = dim.
     """
 
     levels: range
     cuts: tuple[int, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.levels, range) and self.levels.step == 1 and 0 <= self.levels.start < self.levels.stop):
+            raise ValueError(f"rows need a nonempty step-1 range of levels >= 0, got {self.levels!r}")
         cuts = self.cuts if isinstance(self.cuts, tuple) else (self.cuts,) * len(self.levels)
-        if not (isinstance(self.levels, range) and self.levels.step == 1 and 0 <= self.levels.start < self.levels.stop
-                and min(cuts, default=0) >= 0):
-            raise ValueError(f"rows need a nonempty step-1 range of levels >= 0 and K >= 0, "
-                             f"got {self.levels!r}, K = {self.cuts}")
         if len(cuts) != len(self.levels):
             raise ValueError(f"rows need one cut per level of {self.levels!r}, got K = {self.cuts}")
-        object.__setattr__(self, "cuts", cuts)
-        object.__setattr__(self, "starts", (0, *accumulate(cut + 1 for cut in cuts)))
+        object.__setattr__(self, "cuts", tuple(_index("truncation K", cut) for cut in cuts))
+        object.__setattr__(self, "starts", (0, *accumulate(cut + 1 for cut in self.cuts)))
         j, k = self.spread(self.levels), np.arange(self.dim) - self.spread(self.starts[:-1])
         for name, rows in (("j", j), ("k", k), ("m", k - j)):
             rows.setflags(write=False)
@@ -178,6 +178,7 @@ def _circle_amplitudes(field: MagneticField, layout: RowLayout, r: float):
 
 def circle_diagonal_log(field: MagneticField, q: int, k: int, r: float) -> float:
     """log lambda_{k,q}(r); finite iff the entry is nonzero."""
+    q, k = _index("level q", q), _index("angular index k", k)
     return float(_circle_amplitudes(field, RowLayout(range(q, q + 1), k), r)[0][k])
 
 
@@ -220,10 +221,12 @@ def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_re
     A sweep that certifies no tail below MAX_TRUNCATION raises ValueError
     (naming q and max t_j): pass K explicitly there.  A t_j past the double
     range raises the ValueError of _compress, as no K can help there.
-    A q that is not an integer raises ValueError naming it.
+    A q that is not an integer >= 0, or a tail_rel outside (0, 1), raises
+    ValueError naming it.
     """
-    _check_integer("level q", q)
-    q = int(q)
+    q = _index("level q", q)
+    if not 0 < tail_rel < 1:
+        raise ValueError(f"tail_rel must lie in (0, 1), got {tail_rel}")
     t = np.sort(_node_moduli(field, curve))
     t = t[np.concatenate([[True], t[1:] != t[:-1]])]  # np.unique's values; its first call imports numpy.ma
     t_peak = float(t[-1])
@@ -403,21 +406,15 @@ def assemble(
     16) is used as given.  check_resolution flags the matrix underresolved
     when doubling N moves an entry by more than 1e-7 max|M|; a sampled
     curve or weight table whose relative Fourier tail exceeds 1e-7 is
-    flagged either way.  ValueError names a q or K that is not an integer.
+    flagged either way.  q and K follow the package's one integer rule
+    (laguerre._index): a q or K that is not an integer >= 0 is refused by name.
     """
-    _check_integer("level q", q)
-    q = int(q)
-    if q < 0:
-        raise ValueError("level index must be >= 0")
+    q = _index("level q", q)
     if K is None:
         K = default_truncation(field, q, weighted_curve.curve)
-    _check_integer("truncation K", K)
-    K = int(K)
-    if K < 0:
-        raise ValueError("truncation K must be >= 0")
-    layout = RowLayout(range(q, q + 1), K)
+    layout = RowLayout(range(q, q + 1), (K,))  # (K,): a tuple K is refused as a cut, not read as the cuts
     entries, provenance, underresolved, delta = _compress(field, layout, weighted_curve, N, check_resolution)
-    return ToeplitzMatrix(entries, q, K, field.b, provenance, underresolved, delta)
+    return ToeplitzMatrix(entries, q, layout.cuts[0], field.b, provenance, underresolved, delta)
 
 
 @dataclass(frozen=True)

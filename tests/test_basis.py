@@ -388,9 +388,9 @@ class TestTranslation:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: MagneticField(2.0).landau_level(-1), "level index must be >= 0"),
-    (lambda: BasisIndex(-1, 0), "indices must be >= 0, got k=-1, q=0"),
-    (lambda: BasisIndex(0, -2), "indices must be >= 0, got k=0, q=-2"),
+    (lambda: MagneticField(2.0).landau_level(-1), "level q must be >= 0, got -1"),
+    (lambda: BasisIndex(-1, 0), "angular index k must be >= 0, got -1"),
+    (lambda: BasisIndex(0, -2), "level q must be >= 0, got -2"),
     (lambda: basis_eval(MagneticField(2.0), BasisIndex(1, 0), [0.1, 0.2, 0.3]),
      "points must have a trailing axis of size 2, got shape (3,)"),
     (lambda: basis_matrix(MagneticField(2.0), 0, range(3), [0.1, 0.2]), "basis_matrix expects an (N, 2) array of points"),

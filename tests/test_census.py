@@ -856,6 +856,13 @@ class TestZeroTable:
         ts, ks = census_mod._LevelZeros(q).upto(max(caps))
         assert np.array_equal(grown.ts, ts) and np.array_equal(grown.ks, ks)
 
+    def test_negative_rows_are_the_solved_rows_reversed(self):
+        # Zeros of L_q^(-n), n = 1 .. q - 1: none at q = 1.
+        for q in range(1, 25):
+            rows = census_mod._LevelZeros(q).negative_rows()
+            expected = [laguerre_mod.nodal_zeros(q, q - n)[::-1] for n in range(1, q)]
+            assert [(r.dtype, r.tobytes()) for r in rows] == [(e.dtype, e.tobytes()) for e in expected]
+
     def test_cache_clear_empties_the_table(self, monkeypatch):
         calls = []
 
@@ -964,8 +971,8 @@ class TestScalarConstants:
 
 @pytest.mark.parametrize("call, message", [
     (lambda: census(F2, 0, 1.0), "census is defined for q >= 1; the q = 0 kernel is always trivial"),
-    (lambda: explicit_D12(F2, 0), "n_max must be >= 1"),
-    (lambda: coupling_lower_bounds(F2, -1, 1.0), "level index must be >= 0"),
+    (lambda: explicit_D12(F2, 0), "n_max must be >= 1, got 0"),
+    (lambda: coupling_lower_bounds(F2, -1, 1.0), "level q must be >= 0, got -1"),
 ], ids=["census-q0", "explicit-n_max-0", "bounds-negative-q"])
 def test_refusals_name_their_input(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):

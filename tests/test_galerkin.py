@@ -475,9 +475,9 @@ class TestPersistence:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: assemble_model(F2, -1, 4, load_weight(make_circle(1.0, n=64), 1.0), +1), "cutoffs must be >= 0"),
-    (lambda: assemble_model(F2, 2, -1, load_weight(make_circle(1.0, n=64), 1.0), +1), "cutoffs must be >= 0"),
-    (lambda: persistence_check(F2, 2, 1.0, Q=1), "level cutoff Q must include the level under study"),
+    (lambda: assemble_model(F2, -1, 4, load_weight(make_circle(1.0, n=64), 1.0), +1), "level cutoff Q must be >= 0, got -1"),
+    (lambda: assemble_model(F2, 2, -1, load_weight(make_circle(1.0, n=64), 1.0), +1), "truncation K must be >= 0, got -1"),
+    (lambda: persistence_check(F2, 2, 1.0, Q=1), "level cutoff Q must be >= 2, got 1"),
     (lambda: assemble_model(F2, 2.0, 4, load_weight(make_circle(1.0, n=64), 1.0), 1), "level cutoff Q must be an integer, got 2.0"),
     (lambda: assemble_model(F2, 2, 4.0, load_weight(make_circle(1.0, n=64), 1.0), 1), "truncation K must be an integer, got 4.0"),
     (lambda: model_truncation(F2, 2.0, make_circle(1.0)), "level cutoff Q must be an integer, got 2.0"),
@@ -490,8 +490,8 @@ class TestPersistence:
     (lambda: flat_index(1, 9, 4), "no row (j, k) = (1, 9) at K = 4: need j >= 0 and 0 <= k <= K"),
     (lambda: flat_index(-1, 0, 4), "no row (j, k) = (-1, 0) at K = 4: need j >= 0 and 0 <= k <= K"),
     (lambda: flat_index(0, -1, 4), "no row (j, k) = (0, -1) at K = 4: need j >= 0 and 0 <= k <= K"),
-    (lambda: assemble_model(F2, 2, (4, 5), load_weight(make_circle(1.0, n=64), 1.0), 1), "truncation K needs one cut per level 0..2, got (4, 5)"),
-    (lambda: assemble_model(F2, 1, (4, -1), load_weight(make_circle(1.0, n=64), 1.0), 1), "cutoffs must be >= 0"),
+    (lambda: assemble_model(F2, 2, (4, 5), load_weight(make_circle(1.0, n=64), 1.0), 1), "rows need one cut per level of range(0, 3), got K = (4, 5)"),
+    (lambda: assemble_model(F2, 1, (4, -1), load_weight(make_circle(1.0, n=64), 1.0), 1), "truncation K must be >= 0, got -1"),
     (lambda: assemble_model(F2, 1, (4, 5.0), load_weight(make_circle(1.0, n=64), 1.0), 1), "truncation K must be an integer, got 5.0"),
 ], ids=["negative-Q", "negative-K", "Q-below-q", "float-Q", "float-K", "float-Q-truncation", "persistence-float-q",
         "persistence-float-Q", "persistence-float-K", "bool-sign", "float-sign", "sign-2", "flat-index-k-past-K",

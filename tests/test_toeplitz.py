@@ -1038,24 +1038,28 @@ class TestSerialization:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: assemble(F2, -1, load_weight(make_circle(1.0, n=64), 1.0)), "level index must be >= 0"),
-    (lambda: assemble(F2, 0, load_weight(make_circle(1.0, n=64), 1.0), K=-1), "truncation K must be >= 0"),
+    (lambda: assemble(F2, -1, load_weight(make_circle(1.0, n=64), 1.0)), "level q must be >= 0, got -1"),
+    (lambda: assemble(F2, 0, load_weight(make_circle(1.0, n=64), 1.0), K=-1), "truncation K must be >= 0, got -1"),
     (lambda: assemble(F2, 2.0, load_weight(make_circle(1.0, n=64), 1.0)), "level q must be an integer, got 2.0"),
     (lambda: assemble(F2, True, load_weight(make_circle(1.0, n=64), 1.0)), "level q must be an integer, got True"),
     (lambda: assemble(F2, 1, load_weight(make_circle(1.0, n=64), 1.0), K=4.0), "truncation K must be an integer, got 4.0"),
     (lambda: default_truncation(F2, 1.5, make_circle(1.0)), "level q must be an integer, got 1.5"),
-    (lambda: RowLayout(range(0, 4, 2), 3), "rows need a nonempty step-1 range of levels >= 0 and K >= 0, got range(0, 4, 2), K = 3"),
-    (lambda: RowLayout([0, 1], 3), "rows need a nonempty step-1 range of levels >= 0 and K >= 0, got [0, 1], K = 3"),
-    (lambda: circle_diagonal_log(F2, -1, 2, 1.0), "rows need a nonempty step-1 range of levels >= 0 and K >= 0, got range(-1, 0), K = 2"),
-    (lambda: circle_diagonal_log(F2, 1, -1, 1.0), "rows need a nonempty step-1 range of levels >= 0 and K >= 0, got range(1, 2), K = -1"),
+    (lambda: default_truncation(F2, 1, make_circle(1.0), tail_rel=0.0), "tail_rel must lie in (0, 1), got 0.0"),
+    (lambda: default_truncation(F2, 1, make_circle(1.0), tail_rel=math.nan), "tail_rel must lie in (0, 1), got nan"),
+    (lambda: default_truncation(F2, 1, make_circle(1.0), tail_rel=1.0), "tail_rel must lie in (0, 1), got 1.0"),
+    (lambda: RowLayout(range(0, 4, 2), 3), "rows need a nonempty step-1 range of levels >= 0, got range(0, 4, 2)"),
+    (lambda: RowLayout([0, 1], 3), "rows need a nonempty step-1 range of levels >= 0, got [0, 1]"),
+    (lambda: circle_diagonal_log(F2, -1, 2, 1.0), "level q must be >= 0, got -1"),
+    (lambda: circle_diagonal_log(F2, 1, -1, 1.0), "angular index k must be >= 0, got -1"),
     (lambda: RowLayout(range(2, 4), 3).index(1, 0), "no row (j, k) = (1, 0) in levels range(2, 4) at K = 3"),
     (lambda: RowLayout(range(2, 4), 3).index(2, 4), "no row (j, k) = (2, 4) in levels range(2, 4) at K = 3"),
     (lambda: RowLayout(range(3), (2, 3)), "rows need one cut per level of range(0, 3), got K = (2, 3)"),
-    (lambda: RowLayout(range(2), (2, -1)), "rows need a nonempty step-1 range of levels >= 0 and K >= 0, got range(0, 2), K = (2, -1)"),
+    (lambda: RowLayout(range(2), (2, -1)), "truncation K must be >= 0, got -1"),
     (lambda: RowLayout(range(3), (4, 5, 3)).index(2, 4), "no row (j, k) = (2, 4) in levels range(0, 3) at K = (4, 5, 3)"),
     (lambda: toeplitz.eigenvalues(np.eye(3)), "eigensolve failed to converge: no convergence"),
     (lambda: spectrum(np.eye(3)), "eigensolve failed to converge: no convergence"),
-], ids=["negative-q", "negative-K", "float-q", "bool-q", "float-K", "float-q-truncation", "layout-step-2",
+], ids=["negative-q", "negative-K", "float-q", "bool-q", "float-K", "float-q-truncation", "tail-rel-zero",
+        "tail-rel-nan", "tail-rel-one", "layout-step-2",
         "layout-list", "diagonal-negative-q", "diagonal-negative-k", "layout-level-outside", "layout-k-outside",
         "layout-cuts-per-level", "layout-negative-cut", "layout-k-past-its-cut",
         "eigenvalues-no-convergence", "spectrum-no-convergence"])

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .laguerre import MAX_RULE_NODES, _index, gauss_laguerre_log_rule, laguerre_eval_batch
+from .laguerre import MAX_RULE_NODES, _index, _indices, gauss_laguerre_log_rule, laguerre_eval_batch
 
 __all__ = [
     "MagneticField",
@@ -188,9 +188,11 @@ def stacked_parts(field: MagneticField, q: int, ks, y=None) -> Callable:
     no leading row.  (T_y f)(x) = exp(-i(b/2) x^y) f(x - y) with
     x^y = x1 y2 - x2 y1, so the magnitude is carried over from x - y and
     only the phase is twisted; y = None is the untranslated basis, with no
-    twist applied.
+    twist applied.  q and each index follow the package's one integer rule
+    (laguerre._index): a float, bool, str or None, or a value below 0, is
+    refused by name, never truncated.
     """
-    ks = np.asarray(ks, dtype=int)
+    q, ks = _index("level q", q), _indices("angular index k", ks)
     y = None if y is None else np.asarray(y, dtype=float)
 
     def parts(pts: np.ndarray):

@@ -29,6 +29,8 @@ from functools import cached_property
 from pathlib import Path
 import numpy as np
 
+from .laguerre import _index
+
 __all__ = [
     "JordanCurve",
     "WeightedCurve",
@@ -56,9 +58,12 @@ CURVE_HEADER = "# jordan-curve v1"
 WEIGHT_HEADER = "# weight v1"
 
 
-def quadrature_size(n: int | None = None) -> int:
-    """n, or DEFAULT_NODES for None; fewer than MIN_NODES nodes are rejected."""
-    n = DEFAULT_NODES if n is None else n
+def quadrature_size(n: int | None = None, name: str = "node count n") -> int:
+    """n as an int, or DEFAULT_NODES for None; fewer than MIN_NODES nodes are rejected.
+
+    A count that is not an integer (laguerre._index) is refused by name.
+    """
+    n = DEFAULT_NODES if n is None else _index(name, n)
     if n < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} nodes, got {n}")
     return n

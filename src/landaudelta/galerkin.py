@@ -25,9 +25,12 @@ The default angular cutoff of level j, K_j, keeps only modes whose
 truncation profile stays above 1e-4 of the peak: beyond that, modes are
 numerically blind to the curve and would pile spurious eigenvalues onto
 the bare Landau levels, masking the resonant/non-resonant dichotomy.
-All census witnesses sit well inside this cutoff.  persistence_check
-cuts each level at its own K_j; model_truncation gives the largest, a
-single cut for every level of a model.
+All census witnesses sit well inside this cutoff.  Every K_j comes from
+one truncation sweep over the levels (toeplitz._level_cuts), the same
+cuts as toeplitz.default_truncation per level.  persistence_check cuts
+each level at its own K_j; model_truncation gives the largest, a single
+cut for every level of a model.  persistence_check builds one coupling
+and forms both signs' Hamiltonians in its buffer, one after the other.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ import numpy as np
 
 from .census import multiplicity as _census_multiplicity
 from .basis import MagneticField
-from .curves import JordanCurve, WeightedCurve, load_weight, make_circle
+from .curves import JordanCurve, WeightedCurve, load_weight, make_circle, quadrature_size
 from .laguerre import _index
-from .toeplitz import RowLayout, _compress, default_truncation, eigenvalues, flat_index
+from .toeplitz import RowLayout, _blockwise_max, _compress, _level_cuts, eigenvalues, flat_index
 
 __all__ = [
     "GalerkinModel",
@@ -85,23 +88,24 @@ class GalerkinModel:
         return np.array([self.field.landau_level(j) for j in range(self.Q + 1)])
 
 
-def _hamiltonian(field: MagneticField, layout: RowLayout, coupling: np.ndarray, sign: int) -> np.ndarray:
+def _hamiltonian(field: MagneticField, layout: RowLayout, coupling: np.ndarray, sign: int, out=None) -> np.ndarray:
+    """diag(Lambda_j) + sign * coupling, in out if given (the coupling's own buffer may be it)."""
     lam = layout.spread([field.landau_level(j) for j in layout.levels])
     # Exactly Hermitian: the coupling is, and the diagonal is real.  0.0 +- B
     # is sign * B with every zero +0.0, as diag(Lambda) + sign * B has them.
-    h = 0.0 + coupling if sign > 0 else 0.0 - coupling
+    h = np.add(0.0, coupling, out=out) if sign > 0 else np.subtract(0.0, coupling, out=out)
     h.reshape(-1)[:: h.shape[0] + 1] += lam
     return h
 
 
 def _model_cuts(field: MagneticField, Q: int, curve: JordanCurve, first: int = 0) -> tuple[int, ...]:
-    """(K_0, ..., K_Q): default_truncation of each level on curve at tail_rel = MODEL_TAIL_CUTOFF.
+    """(K_0, ..., K_Q): default_truncation of each level on curve at tail_rel = MODEL_TAIL_CUTOFF, from one sweep.
 
-    Level first is swept first, so a refusal (no certified tail) names it
+    Level first is listed first, so a refusal (no certified tail) names it
     if it fails at all.
     """
-    levels = [first, *(j for j in range(Q + 1) if j != first)]
-    cuts = {j: default_truncation(field, j, curve, tail_rel=MODEL_TAIL_CUTOFF) for j in levels}
+    levels = (first, *(j for j in range(Q + 1) if j != first))
+    cuts = dict(zip(levels, _level_cuts(field, levels, curve, MODEL_TAIL_CUTOFF)))
     return tuple(cuts[j] for j in range(Q + 1))
 
 
@@ -258,20 +262,24 @@ def persistence_check(
     past census.T_MAX raises its ValueError; a level whose default cut
     finds no tail below toeplitz.MAX_TRUNCATION raises too (pass K), level
     q first.  Before any of this, the package's one integer rule
-    (laguerre._index) refuses by name a q below 1, a Q below q and a K
-    below 0.
+    (laguerre._index) refuses by name a q below 1, a Q below q, a K below
+    0 and an N that is not an integer (an N below 16 as make_circle does).
 
-    Memory: about three dense complex arrays of the model's size, its
+    Memory: about two dense complex arrays of the model's size, its
     RowLayout's dim n = sum_j (K_j + 1), at once, 16 n^2 bytes each.  The
-    circle kernel holds three while it builds the coupling; then the
-    coupling, one Hamiltonian and LAPACK's copy of it are alive, as the
-    sign +1 model is dropped before the sign -1 Hamiltonian is built and
-    the Hermitian check reads row blocks.  At q = 40, r = 5 (n = 4,474)
-    that is about 3 x 320 MB.
+    circle kernel holds two while it forms the coupling: the amplitudes'
+    outer product and the table the product is formed in, then the
+    coupling and the conjugate transpose it adds.  The witness columns and
+    max|B| are read from the coupling; then H+ and after it H- are formed
+    in the coupling's own buffer, its diagonal saved and put back between
+    them, so each eigensolve sees one model-sized array beside LAPACK's
+    copy of it, and the Hermitian check reads row blocks.  At q = 40, r = 5 (n = 4,474)
+    that is about 2 x 320 MB.
     """
     q = _index("level q", q, 1)
     Q = _index("level cutoff Q", q + 2 if Q is None else Q, q)
     K = None if K is None else _index("truncation K", K)
+    N = None if N is None else quadrature_size(N, "node count N")
     wc = load_weight(make_circle(r, n=N), weight)
     _, witnesses = _census_multiplicity(field, q, r)
     cuts = _model_cuts(field, Q, wc.curve, first=q) if K is None else K
@@ -279,18 +287,19 @@ def persistence_check(
     witness_ks = tuple(k for k, _ in witnesses)
     if any(k > K_q for k in witness_ks):
         raise ValueError(f"census witness k = {max(witness_ks)} of level {q} lies beyond K = {K_q}")
-    # One coupling serves both signs.  Only it outlives the sign +1 model,
-    # so one Hamiltonian is alive per eigensolve.
-    plus = assemble_model(field, Q, cuts, wc, +1, N=N, check_resolution=False)
-    coupling, plus_values, layout = plus.coupling, eigenvalues(plus.matrix), plus.layout
-    del plus
+    # One coupling serves both signs: its witness columns and max|B| are read
+    # first, then H+ and H- are formed in its buffer, one after the other.
+    layout = RowLayout(range(Q + 1), cuts)
+    coupling = _compress(field, layout, wc, N, False)[0]
     columns = coupling[:, [layout.index(q, k) for k in witness_ks]]
-    residuals = np.linalg.norm(columns, axis=0) / (np.max(np.abs(coupling)) or 1.0)
+    residuals = np.linalg.norm(columns, axis=0) / (_blockwise_max(coupling, lambda rows: np.abs(coupling[rows])) or 1.0)
+    diagonal = coupling.diagonal().copy()
     lam_q = field.landau_level(q)
     details: dict = {"Lambda_q": lam_q, "Q": Q, "K": K_q, "cuts": list(layout.cuts)}
     for sign in (+1, -1):
-        values = plus_values if sign > 0 else eigenvalues(_hamiltonian(field, layout, coupling, sign))
-        offsets = np.abs(values - lam_q)
+        if sign < 0:  # B's own diagonal back: 0.0 - (0.0 + B) is 0.0 - B bit for bit off it
+            np.fill_diagonal(coupling, diagonal)
+        offsets = np.abs(eigenvalues(_hamiltonian(field, layout, coupling, sign, out=coupling)) - lam_q)
         details[f"sign_{'+' if sign > 0 else '-'}"] = {
             "near_count": int(np.sum(offsets < EXACT_HIT_TOL)),
             "min_offset": float(np.min(offsets)),

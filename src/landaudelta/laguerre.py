@@ -57,6 +57,21 @@ def _index(name: str, x, low: int = 0) -> int:
     return x
 
 
+def _indices(name: str, x, low=0) -> np.ndarray:
+    """x, a scalar or an array-like of any shape, as an int array whose every entry passes _index(name, entry, low).
+
+    An integer ndarray is checked as a whole.  Anything else is read entry
+    by entry as the objects it holds, so the first float, bool, str or None
+    is the one the refusal names: numpy would read [0, True] as integers.
+    """
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
+        if x.size and x.min() < low:
+            _index(name, int(x.min()), low)  # raises, naming the smallest
+        return x.astype(int, copy=False)
+    items = np.asarray(x, dtype=object)
+    return np.array([_index(name, item, low) for item in items.ravel().tolist()], dtype=int).reshape(items.shape)
+
+
 @dataclass(frozen=True)
 class LaguerreSpec:
     """Degree q and parameter alpha of a generalized Laguerre polynomial."""
@@ -285,11 +300,12 @@ def orthogonality_defect(q, p, alpha: float):
     size share one gauss_laguerre_rule and one laguerre_eval_batch over
     the degrees 0..max, and each defect equals its scalar call bit for
     bit.  Scalar degrees give a float, arrays an array of their
-    broadcast shape.
+    broadcast shape.  A degree that is not an integer is refused by name
+    ("degree q" or "degree p"), a negative one as "degree must be >= 0".
     """
     if alpha <= -1:
         raise ValueError(f"orthogonality requires alpha > -1, got {alpha}")
-    qs, ps = np.broadcast_arrays(np.asarray(q), np.asarray(p))
+    qs, ps = np.broadcast_arrays(*(_indices(name, x, -math.inf) for name, x in (("degree q", q), ("degree p", p))))
     for degrees in (qs, ps):
         if (degrees < 0).any():
             raise ValueError(f"degree must be >= 0, got {int(degrees[degrees < 0][0])}")

@@ -85,10 +85,13 @@ BLOCK_CELLS = 8192
 def flat_index(j: int, k: int, K: int) -> int:
     """Row j (K + 1) + k of phi_{k,j} among levels 0, 1, ..., stacked level-major at one cut K.
 
-    The row RowLayout(range(j + 1), K).index(j, k) in closed form.  A j < 0
-    or a k outside 0..K would name another row, so it raises ValueError
-    naming j, k and K.
+    The row RowLayout(range(j + 1), K).index(j, k) in closed form.  A j, k
+    or K that is not an integer (laguerre._index) raises ValueError naming
+    it; a j < 0 or a k outside 0..K would name another row, so it raises
+    ValueError naming j, k and K.
     """
+    # No lower bound here: the row check below names a j or k out of range with the row.
+    j, k, K = (_index(name, x, -math.inf) for name, x in (("level j", j), ("angular index k", k), ("truncation K", K)))
     if j < 0 or not 0 <= k <= K:
         raise ValueError(f"no row (j, k) = ({j}, {k}) at K = {K}: need j >= 0 and 0 <= k <= K")
     return j * (K + 1) + k
@@ -222,31 +225,68 @@ def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_re
     (naming q and max t_j): pass K explicitly there.  A t_j past the double
     range raises the ValueError of _compress, as no K can help there.
     A q that is not an integer >= 0, or a tail_rel outside (0, 1), raises
-    ValueError naming it.
+    ValueError naming it.  The one-level case of _level_cuts.
     """
-    q = _index("level q", q)
+    return _level_cuts(field, (_index("level q", q),), curve, tail_rel)[0]
+
+
+def _level_cuts(field: MagneticField, levels, curve: JordanCurve, tail_rel: float) -> tuple[int, ...]:
+    """default_truncation's K of each level in levels, in that order, from one sweep.
+
+    Each level keeps its own blocks, running maximum and stop count, so its
+    K is the one default_truncation gives it alone.  A block holds every
+    open level while their rows times the distinct moduli fit BLOCK_CELLS,
+    as on a circle (one modulus), and one _log_abs call serves them all;
+    otherwise it holds the first open level alone, as a one-level sweep
+    does.  A level with no certified tail raises default_truncation's
+    ValueError once every level before it in levels has its K, so the
+    refusal names the first such level.
+    """
     if not 0 < tail_rel < 1:
         raise ValueError(f"tail_rel must lie in (0, 1), got {tail_rel}")
     t = np.sort(_node_moduli(field, curve))
     t = t[np.concatenate([[True], t[1:] != t[:-1]])]  # np.unique's values; its first call imports numpy.ma
     t_peak = float(t[-1])
     log_cut = math.log(tail_rel)
-    best, below = -math.inf, 0
     cap = max(1, BLOCK_CELLS // t.size)
-    start, rows = 0, 8 * (q + 1 + math.ceil(min(t_peak, MAX_TRUNCATION)))  # 8 rows per index before the stop can start
-    while start < MAX_TRUNCATION:
-        ks = np.arange(start, min(start + min(rows, cap), MAX_TRUNCATION))
-        profile = 2.0 * _log_abs(field, ks[:, None], q, t)[0].max(axis=1)
-        for k, val in zip(ks.tolist(), profile.tolist()):
-            best = max(best, val)
-            if k > q + t_peak and val < best + log_cut:
-                below += 1
-                if below == q + 1:
-                    return k - (q + 1)
+    rows = 8 * (1 + math.ceil(min(t_peak, MAX_TRUNCATION)))  # 8 rows per index before the stop can start
+    # Per open level: its next k, its next block's rows, its running maximum and its count below the cut.
+    sweeps = {q: [0, rows + 8 * q, -math.inf, 0] for q in levels}
+    cuts = {}
+    while sweeps:
+        blocks = [(q, k, min(n, cap, MAX_TRUNCATION - k)) for q, (k, n, _, _) in sweeps.items()]
+        if sum(size for _, _, size in blocks) * t.size > BLOCK_CELLS:
+            blocks = blocks[:1]
+        if len(blocks) == 1:
+            (qs, k, size), = blocks
+            ks = np.arange(k, k + size)
+        else:
+            ks = np.concatenate([np.arange(k, k + size) for _, k, size in blocks])
+            qs = np.concatenate([np.full(size, q) for q, _, size in blocks])[:, None]
+        profile = 2.0 * _log_abs(field, ks[:, None], qs, t)[0].max(axis=1)
+        row = 0
+        for q, k0, size in blocks:
+            _, n, best, below = sweeps[q]
+            for k, val in zip(range(k0, k0 + size), profile[row:row + size].tolist()):
+                if val > best:  # max(best, val) without the call: a NaN leaves best as it is
+                    best = val
+                if k > q + t_peak and val < best + log_cut:
+                    below += 1
+                    if below == q + 1:
+                        cuts[q] = k - (q + 1)
+                        del sweeps[q]
+                        break
+                else:
+                    below = 0
             else:
-                below = 0
-        start, rows = start + ks.size, 2 * rows
-    raise ValueError(f"level {q}: no certified tail below MAX_TRUNCATION = {MAX_TRUNCATION} at t_peak = {t_peak:.6g}; pass K")
+                sweeps[q] = [k0 + size, 2 * n, best, below]
+            row += size
+        for q in levels:
+            if q not in cuts:
+                if sweeps[q][0] < MAX_TRUNCATION:
+                    break
+                raise ValueError(f"level {q}: no certified tail below MAX_TRUNCATION = {MAX_TRUNCATION} at t_peak = {t_peak:.6g}; pass K")
+    return tuple([cuts[q] for q in levels])
 
 
 def _quadrature_sums(field: MagneticField, layout: RowLayout, wc: WeightedCurve, n: int):
@@ -300,19 +340,23 @@ def _circle_sums(field: MagneticField, layout: RowLayout, wc: WeightedCurve, n: 
     with no curve rebuilt.  v_hat is folded per n onto the 2 span + 1
     harmonic differences, and _harmonic_toeplitz spreads the fold over the
     block-Toeplitz pattern of the levels, so no size takes a mod over all
-    dim^2 shifts and no index table is held.  At most three dense complex
-    arrays are alive per size: scaled, the matrix and the conjugate
-    transpose it adds.  Keep the product as written: numpy may evaluate it
-    in place with the operands swapped, and hand-written in-place forms
-    round differently at some sizes.
+    dim^2 shifts and no index table is held.  Two dense complex arrays
+    are alive per size: scaled, the outer product of the amplitudes, and
+    the table, in whose buffer numpy forms the product; then the matrix
+    and the conjugate transpose it adds, as scaled is dropped after each
+    product.  Between sizes only the yielded matrix is held.  Keep the
+    product as written: numpy may evaluate it in place with the operands
+    swapped, and hand-written in-place forms round differently at some
+    sizes.
     """
     log_lam, phase = _circle_amplitudes(field, layout, dict(wc.curve.meta)["r"])
     d = np.exp(0.5 * log_lam) * phase
-    scaled = d[:, None] * d.conj()[None, :]
     span = int(layout.m.max() - layout.m.min())
     while True:
         vhat = np.fft.fft(wc.sample(n)) / n
+        scaled = d[:, None] * d.conj()[None, :]
         mat = scaled * _harmonic_toeplitz(vhat[np.arange(-span, span + 1) % n], layout)
+        del scaled
         mat += mat.conj().T
         mat *= 0.5
         yield mat
@@ -361,7 +405,7 @@ def _compress(field: MagneticField, layout: RowLayout, wc: WeightedCurve, N: int
     """
     _node_moduli(field, wc.curve)  # refuses a t past the double range
     adaptive = N is None
-    n = _start_nodes(layout) if adaptive else quadrature_size(N)
+    n = _start_nodes(layout) if adaptive else quadrature_size(N, "node count N")
     circle = wc.curve.kind == "circle"
     sums = (_circle_sums if circle else _quadrature_sums)(field, layout, wc, n)
     entries = next(sums)

@@ -92,6 +92,20 @@ class TestAssembleModel:
         with pytest.raises(ValueError, match="at least 16 nodes, got 8"):
             persistence_check(F2, 1, 1.0, weight=1.0, N=8)
 
+    def test_checked_circle_model_peak(self, peak_matrices):
+        # With the resolution check, the N-node coupling is held while the
+        # 2N one is formed: from the amplitudes' outer product and the table
+        # the product is formed in, then symmetrized with its conjugate
+        # transpose.  Three model-sized arrays; it read 3.06.  With the
+        # outer product kept alive beside the conjugate transpose it read
+        # 4.06.
+        field, r = MagneticField(4.0), 2.3700854867581373
+        wc = load_weight(make_circle(r), lambda t: 2.0 + np.sin(t))
+        warm = assemble_model(field, 8, 44, wc, +1)  # Laguerre tables outside the measurement
+        model, peak = peak_matrices(lambda: assemble_model(field, 8, 44, wc, +1), 405)
+        assert model.provenance["N_sequence"] == [128] and model.matrix.tobytes() == warm.matrix.tobytes()
+        assert peak <= 3.1
+
     def test_bad_sign_rejected(self):
         wc = load_weight(make_circle(1.0, n=256), 1.0)
         with pytest.raises(ValueError):
@@ -288,41 +302,48 @@ class TestPersistence:
         assert res.witnesses == (1, 4)
 
     def test_one_coupling_for_both_signs(self, monkeypatch):
+        # One coupling is assembled, and both signs' diagnostics are those
+        # of the models assemble_model builds for each sign.
         calls = []
-        original = galerkin.assemble_model
+        original = galerkin._compress
 
         def counting(*args, **kwargs):
-            calls.append(args[4])
+            calls.append(args[1])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(galerkin, "assemble_model", counting)
+        monkeypatch.setattr(galerkin, "_compress", counting)
         weight = lambda t: 2.0 + np.sin(t)
         res = persistence_check(F2, 1, 1.3, weight=weight)
-        assert calls == [+1]
         cuts, Q = tuple(res.details["cuts"]), res.details["Q"]
+        assert calls == [RowLayout(range(Q + 1), cuts)]
+        monkeypatch.undo()
         wc = load_weight(make_circle(1.3), weight)
         for sign in (+1, -1):
-            vals = np.linalg.eigvalsh(original(F2, Q, cuts, wc, sign, check_resolution=False).matrix)
+            vals = np.linalg.eigvalsh(assemble_model(F2, Q, cuts, wc, sign, check_resolution=False).matrix)
             offset = float(np.min(np.abs(vals - F2.landau_level(1))))
             assert res.details[f"sign_{'+' if sign > 0 else '-'}"]["min_offset"] == offset
 
-    def test_peak_is_about_three_model_matrices(self, peak_matrices):
+    def test_peak_is_about_two_model_matrices(self, peak_matrices):
         # A model of dimension 360 = sum_j (K_j + 1) over levels 0..q + 2:
-        # the circle kernel's three dense arrays set the peak, and one
-        # Hamiltonian at a time with the blocked Hermitian check stays below
-        # it.  With a second Hamiltonian, whole-matrix checks and an int64
-        # offset table the peak read 4.5.
+        # the circle kernel's two dense arrays (the amplitudes' outer product
+        # and the table the product is formed in; then the coupling and its
+        # conjugate transpose) set the peak, and both Hamiltonians, formed
+        # in the coupling's buffer, stay below it.  It read 2.10.  With the
+        # outer product alive beside the conjugate transpose, and the
+        # coupling beside each Hamiltonian, it read 3.10; with a second
+        # Hamiltonian, whole-matrix checks and an int64 offset table, 4.5.
         field, r = MagneticField(4.0), 2.3700854867581373
         warm = persistence_check(field, 6, r)  # census and Laguerre tables outside the measurement
         res, peak = peak_matrices(lambda: persistence_check(field, 6, r), 360)
         assert len(res.details["cuts"]) == res.details["Q"] + 1
         assert sum(cut + 1 for cut in res.details["cuts"]) == 360
         assert res.to_json() == warm.to_json()
-        assert peak <= 3.25
+        assert peak <= 2.25
 
     def test_one_hamiltonian_alive_per_eigensolve(self, monkeypatch, peak_matrices):
-        # When each diagnostic eigensolve starts, the coupling and that
-        # sign's Hamiltonian are alive, not the other sign's as well.
+        # When each diagnostic eigensolve starts, only that sign's
+        # Hamiltonian, in the coupling's buffer, is alive (it read 1.04): not
+        # the coupling beside it (2.04 before), nor the other sign's as well.
         alive = []
 
         def recording(matrix):
@@ -334,7 +355,7 @@ class TestPersistence:
         persistence_check(field, 6, r)
         alive.clear()
         peak_matrices(lambda: persistence_check(field, 6, r), 360)
-        assert len(alive) == 2 and max(alive) <= 2.25
+        assert len(alive) == 2 and max(alive) <= 1.25
 
     def test_each_level_at_its_own_cut(self):
         # The default model cuts level j at its own MODEL_TAIL_CUTOFF cut;
@@ -490,12 +511,17 @@ class TestPersistence:
     (lambda: flat_index(1, 9, 4), "no row (j, k) = (1, 9) at K = 4: need j >= 0 and 0 <= k <= K"),
     (lambda: flat_index(-1, 0, 4), "no row (j, k) = (-1, 0) at K = 4: need j >= 0 and 0 <= k <= K"),
     (lambda: flat_index(0, -1, 4), "no row (j, k) = (0, -1) at K = 4: need j >= 0 and 0 <= k <= K"),
+    (lambda: flat_index(0.5, 1, 4), "level j must be an integer, got 0.5"),
+    (lambda: flat_index(0, True, 4), "angular index k must be an integer, got True"),
+    (lambda: flat_index(0, 1, 4.0), "truncation K must be an integer, got 4.0"),
+    (lambda: flat_index(0, 1, "4"), "truncation K must be an integer, got '4'"),
     (lambda: assemble_model(F2, 2, (4, 5), load_weight(make_circle(1.0, n=64), 1.0), 1), "rows need one cut per level of range(0, 3), got K = (4, 5)"),
     (lambda: assemble_model(F2, 1, (4, -1), load_weight(make_circle(1.0, n=64), 1.0), 1), "truncation K must be >= 0, got -1"),
     (lambda: assemble_model(F2, 1, (4, 5.0), load_weight(make_circle(1.0, n=64), 1.0), 1), "truncation K must be an integer, got 5.0"),
 ], ids=["negative-Q", "negative-K", "Q-below-q", "float-Q", "float-K", "float-Q-truncation", "persistence-float-q",
         "persistence-float-Q", "persistence-float-K", "bool-sign", "float-sign", "sign-2", "flat-index-k-past-K",
-        "flat-index-negative-j", "flat-index-negative-k", "cuts-per-level", "negative-cut", "float-cut"])
+        "flat-index-negative-j", "flat-index-negative-k", "flat-index-float-j", "flat-index-bool-k", "flat-index-float-K",
+        "flat-index-str-K", "cuts-per-level", "negative-cut", "float-cut"])
 def test_refusals_name_their_input(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()

@@ -12,11 +12,11 @@ import re
 import numpy as np
 import pytest
 
-from landaudelta.basis import BasisIndex, MagneticField, basis_matrix, gram_rule
+from landaudelta.basis import BasisIndex, MagneticField, basis_matrix, gram_rule, stacked_parts
 from landaudelta.census import coupling_lower_bounds, eta_curve, explicit_D12, gap_constants
-from landaudelta.curves import load_weight, make_circle
+from landaudelta.curves import load_weight, make_circle, make_ellipse
 from landaudelta.galerkin import assemble_model, model_truncation, persistence_check
-from landaudelta.laguerre import LaguerreSpec, gauss_laguerre_log_rule, positive_zeros
+from landaudelta.laguerre import LaguerreSpec, gauss_laguerre_log_rule, orthogonality_defect, positive_zeros
 from landaudelta.toeplitz import RowLayout, assemble, circle_diagonal_log, default_truncation
 
 F2 = MagneticField(2.0)
@@ -33,6 +33,9 @@ DOORS = [
     ("BasisIndex-q", "level q", 0, lambda x: BasisIndex(1, x), False),
     ("basis_matrix-q", "level q", 0, lambda x: basis_matrix(F2, x, range(3), PTS), False),
     ("basis_matrix-k", "angular index k", 0, lambda x: basis_matrix(F2, 1, [0, x], PTS), False),
+    ("stacked_parts-q", "level q", 0, lambda x: stacked_parts(F2, x, range(3))(PTS), False),
+    ("stacked_parts-k", "angular index k", 0, lambda x: stacked_parts(F2, 1, [0, x])(PTS), False),
+    ("stacked_parts-scalar-k", "angular index k", 0, lambda x: stacked_parts(F2, 1, x, (0.2, -0.1))(PTS), False),
     ("gram_rule-kq_max", "kq_max", 0, lambda x: gram_rule(x, 1), False),
     ("gram_rule-dk_max", "dk_max", 0, lambda x: gram_rule(4, x), False),
     ("RowLayout-K", "truncation K", 0, lambda x: RowLayout(range(2), x), False),
@@ -79,3 +82,33 @@ def test_integer_argument_contract(name, low, call, none_is_default):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             call(x)
     assert fingerprint(call(np.int64(2))) == fingerprint(call(2))
+
+
+# Node counts: (door id, argument name, call(x)); None is each count's default.  A count below
+# MIN_NODES = 16 keeps the message "need at least 16 nodes, got <x>" that the CLI prints.
+NODE_COUNTS = [
+    ("make_circle-n", "node count n", lambda x: make_circle(1.0, n=x)),
+    ("make_ellipse-n", "node count n", lambda x: make_ellipse(1.0, 0.7, n=x)),
+    ("assemble-N", "node count N", lambda x: assemble(F2, 1, WC, K=4, N=x)),
+    ("assemble_model-N", "node count N", lambda x: assemble_model(F2, 1, 3, WC, 1, N=x)),
+    ("persistence_check-N", "node count N", lambda x: persistence_check(F2, 1, 1.0, K=6, N=x)),
+]
+
+
+@pytest.mark.parametrize("name, call", [door[1:] for door in NODE_COUNTS], ids=[door[0] for door in NODE_COUNTS])
+def test_node_count_contract(name, call):
+    for x in (64.0, 64.5, True, "64"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be an integer, got {x!r}") + "$"):
+            call(x)
+    with pytest.raises(ValueError, match="^need at least 16 nodes, got 15$"):
+        call(15)
+    assert fingerprint(call(np.int64(64))) == fingerprint(call(64))
+
+
+def test_orthogonality_defect_names_its_degree():
+    # Not the Gauss rule size it would derive from the degrees.
+    for q, p, message in ((1.5, 1, "degree q must be an integer, got 1.5"), (1, [0, 2.5], "degree p must be an integer, got 2.5"),
+                          (True, 1, "degree q must be an integer, got True"), ("2", 1, "degree q must be an integer, got '2'")):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            orthogonality_defect(q, p, 0.0)
+    assert orthogonality_defect(np.int64(3), np.array([1, 3], dtype=np.uint8), 0.5).tobytes() == orthogonality_defect(3, [1, 3], 0.5).tobytes()

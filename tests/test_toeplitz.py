@@ -414,6 +414,68 @@ class TestTruncation:
             assert [default_truncation(field, q, curve) for q in (0, 2, 5)] == expected
             assert arclength_rule(curve)[0] is curve.points
 
+    def test_one_sweep_gives_each_levels_own_cut(self):
+        # _level_cuts over levels 0..Q, any level listed first, against one
+        # default_truncation per level in the same order: the same cuts, or
+        # the refusal of the first level in the list that has no certified
+        # tail.  t = b r^2 / 2 runs past the cap of every level (b = 2,
+        # r^2 = 625) through t = 440..490, where low levels certify a tail
+        # and high ones do not.
+        def per_level(field, levels, curve, tail_rel):
+            try:
+                return tuple(default_truncation(field, q, curve, tail_rel) for q in levels)
+            except ValueError as exc:
+                return str(exc)
+
+        def swept(field, levels, curve, tail_rel):
+            try:
+                return toeplitz._level_cuts(field, levels, curve, tail_rel)
+            except ValueError as exc:
+                return str(exc)
+
+        e = make_ellipse(1.3, 0.8, n=301)
+        curves = [make_circle(r) for r in (0.4, 1.0, 1.7, 2.37, 3.1)]
+        curves += [make_ellipse(1.4, 0.9, n=256), JordanCurve("sampled", e.params, e.points, e.derivs, ())]
+        cases = [(b, curve) for b in (0.5, 2.0, 4.0, 25.0 * math.pi / 16.0) for curve in curves]
+        cases += [(2.0, make_circle(math.sqrt(t))) for t in (440.0, 470.0, 490.0, 625.0)]
+        refusals = set()
+        for b, curve in cases:
+            field = MagneticField(b)
+            for Q in (0, 3, 8):
+                for first in sorted({0, Q // 2, Q}):
+                    levels = (first, *(j for j in range(Q + 1) if j != first))
+                    for tail_rel in (1e-4, 1e-16, 1e-200):
+                        expected = per_level(field, levels, curve, tail_rel)
+                        assert swept(field, levels, curve, tail_rel) == expected
+                        if isinstance(expected, str):
+                            refusals.add(expected)
+        assert len(refusals) > 4  # refusals naming several different levels
+
+    def test_one_sweep_blocks(self, monkeypatch):
+        # On a circle (one modulus) every level's first block goes into one
+        # Laguerre evaluation; on a curve of many moduli each evaluation
+        # holds one level, as a one-level sweep's does.  Every evaluation
+        # covers at most BLOCK_CELLS cells.
+        calls = []
+        log_abs = toeplitz._log_abs
+
+        def recording(field, k, q, t):
+            calls.append((np.broadcast(k, q, t).shape, np.unique(q).size))
+            return log_abs(field, k, q, t)
+
+        monkeypatch.setattr(toeplitz, "_log_abs", recording)
+        # t = 4 * 2.37^2 / 2 = 11.2: level q's first block has 8 (q + 1 + 12) rows.
+        assert toeplitz._level_cuts(MagneticField(4.0), tuple(range(9)), make_circle(2.37), 1e-4)
+        assert calls == [((sum(8 * (q + 13) for q in range(9)), 1), 9)]
+        calls.clear()
+        e = make_ellipse(1.8, 1.1, n=3000)
+        curve = JordanCurve("sampled", e.params, e.points, e.derivs, ())
+        cuts = toeplitz._level_cuts(F2, (2, 0, 1), curve, 1e-4)
+        assert cuts == tuple(default_truncation(F2, q, curve, 1e-4) for q in (2, 0, 1))
+        assert len(calls) > 3
+        for shape, levels in calls:
+            assert levels == 1 and (math.prod(shape) <= BLOCK_CELLS or shape[0] == 1)
+
 
 class TestRowLayout:
     @pytest.mark.parametrize("K", [0, 1, 7])

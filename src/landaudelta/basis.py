@@ -116,12 +116,17 @@ def _log_abs(field: MagneticField, k, q, t):
     """log|phi_{k,q}| at moduli t = b|x|^2/2, and the Laguerre factor whose sign the phase reads.
 
     k and q broadcast against t: a column of angular indices against N
-    moduli gives one row per index, all from one recurrence.
+    moduli gives one row per index, all from one recurrence.  A Laguerre
+    factor that is not finite (past the double range at a high q and large
+    t) raises ValueError naming the largest such q and t, without a numpy warning.
     """
     lo, hi = np.minimum(k, q), np.maximum(k, q)
     n = hi - lo
-    poly = laguerre_eval_batch(lo, n, t)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        poly = laguerre_eval_batch(lo, n, t)
+        if not np.isfinite(poly).all():
+            q_bad, t_bad = (np.broadcast_to(x, poly.shape)[~np.isfinite(poly)].max() for x in (q, t))
+            raise ValueError(f"Laguerre factor of phi_(k,q) is not finite at q = {q_bad}, t = {t_bad:.6g}: past the double range")
         log_norm = 0.5 * (math.log(field.b / (2.0 * math.pi)) + _log_factorial(lo) - _log_factorial(hi))
         logabs = log_norm - 0.5 * t + np.log(np.abs(poly))
         if n.any():  # times t^{n/2}

@@ -155,13 +155,16 @@ def _cmd_galerkin(args) -> int:
     if args.persistence:
         if args.ellipse is not None or args.curve_file is not None:
             raise ValueError("--persistence runs on the circle of radius --r; drop --ellipse and --curve-file")
+        for flag, given in (("--sign", args.sign is not None), ("--no-resolution-check", args.no_resolution_check)):
+            if given:
+                raise ValueError(f"--persistence runs both signs, without a resolution check; drop {flag}")
         result = persistence_check(field, args.q, args.r, K=args.K, Q=args.Q, weight=_weight(args), N=args.N)
         print(result.to_json())
         return 0
     wc = _weighted_curve(args)
     Q = args.Q if args.Q is not None else args.q + 2
     K = args.K if args.K is not None else model_truncation(field, Q, wc.curve)
-    model = assemble_model(field, Q, K, wc, args.sign, N=args.N,
+    model = assemble_model(field, Q, K, wc, args.sign or 1, N=args.N,
                            check_resolution=not args.no_resolution_check)
     _warn_if_underresolved(model)
     print(cluster_report(model).to_json())
@@ -230,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=1, help="level under study")
     p.add_argument("--Q", type=int, default=None, help="level cutoff (default q+2)")
     p.add_argument("--K", type=int, default=None)
-    p.add_argument("--sign", type=int, choices=[1, -1], default=1)
+    p.add_argument("--sign", type=int, choices=[1, -1], default=None, help="coupling sign (default 1)")
     _add_curve_options(p)
     p.add_argument("--persistence", action="store_true",
                    help="run the resonance persistence test on the circle of radius --r")

@@ -25,9 +25,10 @@ The default angular cutoff of level j, K_j, keeps only modes whose
 truncation profile stays above 1e-4 of the peak: beyond that, modes are
 numerically blind to the curve and would pile spurious eigenvalues onto
 the bare Landau levels, masking the resonant/non-resonant dichotomy.
-All census witnesses sit well inside this cutoff.  Every K_j comes from
-one truncation sweep over the levels (toeplitz._level_cuts), the same
-cuts as toeplitz.default_truncation per level.  persistence_check cuts
+All census witnesses sit well inside this cutoff.  Every K_j is
+toeplitz.default_truncation's at that tail, read for all levels from one
+sweep by toeplitz._level_cuts, the one cut rule; RowLayout.index is the
+one (j, k) -> row map, and flat_index reads it.  persistence_check cuts
 each level at its own K_j; model_truncation gives the largest, a single
 cut for every level of a model.  persistence_check builds one coupling
 and forms both signs' Hamiltonians in its buffer, one after the other.
@@ -98,20 +99,9 @@ def _hamiltonian(field: MagneticField, layout: RowLayout, coupling: np.ndarray, 
     return h
 
 
-def _model_cuts(field: MagneticField, Q: int, curve: JordanCurve, first: int = 0) -> tuple[int, ...]:
-    """(K_0, ..., K_Q): default_truncation of each level on curve at tail_rel = MODEL_TAIL_CUTOFF, from one sweep.
-
-    Level first is listed first, so a refusal (no certified tail) names it
-    if it fails at all.
-    """
-    levels = (first, *(j for j in range(Q + 1) if j != first))
-    cuts = dict(zip(levels, _level_cuts(field, levels, curve, MODEL_TAIL_CUTOFF)))
-    return tuple(cuts[j] for j in range(Q + 1))
-
-
 def model_truncation(field: MagneticField, Q: int, curve: JordanCurve) -> int:
-    """Default angular cutoff on curve, worst level included: the largest per-level cut at tail_rel = 1e-4."""
-    return max(_model_cuts(field, _index("level cutoff Q", Q), curve))
+    """Default angular cutoff on curve, worst level included: the largest of toeplitz._level_cuts over levels 0..Q at tail_rel = 1e-4."""
+    return max(_level_cuts(field, range(_index("level cutoff Q", Q) + 1), curve, MODEL_TAIL_CUTOFF))
 
 
 def assemble_model(
@@ -250,14 +240,14 @@ def persistence_check(
     bad r, N or weight is reported before a cut that leaves out a census
     witness (also a ValueError).
 
-    The model has levels 0..Q, each at its own cut K_j, the default
-    truncation at MODEL_TAIL_CUTOFF that model_truncation takes the
-    largest of; an explicit K cuts every level there instead.  details
-    lists the cuts ("cuts") and level q's ("K").  The census names
-    witnesses within a relative 1e-9 in t, but the verdict needs each
-    witness column at <= SUPPORT_TOL = 1e-12 * max|B|.  So r = 1 + 1e-10
-    at b = 2, q = 1 names k = 1 yet does not persist: its
-    support_residuals read 2.6e-10.  The witnesses come from
+    The model's rows are RowLayout(range(Q + 1), K) for an explicit K;
+    otherwise each level j is cut at its own default K_j at
+    MODEL_TAIL_CUTOFF (toeplitz._level_cuts, the cuts model_truncation
+    takes the largest of).  details lists the cuts ("cuts") and level q's
+    ("K").  The census names witnesses within a relative 1e-9 in t, but
+    the verdict needs each witness column at <= SUPPORT_TOL = 1e-12 *
+    max|B|.  So r = 1 + 1e-10 at b = 2, q = 1 names k = 1 yet does not
+    persist: its support_residuals read 2.6e-10.  The witnesses come from
     census.multiplicity, asked before the default cuts, so t = b r^2 / 2
     past census.T_MAX raises its ValueError; a level whose default cut
     finds no tail below toeplitz.MAX_TRUNCATION raises too (pass K), level
@@ -282,14 +272,14 @@ def persistence_check(
     N = None if N is None else quadrature_size(N, "node count N")
     wc = load_weight(make_circle(r, n=N), weight)
     _, witnesses = _census_multiplicity(field, q, r)
-    cuts = _model_cuts(field, Q, wc.curve, first=q) if K is None else K
-    K_q = cuts[q] if K is None else K
+    levels = (q, *range(q), *range(q + 1, Q + 1))  # level q first: a refusal (no certified tail) names q if q has none
+    layout = RowLayout(range(Q + 1), K if K is not None else _level_cuts(field, levels, wc.curve, MODEL_TAIL_CUTOFF))
+    K_q = layout.cuts[q]
     witness_ks = tuple(k for k, _ in witnesses)
     if any(k > K_q for k in witness_ks):
         raise ValueError(f"census witness k = {max(witness_ks)} of level {q} lies beyond K = {K_q}")
     # One coupling serves both signs: its witness columns and max|B| are read
     # first, then H+ and H- are formed in its buffer, one after the other.
-    layout = RowLayout(range(Q + 1), cuts)
     coupling = _compress(field, layout, wc, N, False)[0]
     columns = coupling[:, [layout.index(q, k) for k in witness_ks]]
     residuals = np.linalg.norm(columns, axis=0) / (_blockwise_max(coupling, lambda rows: np.abs(coupling[rows])) or 1.0)

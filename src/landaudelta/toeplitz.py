@@ -83,18 +83,9 @@ BLOCK_CELLS = 8192
 
 
 def flat_index(j: int, k: int, K: int) -> int:
-    """Row j (K + 1) + k of phi_{k,j} among levels 0, 1, ..., stacked level-major at one cut K.
-
-    The row RowLayout(range(j + 1), K).index(j, k) in closed form.  A j, k
-    or K that is not an integer (laguerre._index) raises ValueError naming
-    it; a j < 0 or a k outside 0..K would name another row, so it raises
-    ValueError naming j, k and K.
-    """
-    # No lower bound here: the row check below names a j or k out of range with the row.
-    j, k, K = (_index(name, x, -math.inf) for name, x in (("level j", j), ("angular index k", k), ("truncation K", K)))
-    if j < 0 or not 0 <= k <= K:
-        raise ValueError(f"no row (j, k) = ({j}, {k}) at K = {K}: need j >= 0 and 0 <= k <= K")
-    return j * (K + 1) + k
+    """Row of phi_{k,j} among levels 0, 1, ... at one cut K: RowLayout(range(j + 1), K).index(j, k), checking j, k and K by name."""
+    j = _index("level j", j)
+    return RowLayout(range(j + 1), (K,) * (j + 1)).index(j, k)  # (K,): a tuple K is refused as a cut
 
 
 @dataclass(frozen=True)
@@ -133,7 +124,10 @@ class RowLayout:
         return np.repeat(per_level, np.add(self.cuts, 1))
 
     def index(self, j: int, k: int) -> int:
-        """Row of phi_{k,j}; a j outside levels, or a k outside 0..K_j, raises ValueError naming j, k and the cuts."""
+        """Row of phi_{k,j}, the one (j, k) -> row map; a j or k that is not an integer (laguerre._index) raises
+        ValueError naming it, and a j outside levels or a k outside 0..K_j one naming j, k and the cuts."""
+        # No lower bound here: the row check below names a j or k out of range with the row.
+        j, k = _index("level j", j, -math.inf), _index("angular index k", k, -math.inf)
         i = j - self.levels.start
         if j not in self.levels or not 0 <= k <= self.cuts[i]:
             cut = self.cuts[0] if len(set(self.cuts)) == 1 else self.cuts
@@ -223,24 +217,25 @@ def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_re
     vanish at any circle radius, so a lone resonant zero cannot stop the sweep.
     A sweep that certifies no tail below MAX_TRUNCATION raises ValueError
     (naming q and max t_j): pass K explicitly there.  A t_j past the double
-    range raises the ValueError of _compress, as no K can help there.
+    range (_node_moduli), or a Laguerre factor past it at a high q and large
+    t (basis._log_abs), raises ValueError naming it, as no K can help there.
     A q that is not an integer >= 0, or a tail_rel outside (0, 1), raises
-    ValueError naming it.  The one-level case of _level_cuts.
+    ValueError naming it.  The one-level case of _level_cuts, the one cut rule.
     """
     return _level_cuts(field, (_index("level q", q),), curve, tail_rel)[0]
 
 
 def _level_cuts(field: MagneticField, levels, curve: JordanCurve, tail_rel: float) -> tuple[int, ...]:
-    """default_truncation's K of each level in levels, in that order, from one sweep.
+    """default_truncation's K of each level in levels, in ascending level order, from one sweep.
 
     Each level keeps its own blocks, running maximum and stop count, so its
     K is the one default_truncation gives it alone.  A block holds every
     open level while their rows times the distinct moduli fit BLOCK_CELLS,
     as on a circle (one modulus), and one _log_abs call serves them all;
     otherwise it holds the first open level alone, as a one-level sweep
-    does.  A level with no certified tail raises default_truncation's
-    ValueError once every level before it in levels has its K, so the
-    refusal names the first such level.
+    does.  The order of levels decides only the refusal: a level with no
+    certified tail raises default_truncation's ValueError once every level
+    before it in levels has its K.
     """
     if not 0 < tail_rel < 1:
         raise ValueError(f"tail_rel must lie in (0, 1), got {tail_rel}")
@@ -250,19 +245,18 @@ def _level_cuts(field: MagneticField, levels, curve: JordanCurve, tail_rel: floa
     log_cut = math.log(tail_rel)
     cap = max(1, BLOCK_CELLS // t.size)
     rows = 8 * (1 + math.ceil(min(t_peak, MAX_TRUNCATION)))  # 8 rows per index before the stop can start
-    # Per open level: its next k, its next block's rows, its running maximum and its count below the cut.
+    # Per open level, in the order of levels: its next k, its next block's rows, its running maximum and its count below the cut.
     sweeps = {q: [0, rows + 8 * q, -math.inf, 0] for q in levels}
     cuts = {}
     while sweeps:
+        first = next(iter(sweeps))  # the first level of levels still sweeping: its refusal comes first
+        if sweeps[first][0] >= MAX_TRUNCATION:
+            raise ValueError(f"level {first}: no certified tail below MAX_TRUNCATION = {MAX_TRUNCATION} at t_peak = {t_peak:.6g}; pass K")
         blocks = [(q, k, min(n, cap, MAX_TRUNCATION - k)) for q, (k, n, _, _) in sweeps.items()]
         if sum(size for _, _, size in blocks) * t.size > BLOCK_CELLS:
             blocks = blocks[:1]
-        if len(blocks) == 1:
-            (qs, k, size), = blocks
-            ks = np.arange(k, k + size)
-        else:
-            ks = np.concatenate([np.arange(k, k + size) for _, k, size in blocks])
-            qs = np.concatenate([np.full(size, q) for q, _, size in blocks])[:, None]
+        ks = np.concatenate([np.arange(k, k + size) for _, k, size in blocks])
+        qs = np.concatenate([np.full(size, q) for q, _, size in blocks])[:, None]
         profile = 2.0 * _log_abs(field, ks[:, None], qs, t)[0].max(axis=1)
         row = 0
         for q, k0, size in blocks:
@@ -281,12 +275,7 @@ def _level_cuts(field: MagneticField, levels, curve: JordanCurve, tail_rel: floa
             else:
                 sweeps[q] = [k0 + size, 2 * n, best, below]
             row += size
-        for q in levels:
-            if q not in cuts:
-                if sweeps[q][0] < MAX_TRUNCATION:
-                    break
-                raise ValueError(f"level {q}: no certified tail below MAX_TRUNCATION = {MAX_TRUNCATION} at t_peak = {t_peak:.6g}; pass K")
-    return tuple([cuts[q] for q in levels])
+    return tuple(cut for _, cut in sorted(cuts.items()))
 
 
 def _quadrature_sums(field: MagneticField, layout: RowLayout, wc: WeightedCurve, n: int):

@@ -365,6 +365,16 @@ class TestGalerkin:
         assert code == 2 and out == ""
         assert err.startswith("error: --persistence") and "--ellipse" in err and "--curve-file" in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--sign", "-1"), "--sign"), (("--sign", "1"), "--sign"),
+        (("--no-resolution-check",), "--no-resolution-check"),
+    ])
+    def test_persistence_rejects_sign_and_resolution_flags(self, capsys, flags, named):
+        # The check runs both signs on an unchecked coupling; a flag that cannot act is refused.
+        code, out, err = run_cli(capsys, "galerkin", "--b", "2", "--q", "1", "--r", "1", "--persistence", *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: --persistence runs both signs, without a resolution check; drop {named}\n"
+
     def test_persistence_rejects_K_below_a_witness(self, capsys):
         code, out, err = run_cli(
             capsys, "galerkin", "--b", "2", "--q", "2", "--r", repr(math.sqrt(2.0)), "--K", "3", "--persistence",
@@ -450,6 +460,12 @@ def test_non_finite_inputs_exit_2_without_hanging(argv, message):
     (["census", "--q", "300", "--b", "2", "--rmax", "100"],
      "error: q = 300 at t = b r_max^2 / 2 = 10000.0 is past the census limit "
      "q^2 (sqrt(q) + sqrt(t))^2 <= TABLE_CELLS_MAX = 3e+07"),
+    # L_200^(k-200)(2999.75) is past the double range: refused by name, with no numpy warning, with or
+    # without K (it used to print "matrix has non-finite entries", or advise passing a K).
+    (["toeplitz", "--b", "2", "--q", "200", "--r", "54.77", "--K", "210"],
+     "error: Laguerre factor of phi_(k,q) is not finite at q = 200, t = 2999.75: past the double range"),
+    (["toeplitz", "--b", "2", "--q", "200", "--r", "54.77"],
+     "error: Laguerre factor of phi_(k,q) is not finite at q = 200, t = 2999.75: past the double range"),
 ])
 def test_huge_finite_t_exits_2_without_hanging(argv, message):
     # Finite inputs with a huge t = b r^2 / 2, or a huge table below it, used to grow a zero table

@@ -1,5 +1,5 @@
 """One door per decision: eigenvectors from toeplitz.spectrum, eigenvalues from toeplitz.eigenvalues,
-and the level-major row order from toeplitz.RowLayout."""
+the level-major row order from toeplitz.RowLayout and the default cuts from toeplitz._level_cuts."""
 
 import ast
 import math
@@ -20,15 +20,23 @@ DOORS = {
     "eigvalsh": {"toeplitz.eigenvalues", "laguerre.positive_zeros"},
 }
 
-# Every reference in src/ to a name that spells out the row order.  flat_index,
-# the closed form at one cut, is only re-exported by galerkin (the bench reads
-# galerkin.flat_index): RowLayout.index looks rows up in the layout's starts;
-# no row arrays come from meshgrid; np.repeat spreads per-level values onto
-# rows in RowLayout alone, and census builds its zero table with it.
+# Every reference in src/ to a name that spells out the row order.  flat_index
+# reads RowLayout.index, the one (j, k) -> row map, and is only re-exported by
+# galerkin (the bench reads galerkin.flat_index); no row arrays come from
+# meshgrid; np.repeat spreads per-level values onto rows in RowLayout alone,
+# and census builds its zero table with it.
 ROW_ORDER = {
     "flat_index": {"galerkin"},
     "meshgrid": set(),
     "repeat": {"toeplitz.RowLayout.spread", "census._LevelZeros.__init__", "census._LevelZeros.upto"},
+}
+
+
+# Every reference in src/ to the default-cut rule: _level_cuts picks every
+# level's default K from one sweep, and no second spelling of it remains.
+CUTS = {
+    "_level_cuts": {"toeplitz.default_truncation", "galerkin", "galerkin.model_truncation", "galerkin.persistence_check"},
+    "_model_cuts": set(),
 }
 
 
@@ -65,6 +73,10 @@ def test_solvers_referenced_only_inside_their_doors():
 
 def test_row_order_spelled_out_only_in_the_row_layout():
     assert references(ROW_ORDER) == ROW_ORDER
+
+
+def test_default_cuts_picked_only_by_the_one_sweep():
+    assert references(CUTS) == CUTS
 
 
 def test_eigenvalue_readers_make_no_eigenvector_solve(monkeypatch):

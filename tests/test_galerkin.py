@@ -216,7 +216,7 @@ class TestCircleCoupling:
                 circle = make_circle(r, n=256)
                 sampled = JordanCurve("sampled", circle.params, circle.points, circle.derivs, ())
                 for Q in range(5):
-                    cuts = galerkin._model_cuts(field, Q, circle)
+                    cuts = toeplitz._level_cuts(field, range(Q + 1), circle, galerkin.MODEL_TAIL_CUTOFF)
                     assert max(cuts) == model_truncation(field, Q, circle)
                     for K in (max(cuts), cuts):
                         fast = assemble_model(field, Q, K, load_weight(circle, weight), +1, N=256, check_resolution=False)
@@ -362,7 +362,7 @@ class TestPersistence:
         # an explicit K cuts every level there.
         weight = lambda t: 2.0 + np.sin(t)
         res = persistence_check(F2, 2, math.sqrt(2.0), weight=weight)
-        cuts = galerkin._model_cuts(F2, 4, make_circle(math.sqrt(2.0)))
+        cuts = toeplitz._level_cuts(F2, range(5), make_circle(math.sqrt(2.0)), galerkin.MODEL_TAIL_CUTOFF)
         assert res.details["cuts"] == list(cuts) and res.details["K"] == cuts[2] and res.details["Q"] == 4
         assert len(set(cuts)) > 1 and max(cuts) == model_truncation(F2, 4, make_circle(math.sqrt(2.0)))
         square = persistence_check(F2, 2, math.sqrt(2.0), K=cuts[2], weight=weight)
@@ -508,9 +508,9 @@ class TestPersistence:
     (lambda: assemble_model(F2, 2, 4, load_weight(make_circle(1.0, n=64), 1.0), True), "coupling sign must be +1 or -1, got True"),
     (lambda: assemble_model(F2, 2, 4, load_weight(make_circle(1.0, n=64), 1.0), 1.0), "coupling sign must be +1 or -1, got 1.0"),
     (lambda: assemble_model(F2, 2, 4, load_weight(make_circle(1.0, n=64), 1.0), 2), "coupling sign must be +1 or -1, got 2"),
-    (lambda: flat_index(1, 9, 4), "no row (j, k) = (1, 9) at K = 4: need j >= 0 and 0 <= k <= K"),
-    (lambda: flat_index(-1, 0, 4), "no row (j, k) = (-1, 0) at K = 4: need j >= 0 and 0 <= k <= K"),
-    (lambda: flat_index(0, -1, 4), "no row (j, k) = (0, -1) at K = 4: need j >= 0 and 0 <= k <= K"),
+    (lambda: flat_index(1, 9, 4), "no row (j, k) = (1, 9) in levels range(0, 2) at K = 4"),
+    (lambda: flat_index(-1, 0, 4), "level j must be >= 0, got -1"),
+    (lambda: flat_index(0, -1, 4), "no row (j, k) = (0, -1) in levels range(0, 1) at K = 4"),
     (lambda: flat_index(0.5, 1, 4), "level j must be an integer, got 0.5"),
     (lambda: flat_index(0, True, 4), "angular index k must be an integer, got True"),
     (lambda: flat_index(0, 1, 4.0), "truncation K must be an integer, got 4.0"),

@@ -185,6 +185,20 @@ class TestAssemble:
                 assemble_model(field, 1, 2, load_weight(make_circle(1e10), 1.0), 1)
         assert assemble(MagneticField(1e300), 0, load_weight(make_circle(1.0), 1.0), K=3).K == 3
 
+    def test_overflowing_laguerre_factor_raises_by_name_without_warnings(self):
+        # q = 200 at t = 3000: L_200^(k-200)(t) is past the double range.  It used to
+        # double N to 8192 and return 18 non-finite diagonal entries, unflagged; the
+        # default K said "no certified tail ... pass K", which could not help.
+        message = r"Laguerre factor of phi_\(k,q\) is not finite at q = 200, t = 3000: past the double range"
+        wc = load_weight(make_circle(math.sqrt(3000.0)), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for K in (210, None):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    assemble(F2, 200, wc, K=K)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                circle_diagonal_log(F2, 200, 210, math.sqrt(3000.0))
+
     def test_recentering_invariance(self):
         q, K, r, n = 1, 8, 1.1, 512
         wc = load_weight(make_circle(r, n=n), lambda t: 1.0 + 0.5 * np.cos(t))
@@ -416,16 +430,17 @@ class TestTruncation:
 
     def test_one_sweep_gives_each_levels_own_cut(self):
         # _level_cuts over levels 0..Q, any level listed first, against one
-        # default_truncation per level in the same order: the same cuts, or
-        # the refusal of the first level in the list that has no certified
-        # tail.  t = b r^2 / 2 runs past the cap of every level (b = 2,
-        # r^2 = 625) through t = 440..490, where low levels certify a tail
-        # and high ones do not.
+        # default_truncation per level in the listed order: the same cuts, in
+        # ascending level order, or the refusal of the first level in the
+        # list that has no certified tail.  t = b r^2 / 2 runs past the cap
+        # of every level (b = 2, r^2 = 625) through t = 440..490, where low
+        # levels certify a tail and high ones do not.
         def per_level(field, levels, curve, tail_rel):
             try:
-                return tuple(default_truncation(field, q, curve, tail_rel) for q in levels)
+                cuts = {q: default_truncation(field, q, curve, tail_rel) for q in levels}
             except ValueError as exc:
                 return str(exc)
+            return tuple(cuts[q] for q in sorted(levels))
 
         def swept(field, levels, curve, tail_rel):
             try:
@@ -471,7 +486,7 @@ class TestTruncation:
         e = make_ellipse(1.8, 1.1, n=3000)
         curve = JordanCurve("sampled", e.params, e.points, e.derivs, ())
         cuts = toeplitz._level_cuts(F2, (2, 0, 1), curve, 1e-4)
-        assert cuts == tuple(default_truncation(F2, q, curve, 1e-4) for q in (2, 0, 1))
+        assert cuts == tuple(default_truncation(F2, q, curve, 1e-4) for q in (0, 1, 2))
         assert len(calls) > 3
         for shape, levels in calls:
             assert levels == 1 and (math.prod(shape) <= BLOCK_CELLS or shape[0] == 1)
@@ -1118,13 +1133,22 @@ class TestSerialization:
     (lambda: RowLayout(range(3), (2, 3)), "rows need one cut per level of range(0, 3), got K = (2, 3)"),
     (lambda: RowLayout(range(2), (2, -1)), "truncation K must be >= 0, got -1"),
     (lambda: RowLayout(range(3), (4, 5, 3)).index(2, 4), "no row (j, k) = (2, 4) in levels range(0, 3) at K = (4, 5, 3)"),
+    (lambda: RowLayout(range(3), (4, 5, 6)).index(0, 1.5), "angular index k must be an integer, got 1.5"),
+    (lambda: RowLayout(range(3), (4, 5, 6)).index(2, 2.0), "angular index k must be an integer, got 2.0"),
+    (lambda: RowLayout(range(3), (4, 5, 6)).index(1, True), "angular index k must be an integer, got True"),
+    (lambda: RowLayout(range(3), (4, 5, 6)).index(1, "1"), "angular index k must be an integer, got '1'"),
+    (lambda: RowLayout(range(3), (4, 5, 6)).index(1.0, 2), "level j must be an integer, got 1.0"),
+    (lambda: RowLayout(range(3), (4, 5, 6)).block(1.0), "level j must be an integer, got 1.0"),
+    (lambda: RowLayout(range(3), (4, 5, 6)).block(True), "level j must be an integer, got True"),
+    (lambda: RowLayout(range(3), (4, 5, 6)).block(3), "no row (j, k) = (3, 0) in levels range(0, 3) at K = (4, 5, 6)"),
     (lambda: toeplitz.eigenvalues(np.eye(3)), "eigensolve failed to converge: no convergence"),
     (lambda: spectrum(np.eye(3)), "eigensolve failed to converge: no convergence"),
 ], ids=["negative-q", "negative-K", "float-q", "bool-q", "float-K", "float-q-truncation", "tail-rel-zero",
         "tail-rel-nan", "tail-rel-one", "layout-step-2",
         "layout-list", "diagonal-negative-q", "diagonal-negative-k", "layout-level-outside", "layout-k-outside",
-        "layout-cuts-per-level", "layout-negative-cut", "layout-k-past-its-cut",
-        "eigenvalues-no-convergence", "spectrum-no-convergence"])
+        "layout-cuts-per-level", "layout-negative-cut", "layout-k-past-its-cut", "layout-float-k",
+        "layout-integral-float-k", "layout-bool-k", "layout-str-k", "layout-float-j", "layout-block-float-j",
+        "layout-block-bool-j", "layout-block-outside", "eigenvalues-no-convergence", "spectrum-no-convergence"])
 def test_refusals_name_their_input(call, message, monkeypatch):
     # Solvers that never converge: only the eigensolve doors call them.
     def no_convergence(m):

@@ -147,14 +147,16 @@ def _parts_arrays(field: MagneticField, k, q, pts: np.ndarray):
     return logabs, phase
 
 
-def _from_parts(logabs, phase) -> np.ndarray:
+def _from_parts(logabs, phase, out=None) -> np.ndarray:
     """exp(logabs + i phase), as exp(logabs) cos(phase) + i exp(logabs) sin(phase).
 
     Equal to np.exp(logabs) * np.exp(1j * phase) in every value (only the
-    sign of a zero may differ), without the complex temporaries.
+    sign of a zero may differ), without the complex temporaries.  Written
+    into out, a complex array of the broadcast shape, if given.
     """
     mag = np.exp(logabs)
-    out = np.empty(np.broadcast_shapes(np.shape(mag), np.shape(phase)), dtype=complex)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(mag), np.shape(phase)), dtype=complex)
     np.multiply(mag, np.cos(phase), out=out.real)
     np.multiply(mag, np.sin(phase), out=out.imag)
     return out

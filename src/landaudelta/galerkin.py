@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +82,7 @@ class GalerkinModel:
         self.matrix.setflags(write=False)
         self.coupling.setflags(write=False)
 
-    @property
+    @cached_property
     def layout(self) -> RowLayout:
         return RowLayout(range(self.Q + 1), self.K)
 
@@ -123,7 +124,9 @@ def assemble_model(
     is used as given; the underresolved flag is relative to max|B|.
     Q and the cuts follow the package's one integer rule (laguerre._index,
     and RowLayout for the cuts); a sign that is not the integer +1 or -1
-    (True and 1.0 included) is refused by name.
+    (True and 1.0 included) is refused by name.  Memory on a general curve:
+    about two basis arrays of n x N complex samples, n = sum_j (K_j + 1),
+    while the coupling is summed (toeplitz._compress).
     """
     layout = RowLayout(range(_index("level cutoff Q", Q) + 1), K)
     try:

@@ -41,13 +41,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 
 import numpy as np
 
 from .census import multiplicity as _census_multiplicity
-from .basis import MagneticField, _log_abs, _parts_arrays, basis_matrix
+from .basis import MagneticField, _from_parts, _log_abs, _parts_arrays
 from .curves import JordanCurve, WeightedCurve, arclength_rule, quadrature_size
 from .laguerre import _index
 
@@ -77,8 +77,9 @@ ADAPTIVE_NODE_CAP = 8192
 TAIL_RELATIVE_CUTOFF = 1e-16
 MAX_TRUNCATION = 512
 # Cells per block of a blocked pass: angular indices x node moduli in the
-# truncation sweep, matrix entries in a _blockwise_max read.  It bounds
-# each pass's temporaries at 64 KiB per float and 128 KiB per complex array.
+# truncation sweep, matrix entries in a _blockwise_max read, basis rows x
+# nodes in a quadrature fill.  It bounds each pass's temporaries at 64 KiB
+# per float and 128 KiB per complex array.
 BLOCK_CELLS = 8192
 
 
@@ -88,6 +89,11 @@ def flat_index(j: int, k: int, K: int) -> int:
     return RowLayout(range(j + 1), (K,) * (j + 1)).index(j, k)  # (K,): a tuple K is refused as a cut
 
 
+def _read_only(rows: np.ndarray) -> np.ndarray:
+    rows.setflags(write=False)
+    return rows
+
+
 @dataclass(frozen=True)
 class RowLayout:
     """The rows phi_{k,j} of an interaction matrix, level-major: j in levels, a step-1 range, and k in 0..K_j.
@@ -95,8 +101,8 @@ class RowLayout:
     cuts holds K_j for each level in turn; an int K, every level's cut, is
     stored as that tuple.  The one check of cuts: each is an integer >= 0
     (laguerre._index, as "truncation K"), stored as an int, one per level.
-    Each row's j, k and harmonic m = k - j are read-only arrays, and
-    starts[i] is the first row of levels[i], with starts[-1] = dim.
+    Each row's j, k and harmonic m = k - j are read-only arrays, built on
+    first use, and starts[i] is the first row of levels[i], with starts[-1] = dim.
     """
 
     levels: range
@@ -110,10 +116,19 @@ class RowLayout:
             raise ValueError(f"rows need one cut per level of {self.levels!r}, got K = {self.cuts}")
         object.__setattr__(self, "cuts", tuple(_index("truncation K", cut) for cut in cuts))
         object.__setattr__(self, "starts", (0, *accumulate(cut + 1 for cut in self.cuts)))
-        j, k = self.spread(self.levels), np.arange(self.dim) - self.spread(self.starts[:-1])
-        for name, rows in (("j", j), ("k", k), ("m", k - j)):
-            rows.setflags(write=False)
-            object.__setattr__(self, name, rows)  # derived, so no field: outside eq, hash and repr
+
+    # The row arrays are derived on first use, so no field: outside eq, hash and repr.
+    @cached_property
+    def j(self) -> np.ndarray:
+        return _read_only(self.spread(self.levels))
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        return _read_only(np.arange(self.dim) - self.spread(self.starts[:-1]))
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        return _read_only(self.k - self.j)
 
     @property
     def dim(self) -> int:
@@ -155,7 +170,7 @@ class ToeplitzMatrix:
     def __post_init__(self):
         self.entries.setflags(write=False)
 
-    @property
+    @cached_property
     def layout(self) -> RowLayout:
         return RowLayout(range(self.q, self.q + 1), self.K)
 
@@ -281,14 +296,32 @@ def _level_cuts(field: MagneticField, levels, curve: JordanCurve, tail_rel: floa
 def _quadrature_sums(field: MagneticField, layout: RowLayout, wc: WeightedCurve, n: int):
     """Interaction matrices on the rows of layout over basis samples at n, 2n, 4n, ... nodes.
 
+    Each node set's basis samples Phi are one layout.dim x nodes array,
+    filled in row blocks of at most BLOCK_CELLS samples (one row at least)
+    straight from the layout's j and k rows, so a block may span levels
+    and its temporaries stay one block's; a Laguerre factor past the double
+    range is refused naming the first such level, as a level-by-level pass
+    would.  The sum Phi diag(w) Phi* holds two such arrays: Phi w, and Phi
+    conjugated in its own buffer.
     The uniform 2n rule holds the n rule at its even nodes, so each
     doubling halves the last sum and adds half the n-node sum over the new
     odd nodes (weights 2 v ds of the 2n rule): n further basis samples.
     """
 
     def weighted_sum(points, w):
-        phi = np.vstack([basis_matrix(field, j, range(K + 1), points) for j, K in zip(layout.levels, layout.cuts)])
-        return (phi * w) @ phi.conj().T
+        phi = np.empty((layout.dim, len(points)), dtype=complex)
+        step = max(1, BLOCK_CELLS // len(points))
+        for start in range(0, layout.dim, step):
+            rows = slice(start, start + step)
+            try:
+                parts = _parts_arrays(field, layout.k[rows, None], layout.j[rows, None], points)
+            except ValueError:  # refused level by level, so the first level past the double range is named
+                for j in range(layout.j[start], layout.j[rows][-1] + 1):
+                    _parts_arrays(field, layout.k[layout.block(j), None], j, points)
+                raise
+            _from_parts(*parts, out=phi[rows])
+        scaled = phi * w
+        return scaled @ np.conjugate(phi, out=phi).T
 
     points, ds = arclength_rule(wc.curve.resample(n))
     m = weighted_sum(points, wc.sample(n) * ds)
@@ -391,6 +424,9 @@ def _compress(field: MagneticField, layout: RowLayout, wc: WeightedCurve, N: int
     curve or weight table has a relative Fourier tail above RESOLUTION_DELTA_TOL
     (curves.WeightedCurve.sample_tails, also in provenance); it is None when
     unchecked and no tail is flagged.  No decision depends on the weight's scale.
+    Memory on general curves: two basis arrays of layout.dim x N complex
+    samples (16 bytes each) while a sum is formed, beside the N-node matrix
+    when checked (_quadrature_sums); on circles, as _circle_sums says.
     """
     _node_moduli(field, wc.curve)  # refuses a t past the double range
     adaptive = N is None

@@ -1,5 +1,6 @@
 """One door per decision: eigenvectors from toeplitz.spectrum, eigenvalues from toeplitz.eigenvalues,
-the level-major row order from toeplitz.RowLayout and the default cuts from toeplitz._level_cuts."""
+the level-major row order from toeplitz.RowLayout, basis rows from its row blocks and the default cuts
+from toeplitz._level_cuts."""
 
 import ast
 import math
@@ -29,6 +30,16 @@ ROW_ORDER = {
     "flat_index": {"galerkin"},
     "meshgrid": set(),
     "repeat": {"toeplitz.RowLayout.spread", "census._LevelZeros.__init__", "census._LevelZeros.upto"},
+}
+
+
+# Every reference in src/ to a per-level basis evaluation that an interaction
+# kernel could stack: the quadrature fills one basis array in row blocks of the
+# layout, so basis_matrix is only re-exported and read by two verify checks,
+# and vstack only stacks verify's translated rows.
+BASIS_ROWS = {
+    "basis_matrix": {"__init__", "verify", "verify.check_basis_phase", "verify.check_toeplitz_nodal_characterization"},
+    "vstack": {"verify._translated_assembly"},
 }
 
 
@@ -73,6 +84,10 @@ def test_solvers_referenced_only_inside_their_doors():
 
 def test_row_order_spelled_out_only_in_the_row_layout():
     assert references(ROW_ORDER) == ROW_ORDER
+
+
+def test_basis_rows_never_stacked_per_level():
+    assert references(BASIS_ROWS) == BASIS_ROWS
 
 
 def test_default_cuts_picked_only_by_the_one_sweep():

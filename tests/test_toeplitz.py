@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -198,6 +199,19 @@ class TestAssemble:
                     assemble(F2, 200, wc, K=K)
             with pytest.raises(ValueError, match=f"^{message}$"):
                 circle_diagonal_log(F2, 200, 210, math.sqrt(3000.0))
+
+    def test_overflowing_laguerre_factor_on_a_general_curve(self):
+        # The quadrature's row blocks refuse as a level at a time would: the first
+        # level past the double range is named.  Model blocks of 512 rows at N = 16
+        # span levels 192 and 193 here, and both overflow.
+        wc = load_weight(make_ellipse(55.0, 50.0), 1.0)
+        message = r"Laguerre factor of phi_\(k,q\) is not finite at q = {}, t = 3025: past the double range"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message.format(200)}$"):
+                assemble(F2, 200, wc, K=210, N=256)
+            with pytest.raises(ValueError, match=f"^{message.format(192)}$"):
+                assemble_model(F2, 203, 210, wc, +1, N=16, check_resolution=False)
 
     def test_recentering_invariance(self):
         q, K, r, n = 1, 8, 1.1, 512
@@ -531,6 +545,21 @@ class TestRowLayout:
         assert not any(a.flags.writeable for a in (layout.j, layout.k, layout.m))
         assert (layout == RowLayout(levels, cuts[0])) == (len(set(cuts)) == 1)
 
+    def test_row_arrays_built_on_first_use(self):
+        # index and block need no row arrays; j, k and m are built once, read-only,
+        # and take no part in eq, hash or repr.  A matrix's layout is built once too.
+        layout = RowLayout(range(1, 4), (2, 5, 3))
+        assert layout.index(3, 3) == 12 and layout.block(2) == slice(3, 9)
+        assert not {"j", "k", "m"} & set(vars(layout))
+        twin = RowLayout(range(1, 4), (2, 5, 3))
+        assert layout.m is layout.m and set(vars(layout)) >= {"j", "k", "m"}
+        assert not any(a.flags.writeable for a in (layout.j, layout.k, layout.m))
+        assert layout == twin and hash(layout) == hash(twin) and repr(layout) == repr(twin)
+        assert repr(layout) == "RowLayout(levels=range(1, 4), cuts=(2, 5, 3))"
+        wc = load_weight(make_ellipse(1.4, 0.9, n=64), 1.0)
+        for matrix in (assemble(F2, 1, wc, K=4, N=64), assemble_model(F2, 2, (3, 4, 5), wc, +1, N=64)):
+            assert matrix.layout is matrix.layout
+
     def test_numpy_integers_accepted(self):
         wc = load_weight(make_circle(1.0, n=64), 1.0)
         plain = assemble(F2, 1, wc, K=4, N=64)
@@ -690,10 +719,11 @@ class TestCircleKernel:
 
 
 def direct_quadrature(field, levels, K, wc, n):
-    """The trapezoid sum over basis samples at all n nodes of wc.resample(n)."""
+    """The trapezoid sum over basis samples at all n nodes of wc.resample(n); K is every level's cut or one per level."""
     wcn = wc.resample(n)
     points, ds = arclength_rule(wcn.curve)
-    phi = np.vstack([basis_matrix(field, j, range(K + 1), points) for j in levels])
+    cuts = K if isinstance(K, tuple) else (K,) * len(levels)
+    phi = np.vstack([basis_matrix(field, j, range(cut + 1), points) for j, cut in zip(levels, cuts)])
     m = (phi * (wcn.values * ds)) @ phi.conj().T
     return 0.5 * (m + m.conj().T)
 
@@ -702,6 +732,20 @@ def sampled_ellipse(a, c, nodes):
     """An ellipse known only through its samples (resampled by their trigonometric interpolant)."""
     ell = make_ellipse(a, c, n=nodes)
     return JordanCurve("sampled", ell.params, ell.points, ell.derivs, ())
+
+
+def counting_samples(monkeypatch):
+    """A Counter, filled while monkeypatch is active, of the basis samples toeplitz evaluates per row (level j, index k)."""
+    points = collections.Counter()
+    parts_arrays = toeplitz._parts_arrays
+
+    def counting(field, k, q, pts):
+        for row in zip(np.ravel(q).tolist(), np.ravel(k).tolist()):  # the j and k columns of one row block
+            points[row] += len(pts)
+        return parts_arrays(field, k, q, pts)
+
+    monkeypatch.setattr(toeplitz, "_parts_arrays", counting)
+    return points
 
 
 class TestNestedResolution:
@@ -734,28 +778,46 @@ class TestNestedResolution:
         assert flags == {True, False}
 
     def test_check_costs_n_further_samples(self, monkeypatch):
-        # A checked assembly evaluates 2N points per level, an unchecked one N.
-        points = []
-
-        def counting(field, q, ks, pts):
-            points.append((q, len(pts)))
-            return basis_matrix(field, q, ks, pts)
-
-        monkeypatch.setattr(toeplitz, "basis_matrix", counting)
+        # A checked assembly evaluates 2N points per level row, an unchecked one N.
+        points = counting_samples(monkeypatch)
         wc = load_weight(make_ellipse(1.4, 0.9), three_harmonic)
         n = 64
         for check in (True, False):
-            per_level = 2 * n if check else n
+            per_row = 2 * n if check else n
             points.clear()
             m = assemble(F2, 2, wc, K=8, N=n, check_resolution=check)
-            assert {q for q, _ in points} == {2}
-            assert sum(p for _, p in points) == per_level
+            assert points == {(2, k): per_row for k in range(9)}
             assert (m.refinement_delta is not None) == check
             points.clear()
             model = assemble_model(F2, 3, 8, wc, -1, N=n, check_resolution=check)
-            assert {q for q, _ in points} == {0, 1, 2, 3}
-            assert all(sum(p for q, p in points if q == j) == per_level for j in range(4))
+            assert points == {(j, k): per_row for j in range(4) for k in range(9)}
             assert (model.refinement_delta is not None) == check
+
+    @pytest.mark.parametrize("K", [40, (40, 3, 57, 12)])
+    def test_row_blocks_across_levels_bitwise(self, K):
+        # N = 256: blocks of BLOCK_CELLS // 256 = 32 rows.  At K = 40 the levels
+        # start at rows 41, 82 and 123, so blocks cut through every level boundary;
+        # the ragged cuts start them at rows 41, 45 and 103.
+        wc = load_weight(make_ellipse(1.4, 0.9), three_harmonic)
+        assert BLOCK_CELLS // 256 == 32
+        expected = direct_quadrature(F2, range(4), K, wc, 256)
+        for check in (False, True):
+            model = assemble_model(F2, 3, K, wc, +1, N=256, check_resolution=check)
+            assert model.coupling.tobytes() == expected.tobytes()
+        single = assemble(F2, 2, wc, K=100, N=256, check_resolution=False)  # 101 rows: four blocks of one level
+        assert single.entries.tobytes() == direct_quadrature(F2, [2], 100, wc, 256).tobytes()
+
+    def test_peak_is_about_two_basis_arrays(self, peak_matrices):
+        # Phi is filled in row blocks into one dim x N array; the product holds it
+        # (conjugated in place) beside Phi w.  It read 2.06 unchecked and 2.15
+        # checked; three basis arrays (3.05) when the per-level rows were stacked.
+        wc = load_weight(make_ellipse(1.4, 0.9), lambda t: 1.0 + 0.3 * np.sin(t))
+        dim, n = 4 * 41, 4096
+        for check in (False, True):
+            warm = assemble_model(F2, 3, 40, wc, +1, N=n, check_resolution=check)
+            model, peak = peak_matrices(lambda: assemble_model(F2, 3, 40, wc, +1, N=n, check_resolution=check), 1)
+            assert model.coupling.tobytes() == warm.coupling.tobytes()
+            assert peak / (dim * n) <= 2.2
 
 
 def step_weight(t):
@@ -781,25 +843,19 @@ class TestAdaptiveNodes:
             assert error <= m.refinement_delta + 1e-14 * np.max(np.abs(reference))
 
     def test_unchecked_assembles_once_at_the_start_size(self, monkeypatch):
-        points = []
-
-        def counting(field, q, ks, pts):
-            points.append((q, len(pts)))
-            return basis_matrix(field, q, ks, pts)
-
-        monkeypatch.setattr(toeplitz, "basis_matrix", counting)
+        points = counting_samples(monkeypatch)
         wc = load_weight(make_ellipse(1.4, 0.9), three_harmonic)
         for check in (False, True):
             points.clear()
             m = assemble(F2, 2, wc, K=8, check_resolution=check)
             assert m.provenance["N"] == 64
-            assert sum(p for _, p in points) == (128 if check else 64)
+            assert points == {(2, k): 128 if check else 64 for k in range(9)}
             assert ("N_sequence" in m.provenance) == check
             assert (m.underresolved, m.refinement_delta is None) == ((False, False) if check else (None, True))
             points.clear()
             model = assemble_model(F2, 3, 40, wc, +1, check_resolution=check)
             assert model.provenance["N"] == 128  # 2 (40 + 3 + 1) = 88
-            assert all(sum(p for q, p in points if q == j) == (256 if check else 128) for j in range(4))
+            assert points == {(j, k): 256 if check else 128 for j in range(4) for k in range(41)}
 
     def test_circle_check_costs_one_further_fft(self, monkeypatch):
         ffts = []

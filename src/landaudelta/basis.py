@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .laguerre import MAX_RULE_NODES, _index, _indices, gauss_laguerre_log_rule, laguerre_eval_batch
+from .laguerre import MAX_RULE_NODES, _each, _index, finite_real, gauss_laguerre_log_rule, laguerre_eval_batch
 
 __all__ = [
     "MagneticField",
@@ -64,8 +64,11 @@ class MagneticField:
     b: float
 
     def __post_init__(self):
-        if not 0 < self.b < math.inf:
-            raise ValueError(f"field strength must be positive and finite, got {self.b}")
+        object.__setattr__(self, "b", finite_real("field strength", self.b, 0.0, math.inf, "field strength must be positive and finite"))
+
+    def modulus(self, r):
+        """t = b r^2 / 2 at radius r (scalar or array), rounded as (b / 2)(r r): the one spelling of a circle's t."""
+        return 0.5 * self.b * (r * r)
 
     def landau_level(self, q: int) -> float:
         """Lambda_q = b(2q+1)."""
@@ -199,7 +202,7 @@ def stacked_parts(field: MagneticField, q: int, ks, y=None) -> Callable:
     (laguerre._index): a float, bool, str or None, or a value below 0, is
     refused by name, never truncated.
     """
-    q, ks = _index("level q", q), _indices("angular index k", ks)
+    q, ks = _index("level q", q), _each(_index, int, "angular index k", ks)
     y = None if y is None else np.asarray(y, dtype=float)
 
     def parts(pts: np.ndarray):

@@ -37,7 +37,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .basis import MagneticField
-from .laguerre import _INT_TOL, _index, nodal_zeros, positive_zeros
+from .laguerre import _INT_TOL, _each, _index, finite_real, nodal_zeros, positive_zeros
 
 # Relative tolerance used when testing membership t in zeros(spec).
 ZERO_MEMBERSHIP_RTOL = 1e-9
@@ -54,7 +54,7 @@ T_MAX = 1e4
 # covers the k < q rows).  Cold builds at the bound, one BLAS thread on 2 cores,
 # took 1.1 to 2.0 s (q = 51 at T_MAX 1.5 s, q = 70 to t = 4883 1.8 to 2.0 s).
 # q <= 51 reaches T_MAX, q = 300 reaches t = 0.88, and q >= 311 is refused, by
-# the eta curves too wherever an alpha < 0 would read the table's q^3 cells.
+# the eta curves too, which also bound the n_alpha q^2 cells of their alpha >= 0.
 TABLE_CELLS_MAX = 3e7
 
 __all__ = [
@@ -208,16 +208,13 @@ def multiplicity(field: MagneticField, q: int, r: float) -> tuple[int, list[tupl
     When they bracket none, as for almost every radius, the call returns
     (0, []) at once; otherwise the candidates are read from the views as
     Python scalars, _close runs on floats, and only several are sorted: a
-    warm call makes no numpy call.  r must be positive and finite, and
-    t = b r^2 / 2 within T_MAX and TABLE_CELLS_MAX (_check_reach): the
-    table grows until it passes t, so a huge t would tie it up and t = inf
-    would never end.
+    warm call makes no numpy call.  r passes laguerre.finite_real, and t =
+    field.modulus(r) must be within T_MAX and TABLE_CELLS_MAX (_check_reach):
+    the table grows until it passes t, so a huge t would tie it up.
     multiplicities gives the counts alone for an array of radii in one pass.
     """
     q = _check_level(q, "multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")
-    if not 0 < r < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {r}")
-    t = 0.5 * field.b * r * r
+    t = field.modulus(finite_real("radius", r, 0.0, math.inf, "radius must be positive and finite"))
     _check_reach(q, t, "r")
     lo_t, hi_t = _window(t)
     table = _level_zeros(q)
@@ -240,19 +237,17 @@ def multiplicities(field: MagneticField, q: int, radii) -> np.ndarray:
     two searchsorted calls bracket every radius's candidates with the
     window multiplicity uses, and _close runs only on the radii whose
     window holds a zero.  The input is checked as multiplicity checks it,
-    with the same messages, naming the first bad radius (the largest t for
-    TABLE_CELLS_MAX).  An empty input gives an empty array.
+    with the same messages, naming a bad radius (laguerre._each: a list's
+    first, an ndarray's extreme; the largest t for TABLE_CELLS_MAX).  An
+    empty input gives an empty array.
     """
     q = _check_level(q, "multiplicity is defined for q >= 1; the q = 0 kernel is always trivial")
-    r = np.asarray(radii, dtype=float)
-    bad = ~((0 < r) & (r < math.inf))
-    if bad.any():
-        raise ValueError(f"radius must be positive and finite, got {float(r[bad][0])}")
+    r = _each(finite_real, float, "radius", radii, 0.0, math.inf, "radius must be positive and finite")
     counts = np.zeros(r.shape, dtype=int)
     if not r.size:
         return counts
     with np.errstate(over="ignore"):  # a finite r may still overflow t; refused next
-        t = 0.5 * field.b * r * r
+        t = field.modulus(r)
     past = ~(t <= T_MAX)
     _check_reach(q, float(t[past][0] if past.any() else t.max()), "r")
     lo_t, hi_t = _window(t)
@@ -275,9 +270,7 @@ def census(field: MagneticField, q: int, r_max: float) -> list[CensusEntry]:
     at any size, but for one sort per radius of several witnesses.
     """
     q = _check_level(q, "census is defined for q >= 1; the q = 0 kernel is always trivial")
-    if not 0 < r_max < math.inf:
-        raise ValueError(f"r_max must be positive and finite, got {r_max}")
-    t_max = 0.5 * field.b * r_max * r_max
+    t_max = field.modulus(finite_real("r_max", r_max, 0.0, math.inf, "r_max must be positive and finite"))
     _check_reach(q, t_max, "r_max")
     cap = t_max * (1.0 + ZERO_MEMBERSHIP_RTOL)
     ts, ks = _level_zeros(q).upto(cap)
@@ -339,16 +332,17 @@ def _zeta_rows(q: int, alphas: np.ndarray) -> np.ndarray:
     for census, multiplicity and eta alike; in between, rows are
     interpolated linearly, on (-1, 0) toward the parameter-0 row: one
     more row of the stacked call, as the table holds it only after its
-    first block.  Cells past the end of a shorter row are nan.  A
-    negative alpha at a level past TABLE_CELLS_MAX is refused first.
+    first block.  Cells past the end of a shorter row are nan.  Before any
+    solve, max(q^3, n_alpha q^2) past TABLE_CELLS_MAX is refused at every alpha:
+    the k < q rows hold about q^3 cells, each parameter >= 0 one q x q matrix.
     """
-    rows = np.full((alphas.size, q), np.nan)
     nonneg = alphas >= 0
     negative = np.flatnonzero(~nonneg).tolist()
-    if negative and q ** 3 > TABLE_CELLS_MAX:  # the table's k < q rows alone hold about q^3 cells
-        raise ValueError(f"eta curves at alpha < 0 read the level-q zero table: q = {q} is past "
-                         f"the census limit q^3 <= TABLE_CELLS_MAX = {TABLE_CELLS_MAX:g}")
     params = np.append(alphas[nonneg], [0.0] if negative else [])
+    if max(q ** 3, params.size * q * q) > TABLE_CELLS_MAX:
+        raise ValueError(f"eta curves at q = {q}, n_alpha = {params.size} (their stacked parameters alpha >= 0), are past "
+                         f"the census limit max(q^3, n_alpha q^2) <= TABLE_CELLS_MAX = {TABLE_CELLS_MAX:g}")
+    rows = np.full((alphas.size, q), np.nan)
     if params.size:
         solved = positive_zeros(q, params)[:, ::-1]
         rows[nonneg] = solved[: np.count_nonzero(nonneg)]
@@ -367,14 +361,13 @@ def _zeta_rows(q: int, alphas: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _eta_table(field: MagneticField, q: int, alphas) -> np.ndarray:
-    """eta_1..eta_q(alpha), one row per alpha: the one home of the domain rule.
+def _eta_table(field: MagneticField, q: int, alphas: np.ndarray) -> np.ndarray:
+    """eta_1..eta_q(alpha), one row per alpha of a float array the caller checked: the one home of the domain rule.
 
     zeta_ell is defined on [ell - q, inf); alpha within _INT_TOL below the
     edge reads the edge, and cells further below are nan.
     """
     q = _check_level(q, "eta curves require q >= 1")
-    alphas = np.asarray(alphas, dtype=float)
     edges = np.arange(1 - q, 1)
     defined = ~(alphas[:, None] < edges - _INT_TOL)
     cells = np.maximum(alphas[:, None], edges)[defined]
@@ -392,7 +385,8 @@ def eta_curve(field: MagneticField, q: int, ell: int, alpha: float) -> float:
     interpolation in between.  Strictly increasing in alpha; lower ell
     dominates where both are defined.  ValueError below the domain edge.
     """
-    etas = _eta_table(field, q, [alpha])[0]
+    alpha = finite_real("alpha", alpha)
+    etas = _eta_table(field, q, np.array([alpha]))[0]
     if _index("curve index ell", ell, 1) > q:
         raise ValueError(f"curve index must satisfy 1 <= ell <= q, got {ell}")
     if math.isnan(etas[ell - 1]):
@@ -403,10 +397,9 @@ def eta_curve(field: MagneticField, q: int, ell: int, alpha: float) -> float:
 def gap_constants(field: MagneticField, q: int, lam: float) -> tuple[float, float]:
     """Spectral-gap constants 2b/((L_q+lam)(L_{q-1}+lam)) and 2b/((L_q+lam)(L_{q+1}+lam)).
 
-    Requires lam > -b and q >= 1 (the downward gap needs a level below).
+    Requires a finite lam > -b and q >= 1 (the downward gap needs a level below).
     """
-    if lam <= -field.b:
-        raise ValueError(f"lambda must exceed -b = {-field.b}, got {lam}")
+    lam = finite_real("lambda", lam, -field.b, words=f"lambda must exceed -b = {-field.b}")
     q = _index("level q", q, 1)
     lq = field.landau_level(q)
     plus = 2.0 * field.b / ((lq + lam) * (field.landau_level(q - 1) + lam))
@@ -422,11 +415,10 @@ def coupling_lower_bounds(field: MagneticField, q: int, c: float) -> tuple[float
         plus  >= 2bc / ((L_q+1)(L_{q-1}+1))
         minus >= 2bc / (2b + (L_q+1)(L_{q+1}+1))
 
-    c > 0 is the trace constant, supplied by the caller.  For q = 0 the
+    A finite c > 0 is the trace constant, supplied by the caller.  For q = 0 the
     plus threshold is unconstrained (infinite).
     """
-    if not c > 0:
-        raise ValueError(f"trace constant must be positive, got {c}")
+    c = finite_real("trace constant", c, 0.0, words="trace constant must be positive")
     q = _index("level q", q)
     b = field.b
     lq = field.landau_level(q)
@@ -449,7 +441,7 @@ def census_to_csv(entries: list[CensusEntry]) -> str:
 
 def eta_table_to_csv(field: MagneticField, q: int, alphas) -> str:
     """CSV table alpha,eta_1..eta_q of eta_curve's values; out-of-domain cells print as nan."""
-    alphas = np.asarray(alphas, dtype=float)
+    alphas = _each(finite_real, float, "alpha", alphas)
     eta = _eta_table(field, q, alphas)
     header = "alpha," + ",".join(f"eta_{ell}" for ell in range(1, q + 1))
     row = ",".join(["%.17g"] * (q + 1))

@@ -25,7 +25,7 @@ from .census import (
 from .basis import MagneticField
 from .curves import load_curve, load_weight, make_circle, make_ellipse
 from .galerkin import assemble_model, cluster_report, model_truncation, persistence_check
-from .laguerre import LaguerreSpec, laguerre_eval, laguerre_zeros
+from .laguerre import LaguerreSpec, finite_real, laguerre_eval, laguerre_zeros
 from .toeplitz import (
     assemble,
     kernel_dim_estimate,
@@ -100,9 +100,9 @@ def _cmd_census(args) -> int:
     if args.eta:
         if args.format != "csv":
             raise ValueError("--eta prints CSV only; drop --format json")
-        if not args.alpha_step > 0:
-            raise ValueError(f"--alpha-step must be positive, got {args.alpha_step}")
-        alphas = np.arange(args.alpha_min, args.alpha_max + 0.5 * args.alpha_step, args.alpha_step)
+        lo, hi = finite_real("--alpha-min", args.alpha_min), finite_real("--alpha-max", args.alpha_max)
+        step = finite_real("--alpha-step", args.alpha_step, 0.0, words="--alpha-step must be positive")
+        alphas = np.arange(lo, hi + 0.5 * step, step)
         sys.stdout.write(eta_table_to_csv(field, args.q, alphas))
         return 0
     if args.explicit is not None:

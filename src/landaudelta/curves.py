@@ -23,13 +23,14 @@ File formats (whitespace separated, %.17g, radians; '#' starts a comment):
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 import numpy as np
 
-from .laguerre import _index
+from .laguerre import _index, finite_real
 
 __all__ = [
     "JordanCurve",
@@ -159,24 +160,24 @@ class JordanCurve:
 
 def make_circle(r: float, n: int | None = None) -> JordanCurve:
     """Origin-centered circle of finite radius r > 0 (recentering is a gauge motion)."""
-    if not 0 < r < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {r}")
+    r = finite_real("radius", r, 0.0, math.inf, "radius must be positive and finite")
     t = _uniform_params(quadrature_size(n))
     cos, sin = np.cos(t), np.sin(t)
     pts = np.column_stack([r * cos, r * sin])
     der = np.column_stack([-r * sin, r * cos])
-    return JordanCurve("circle", t, pts, der, (("r", float(r)),))
+    return JordanCurve("circle", t, pts, der, (("r", r),))
 
 
 def make_ellipse(a: float, b: float, n: int | None = None) -> JordanCurve:
-    """Axis-aligned ellipse with finite semi-axes a, b > 0."""
-    if not (0 < a < math.inf and 0 < b < math.inf):
-        raise ValueError(f"semi-axes must be positive and finite, got a={a}, b={b}")
+    """Axis-aligned ellipse with finite semi-axes a, b > 0; a refusal of either names both."""
+    words, got = "semi-axes must be positive and finite", f"a={a}, b={b}"
+    a = finite_real("semi-axis a", a, 0.0, math.inf, words, got)
+    b = finite_real("semi-axis b", b, 0.0, math.inf, words, got)
     t = _uniform_params(quadrature_size(n))
     cos, sin = np.cos(t), np.sin(t)
     pts = np.column_stack([a * cos, b * sin])
     der = np.column_stack([-a * sin, b * cos])
-    return JordanCurve("ellipse", t, pts, der, (("a", float(a)), ("b", float(b))))
+    return JordanCurve("ellipse", t, pts, der, (("a", a), ("b", b)))
 
 
 def arclength_rule(curve: JordanCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -317,8 +318,9 @@ def save_weight(params: np.ndarray, values: np.ndarray, path) -> None:
 def load_weight(curve: JordanCurve, source) -> WeightedCurve:
     """Attach a weight to a curve.
 
-    source may be a constant (a Python or numpy integer or float, kept as
-    a Python int or float), a weight file path (rows t v), a (t, v)
+    source may be a constant (a Python or numpy integer or real, kept as
+    a Python int or float; laguerre.finite_real refuses a bool, complex,
+    None or non-finite one by name), a weight file path (rows t v), a (t, v)
     table, an array of values at the curve nodes, or a callable of the
     parameter.  Files, tables and arrays are copied into (t, v) tables:
     1-D columns of equal length, finite, t strictly increasing on the
@@ -328,10 +330,9 @@ def load_weight(curve: JordanCurve, source) -> WeightedCurve:
     parameter, shape (n,), at every node count n.
     """
     name = "weight table"
-    if isinstance(source, np.integer):
-        source = int(source)
-    elif isinstance(source, np.floating):
-        source = float(source)
+    if isinstance(source, numbers.Number) or source is None:  # a constant: an integer stays an int, as describe() prints it
+        value = finite_real("weight", source)
+        source = int(source) if isinstance(source, numbers.Integral) else value
     if isinstance(source, (str, Path)):
         table = _read_table(source, WEIGHT_HEADER, 2)
         name, source = source, (table[:, 0], table[:, 1])

@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "LaguerreSpec",
+    "finite_real",
     "laguerre_eval",
     "laguerre_eval_batch",
     "laguerre_derivative",
@@ -57,19 +58,39 @@ def _index(name: str, x, low: int = 0) -> int:
     return x
 
 
-def _indices(name: str, x, low=0) -> np.ndarray:
-    """x, a scalar or an array-like of any shape, as an int array whose every entry passes _index(name, entry, low).
+def finite_real(name: str, x, low: float = -math.inf, high: float | None = None, words: str | None = None, got=None) -> float:
+    """x as a finite Python float: the one real-argument rule of the package (field strengths, radii, parameters, cutoffs).
 
-    An integer ndarray is checked as a whole.  Anything else is read entry
-    by entry as the objects it holds, so the first float, bool, str or None
-    is the one the refusal names: numpy would read [0, True] as integers.
+    An int, a float or a numpy real is read as a float (a float32 widens
+    exactly); anything else, a bool, str, None or complex among them, is
+    refused with "<name> must be a real number, got <x!r>".  An x not above
+    low or, with high given, not below high (nan included) is refused with
+    "<words>, got <got or x>"; a +inf left over with "<name> must be
+    finite, got inf", the default words.  Public so the CLI checks its options with it.
     """
-    if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
-        if x.size and x.min() < low:
-            _index(name, int(x.min()), low)  # raises, naming the smallest
-        return x.astype(int, copy=False)
+    if type(x) is not float:  # a float skips the ABC check, which costs about 0.15 us
+        if not isinstance(x, float) and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+            raise ValueError(f"{name} must be a real number, got {x!r}")
+        x = float(x)
+    if not low < x or (high is not None and not x < high):
+        raise ValueError(f"{words or name + ' must be finite'}, got {x if got is None else got}")
+    if high is None and x == math.inf:
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
+def _each(door, dtype, name: str, x, *bounds) -> np.ndarray:
+    """x, a scalar or an array-like of any shape, as a dtype array of door(name, entry, *bounds): the array form of _index and finite_real.
+
+    An ndarray that casts to dtype safely, bool apart, is checked by its smallest and largest entries (a nan is both);
+    anything else entry by entry as the objects it holds, so the first bool or str is named: numpy would read [0, True] as numbers.
+    """
+    if isinstance(x, np.ndarray) and x.dtype.kind != "b" and np.can_cast(x.dtype, dtype):
+        for extreme in (x.min(), x.max()) if x.size else ():
+            door(name, extreme, *bounds)
+        return x.astype(dtype, copy=False)
     items = np.asarray(x, dtype=object)
-    return np.array([_index(name, item, low) for item in items.ravel().tolist()], dtype=int).reshape(items.shape)
+    return np.array([door(name, item, *bounds) for item in items.ravel().tolist()], dtype=dtype).reshape(items.shape)
 
 
 @dataclass(frozen=True)
@@ -81,6 +102,7 @@ class LaguerreSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "degree", _index("degree", self.degree))
+        object.__setattr__(self, "alpha", finite_real("alpha", self.alpha))
 
 
 def laguerre_eval(spec: LaguerreSpec, t):
@@ -152,14 +174,6 @@ def laguerre_derivative(spec: LaguerreSpec, t):
     return -val
 
 
-def _admissible_negative_k(q: int, alpha: float) -> int | None:
-    """Return k with alpha == k - q, 0 <= k < q, or None if not of that form."""
-    k = round(q + alpha)
-    if 0 <= k < q and abs(alpha - (k - q)) <= _INT_TOL:
-        return k
-    return None
-
-
 def _newton_step(q: int, alpha, z: np.ndarray) -> np.ndarray:
     """One Newton step for L_q^(alpha) from z.
 
@@ -184,9 +198,7 @@ def positive_zeros(q: int, alpha) -> np.ndarray:
     followed by one Newton step.
     """
     q = _index("degree q", q)
-    a = np.asarray(alpha, dtype=float)
-    if (a <= -1).any():
-        raise ValueError(f"positive_zeros requires alpha > -1, got {alpha}")
+    a = _each(finite_real, float, "alpha", alpha, -1.0, None, "positive_zeros requires alpha > -1")
     batch = a.shape
     a = a[:, None] if batch else float(a)
     if q == 0:
@@ -228,11 +240,9 @@ def laguerre_zeros(spec: LaguerreSpec) -> list[tuple[float, int]]:
         return []
     if a > -1:
         return [(float(z), 1) for z in positive_zeros(q, a)]
-    k = _admissible_negative_k(q, a)
-    if k is None:
-        raise ValueError(
-            f"alpha={a} not admissible: need alpha > -1 or alpha = k - q with 0 <= k < q"
-        )
+    k = round(q + a)  # a is finite (LaguerreSpec), so round gives an int
+    if not (0 <= k < q and abs(a - (k - q)) <= _INT_TOL):
+        raise ValueError(f"alpha={a} not admissible: need alpha > -1 or alpha = k - q with 0 <= k < q")
     return [(0.0, q - k)] + [(float(z), 1) for z in nodal_zeros(q, k)]
 
 
@@ -252,9 +262,7 @@ def gauss_laguerre_log_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarra
     if n > MAX_RULE_NODES:
         raise ValueError(f"Gauss-Laguerre rule with n = {n} nodes: past MAX_RULE_NODES = {MAX_RULE_NODES}, "
                          "where the weights leave the double range")
-    if alpha <= -1:
-        raise ValueError(f"Gauss-Laguerre rule requires alpha > -1, got {alpha}")
-    return _log_rule(n, float(alpha))
+    return _log_rule(n, finite_real("alpha", alpha, -1.0, words="Gauss-Laguerre rule requires alpha > -1"))
 
 
 @lru_cache(maxsize=None)
@@ -303,9 +311,8 @@ def orthogonality_defect(q, p, alpha: float):
     broadcast shape.  A degree that is not an integer is refused by name
     ("degree q" or "degree p"), a negative one as "degree must be >= 0".
     """
-    if alpha <= -1:
-        raise ValueError(f"orthogonality requires alpha > -1, got {alpha}")
-    qs, ps = np.broadcast_arrays(*(_indices(name, x, -math.inf) for name, x in (("degree q", q), ("degree p", p))))
+    alpha = finite_real("alpha", alpha, -1.0, words="orthogonality requires alpha > -1")
+    qs, ps = np.broadcast_arrays(*(_each(_index, int, name, x, -math.inf) for name, x in (("degree q", q), ("degree p", p))))
     for degrees in (qs, ps):
         if (degrees < 0).any():
             raise ValueError(f"degree must be >= 0, got {int(degrees[degrees < 0][0])}")

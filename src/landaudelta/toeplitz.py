@@ -49,7 +49,7 @@ import numpy as np
 from .census import multiplicity as _census_multiplicity
 from .basis import MagneticField, _from_parts, _log_abs, _parts_arrays
 from .curves import JordanCurve, WeightedCurve, arclength_rule, quadrature_size
-from .laguerre import _index
+from .laguerre import _index, finite_real
 
 __all__ = [
     "RowLayout",
@@ -182,8 +182,7 @@ def _circle_amplitudes(field: MagneticField, layout: RowLayout, r: float):
     A_{k,j}(r) = phi_{k,j}(r, 0), so every row is one basis value:
     lambda_{k,j}(r) = 2 pi r |A_{k,j}(r)|^2 and the phase is that of A.
     """
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    r = finite_real("radius", r, 0.0, words="radius must be positive")
     logabs, arg = _parts_arrays(field, layout.k, layout.j, np.array([r, 0.0]))
     return math.log(2.0 * math.pi * r) + 2.0 * logabs, np.exp(1j * arg)
 
@@ -207,7 +206,7 @@ def _node_moduli(field: MagneticField, curve: JordanCurve) -> np.ndarray:
     """
     if curve.kind == "circle":
         r = dict(curve.meta)["r"]
-        t = np.array([0.5 * field.b * (r * r)])  # Python floats: no warning on overflow
+        t = np.array([field.modulus(r)])  # Python floats: no warning on overflow
     else:
         x, y = curve.points[:, 0], curve.points[:, 1]
         with np.errstate(over="ignore"):
@@ -252,8 +251,7 @@ def _level_cuts(field: MagneticField, levels, curve: JordanCurve, tail_rel: floa
     certified tail raises default_truncation's ValueError once every level
     before it in levels has its K.
     """
-    if not 0 < tail_rel < 1:
-        raise ValueError(f"tail_rel must lie in (0, 1), got {tail_rel}")
+    tail_rel = finite_real("tail_rel", tail_rel, 0.0, 1.0, "tail_rel must lie in (0, 1)")
     t = np.sort(_node_moduli(field, curve))
     t = t[np.concatenate([[True], t[1:] != t[:-1]])]  # np.unique's values; its first call imports numpy.ma
     t_peak = float(t[-1])
@@ -582,12 +580,10 @@ def kernel_dim_estimate(matrix: ToeplitzMatrix) -> KernelEstimate:
         "truncation adds spuriously small tail entries; treat the count as an upper "
         "envelope of the kernel dimension"
     )
-    census_m, r = None, matrix.provenance.get("r")
-    underflow = scale == 0.0 and r is not None and not np.exp(
-        _circle_amplitudes(MagneticField(matrix.b), matrix.layout, r)[0]
-    ).any()
+    census_m, r, field = None, matrix.provenance.get("r"), MagneticField(matrix.b)
+    underflow = scale == 0.0 and r is not None and not np.exp(_circle_amplitudes(field, matrix.layout, r)[0]).any()
     if underflow:
-        t = 0.5 * matrix.b * r * r
+        t = field.modulus(r)
         note = f"entries underflow at t = b r^2 / 2 = {t:.6g}: every lambda_(k,q)(r), k <= K, is below the double range; {note}"
     if scale == 0.0 and not underflow:
         note = "degenerate input: matrix is identically zero (zero weight?)"
@@ -596,7 +592,7 @@ def kernel_dim_estimate(matrix: ToeplitzMatrix) -> KernelEstimate:
             census_m = 0
             note += "; analytic value for circles at level 0: trivial kernel"
         else:
-            census_m, _ = _census_multiplicity(MagneticField(matrix.b), matrix.q, r)
+            census_m, _ = _census_multiplicity(field, matrix.q, r)
             note += "; analytic census value attached for the circle"
     return KernelEstimate(count, threshold, census_m, note)
 

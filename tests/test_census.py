@@ -33,8 +33,10 @@ from landaudelta.census import (
 )
 
 from landaudelta.cli import main
+from landaudelta.curves import make_circle
 from landaudelta.galerkin import persistence_check
 from landaudelta.laguerre import positive_zeros
+from landaudelta.toeplitz import _node_moduli
 
 census_mod = importlib.import_module("landaudelta.census")
 laguerre_mod = importlib.import_module("landaudelta.laguerre")
@@ -83,7 +85,7 @@ def recursive_zeta(q: int, ell: int, alpha: float) -> float:
 
 def looped_multiplicity(field, q, r):
     """Reference multiplicity: the zero table indexed one numpy element at a time."""
-    t = 0.5 * field.b * r * r
+    t = field.modulus(r)
     hi_t = t * (1.0 + 2.0 * ZERO_MEMBERSHIP_RTOL)
     ts, ks = _level_zeros(q).upto(hi_t)
     lo, hi = np.searchsorted(ts, [t * (1.0 - 2.0 * ZERO_MEMBERSHIP_RTOL), hi_t])
@@ -598,6 +600,28 @@ class TestTLimit:
         with pytest.raises(ValueError, match="is past the census limit T_MAX"):
             persistence_check(MagneticField(b), 1, r)
 
+    def test_census_and_circle_kernel_read_one_t(self, monkeypatch):
+        # multiplicity, multiplicities and census form t = b r^2 / 2 as the circle kernel does, bit for
+        # bit (MagneticField.modulus), so a persistence check's census and coupling see one t.
+        class Seen(Exception):
+            pass
+
+        def seen(q, t, radius):
+            raise Seen(t)
+
+        monkeypatch.setattr(census_mod, "_check_reach", seen)
+        rng = np.random.default_rng(100)
+        other = 0
+        for b, r in zip(rng.uniform(0.5, 4.0, 2000).tolist(), rng.uniform(0.1, 10.0, 2000).tolist()):
+            field = MagneticField(b)
+            kernel_t = _node_moduli(field, make_circle(r, n=16))[0]
+            for call in (multiplicity, census, lambda f, q, r: multiplicities(f, q, [r])):
+                with pytest.raises(Seen) as got:
+                    call(field, 1, r)
+                assert got.value.args[0] == kernel_t
+            other += ((0.5 * b) * r) * r != kernel_t
+        assert other > 500  # ((b / 2) r) r differs in the last bit on about a third of the pairs
+
     def test_the_limit_itself_is_accepted(self):
         assert T_MAX == 1e4
         entries = census(F2, 1, 100.0)  # t = b r^2 / 2 = T_MAX exactly
@@ -621,7 +645,7 @@ class TestTableCellLimit:
                                       pytest.param(10**200, 1.0, id="q=1e200")))  # a float q^2 would overflow
     def test_refused_before_the_table(self, q, t):
         r = math.sqrt(2.0 * t / F2.b)
-        message = (f"q = {q} at t = b r^2 / 2 = {0.5 * F2.b * r * r} is past the census limit "
+        message = (f"q = {q} at t = b r^2 / 2 = {F2.modulus(r)} is past the census limit "
                    f"q^2 (sqrt(q) + sqrt(t))^2 <= TABLE_CELLS_MAX = 3e+07")
         assert raised(multiplicity, F2, q, r) == message
         assert raised(multiplicities, F2, q, [0.5 * r, r, 0.25 * r]) == message  # the largest t is named
@@ -634,15 +658,28 @@ class TestTableCellLimit:
             with pytest.raises(AssertionError, match="was solved"):
                 call()
 
-    def test_eta_curves_at_negative_alpha_refused_past_the_limit(self):
+    def test_eta_curves_at_negative_alpha_refused_past_the_limit(self, monkeypatch):
         # The k < q rows an alpha < 0 reads hold about q^3 cells: q = 311 is past 3e7, q = 310 is not.
-        message = ("eta curves at alpha < 0 read the level-q zero table: q = 311 is past "
-                   "the census limit q^3 <= TABLE_CELLS_MAX = 3e+07")
-        assert raised(eta_curve, F2, 311, 1, -0.5) == message
-        assert raised(eta_table_to_csv, F2, 311, [1.0, -2.0]) == message
-        assert eta_curve(F2, 311, 1, 0.5) > 0.0  # alpha >= 0 reads no table
+        # The one bound on q holds at every alpha, so alpha >= 0, which reads no table, is refused at q = 311 too.
+        monkeypatch.setattr(census_mod, "positive_zeros", unsolvable)
+        message = ("eta curves at q = 311, n_alpha = {} (their stacked parameters alpha >= 0), are past "
+                   "the census limit max(q^3, n_alpha q^2) <= TABLE_CELLS_MAX = 3e+07")
+        assert raised(eta_curve, F2, 311, 1, -0.5) == message.format(1)  # the parameter-0 row an alpha in (-1, 0) reads
+        assert raised(eta_table_to_csv, F2, 311, [1.0, -2.0]) == message.format(2)
+        assert raised(eta_curve, F2, 311, 1, 0.5) == message.format(1)
+        for alpha in (-0.5, 0.5):
+            with pytest.raises(AssertionError, match="was solved"):
+                eta_curve(F2, 310, 1, alpha)
+
+    def test_eta_curves_at_nonnegative_alpha_refused_past_the_stacked_cells(self, monkeypatch):
+        # Each parameter alpha >= 0 stacks one q x q Jacobi matrix: at q = 310, 312 of them fit in 3e7 cells, 313 do not.
+        monkeypatch.setattr(census_mod, "positive_zeros", unsolvable)
+        message = ("eta curves at q = 310, n_alpha = 313 (their stacked parameters alpha >= 0), are past "
+                   "the census limit max(q^3, n_alpha q^2) <= TABLE_CELLS_MAX = 3e+07")
+        assert raised(eta_table_to_csv, F2, 310, np.arange(313.0)) == message
+        assert raised(eta_table_to_csv, F2, 310, np.arange(-1.0, 312.0)) == message  # alpha < 0 adds the parameter-0 row
         with pytest.raises(AssertionError, match="was solved"):
-            eta_curve(F2, 310, 1, -0.5)
+            eta_table_to_csv(F2, 310, np.arange(312.0))
 
     def test_limit_and_t_max_messages(self):
         assert TABLE_CELLS_MAX == 3e7 and edge_t(51) > T_MAX > edge_t(52)

@@ -444,6 +444,17 @@ def test_non_finite_inputs_exit_2_without_hanging(argv, message):
 
 
 @pytest.mark.parametrize("argv, message", [
+    (["laguerre", "zeros", "--q", "2", "--alpha", "inf"], "alpha must be finite, got inf"),
+    (["laguerre", "zeros", "--q", "2", "--alpha", "nan"], "alpha must be finite, got nan"),
+    (["census", "--q", "2", "--eta", "--alpha-min", "nan"], "--alpha-min must be finite, got nan"),
+    (["census", "--q", "2", "--eta", "--alpha-max", "inf"], "--alpha-max must be finite, got inf"),
+])
+def test_non_finite_real_options_exit_2(capsys, argv, message):
+    # In process: any exception but the refusal would propagate as a traceback.
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
     (["census", "--q", "1", "--b", "1e300", "--rmax", "3"],
      "error: t = b r_max^2 / 2 = 4.5000000000000005e+300 is past the census limit T_MAX = 10000"),
     (["galerkin", "--persistence", "--q", "1", "--b", "2", "--r", "1e4"],

@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .census import (
+    TABLE_CELLS_MAX,
     census as census_sweep,
     census_to_csv,
     eta_table_to_csv,
@@ -83,7 +84,7 @@ def _cmd_laguerre(args) -> int:
     if args.what == "eval":
         if args.t is None:
             raise ValueError("laguerre eval requires --t")
-        print(G % laguerre_eval(spec, args.t))
+        print(G % laguerre_eval(spec, finite_real("--t", args.t)))
         return 0
     zeros = laguerre_zeros(spec)
     if args.format == "json":
@@ -102,6 +103,8 @@ def _cmd_census(args) -> int:
             raise ValueError("--eta prints CSV only; drop --format json")
         lo, hi = finite_real("--alpha-min", args.alpha_min), finite_real("--alpha-max", args.alpha_max)
         step = finite_real("--alpha-step", args.alpha_step, 0.0, words="--alpha-step must be positive")
+        if not (hi + 0.5 * step - lo) / step <= TABLE_CELLS_MAX:  # np.arange's length, inf on overflow, before it allocates
+            raise ValueError(f"the --alpha-min, --alpha-max, --alpha-step grid is longer than TABLE_CELLS_MAX = {TABLE_CELLS_MAX:g}")
         alphas = np.arange(lo, hi + 0.5 * step, step)
         sys.stdout.write(eta_table_to_csv(field, args.q, alphas))
         return 0

@@ -1,22 +1,26 @@
 """Jordan curves, arclength quadrature, and interaction weights.
 
 Curves are stored as parametrization samples gamma(t_j) with derivatives
-at N uniform parameters t_j = 2 pi j / N, N = DEFAULT_NODES unless given;
-sampled curves and weight tables must sit on that grid too.  Circles and
-ellipses resample exactly; sampled curves and weight tables share one
-trigonometric interpolant of their native samples, evaluated exactly at
-any node count, so the even nodes of 2N values are the N values.  A weight
-is its source (a constant, a table or a callable), read at any node count
-by one sampler into one finite value per parameter.  Each sampled input
-reports the Fourier tail of its samples (sample_tails): a slow tail (a
-kink, a jump) is the interpolation error no node count removes.  Line
-integrals use the periodic trapezoid rule, ds_j = (2pi/N) |gamma'(t_j)|:
-spectral on smooth closed curves, exact on circle harmonics.  Simplicity
-(no self-intersection) and C^{1,1} regularity of sampled data are assumed, not verified.
+at N uniform parameters t_j = 2 pi j / N, N = DEFAULT_NODES unless given.
+Every sample table (a curve file or sampled curve; a weight file, (t, v)
+table or array) meets one rule, checked by _periodic_rows with a refusal
+naming its source: one row of finite values per parameter, t strictly
+increasing within [0, 2pi), a last row at t = 2pi that repeats the first
+within 1e-9 dropped, and the other M rows on the grid t = 2 pi j / M.
+Circles and ellipses resample exactly; sampled curves and weight tables
+share one trigonometric interpolant of their native samples, evaluated
+exactly at any node count, so the even nodes of 2N values are the N values.
+A weight is its source (a constant, a table or a callable), read at any
+node count by one sampler into one finite value per parameter.  Each
+sampled input reports the Fourier tail of its samples (sample_tails): a
+slow tail (a kink, a jump) is the interpolation error no node count
+removes.  Line integrals use the periodic trapezoid rule, ds_j = (2pi/N)
+|gamma'(t_j)|: spectral on smooth closed curves, exact on circle harmonics.
+Simplicity (no self-intersection) and C^{1,1} regularity of sampled data are assumed, not verified.
 
 File formats (whitespace separated, %.17g, radians; '#' starts a comment):
 
-    curve:   header "# jordan-curve v1", rows "t x y dx dy"
+    curve:   header "# jordan-curve v1", rows "t x y dx dy", at least 16 besides a closing row
     weight:  header "# weight v1",       rows "t v"
 """
 
@@ -53,17 +57,14 @@ SIGN_NONPOSITIVE = "nonpositive"
 SIGN_INDEFINITE = "indefinite"
 
 _SIGN_ZERO_TOL = 1e-14
-_CLOSURE_TOL = 1e-9
+_CLOSURE_TOL = 1e-9  # a sample table's closing-row gap (relative) and distance from the grid
 
 CURVE_HEADER = "# jordan-curve v1"
 WEIGHT_HEADER = "# weight v1"
 
 
 def quadrature_size(n: int | None = None, name: str = "node count n") -> int:
-    """n as an int, or DEFAULT_NODES for None; fewer than MIN_NODES nodes are rejected.
-
-    A count that is not an integer (laguerre._index) is refused by name.
-    """
+    """n as an int, or DEFAULT_NODES for None; a non-integer (laguerre._index) or fewer than MIN_NODES nodes are refused."""
     n = DEFAULT_NODES if n is None else _index(name, n)
     if n < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} nodes, got {n}")
@@ -71,12 +72,34 @@ def quadrature_size(n: int | None = None, name: str = "node count n") -> int:
 
 
 def _uniform_params(n: int) -> np.ndarray:
-    return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return np.arange(n) * (2.0 * math.pi / n)  # np.linspace(0, 2 pi, n, endpoint=False) bit for bit, in a third of its time
 
 
-def _require_uniform_grid(name, t: np.ndarray) -> None:
-    if np.max(np.abs(t - _uniform_params(t.size))) > 1e-9:
+def _periodic_rows(name, t: np.ndarray, *columns: np.ndarray) -> int:
+    """Check t and its value columns as one sample table (the module's rule); return M, its rows but a closing row.
+
+    Each refusal reads "<name>: ...".  Columns are read in place: a curve passes views, nothing is stacked.
+    """
+    if t.ndim != 1 or any(c.shape != t.shape for c in columns):
+        bad = next((c for c in columns if c.shape != t.shape), columns[0])
+        raise ValueError(f"{name}: t and v must be 1-D of equal length, got {t.shape} and {bad.shape}")
+    if not t.size:
+        raise ValueError(f"{name}: no data rows")
+    if not all(np.isfinite(a).all() for a in (t, *columns)):
+        raise ValueError(f"{name}: non-finite values")
+    if (t[1:] <= t[:-1]).any():
+        raise ValueError(f"{name}: parameter column must be strictly increasing")
+    if t[0] < 0 or t[-1] >= 2.0 * math.pi + _CLOSURE_TOL:
+        raise ValueError(f"{name}: parameters must lie in [0, 2pi)")
+    m = t.size
+    if m > 1 and abs(t[-1] - 2.0 * math.pi) <= _CLOSURE_TOL:
+        gap = max(abs(c[-1] - c[0]) for c in columns)
+        if gap > _CLOSURE_TOL * (1.0 + max(np.max(np.abs(c)) for c in columns)):
+            raise ValueError(f"{name}: closing row at t = 2pi differs from the first row by {gap:.3e}")
+        m -= 1
+    if np.max(np.abs(t[:m] - _uniform_params(m))) > _CLOSURE_TOL:
         raise ValueError(f"{name}: samples must sit on the uniform grid 2*pi*j/N")
+    return m
 
 
 @dataclass(frozen=True)
@@ -126,12 +149,12 @@ class JordanCurve:
     meta: tuple  # analytic parameters, e.g. (("r", 1.0),)
 
     def __post_init__(self):
-        speeds = np.hypot(self.derivs[:, 0], self.derivs[:, 1])
-        if np.any(speeds <= 0.0):
+        if not np.logical_or(self.derivs[:, 0], self.derivs[:, 1]).all():  # |gamma'| vanishes where both components do
             raise ValueError("curve is not regular: |gamma'| vanishes at a node")
-        _require_uniform_grid("curve", self.params)
-        for arr in (self.params, self.points, self.derivs):
-            arr.setflags(write=False)
+        m = _periodic_rows("curve", self.params, *self.points.T, *self.derivs.T)
+        for field in ("params", "points", "derivs"):  # frozen, and rows [:m]: a closing row is dropped
+            getattr(self, field).setflags(write=False)
+            object.__setattr__(self, field, getattr(self, field)[:m])
 
     @property
     def n_nodes(self) -> int:
@@ -158,14 +181,16 @@ class JordanCurve:
         return f"{self.kind}({items})" if items else self.kind
 
 
+def _axis_aligned(kind: str, a: float, b: float, n: int | None, meta: tuple) -> JordanCurve:
+    t = _uniform_params(quadrature_size(n))
+    cos, sin = np.cos(t), np.sin(t)
+    return JordanCurve(kind, t, np.column_stack([a * cos, b * sin]), np.column_stack([-a * sin, b * cos]), meta)
+
+
 def make_circle(r: float, n: int | None = None) -> JordanCurve:
     """Origin-centered circle of finite radius r > 0 (recentering is a gauge motion)."""
     r = finite_real("radius", r, 0.0, math.inf, "radius must be positive and finite")
-    t = _uniform_params(quadrature_size(n))
-    cos, sin = np.cos(t), np.sin(t)
-    pts = np.column_stack([r * cos, r * sin])
-    der = np.column_stack([-r * sin, r * cos])
-    return JordanCurve("circle", t, pts, der, (("r", r),))
+    return _axis_aligned("circle", r, r, n, (("r", r),))
 
 
 def make_ellipse(a: float, b: float, n: int | None = None) -> JordanCurve:
@@ -173,19 +198,13 @@ def make_ellipse(a: float, b: float, n: int | None = None) -> JordanCurve:
     words, got = "semi-axes must be positive and finite", f"a={a}, b={b}"
     a = finite_real("semi-axis a", a, 0.0, math.inf, words, got)
     b = finite_real("semi-axis b", b, 0.0, math.inf, words, got)
-    t = _uniform_params(quadrature_size(n))
-    cos, sin = np.cos(t), np.sin(t)
-    pts = np.column_stack([a * cos, b * sin])
-    der = np.column_stack([-a * sin, b * cos])
-    return JordanCurve("ellipse", t, pts, der, (("a", a), ("b", b)))
+    return _axis_aligned("ellipse", a, b, n, (("a", a), ("b", b)))
 
 
 def arclength_rule(curve: JordanCurve) -> tuple[np.ndarray, np.ndarray]:
     """The curve's own nodes and arclength weights ds_j (resample first for another N; at least MIN_NODES)."""
     n = quadrature_size(curve.n_nodes)
-    speeds = np.hypot(curve.derivs[:, 0], curve.derivs[:, 1])
-    weights = (2.0 * math.pi / n) * speeds
-    return curve.points, weights
+    return curve.points, (2.0 * math.pi / n) * np.hypot(curve.derivs[:, 0], curve.derivs[:, 1])
 
 
 @dataclass(frozen=True)
@@ -200,6 +219,10 @@ class WeightedCurve:
     source: object  # constant | (t, v) table | callable
 
     def __post_init__(self):
+        if isinstance(self.source, tuple):  # a table built in code meets the rule load_weight applies
+            t, v = (np.asarray(a, dtype=float) for a in self.source)
+            m = _periodic_rows("weight table", t, v)
+            object.__setattr__(self, "source", (t[:m], v[:m]))
         self.values.setflags(write=False)  # sampled here, so a bad weight raises where it is attached
 
     @cached_property
@@ -242,10 +265,7 @@ class WeightedCurve:
         return _PeriodicInterp(self.source[1])
 
     def sample_tails(self) -> dict:
-        """The Fourier tail of the sampled curve's points and derivatives and of a weight table, where present.
-
-        Read from the interpolants' coefficients, so no further FFT is taken.
-        """
+        """The Fourier tail of the sampled curve's columns and of a weight table, where present, from the interpolants' coefficients."""
         tails = {}
         if self.curve.kind == "sampled":
             tails["curve_tail"] = self.curve._interp.tail()
@@ -283,28 +303,12 @@ def _write_table(path, header: str, columns) -> None:
 
 
 def load_curve(path) -> JordanCurve:
-    """Read a sampled curve file (rows t x y dx dy, at least MIN_NODES = 16 of them)."""
+    """Read a sampled curve file (rows t x y dx dy, at least MIN_NODES = 16 of them besides a closing row)."""
     table = _read_table(path, CURVE_HEADER, 5)
-    if not np.all(np.isfinite(table)):
-        raise ValueError(f"{path}: non-finite values")
-    t = table[:, 0]
-    if np.any(np.diff(t) <= 0):
-        raise ValueError(f"{path}: parameter column must be strictly increasing")
-    if t[0] < 0 or t[-1] >= 2.0 * math.pi + _CLOSURE_TOL:
-        raise ValueError(f"{path}: parameters must lie in [0, 2pi)")
-    pts = table[:, 1:3].copy()
-    der = table[:, 3:5].copy()
-    # A duplicated closing row at t = 2pi must match the opening row.
-    if abs(t[-1] - 2.0 * math.pi) <= _CLOSURE_TOL:
-        gap = np.max(np.abs(pts[-1] - pts[0]))
-        if gap > _CLOSURE_TOL * (1.0 + np.max(np.abs(pts))):
-            raise ValueError(f"{path}: endpoint rows disagree by {gap:.3e}; curve is not closed")
-        t, pts, der = t[:-1], pts[:-1], der[:-1]
-    n = t.size
+    n = _periodic_rows(path, *table.T)
     if n < MIN_NODES:
         raise ValueError(f"{path}: need at least {MIN_NODES} samples, got {n}")
-    _require_uniform_grid(path, t)
-    return JordanCurve("sampled", _uniform_params(n), pts, der, (("path", str(path)),))
+    return JordanCurve("sampled", _uniform_params(n), table[:n, 1:3].copy(), table[:n, 3:5].copy(), (("path", str(path)),))
 
 
 def save_curve(curve: JordanCurve, path) -> None:
@@ -322,12 +326,11 @@ def load_weight(curve: JordanCurve, source) -> WeightedCurve:
     a Python int or float; laguerre.finite_real refuses a bool, complex,
     None or non-finite one by name), a weight file path (rows t v), a (t, v)
     table, an array of values at the curve nodes, or a callable of the
-    parameter.  Files, tables and arrays are copied into (t, v) tables:
-    1-D columns of equal length, finite, t strictly increasing on the
-    uniform grid 2 pi j / M, interpolated by _PeriodicInterp; a non-finite
-    value is refused naming its source ("weight array", "weight table" or
-    the file's path).  A callable must give one finite value per
-    parameter, shape (n,), at every node count n.
+    parameter.  Files, tables and arrays are copied into (t, v) tables, an
+    array at the curve's parameters, that meet the module's one rule (a
+    refusal names "weight array", "weight table" or the file's path).  A
+    callable must give one finite value per parameter, shape (n,), at every
+    node count n.
     """
     name = "weight table"
     if isinstance(source, numbers.Number) or source is None:  # a constant: an integer stays an int, as describe() prints it
@@ -338,19 +341,12 @@ def load_weight(curve: JordanCurve, source) -> WeightedCurve:
         name, source = source, (table[:, 0], table[:, 1])
     if isinstance(source, tuple) and len(source) == 2 and not np.isscalar(source[0]):
         t, v = (np.array(a, dtype=float) for a in source)
-        if t.ndim != 1 or t.shape != v.shape:
-            raise ValueError(f"{name}: t and v must be 1-D of equal length, got {t.shape} and {v.shape}")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValueError(f"{name}: non-finite values")
-        if not np.all(np.diff(t) > 0):
-            raise ValueError(f"{name}: parameter column must be strictly increasing")
-        _require_uniform_grid(name, t)
-        source = (t, v)
-    elif not (isinstance(source, (int, float)) or callable(source)):
+    elif isinstance(source, (int, float)) or callable(source):
+        return WeightedCurve(curve, source)
+    else:
         v = np.array(source, dtype=float)
         if v.shape != (curve.n_nodes,):
             raise ValueError(f"weight array must have one value per curve node ({curve.n_nodes}), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("weight array: non-finite values")
-        source = (curve.params.copy(), v)
-    return WeightedCurve(curve, source)
+        name, t = "weight array", curve.params.copy()
+    _periodic_rows(name, t, v)  # the constructor checks again, by the name "weight table", and drops a closing row
+    return WeightedCurve(curve, (t, v))

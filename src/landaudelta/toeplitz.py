@@ -443,7 +443,7 @@ def _compress(field: MagneticField, layout: RowLayout, wc: WeightedCurve, N: int
     sizes, deltas = [], []
     while True:
         fine = next(sums)
-        scale = np.max(np.abs(entries))
+        scale = _blockwise_max(entries, lambda rows: np.abs(entries[rows]))
         sizes.append(n)
         deltas.append(_blockwise_max(fine, lambda rows: np.abs(fine[rows] - entries[rows])))
         if not adaptive or deltas[-1] <= ADAPTIVE_DELTA_RTOL * scale or n >= ADAPTIVE_NODE_CAP:

@@ -448,10 +448,40 @@ def test_non_finite_inputs_exit_2_without_hanging(argv, message):
     (["laguerre", "zeros", "--q", "2", "--alpha", "nan"], "alpha must be finite, got nan"),
     (["census", "--q", "2", "--eta", "--alpha-min", "nan"], "--alpha-min must be finite, got nan"),
     (["census", "--q", "2", "--eta", "--alpha-max", "inf"], "--alpha-max must be finite, got inf"),
+    (["laguerre", "eval", "--q", "2", "--alpha", "0.5", "--t", "nan"], "--t must be finite, got nan"),
+    (["laguerre", "eval", "--q", "2", "--alpha", "0.5", "--t", "inf"], "--t must be finite, got inf"),
 ])
 def test_non_finite_real_options_exit_2(capsys, argv, message):
     # In process: any exception but the refusal would propagate as a traceback.
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+class GridBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("bounds, built", [
+    (["--alpha-max", "1e300"], False),
+    (["--alpha-max", "1e9"], False),
+    (["--alpha-min=-1e308", "--alpha-max", "1e308"], False),  # the span overflows
+    (["--alpha-max", "1e308", "--alpha-step", "1.7e308"], False),  # --alpha-max + step / 2 overflows
+    (["--alpha-max", "15000000"], False),  # 30,000,001 parameters: one past the limit
+    (["--alpha-max", "14999999.5"], True),  # 30,000,000 parameters: at the limit, built
+])
+def test_eta_grid_refused_by_its_length_before_it_is_built(capsys, monkeypatch, bounds, built):
+    # np.arange is stubbed: no grid is ever allocated, here or on a tree without the bound.
+    def arange(start, stop, step):
+        assert (stop - start) / step <= cli.TABLE_CELLS_MAX, "unbounded grid built"
+        raise GridBuilt
+
+    monkeypatch.setattr(np, "arange", arange)
+    argv = ["census", "--q", "2", "--eta", *bounds]
+    if built:
+        with pytest.raises(GridBuilt):
+            main(argv)
+        return
+    assert run_cli(capsys, *argv) == (
+        2, "", "error: the --alpha-min, --alpha-max, --alpha-step grid is longer than TABLE_CELLS_MAX = 3e+07\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -539,3 +569,67 @@ def test_import_leaves_scipy_unloaded():
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", f"import {module} loaded {proc.stdout.strip()}"
+
+
+# Malformed sample files: every case of both formats, through both subcommands that read files.
+HEADERS = {"curve": "# jordan-curve v1", "weight": "# weight v1"}
+FILE_OPTIONS = {"curve": ["--curve-file"], "weight": ["--ellipse", "1.3,0.8", "--weight-file"]}
+FILE_CASES = ["no-header", "no-rows", "wrong-columns", "non-finite", "decreasing", "repeated", "below-zero",
+              "past-2pi", "closing-row", "off-grid"]
+
+
+def _grid_rows(fmt, n=32, closing=False):
+    """n rows of a curve or weight file on the grid 2 pi j / n, and with closing, the row at t = 2 pi."""
+    t = np.linspace(0.0, 2 * math.pi, n + 1)[: n + closing]
+    if fmt == "curve":
+        return np.column_stack([t, np.cos(t), np.sin(t), -np.sin(t), np.cos(t)])
+    return np.column_stack([t, 1.0 + 0.5 * np.cos(t)])
+
+
+def _spoilt(case, fmt):
+    """(header, rows) of the malformed file case, and the refusal after its path."""
+    rows, header = _grid_rows(fmt, closing=case in ("closing-row", "past-2pi")), HEADERS[fmt]
+    if case == "no-header":
+        return None, rows, f"expected header line {header!r}"
+    if case == "no-rows":
+        return header, rows[:0], "no data rows"
+    if case == "wrong-columns":
+        return header, np.column_stack([rows, rows[:, 1]]), f"expected {rows.shape[1]} columns, got {rows.shape[1] + 1}"
+    if case == "short":
+        return header, _grid_rows(fmt, n=8), "need at least 16 samples, got 8"
+    spoil, message = {
+        "non-finite": ((3, 1, math.nan), "non-finite values"),
+        "decreasing": ((4, 0, rows[2, 0] - 0.01), "parameter column must be strictly increasing"),
+        "repeated": ((4, 0, rows[3, 0]), "parameter column must be strictly increasing"),
+        "below-zero": ((0, 0, -0.1), "parameters must lie in [0, 2pi)"),
+        "past-2pi": ((-1, 0, 7.0), "parameters must lie in [0, 2pi)"),
+        "closing-row": ((-1, 1, rows[0, 1] + 0.5), "closing row at t = 2pi differs from the first row by 5.000e-01"),
+        "off-grid": ((7, 0, rows[7, 0] + 0.01), "samples must sit on the uniform grid 2*pi*j/N"),
+    }[case]
+    rows[spoil[:2]] = spoil[2]
+    return header, rows, message
+
+
+def _run_on_file(subcommand, fmt, path, header, rows):
+    lines = [header] * (header is not None) + [" ".join(f"{x:.17g}" for x in row) for row in rows]
+    path.write_text("".join(line + "\n" for line in lines))
+    return cli_in_child([subcommand, "--b", "2", "--q", "1", "--K", "4", "--N", "64", *FILE_OPTIONS[fmt], str(path)])
+
+
+@pytest.mark.parametrize("subcommand", ["toeplitz", "galerkin"])
+@pytest.mark.parametrize("fmt, case", [(fmt, case) for fmt in HEADERS for case in FILE_CASES] + [("curve", "short")])
+def test_malformed_sample_file_exits_2_naming_it(tmp_path, subcommand, fmt, case):
+    # In a child process: one stderr line naming the file, no traceback and no numpy warning.
+    path = tmp_path / f"{fmt}.txt"
+    header, rows, message = _spoilt(case, fmt)
+    proc = _run_on_file(subcommand, fmt, path, header, rows)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("subcommand", ["toeplitz", "galerkin"])
+@pytest.mark.parametrize("fmt", list(HEADERS))
+def test_matching_closing_row_is_dropped(tmp_path, subcommand, fmt):
+    path = tmp_path / f"{fmt}.txt"
+    closed = _run_on_file(subcommand, fmt, path, HEADERS[fmt], _grid_rows(fmt, closing=True))
+    assert (closed.returncode, closed.stderr) == (0, "")
+    assert closed.stdout == _run_on_file(subcommand, fmt, path, HEADERS[fmt], _grid_rows(fmt)).stdout

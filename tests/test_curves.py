@@ -12,6 +12,7 @@ from landaudelta.curves import (
     SIGN_NONNEGATIVE,
     SIGN_NONPOSITIVE,
     JordanCurve,
+    WeightedCurve,
     arclength_rule,
     load_curve,
     load_weight,
@@ -20,6 +21,7 @@ from landaudelta.curves import (
     save_curve,
     save_weight,
 )
+from landaudelta.curves import _uniform_params
 from landaudelta.toeplitz import assemble
 
 
@@ -578,3 +580,126 @@ def test_curve_file_parameter_refusals_name_the_path(tmp_path, rows, message):
     path.write_text("# jordan-curve v1\n" + "".join(lines))
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
         load_curve(path)
+
+
+class TestOneTableRule:
+    """Curve files, sampled curves and weight files, tables and arrays meet one rule, refused alike."""
+
+    N = 32
+
+    @staticmethod
+    def rows(t):
+        t = np.asarray(t, dtype=float)
+        return t, np.column_stack([np.cos(t), np.sin(t)]), np.column_stack([-np.sin(t), np.cos(t)])
+
+    def test_weight_file_closing_row_dropped(self, tmp_path):
+        # A weight file that ends with the closing row curve files accept: it used to be refused as off the grid.
+        t = np.linspace(0.0, 2 * math.pi, self.N + 1)
+        v = 1.0 + 0.5 * np.cos(t)
+        path = tmp_path / "w.txt"
+        save_weight(t, v, path)
+        curve = make_ellipse(1.4, 0.9, n=64)
+        t_read, v_read = load_weight(curve, path).source
+        assert t_read.tobytes() == t[:-1].tobytes() and v_read.tobytes() == v[:-1].tobytes()
+        assert load_weight(curve, path).values.tobytes() == load_weight(curve, (t[:-1], v[:-1])).values.tobytes()
+        # The same closing row in a (t, v) table and in a table handed to the constructor.
+        for wc in (load_weight(curve, (t, v)), WeightedCurve(curve, (t, v))):
+            assert wc.source[0].size == self.N and wc.values.tobytes() == load_weight(curve, path).values.tobytes()
+
+    @pytest.mark.parametrize("t0, t_last", [(-0.1, None), (0.0, 7.0)], ids=["below-zero", "past-2pi"])
+    def test_weight_table_outside_the_range_named_so(self, t0, t_last):
+        # It used to get the grid message.
+        t = np.linspace(0.0, 2 * math.pi, self.N, endpoint=False)
+        t[0] = t0
+        if t_last is not None:
+            t = np.append(t, t_last)
+        with pytest.raises(ValueError, match=re.escape("weight table: parameters must lie in [0, 2pi)")):
+            load_weight(make_circle(1.0, n=64), (t, np.ones_like(t)))
+
+    @pytest.mark.parametrize("column", ["points", "derivs"])
+    def test_sampled_curve_with_a_nan_refused_where_built(self, column):
+        # It used to be accepted, and assemble then named r = nan as past the double range.
+        t, pts, der = self.rows(np.linspace(0.0, 2 * math.pi, self.N, endpoint=False))
+        (pts if column == "points" else der)[5, 1] = math.nan
+        with pytest.raises(ValueError, match="^curve: non-finite values$"):
+            JordanCurve("sampled", t, pts, der, ())
+
+    def test_weighted_curve_with_an_off_grid_table_refused_where_built(self):
+        # It used to be accepted and interpolated as if on the grid, without a warning.
+        t = np.linspace(0.0, 2 * math.pi, self.N, endpoint=False)
+        t[7] += 0.01
+        with pytest.raises(ValueError, match=r"^weight table: samples must sit on the uniform grid 2\*pi\*j/N$"):
+            WeightedCurve(make_circle(1.0, n=64), (t, 1.0 + 0.5 * np.sin(t)))
+
+    def test_uniform_params_are_linspace_bit_for_bit(self):
+        for n in range(1, 4097):
+            assert _uniform_params(n).tobytes() == np.linspace(0.0, 2 * math.pi, n, endpoint=False).tobytes()
+
+    def test_empty_tables_refused_by_name(self):
+        with pytest.raises(ValueError, match="^weight table: no data rows$"):
+            load_weight(make_circle(1.0, n=64), (np.array([]), np.array([])))
+        with pytest.raises(ValueError, match="^curve: no data rows$"):
+            JordanCurve("sampled", np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2)), ())
+
+    def test_closing_row_in_a_curve_built_in_code_dropped(self):
+        t, pts, der = self.rows(np.linspace(0.0, 2 * math.pi, self.N + 1))
+        closed = JordanCurve("sampled", t, pts, der, ())
+        ref = JordanCurve("sampled", t[:-1].copy(), pts[:-1].copy(), der[:-1].copy(), ())
+        assert closed.n_nodes == self.N
+        for name in ("params", "points", "derivs"):
+            assert getattr(closed, name).tobytes() == getattr(ref, name).tobytes()
+            assert not getattr(closed, name).flags.writeable
+
+    @staticmethod
+    def spoil(case, t, x):
+        """The grid t (N + 1 rows, the last at 2 pi) and first value column x, spoilt as case says."""
+        t, x = t.copy(), x.copy()
+        if case == "non-finite":
+            x[3] = math.nan
+        elif case == "decreasing":
+            t[3], t[4] = t[4], t[3]
+        elif case == "repeated":
+            t[4] = t[3]
+        elif case == "below-zero":
+            t[0] = -0.1
+        elif case == "past-2pi":
+            t[-1] = 7.0
+        elif case == "closing-row":
+            x[-1] += 0.5
+        elif case == "off-grid":
+            t[7] += 0.01
+        return t, x
+
+    MESSAGES = {
+        "non-finite": "non-finite values",
+        "decreasing": "parameter column must be strictly increasing",
+        "repeated": "parameter column must be strictly increasing",
+        "below-zero": "parameters must lie in [0, 2pi)",
+        "past-2pi": "parameters must lie in [0, 2pi)",
+        "closing-row": "closing row at t = 2pi differs from the first row by 5.000e-01",
+        "off-grid": "samples must sit on the uniform grid 2*pi*j/N",
+    }
+
+    @pytest.mark.parametrize("case", sorted(MESSAGES))
+    def test_every_source_refused_with_one_text(self, tmp_path, case):
+        # The points' x column is the weight's v column, so both meet the same spoilt row.
+        grid, pts, der = self.rows(np.linspace(0.0, 2 * math.pi, self.N + 1))
+        t, x = self.spoil(case, grid, pts[:, 0])
+        pts[:, 0] = x
+        curve_file, weight_file = tmp_path / "c.txt", tmp_path / "w.txt"
+        np.savetxt(curve_file, np.column_stack([t, pts, der]), fmt="%.17g", header="# jordan-curve v1", comments="")
+        save_weight(t, x, weight_file)
+        circle = make_circle(1.0, n=64)
+        sources = [
+            (str(curve_file), lambda: load_curve(curve_file)),
+            (str(weight_file), lambda: load_weight(circle, weight_file)),
+            ("weight table", lambda: load_weight(circle, (t, x))),
+            ("weight table", lambda: WeightedCurve(circle, (t, x))),
+            ("curve", lambda: JordanCurve("sampled", t, pts, der, ())),
+        ]
+        for name, build in sources:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as err:
+                    build()
+            assert str(err.value) == f"{name}: {self.MESSAGES[case]}"

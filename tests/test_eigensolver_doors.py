@@ -1,6 +1,6 @@
 """One door per decision: eigenvectors from toeplitz.spectrum, eigenvalues from toeplitz.eigenvalues,
-the level-major row order from toeplitz.RowLayout, basis rows from its row blocks and the default cuts
-from toeplitz._level_cuts."""
+the level-major row order from toeplitz.RowLayout, basis rows from its row blocks, the default cuts
+from toeplitz._level_cuts and the sample-table rule from curves._periodic_rows."""
 
 import ast
 import math
@@ -49,6 +49,22 @@ CUTS = {
     "_level_cuts": {"toeplitz.default_truncation", "galerkin", "galerkin.model_truncation", "galerkin.persistence_check"},
     "_model_cuts": set(),
 }
+
+
+# Every reference in curves.py to a test of sampled parameters or values:
+# finiteness, order, range, the closing row and the grid are checked in
+# _periodic_rows alone, which load_curve, load_weight and both constructors
+# call.  The one other finiteness test is WeightedCurve._sample's, of the
+# values a weight source gives; no np.diff orders a parameter column.
+SAMPLE_TABLES = {
+    "_periodic_rows": {"curves.JordanCurve.__post_init__", "curves.WeightedCurve.__post_init__",
+                       "curves.load_curve", "curves.load_weight"},
+    "_require_uniform_grid": set(),
+    "_CLOSURE_TOL": {"curves", "curves._periodic_rows"},
+    "isfinite": {"curves._periodic_rows", "curves.WeightedCurve._sample"},
+    "diff": set(),
+}
+SAMPLE_REFUSALS = ("non-finite", "strictly increasing", "[0, 2pi)", "closing row", "uniform grid", "1-D of equal length")
 
 
 def references(allowed: dict[str, set[str]]) -> dict[str, set[str]]:
@@ -106,3 +122,17 @@ def test_eigenvalue_readers_make_no_eigenvector_solve(monkeypatch):
     report = galerkin.cluster_report(galerkin.assemble_model(field, 2, 8, wc, -1, N=256))
     assert sum(c.count for c in report.clusters) == 27
     assert galerkin.persistence_check(field, 2, math.sqrt(2.0), weight=lambda t: 2.0 + np.sin(t)).persists
+
+
+def test_sample_tables_checked_only_by_the_one_rule():
+    in_curves = {name: {w for w in where if w.split(".")[0] == "curves"} for name, where in references(SAMPLE_TABLES).items()}
+    assert in_curves == SAMPLE_TABLES
+    # Every raise in curves.py whose message names a table rule sits in that function too.
+    tree = ast.parse((SRC / "curves.py").read_text())
+    raisers = {
+        func.name
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Raise) and any(phrase in ast.unparse(node.exc) for phrase in SAMPLE_REFUSALS)
+    }
+    assert raisers == {"_periodic_rows"}

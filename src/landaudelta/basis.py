@@ -16,11 +16,11 @@ identity, which turns the prefactor into a finite conjugate-power form
 
 As phi_{k,q}(r e^{i theta}) = phi_{k,q}(r, 0) e^{i(k-q) theta}, the circle
 diagonal of toeplitz is lambda_{k,q}(r) = 2 pi r |phi_{k,q}(r, 0)|^2.
-Magnitudes depend on x only through t = b|x|^2/2.  They are computed in
-log space by _log_abs, the one home of the log|phi| formula, so that k!
-never overflows and far-field evaluation degrades gracefully to zero;
-the toeplitz truncation sweep reads them alone, without phases.  k and q
-broadcast against the points, so a matrix of rows takes one Laguerre recurrence.
+Points enter through _as_points and reach |phi| only through t = b|x|^2/2
+(formed by _moduli alone), in log space by _log_abs, the one home of the
+log|phi| formula: k! never overflows, far-field values underflow to zero,
+and t (from |x| = 1.35e154 at b = 2) or the Laguerre factor (at t = 3025
+from degree min(k, q) = 192) past the double range is refused by name.
 """
 
 from __future__ import annotations
@@ -88,16 +88,27 @@ class BasisIndex:
 
 
 def _as_points(x) -> np.ndarray:
-    pts = np.asarray(x, dtype=float)
-    if pts.shape[-1] != 2:
+    """x as float points (..., 2): each coordinate read by laguerre._each as finite_real reads a scalar, then the axis checked."""
+    pts = _each(finite_real, float, "coordinate", x)
+    if pts.shape[-1:] != (2,):
         raise ValueError(f"points must have a trailing axis of size 2, got shape {pts.shape}")
     return pts
 
 
+def _moduli(field: MagneticField, pts: np.ndarray) -> np.ndarray:
+    """t = b|x|^2/2 of points, as (b / 2)(x1 x1 + x2 x2), the one spelling; a t past the double range is refused naming b and max |x|."""
+    x, y = pts[..., 0], pts[..., 1]
+    try:
+        with np.errstate(over="raise"):  # the coordinates are finite, so only an overflow makes a t inf
+            return 0.5 * field.b * (x * x + y * y)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            raise ValueError(f"t = b r^2 / 2 is past the double range at b = {field.b:g}, r = {np.max(np.hypot(x, y)):g}") from None
+
+
 def magnetic_phase(field: MagneticField, x):
-    """Gauge phase b|x|^2/4."""
-    pts = _as_points(x)
-    out = field.b * np.sum(pts * pts, axis=-1) / 4.0
+    """Gauge phase b|x|^2/4, read as t/2."""
+    out = _moduli(field, _as_points(x)) / 2.0
     return float(out) if out.ndim == 0 else out
 
 
@@ -121,14 +132,16 @@ def _log_abs(field: MagneticField, k, q, t):
     k and q broadcast against t: a column of angular indices against N
     moduli gives one row per index, all from one recurrence.  A Laguerre
     factor that is not finite (past the double range at a high q and large
-    t) raises ValueError naming the largest such q and t, without a numpy warning.
+    t) raises ValueError naming the smallest such q at its largest such t, without a numpy warning.
     """
     lo, hi = np.minimum(k, q), np.maximum(k, q)
     n = hi - lo
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         poly = laguerre_eval_batch(lo, n, t)
         if not np.isfinite(poly).all():
-            q_bad, t_bad = (np.broadcast_to(x, poly.shape)[~np.isfinite(poly)].max() for x in (q, t))
+            qs, ts = (np.broadcast_to(x, poly.shape)[~np.isfinite(poly)] for x in (q, t))
+            q_bad = qs.min()
+            t_bad = ts[qs == q_bad].max()
             raise ValueError(f"Laguerre factor of phi_(k,q) is not finite at q = {q_bad}, t = {t_bad:.6g}: past the double range")
         log_norm = 0.5 * (math.log(field.b / (2.0 * math.pi)) + _log_factorial(lo) - _log_factorial(hi))
         logabs = log_norm - 0.5 * t + np.log(np.abs(poly))
@@ -142,11 +155,10 @@ def _log_abs(field: MagneticField, k, q, t):
 
 def _parts_arrays(field: MagneticField, k, q, pts: np.ndarray):
     """log|phi_{k,q}| and arg phi_{k,q} at an array of points; k and q broadcast against pts.shape[:-1]."""
-    x, y = pts[..., 0], pts[..., 1]
-    logabs, poly = _log_abs(field, k, q, 0.5 * field.b * (x * x + y * y))
+    logabs, poly = _log_abs(field, k, q, _moduli(field, pts))
     # arg = (k - q) theta - pi q / 2, plus pi for odd reflected powers and negative L.
     reflected = (k < q) & ((q - k) % 2 == 1)
-    phase = (k - q) * np.arctan2(y, x) + math.pi * (reflected - 0.5 * q) + math.pi * (poly < 0.0)
+    phase = (k - q) * np.arctan2(pts[..., 1], pts[..., 0]) + math.pi * (reflected - 0.5 * q) + math.pi * (poly < 0.0)
     return logabs, phase
 
 
@@ -198,14 +210,15 @@ def stacked_parts(field: MagneticField, q: int, ks, y=None) -> Callable:
     no leading row.  (T_y f)(x) = exp(-i(b/2) x^y) f(x - y) with
     x^y = x1 y2 - x2 y1, so the magnitude is carried over from x - y and
     only the phase is twisted; y = None is the untranslated basis, with no
-    twist applied.  q and each index follow the package's one integer rule
-    (laguerre._index): a float, bool, str or None, or a value below 0, is
-    refused by name, never truncated.
+    twist applied; y and the points pass _as_points.  q and each index
+    follow the package's one integer rule (laguerre._index): a float, bool,
+    str or None, or a value below 0, is refused by name, never truncated.
     """
     q, ks = _index("level q", q), _each(_index, int, "angular index k", ks)
-    y = None if y is None else np.asarray(y, dtype=float)
+    y = None if y is None else _as_points(y)
 
-    def parts(pts: np.ndarray):
+    def parts(pts):
+        pts = _as_points(pts)
         k = ks.reshape(ks.shape + (1,) * (pts.ndim - 1))
         if y is None:
             return _parts_arrays(field, k, q, pts)
@@ -312,7 +325,7 @@ def annihilation_residual(field: MagneticField, idx: BasisIndex, x) -> float:
     Lowest-level basis functions lie in ker(a), so the residual is pure
     discretization error, O(h^2) + roundoff, at step h = FD_STEP.  The
     point and its four stencil neighbours x +- h e1, x +- h e2 are
-    evaluated in one basis_eval call.
+    evaluated in one _parts_arrays call (the stencil of a checked point needs no second check).
     """
     if idx.q != 0:
         raise ValueError("annihilation residual is defined for lowest-level indices (q = 0)")
@@ -321,7 +334,7 @@ def annihilation_residual(field: MagneticField, idx: BasisIndex, x) -> float:
         raise ValueError("annihilation_residual expects a single point")
     h = FD_STEP
     stencil = pt + np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
-    u, u1p, u1m, u2p, u2m = basis_eval(field, idx, stencil)
+    u, u1p, u1m, u2p, u2m = _from_parts(*_parts_arrays(field, idx.k, idx.q, stencil))
     du1 = (u1p - u1m) / (2 * h)
     du2 = (u2p - u2m) / (2 * h)
     z = pt[0] + 1j * pt[1]
@@ -330,7 +343,6 @@ def annihilation_residual(field: MagneticField, idx: BasisIndex, x) -> float:
 
 def magnetic_translate(field: MagneticField, y, f: Callable, x):
     """(T_y f)(x) = exp(-i(b/2)(x1 y2 - x2 y1)) f(x - y)."""
-    y = np.asarray(y, dtype=float)
-    pts = _as_points(x)
+    y, pts = _as_points(y), _as_points(x)
     wedge = pts[..., 0] * y[1] - pts[..., 1] * y[0]
     return np.exp(-0.5j * field.b * wedge) * f(pts - y)

@@ -184,12 +184,18 @@ def _check_level(q, message: str) -> int:
     return q
 
 
+@lru_cache(maxsize=None)
+def _level_reach(q: int) -> tuple[bool, int, float]:
+    """_check_reach's part of level q, once: the exact integer q^3 past TABLE_CELLS_MAX (first: a float would overflow), q^2, sqrt(q)."""
+    return q ** 3 > TABLE_CELLS_MAX, q * q, math.sqrt(q)
+
+
 def _check_reach(q: int, t: float, radius: str) -> None:
     """Refuse t = b radius^2 / 2 past T_MAX, and a level-q table to t past TABLE_CELLS_MAX, before any table work."""
     if not t <= T_MAX:
         raise ValueError(f"t = b {radius}^2 / 2 = {t} is past the census limit T_MAX = {T_MAX:g}")
-    # The exact integer q^3 first: past about q = 1e154 the float product would overflow.
-    if q ** 3 > TABLE_CELLS_MAX or q * q * (math.sqrt(q) + math.sqrt(t)) ** 2 > TABLE_CELLS_MAX:
+    cubed_past, squared, root = _level_reach(q)
+    if cubed_past or squared * (root + math.sqrt(t)) ** 2 > TABLE_CELLS_MAX:
         raise ValueError(f"q = {q} at t = b {radius}^2 / 2 = {t} is past the census limit "
                          f"q^2 (sqrt(q) + sqrt(t))^2 <= TABLE_CELLS_MAX = {TABLE_CELLS_MAX:g}")
 

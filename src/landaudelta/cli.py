@@ -58,10 +58,9 @@ def _weighted_curve(args):
 
 
 def _warn_if_underresolved(result) -> None:
-    if result.underresolved:
-        delta, prov = result.refinement_delta, result.provenance
-        causes = [f"doubling N moves entries by {delta:.3e}"] if delta is not None else []
-        causes += [f"{key.replace('_', ' ')} {prov[key]:.3e}" for key in ("curve_tail", "weight_tail") if key in prov]
+    if result.underresolved:  # the indicators past their bound, as toeplitz._compress names them
+        causes = [f"doubling N moves entries by {result.refinement_delta:.3e}" if key == "refinement_delta"
+                  else f"{key.replace('_', ' ')} {result.provenance[key]:.3e}" for key in result.provenance["underresolved_by"]]
         print(f"warning: quadrature underresolved ({', '.join(causes)})", file=sys.stderr)
 
 
@@ -88,7 +87,7 @@ def _cmd_laguerre(args) -> int:
         return 0
     zeros = laguerre_zeros(spec)
     if args.format == "json":
-        print(json.dumps([{"zero": z, "multiplicity": m} for z, m in zeros], indent=1))
+        print(json.dumps([{"zero": z, "multiplicity": m} for z, m in zeros], indent=1, allow_nan=False))
     else:
         print("zero,multiplicity")
         for z, m in zeros:
@@ -111,7 +110,7 @@ def _cmd_census(args) -> int:
     if args.explicit is not None:
         sets = explicit_D12(field, args.explicit)
         if args.format == "json":
-            print(json.dumps(sets, indent=1))
+            print(json.dumps(sets, indent=1, allow_nan=False))
         else:
             print("set,index,r")
             for name in ("D1", "D2", "D22", "D21"):
@@ -120,16 +119,8 @@ def _cmd_census(args) -> int:
         return 0
     entries = census_sweep(field, args.q, args.rmax)
     if args.format == "json":
-        payload = [
-            {
-                "r": e.r,
-                "t": e.t,
-                "multiplicity": e.multiplicity,
-                "witnesses": [{"k": k, "zero": z} for k, z in e.witnesses],
-            }
-            for e in entries
-        ]
-        print(json.dumps(payload, indent=1))
+        payload = [{**e._asdict(), "witnesses": [{"k": k, "zero": z} for k, z in e.witnesses]} for e in entries]
+        print(json.dumps(payload, indent=1, allow_nan=False))
     else:
         sys.stdout.write(census_to_csv(entries))
     return 0
@@ -147,7 +138,7 @@ def _cmd_toeplitz(args) -> int:
         with open(args.export, "w") as fh:
             fh.write(matrix_to_json(matrix))
     if args.kernel:
-        print(json.dumps(asdict(kernel_dim_estimate(matrix)), indent=1))
+        print(json.dumps(asdict(kernel_dim_estimate(matrix)), indent=1, allow_nan=False))
         return 0
     sys.stdout.write(spectrum_to_csv(spectrum(matrix)))
     return 0
@@ -182,7 +173,7 @@ def _cmd_verify(args) -> int:
     failures = sum(not res.passed for res in results)
     if args.format == "json":
         for res in results:
-            print(json.dumps(asdict(res)))
+            print(json.dumps(asdict(res), allow_nan=False))
     else:
         for res in results:
             print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")

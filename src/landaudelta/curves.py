@@ -161,7 +161,8 @@ class JordanCurve:
         return self.params.size
 
     def resample(self, n: int) -> "JordanCurve":
-        """Same curve on n uniform nodes."""
+        """Same curve on n uniform nodes; every kind refuses a non-integer n or fewer than MIN_NODES (quadrature_size)."""
+        n = quadrature_size(n)
         if n == self.n_nodes:
             return self
         if self.kind == "circle":
@@ -207,6 +208,17 @@ def arclength_rule(curve: JordanCurve) -> tuple[np.ndarray, np.ndarray]:
     return curve.points, (2.0 * math.pi / n) * np.hypot(curve.derivs[:, 0], curve.derivs[:, 1])
 
 
+class _Table(tuple):
+    """A (t, v) weight table checked by the module's rule as name, closing row dropped; resamples share it and its interpolant."""
+
+    def __new__(cls, table, name: str = "weight table"):  # a pickle or copy calls _Table(tuple(self)), checked again
+        t, v = table
+        m = _periodic_rows(name, t, v)
+        self = super().__new__(cls, (t[:m], v[:m]))
+        self.interp = _PeriodicInterp(v[:m])  # its FFT is taken on first use, once
+        return self
+
+
 @dataclass(frozen=True)
 class WeightedCurve:
     """Curve and weight source; values (read-only, at curve.params) and sign class derive from the source.
@@ -219,10 +231,8 @@ class WeightedCurve:
     source: object  # constant | (t, v) table | callable
 
     def __post_init__(self):
-        if isinstance(self.source, tuple):  # a table built in code meets the rule load_weight applies
-            t, v = (np.asarray(a, dtype=float) for a in self.source)
-            m = _periodic_rows("weight table", t, v)
-            object.__setattr__(self, "source", (t[:m], v[:m]))
+        if isinstance(self.source, tuple) and not isinstance(self.source, _Table):  # a table built in code, as load_weight's
+            object.__setattr__(self, "source", _Table(np.asarray(a, dtype=float) for a in self.source))
         self.values.setflags(write=False)  # sampled here, so a bad weight raises where it is attached
 
     @cached_property
@@ -242,7 +252,7 @@ class WeightedCurve:
     def _sample(self, params: np.ndarray) -> np.ndarray:
         n = params.size
         if isinstance(self.source, tuple):
-            values = self._interp(n)
+            values = self.source.interp(n)
         elif callable(self.source):
             values = np.array(self.source(params), dtype=float)
         else:
@@ -260,17 +270,13 @@ class WeightedCurve:
         """The weight at the n parameters 2 pi j / n, bytes as resample(n).values, with no curve built."""
         return self.values if n == self.curve.n_nodes else self._sample(_uniform_params(n))
 
-    @cached_property
-    def _interp(self) -> _PeriodicInterp:
-        return _PeriodicInterp(self.source[1])
-
     def sample_tails(self) -> dict:
         """The Fourier tail of the sampled curve's columns and of a weight table, where present, from the interpolants' coefficients."""
         tails = {}
         if self.curve.kind == "sampled":
             tails["curve_tail"] = self.curve._interp.tail()
         if isinstance(self.source, tuple):
-            tails["weight_tail"] = self._interp.tail()
+            tails["weight_tail"] = self.source.interp.tail()
         return tails
 
     def describe(self) -> str:
@@ -348,5 +354,4 @@ def load_weight(curve: JordanCurve, source) -> WeightedCurve:
         if v.shape != (curve.n_nodes,):
             raise ValueError(f"weight array must have one value per curve node ({curve.n_nodes}), got {v.shape}")
         name, t = "weight array", curve.params.copy()
-    _periodic_rows(name, t, v)  # the constructor checks again, by the name "weight table", and drops a closing row
-    return WeightedCurve(curve, (t, v))
+    return WeightedCurve(curve, _Table((t, v), name))

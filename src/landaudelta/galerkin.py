@@ -178,13 +178,13 @@ class ClusterReport:
                     "offsets": c.offsets,
                     "exact_hits": c.exact_hits,
                     "count": c.count,
-                    "min_offset": c.min_offset,
-                    "max_offset": c.max_offset,
+                    "min_offset": c.min_offset if c.count else None,  # JSON has no NaN: null for an empty level
+                    "max_offset": c.max_offset if c.count else None,
                 }
                 for c in self.clusters
             ]
         }
-        return json.dumps(payload, indent=1)
+        return json.dumps(payload, indent=1, allow_nan=False)
 
 
 def cluster_report(model: GalerkinModel) -> ClusterReport:
@@ -218,7 +218,8 @@ class PersistenceResult:
     details: dict
 
     def to_json(self) -> str:
-        return json.dumps({"persists": self.persists, "witnesses": list(self.witnesses), "details": self.details}, indent=1)
+        payload = {"persists": self.persists, "witnesses": list(self.witnesses), "details": self.details}
+        return json.dumps(payload, indent=1, allow_nan=False)
 
 
 def persistence_check(

@@ -47,7 +47,7 @@ from itertools import accumulate
 import numpy as np
 
 from .census import multiplicity as _census_multiplicity
-from .basis import MagneticField, _from_parts, _log_abs, _parts_arrays
+from .basis import MagneticField, _from_parts, _log_abs, _moduli, _parts_arrays
 from .curves import JordanCurve, WeightedCurve, arclength_rule, quadrature_size
 from .laguerre import _index, finite_real
 
@@ -199,22 +199,8 @@ def circle_diagonal(field: MagneticField, q: int, k: int, r: float) -> float:
 
 
 def _node_moduli(field: MagneticField, curve: JordanCurve) -> np.ndarray:
-    """Moduli t_j = b|x_j|^2/2 of the nodes of curve; a circle has the one node (r, 0).
-
-    The one home of the overflow refusal: a t past the double range raises
-    ValueError naming b and the largest node radius r, without a numpy warning.
-    """
-    if curve.kind == "circle":
-        r = dict(curve.meta)["r"]
-        t = np.array([field.modulus(r)])  # Python floats: no warning on overflow
-    else:
-        x, y = curve.points[:, 0], curve.points[:, 1]
-        with np.errstate(over="ignore"):
-            t = 0.5 * field.b * (x * x + y * y)
-    if not math.isfinite(t.max()):
-        r = float(np.max(np.hypot(curve.points[:, 0], curve.points[:, 1])))
-        raise ValueError(f"t = b r^2 / 2 is past the double range at b = {field.b:g}, r = {r:g}")
-    return t
+    """basis._moduli of curve.points, or of a circle's one node (r, 0), which is field.modulus(r) bit for bit."""
+    return _moduli(field, np.array([[dict(curve.meta)["r"], 0.0]]) if curve.kind == "circle" else curve.points)
 
 
 def default_truncation(field: MagneticField, q: int, curve: JordanCurve, tail_rel: float = TAIL_RELATIVE_CUTOFF) -> int:
@@ -297,9 +283,9 @@ def _quadrature_sums(field: MagneticField, layout: RowLayout, wc: WeightedCurve,
     Each node set's basis samples Phi are one layout.dim x nodes array,
     filled in row blocks of at most BLOCK_CELLS samples (one row at least)
     straight from the layout's j and k rows, so a block may span levels
-    and its temporaries stay one block's; a Laguerre factor past the double
-    range is refused naming the first such level, as a level-by-level pass
-    would.  The sum Phi diag(w) Phi* holds two such arrays: Phi w, and Phi
+    and its temporaries stay one block's; the first block with a Laguerre
+    factor past the double range names its first such level (basis._log_abs).
+    The sum Phi diag(w) Phi* holds two such arrays: Phi w, and Phi
     conjugated in its own buffer.
     The uniform 2n rule holds the n rule at its even nodes, so each
     doubling halves the last sum and adds half the n-node sum over the new
@@ -311,13 +297,7 @@ def _quadrature_sums(field: MagneticField, layout: RowLayout, wc: WeightedCurve,
         step = max(1, BLOCK_CELLS // len(points))
         for start in range(0, layout.dim, step):
             rows = slice(start, start + step)
-            try:
-                parts = _parts_arrays(field, layout.k[rows, None], layout.j[rows, None], points)
-            except ValueError:  # refused level by level, so the first level past the double range is named
-                for j in range(layout.j[start], layout.j[rows][-1] + 1):
-                    _parts_arrays(field, layout.k[layout.block(j), None], j, points)
-                raise
-            _from_parts(*parts, out=phi[rows])
+            _from_parts(*_parts_arrays(field, layout.k[rows, None], layout.j[rows, None], points), out=phi[rows])
         scaled = phi * w
         return scaled @ np.conjugate(phi, out=phi).T
 
@@ -421,7 +401,8 @@ def _compress(field: MagneticField, layout: RowLayout, wc: WeightedCurve, N: int
     is set when delta exceeds RESOLUTION_DELTA_TOL * max|M| or a sampled
     curve or weight table has a relative Fourier tail above RESOLUTION_DELTA_TOL
     (curves.WeightedCurve.sample_tails, also in provenance); it is None when
-    unchecked and no tail is flagged.  No decision depends on the weight's scale.
+    unchecked and no tail is flagged.  A set flag's causes, the indicators past
+    their bound, are provenance["underresolved_by"].  No decision depends on the weight's scale.
     Memory on general curves: two basis arrays of layout.dim x N complex
     samples (16 bytes each) while a sum is formed, beside the N-node matrix
     when checked (_quadrature_sums); on circles, as _circle_sums says.
@@ -437,7 +418,9 @@ def _compress(field: MagneticField, layout: RowLayout, wc: WeightedCurve, N: int
     if circle:
         provenance["r"] = dict(wc.curve.meta)["r"]
     provenance.update(tails)
-    rough = any(tail > RESOLUTION_DELTA_TOL for tail in tails.values())
+    rough = [key for key, tail in tails.items() if tail > RESOLUTION_DELTA_TOL]
+    if rough:
+        provenance["underresolved_by"] = rough
     if not check_resolution:
         return entries, provenance, True if rough else None, None
     sizes, deltas = [], []
@@ -452,7 +435,9 @@ def _compress(field: MagneticField, layout: RowLayout, wc: WeightedCurve, N: int
     provenance["N"] = n
     if adaptive:
         provenance["N_sequence"], provenance["delta_sequence"] = sizes, deltas
-    return entries, provenance, bool(deltas[-1] > RESOLUTION_DELTA_TOL * scale) or rough, deltas[-1]
+    if deltas[-1] > RESOLUTION_DELTA_TOL * scale:
+        provenance["underresolved_by"] = ["refinement_delta", *rough]
+    return entries, provenance, "underresolved_by" in provenance, deltas[-1]
 
 
 def assemble(
@@ -612,7 +597,7 @@ def matrix_to_json(matrix: ToeplitzMatrix) -> str:
         "im": matrix.entries.imag.tolist(),
     }
     # No indent: json then takes its C encoder, which writes the same float reprs.
-    return json.dumps(payload)
+    return json.dumps(payload, allow_nan=False)
 
 
 def matrix_from_json(text: str) -> ToeplitzMatrix:

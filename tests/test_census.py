@@ -634,6 +634,17 @@ def edge_t(q):
     return (math.sqrt(TABLE_CELLS_MAX) / q - math.sqrt(q)) ** 2
 
 
+def test_each_level_forms_its_reach_once():
+    # The exact integer q^3, q^2 and sqrt(q) of a level are formed on its first query, not on every warm one.
+    census_mod._level_reach.cache_clear()
+    for r in np.linspace(0.5, 3.0, 40).tolist():
+        multiplicity(F2, 3, r)
+    multiplicities(F2, 3, [1.0, 2.0])
+    census(F2, 3, 2.0)
+    info = census_mod._level_reach.cache_info()
+    assert (info.misses, info.hits) == (1, 41)
+
+
 class TestTableCellLimit:
     @pytest.fixture(autouse=True)
     def no_table_work(self, monkeypatch):

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from landaudelta import cli, toeplitz
-from landaudelta.curves import JordanCurve, make_circle, make_ellipse, save_curve
+from landaudelta.curves import JordanCurve, make_circle, make_ellipse, save_curve, save_weight
 from landaudelta.cli import main
 
 
@@ -189,6 +190,31 @@ class TestToeplitz:
         assert code == 0 and out.startswith("index,eigenvalue,residual\n")
         assert re.fullmatch(r"warning: quadrature underresolved \(weight tail 2\.\d{3}e-04\)\n", err)
 
+    @pytest.mark.parametrize("extra, causes", [
+        ((), r"weight tail 2\.999e-03"),
+        (("--N", "16"), r"doubling N moves entries by 2\.284e-02, weight tail 2\.999e-03"),
+    ])
+    def test_underresolution_warning_names_only_the_indicators_past_their_bound(self, capsys, tmp_path, extra, causes):
+        # A 256-row ellipse file with a jump in the weight: the curve tail (1.2e-16), and the doubling's
+        # 2.2e-16 at the adaptive N, are below the bound 1e-7 and not named; toeplitz._compress lists the
+        # indicators that tripped in provenance, in the warning's order.
+        curve_path, weight_path, export = tmp_path / "c.txt", tmp_path / "w.txt", tmp_path / "m.json"
+        save_curve(make_ellipse(1.4, 0.9, n=256), curve_path)
+        t = np.arange(256) * (2 * math.pi / 256)
+        save_weight(t, 1.0 + (t < 2), weight_path)
+        code, out, err = run_cli(capsys, "toeplitz", "--b", "2", "--q", "0", "--K", "10", "--curve-file", str(curve_path),
+                                 "--weight-file", str(weight_path), "--export", str(export), *extra)
+        assert code == 0 and out.startswith("index,eigenvalue,residual\n")
+        assert re.fullmatch(rf"warning: quadrature underresolved \({causes}\)\n", err)
+        meta = json.loads(export.read_text())["meta"]
+        named = ["refinement_delta", "weight_tail"] if extra else ["weight_tail"]
+        assert meta["underresolved"] is True and meta["provenance"]["underresolved_by"] == named
+        # Unflagged: no warning, and no such key.
+        code, out, err = run_cli(capsys, "toeplitz", "--b", "2", "--q", "0", "--K", "10", "--curve-file", str(curve_path),
+                                 "--export", str(export))
+        meta = json.loads(export.read_text())["meta"]
+        assert (code, err, meta["underresolved"]) == (0, "", False) and "underresolved_by" not in meta["provenance"]
+
     def test_bad_arguments_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["toeplitz", "--q", "not-an-int"])
@@ -330,6 +356,18 @@ class TestGalerkin:
         level1 = payload["levels"][1]
         assert level1["Lambda"] == 6.0
         assert any(abs(h - 6.0) < 1e-9 for h in level1["exact_hits"])
+
+    def test_level_without_eigenvalues_writes_null_offsets(self, capsys):
+        # Level 0 holds no eigenvalue here; its offsets used to print as NaN, which is not JSON (RFC 8259).
+        code, out, _ = run_cli(capsys, "galerkin", "--b", "2", "--q", "0", "--Q", "2", "--r", "1", "--weight", "2000", "--K", "2")
+
+        def refuse(constant):
+            raise AssertionError(f"not JSON: {constant}")
+
+        levels = json.loads(out, parse_constant=refuse)["levels"]
+        assert code == 0 and levels[0]["count"] == 0
+        assert levels[0]["min_offset"] is None and levels[0]["max_offset"] is None
+        assert levels[1]["count"] == 2 and levels[1]["min_offset"] == 0.0
 
     def test_persistence_json(self, capsys):
         code, out, _ = run_cli(
@@ -633,3 +671,15 @@ def test_matching_closing_row_is_dropped(tmp_path, subcommand, fmt):
     closed = _run_on_file(subcommand, fmt, path, HEADERS[fmt], _grid_rows(fmt, closing=True))
     assert (closed.returncode, closed.stderr) == (0, "")
     assert closed.stdout == _run_on_file(subcommand, fmt, path, HEADERS[fmt], _grid_rows(fmt)).stdout
+
+
+def test_every_json_writer_refuses_nan():
+    # NaN and Infinity are not JSON: every json.dumps in src/ passes allow_nan=False, so none is ever written.
+    src = Path(__file__).resolve().parents[1] / "src" / "landaudelta"
+    calls = [
+        node for path in sorted(src.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps"
+    ]
+    assert len(calls) == 8
+    for call in calls:
+        assert any(kw.arg == "allow_nan" and ast.unparse(kw.value) == "False" for kw in call.keywords), ast.unparse(call)

@@ -703,3 +703,35 @@ class TestOneTableRule:
                 with pytest.raises(ValueError) as err:
                     build()
             assert str(err.value) == f"{name}: {self.MESSAGES[case]}"
+
+
+class TestSharedTables:
+    """A weight table is checked once and interpolated from one FFT, however often its curve is resampled."""
+
+    def test_resamples_share_the_checked_table_and_its_fft(self, monkeypatch):
+        grid = _uniform_params(3000)
+        table = (grid, 1.0 + 0.3 * np.sin(grid) + 0.1 * np.cos(40 * grid))
+        curve = make_ellipse(1.4, 0.9, n=64)
+        reference = {n: load_weight(curve.resample(n), table).values.tobytes() for n in (64, 128, 256, 3000)}
+        ffts = []
+        real_fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda *args, **kwargs: ffts.append(1) or real_fft(*args, **kwargs))
+        wc = load_weight(curve, table)  # sampled once at the curve's 64 nodes: the one FFT
+        assert len(ffts) == 1
+        resampled = [wc.resample(n) for n in (128, 256, 128, 3000)]
+        assert [r.values.tobytes() for r in resampled] == [reference[n] for n in (128, 256, 128, 3000)]
+        assert all(r.source is wc.source for r in resampled)
+        assert wc.resample(64).values.tobytes() == reference[64] and wc.resample(512).sample_tails() == wc.sample_tails()
+        assert len(ffts) == 1
+
+    def test_every_curve_refuses_too_few_nodes_alike(self):
+        e = make_ellipse(1.4, 0.9, n=64)
+        curves = (make_circle(1.0), e, JordanCurve("sampled", e.params, e.points, e.derivs, ()))
+        for curve in curves:
+            for n, message in ((8, "need at least 16 nodes, got 8"), (0, "need at least 16 nodes, got 0"),
+                               (32.0, "node count n must be an integer, got 32.0")):
+                with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                    curve.resample(n)
+                with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                    load_weight(curve, 1.0).resample(n)
+            assert curve.resample(16).n_nodes == 16 and curve.resample(None).n_nodes == 1024

@@ -1,6 +1,7 @@
 """One door per decision: eigenvectors from toeplitz.spectrum, eigenvalues from toeplitz.eigenvalues,
 the level-major row order from toeplitz.RowLayout, basis rows from its row blocks, the default cuts
-from toeplitz._level_cuts and the sample-table rule from curves._periodic_rows."""
+from toeplitz._level_cuts, the sample-table rule from curves._periodic_rows and t = b|x|^2/2 of points
+from basis._moduli."""
 
 import ast
 import math
@@ -53,18 +54,30 @@ CUTS = {
 
 # Every reference in curves.py to a test of sampled parameters or values:
 # finiteness, order, range, the closing row and the grid are checked in
-# _periodic_rows alone, which load_curve, load_weight and both constructors
-# call.  The one other finiteness test is WeightedCurve._sample's, of the
+# _periodic_rows alone, which load_curve, the JordanCurve constructor and
+# the weight table type _Table (built by load_weight and the WeightedCurve
+# constructor) call.  The one other finiteness test is WeightedCurve._sample's, of the
 # values a weight source gives; no np.diff orders a parameter column.
 SAMPLE_TABLES = {
-    "_periodic_rows": {"curves.JordanCurve.__post_init__", "curves.WeightedCurve.__post_init__",
-                       "curves.load_curve", "curves.load_weight"},
+    "_periodic_rows": {"curves.JordanCurve.__post_init__", "curves._Table.__new__", "curves.load_curve"},
     "_require_uniform_grid": set(),
     "_CLOSURE_TOL": {"curves", "curves._periodic_rows"},
     "isfinite": {"curves._periodic_rows", "curves.WeightedCurve._sample"},
     "diff": set(),
 }
 SAMPLE_REFUSALS = ("non-finite", "strictly increasing", "[0, 2pi)", "closing row", "uniform grid", "1-D of equal length")
+
+
+# Every reference in the basis and the kernels (basis.py, toeplitz.py, galerkin.py) to the one
+# spelling of t of points, and every product of an expression with itself there: t = b|x|^2/2 is
+# formed from coordinates in basis._moduli alone (np.hypot names the radius of its refusal), and from
+# a radius in MagneticField.modulus.
+MODULI = {
+    "_moduli": {"basis.magnetic_phase", "basis._parts_arrays", "toeplitz", "toeplitz._node_moduli"},
+    "hypot": {"basis._moduli"},
+}
+SQUARES = {"basis.MagneticField.modulus", "basis._moduli"}
+KERNEL_MODULES = ("basis", "toeplitz", "galerkin")
 
 
 def references(allowed: dict[str, set[str]]) -> dict[str, set[str]]:
@@ -136,3 +149,29 @@ def test_sample_tables_checked_only_by_the_one_rule():
         if isinstance(node, ast.Raise) and any(phrase in ast.unparse(node.exc) for phrase in SAMPLE_REFUSALS)
     }
     assert raisers == {"_periodic_rows"}
+
+
+def test_t_of_points_formed_in_one_function():
+    in_kernels = {name: {w for w in where if w.split(".")[0] in KERNEL_MODULES} for name, where in references(MODULI).items()}
+    assert in_kernels == MODULI
+    squares = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and ast.dump(node.left) == ast.dump(node.right):
+            squares.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for module in KERNEL_MODULES:
+        visit(ast.parse((SRC / f"{module}.py").read_text()), module)
+    assert squares == SQUARES
+
+
+def test_kernels_rerun_nothing_to_name_an_overflow():
+    # basis._log_abs names the first level past the double range, so no kernel catches a refusal to rename it.
+    tree = ast.parse((SRC / "toeplitz.py").read_text())
+    kernels = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for name in ("_quadrature_sums", "_circle_sums", "_compress"):
+        assert not any(isinstance(node, ast.Try) for node in ast.walk(kernels[name])), name

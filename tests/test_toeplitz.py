@@ -213,6 +213,20 @@ class TestAssemble:
             with pytest.raises(ValueError, match=f"^{message.format(192)}$"):
                 assemble_model(F2, 203, 210, wc, +1, N=16, check_resolution=False)
 
+    def test_overflowing_laguerre_factor_names_one_level_on_every_curve(self):
+        # One rule, in basis._log_abs: the first (smallest) level past the double range, at its largest t.
+        # The circle r = 55 used to name level 203 (the largest), the ellipse 55 x 50 level 192, both at t = 3025.
+        message = r"^Laguerre factor of phi_\(k,q\) is not finite at q = 192, t = 3025: past the double range$"
+        circle = load_weight(make_circle(55.0), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # N = 16 keeps the ellipse's basis array small: its rows below level 192 are filled before the refusal.
+            for wc, check in ((circle, False), (circle, True), (load_weight(make_ellipse(55.0, 50.0), 1.0), False)):
+                with pytest.raises(ValueError, match=message):
+                    assemble_model(F2, 203, 210, wc, +1, N=16, check_resolution=check)
+            with pytest.raises(ValueError, match=message):  # rows k = 192..195 of level 192 overflow at t = 3025
+                basis_matrix(F2, 192, [0, 150, 193], [[1.0, 2.0], [55.0, 0.0], [-50.0, 0.0]])
+
     def test_recentering_invariance(self):
         q, K, r, n = 1, 8, 1.1, 512
         wc = load_weight(make_circle(r, n=n), lambda t: 1.0 + 0.5 * np.cos(t))
